@@ -16,11 +16,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release
 
+# `default-members` in the root manifest lists every crate, so this is
+# the whole workspace suite.
 echo "== cargo test -q =="
 cargo test -q
-
-echo "== cargo test --workspace -q =="
-cargo test --workspace -q
 
 echo "== sweep smoke (multi-threaded, deterministic) =="
 cargo run --release -q -p parcache-bench --bin parcache-run -- \
@@ -34,7 +33,7 @@ echo "== differential fuzz smoke (500 cases, every policy) =="
 cargo run --release -q -p parcache-bench --bin parcache-run -- \
     --fuzz 500 --seed 1996 --threads 2 > /dev/null
 
-echo "== forestall differential fuzz (300 cases, incremental vs naive predictor) =="
+echo "== differential fuzz (300 cases: forestall incremental vs naive predictor, tuned reverse search vs eight independent runs) =="
 cargo run --release -q -p parcache-bench --bin parcache-run -- \
     --fuzz 300 --differential --seed 1996 --threads 2 > /dev/null
 

@@ -355,7 +355,9 @@ struct Options {
     explain: bool,
     fuzz: Option<usize>,
     /// `--differential`: the fuzzer additionally replays every forestall
-    /// case on the naive full-rescan predictor and compares reports.
+    /// case on the naive full-rescan predictor and every case's tuned
+    /// reverse-aggressive search as eight independent runs, and compares
+    /// the results.
     differential: bool,
     bench: bool,
     bench_smoke: bool,

@@ -18,6 +18,7 @@
 //! function of the seed, while execution fans out through the sweep
 //! engine's deterministic [`run_indexed`] scheduler.
 
+use crate::runner::{best_reverse_search, reverse_grid};
 use crate::sweep::run_indexed;
 use parcache_core::audit::simulate_audited;
 use parcache_core::config::{DiskModelKind, RetryPolicy};
@@ -329,8 +330,46 @@ fn run_policy(case: &FuzzCase, kind: PolicyKind, differential: bool) -> (Vec<Str
 /// folded into the fingerprint, deterministically), and the remaining
 /// policies and cases keep running — a 10,000-case campaign reports one
 /// poisoned combination instead of dying on it.
+///
+/// With `differential`, the case's tuned reverse-aggressive search also
+/// runs two ways — the shared-state search with its duplicate-schedule
+/// skip, and [`naive_reverse_search`] — and any difference in the winning
+/// report or configuration is a failure. Neither run enters the
+/// fingerprint.
 fn run_case(case: &FuzzCase, differential: bool) -> (Vec<FuzzFailure>, u64) {
     let mut failures = Vec::new();
+    if differential {
+        let result = std::panic::catch_unwind(|| {
+            let fast = best_reverse_search(&case.trace, &case.config, 1);
+            let naive = naive_reverse_search(&case.trace, &case.config);
+            (fast != naive).then(|| {
+                format!(
+                    "tuned search diverged from eight independent runs: \
+                     elapsed {} vs {}, F̂ {} vs {}, batch {} vs {}",
+                    fast.0.elapsed,
+                    naive.0.elapsed,
+                    fast.1.reverse_fetch_estimate,
+                    naive.1.reverse_fetch_estimate,
+                    fast.1.reverse_batch_size,
+                    naive.1.reverse_batch_size
+                )
+            })
+        });
+        let detail = match result {
+            Ok(diverged) => diverged,
+            Err(payload) => Some(format!(
+                "tuned search panicked: {}",
+                crate::runner::panic_message(payload.as_ref())
+            )),
+        };
+        if let Some(detail) = detail {
+            failures.push(FuzzFailure {
+                case: case.index,
+                policy: PolicyKind::ReverseAggressive,
+                details: vec![detail],
+            });
+        }
+    }
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for kind in PolicyKind::ALL {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -363,6 +402,20 @@ fn run_case(case: &FuzzCase, differential: bool) -> (Vec<FuzzFailure>, u64) {
     (failures, h)
 }
 
+/// The naive spec of [`best_reverse_search`]: one independent
+/// [`simulate`] per grid configuration, folded in grid order with the
+/// strictly-smaller-elapsed rule.
+pub(crate) fn naive_reverse_search(trace: &Trace, base: &SimConfig) -> (Report, SimConfig) {
+    let mut best: Option<(Report, SimConfig)> = None;
+    for cfg in reverse_grid(base) {
+        let r = simulate(trace, PolicyKind::ReverseAggressive, &cfg);
+        if best.as_ref().is_none_or(|(cur, _)| r.elapsed < cur.elapsed) {
+            best = Some((r, cfg));
+        }
+    }
+    best.expect("non-empty parameter grid")
+}
+
 /// Runs the differential fuzzer: `cases` generated cases × every policy,
 /// executed across `threads` workers. The result is a pure function of
 /// `(seed, cases)` — the thread count only changes wall-clock time.
@@ -371,9 +424,10 @@ pub fn fuzz(seed: u64, cases: usize, threads: usize) -> FuzzReport {
 }
 
 /// [`fuzz`], additionally replaying every forestall case on the naive
-/// full-rescan stall predictor and failing on any divergence from the
-/// incremental one. Cases, runs accounting, and the fingerprint are
-/// identical to a plain [`fuzz`] with the same arguments.
+/// full-rescan stall predictor and every case's tuned reverse-aggressive
+/// search as eight independent runs, failing on any divergence from the
+/// fast paths. Cases, runs accounting, and the fingerprint are identical
+/// to a plain [`fuzz`] with the same arguments.
 pub fn fuzz_differential(seed: u64, cases: usize, threads: usize) -> FuzzReport {
     fuzz_impl(seed, cases, threads, true)
 }

@@ -1,9 +1,10 @@
 //! Shared experiment runner: trace cache, disk-count grid, reverse
 //! aggressive parameter search.
 
-use parcache_core::engine::{simulate, Report};
+use parcache_core::algs::reverse::{Pair, ReverseAggressive};
+use parcache_core::engine::{simulate, Prepared, Report};
 use parcache_core::policy::PolicyKind;
-use parcache_core::SimConfig;
+use parcache_core::{NoopProbe, SimConfig};
 use parcache_trace::Trace;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,6 +148,21 @@ pub fn best_reverse(trace: &Trace, base: &SimConfig) -> Report {
     best_reverse_search(trace, base, crate::sweep::default_threads()).0
 }
 
+/// The tuned search's grid, in its order: fetch estimate F̂ in
+/// {1, 4, 16, 64} × batch size in {4, 40}.
+pub(crate) fn reverse_grid(base: &SimConfig) -> Vec<SimConfig> {
+    let fetch_estimates = [1u64, 4, 16, 64];
+    let batches = [4usize, 40];
+    fetch_estimates
+        .iter()
+        .flat_map(|&f| {
+            batches
+                .iter()
+                .map(move |&b| base.clone().with_reverse_params(f, b))
+        })
+        .collect()
+}
+
 /// [`best_reverse`], returning the winning configuration as well and
 /// running the grid's eight simulations on up to `threads` workers via
 /// [`run_indexed`](crate::sweep::run_indexed).
@@ -154,28 +170,118 @@ pub fn best_reverse(trace: &Trace, base: &SimConfig) -> Report {
 /// The winner is chosen by folding the reports *in grid order* with a
 /// strictly-smaller-elapsed rule — exactly the serial loop's
 /// first-wins tie-break — so the result does not depend on `threads`.
+///
+/// Two things make the eight runs cheaper than eight [`simulate`] calls
+/// while returning the same bytes. The state they share (the oracles,
+/// the reference index and the cold missing-block index) is built once in
+/// a [`Prepared`] value. And a configuration whose schedule and batch
+/// size repeat an earlier configuration's is not replayed: only reverse
+/// aggressive reads F̂ and the batch size, so its replay would repeat the
+/// earlier report, which the first-wins fold already prefers.
 pub fn best_reverse_search(trace: &Trace, base: &SimConfig, threads: usize) -> (Report, SimConfig) {
-    let fetch_estimates = [1u64, 4, 16, 64];
-    let batches = [4usize, 40];
-    let grid: Vec<SimConfig> = fetch_estimates
-        .iter()
-        .flat_map(|&f| {
-            batches
-                .iter()
-                .map(move |&b| base.clone().with_reverse_params(f, b))
-        })
-        .collect();
+    let grid = reverse_grid(base);
+    let prepared = Prepared::new(trace, base);
+    let reversed = prepared.reversed_oracle();
+    let log = ReplayLog::new(grid.len());
     let reports = crate::sweep::run_indexed(grid.len(), threads, |i| {
-        simulate(trace, PolicyKind::ReverseAggressive, &grid[i])
+        let mut policy = ReverseAggressive::with_reversed(reversed, &grid[i]);
+        if log.repeats_earlier(i, policy.schedule(), grid[i].reverse_batch_size) {
+            return None;
+        }
+        Some(prepared.run(&mut policy, &grid[i], &mut NoopProbe))
     });
     let mut best: Option<(usize, Report)> = None;
     for (i, r) in reports.into_iter().enumerate() {
+        // A skipped configuration's report equals an earlier one's, so
+        // it can never be strictly better than the best so far.
+        let Some(r) = r else { continue };
         if best.as_ref().is_none_or(|(_, cur)| r.elapsed < cur.elapsed) {
             best = Some((i, r));
         }
     }
     let (i, report) = best.expect("non-empty parameter grid");
     (report, grid[i].clone())
+}
+
+/// What decides a reverse-aggressive forward replay once the rest of the
+/// configuration is fixed: the schedule, by a 128-bit fingerprint and its
+/// length, and the batch size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ReplayKey {
+    fingerprint: u128,
+    pairs: usize,
+    batch: usize,
+}
+
+/// The replay keys the search's configurations have produced so far.
+/// Debug builds also keep each schedule and check that a matching key
+/// really means an identical schedule.
+struct ReplayLog {
+    entries: Mutex<Vec<Option<Logged>>>,
+}
+
+/// One configuration's replay key, and its schedule in debug builds.
+#[derive(Clone)]
+struct Logged {
+    key: ReplayKey,
+    schedule: Option<Vec<Pair>>,
+}
+
+impl ReplayLog {
+    fn new(configs: usize) -> ReplayLog {
+        ReplayLog {
+            entries: Mutex::new(vec![None; configs]),
+        }
+    }
+
+    /// Records configuration `i`'s replay key and returns whether a
+    /// configuration earlier in the grid recorded the same key.
+    fn repeats_earlier(&self, i: usize, schedule: &[Pair], batch: usize) -> bool {
+        let key = ReplayKey {
+            fingerprint: fingerprint(schedule),
+            pairs: schedule.len(),
+            batch,
+        };
+        // Every update is one slot assignment, so a poisoned log is
+        // still consistent.
+        let mut entries = self
+            .entries
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let earlier = entries[..i].iter().flatten().find(|e| e.key == key);
+        if let Some(kept) = earlier.and_then(|e| e.schedule.as_deref()) {
+            assert_eq!(kept, schedule, "schedule fingerprint collision");
+        }
+        let repeats = earlier.is_some();
+        entries[i] = Some(Logged {
+            key,
+            schedule: cfg!(debug_assertions).then(|| schedule.to_vec()),
+        });
+        repeats
+    }
+}
+
+/// A 128-bit fingerprint of a schedule: two independently seeded
+/// multiply-xorshift lanes over every field of every pair.
+fn fingerprint(schedule: &[Pair]) -> u128 {
+    let mut a = 0x243f_6a88_85a3_08d3u64;
+    let mut b = 0x1319_8a2e_0370_7344u64;
+    for p in schedule {
+        let words = [
+            p.block.0,
+            p.key as u64,
+            u64::from(p.evict.is_some()),
+            p.evict.map_or(0, |e| e.0),
+            p.release as u64,
+        ];
+        for w in words {
+            a = (a ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            a ^= a >> 29;
+            b = (b.rotate_left(23) ^ w).wrapping_mul(0xd6e8_feb8_6659_fd93);
+            b ^= b >> 31;
+        }
+    }
+    (u128::from(a) << 64) | u128::from(b)
 }
 
 #[cfg(test)]
@@ -265,14 +371,59 @@ mod tests {
 
     #[test]
     fn best_reverse_search_is_thread_count_invariant() {
+        // One search implementation at every fan-out, under every kind of
+        // knowledge and array health: full hints, partial hints,
+        // predicted hints, and a fault plan. Each must pick the same
+        // winner as eight independent runs folded first-wins.
+        let t = parcache_trace::synth::synth_trace(3, 200, 7);
+        let full = SimConfig::for_trace(2, &t);
+        let partial = full
+            .clone()
+            .with_hints(parcache_core::hints::HintSpec::Segments {
+                fraction: 0.6,
+                mean_run: 40,
+                seed: 3,
+            });
+        let predicted = full
+            .clone()
+            .with_hint_mode(parcache_core::HintMode::Predicted(
+                parcache_core::PredictorKind::Markov,
+            ));
+        let faulted = full.clone().with_faults(
+            parcache_disk::FaultPlan::parse("flaky:*:0.05,outage:1:100:600,seed:9")
+                .expect("valid fault plan"),
+        );
+        for base in [full, partial, predicted, faulted] {
+            let (serial, serial_cfg) = best_reverse_search(&t, &base, 1);
+            let (threaded, threaded_cfg) = best_reverse_search(&t, &base, 4);
+            assert_eq!(serial, threaded);
+            assert_eq!(serial_cfg, threaded_cfg);
+            assert_eq!(
+                (serial.clone(), serial_cfg.clone()),
+                crate::fuzz::naive_reverse_search(&t, &base)
+            );
+            // The winning configuration really produces the winning report.
+            let replay = run(&t, PolicyKind::ReverseAggressive, &serial_cfg);
+            assert_eq!(replay, serial);
+        }
+    }
+
+    #[test]
+    fn duplicate_schedules_are_detected() {
+        // Equal schedules at equal batch sizes repeat; a different batch
+        // or a different schedule does not.
         let t = parcache_trace::synth::synth_trace(3, 200, 7);
         let base = SimConfig::for_trace(2, &t);
-        let (serial, serial_cfg) = best_reverse_search(&t, &base, 1);
-        let (threaded, threaded_cfg) = best_reverse_search(&t, &base, 4);
-        assert_eq!(serial, threaded);
-        assert_eq!(serial_cfg, threaded_cfg);
-        // The winning configuration really produces the winning report.
-        let replay = run(&t, PolicyKind::ReverseAggressive, &serial_cfg);
-        assert_eq!(replay, serial);
+        let a = ReverseAggressive::new(&t, &base.clone().with_reverse_params(4, 4));
+        let b = ReverseAggressive::new(&t, &base.clone().with_reverse_params(64, 4));
+        let log = ReplayLog::new(4);
+        assert!(!log.repeats_earlier(0, a.schedule(), 4));
+        assert!(!log.repeats_earlier(1, a.schedule(), 40));
+        assert!(log.repeats_earlier(2, a.schedule(), 4));
+        assert_eq!(
+            log.repeats_earlier(3, b.schedule(), 4),
+            a.schedule() == b.schedule()
+        );
+        assert_ne!(fingerprint(&a.schedule()[1..]), fingerprint(a.schedule()));
     }
 }

@@ -29,6 +29,7 @@
 use crate::cache::{Cache, MissingTracker};
 use crate::config::SimConfig;
 use crate::engine::Ctx;
+use crate::hints::HintSpec;
 use crate::oracle::{Oracle, NEVER};
 use crate::policy::{demand_fetch, Policy};
 use parcache_disk::Layout;
@@ -48,19 +49,6 @@ pub struct Pair {
     pub evict: Option<BlockId>,
     /// Earliest cursor position at which the eviction may happen.
     pub release: usize,
-}
-
-/// An event recorded during the reverse pass.
-#[derive(Debug, Clone, Copy)]
-struct RevEvent {
-    /// Block fetched in the reverse world.
-    fetched: BlockId,
-    /// Block evicted in the reverse world, if any.
-    evicted: Option<BlockId>,
-    /// Reverse cursor at issue time.
-    cursor: usize,
-    /// Reverse position of the use this fetch serves.
-    target: usize,
 }
 
 /// Outcome of attempting to issue a scheduled pair.
@@ -114,14 +102,23 @@ impl ReverseAggressive {
     /// compute-steps per fetch; the batch size is
     /// `config.reverse_batch_size`.
     pub fn new(trace: &Trace, config: &SimConfig) -> ReverseAggressive {
-        let layout = Layout::striped(config.disks);
+        let reversed = reversed_oracle(trace, Layout::striped(config.disks), &config.hints);
+        ReverseAggressive::with_reversed(&reversed, config)
+    }
+
+    /// [`ReverseAggressive::new`] over the oracle of the trace's reversed
+    /// disclosed sequence under `config`'s array size and hint spec, as
+    /// [`Prepared::reversed_oracle`] builds it once for many runs.
+    ///
+    /// [`Prepared::reversed_oracle`]: crate::engine::Prepared::reversed_oracle
+    pub fn with_reversed(reversed: &Oracle, config: &SimConfig) -> ReverseAggressive {
+        let layout = reversed.layout();
+        debug_assert_eq!(layout.disks(), config.disks, "reversed oracle layout");
         let schedule = build_schedule(
-            trace,
-            layout,
+            reversed,
             config.cache_blocks,
             config.reverse_fetch_estimate,
             config.reverse_batch_size,
-            &config.hints,
         );
         assert!(
             schedule.len() <= u32::MAX as usize,
@@ -314,70 +311,76 @@ impl Policy for ReverseAggressive {
     }
 }
 
-/// Runs the reverse pass and transforms it into the forward schedule.
-fn build_schedule(
-    trace: &Trace,
-    layout: Layout,
-    cache_blocks: usize,
-    fetch_estimate: u64,
-    batch_size: usize,
-    hints: &crate::hints::HintSpec,
-) -> Vec<Pair> {
+/// The oracle over the reversed disclosed sequence of `trace`: the
+/// offline pass only knows the disclosed references, so the sequence is
+/// reversed keeping only hinted positions (reverse index j maps to
+/// forward index n-1-j).
+pub(crate) fn reversed_oracle(trace: &Trace, layout: Layout, hints: &HintSpec) -> Oracle {
     let n = trace.requests.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    // The offline pass only knows the disclosed references: reverse the
-    // sequence, keeping only hinted positions (reverse index j maps to
-    // forward index n-1-j).
     let mask = hints.mask(n);
     let entries: Vec<(usize, BlockId)> = (0..n)
         .filter(|&j| mask[n - 1 - j])
         .map(|j| (j, trace.requests[n - 1 - j].block))
         .collect();
-    let rev_oracle = Oracle::from_positions(n, entries, layout);
-    let (events, final_cache) = reverse_pass(&rev_oracle, cache_blocks, fetch_estimate, batch_size);
+    Oracle::from_positions(n, entries, layout)
+}
 
-    // Transform reverse events into forward fetches and evictions.
-    let mut fetches: Vec<(usize, BlockId)> = Vec::new(); // (key, block)
-    let mut evictions: Vec<(usize, BlockId)> = Vec::new(); // (release, block)
-    for e in &events {
-        // Reverse fetch of `fetched` serving reverse position `target`
-        // -> forward eviction with release one past the corresponding
-        // forward use.
-        let release = n - e.target.min(n - 1);
-        evictions.push((release, e.fetched));
-        if let Some(ev) = e.evicted {
-            // Reverse eviction -> forward fetch keyed by the evicted
-            // block's most recent reverse use before the eviction point,
-            // which is its next forward use after the fetch.
-            if let Some(last_use) = rev_oracle.last_occurrence_before(ev, e.cursor) {
-                fetches.push((n - 1 - last_use, ev));
-            }
-            // No prior reverse use: the fetch would serve no forward
-            // reference — drop it (reverse prefetch waste).
+/// Sentinel for "none" in the reverse pass's `u32` slot arrays.
+const NONE32: u32 = u32::MAX;
+
+/// Sentinel in `completion_of` for "no pending fetch".
+const NO_COMPLETION: u64 = u64::MAX;
+
+/// Packs a schedule position and a compact block index into one sort
+/// key: sorting the packed keys sorts by position, and equal positions
+/// always carry the same block.
+fn pack(pos: usize, idx: u32) -> u64 {
+    (pos as u64) << 32 | u64::from(idx)
+}
+
+/// Runs the reverse pass over `reversed` and transforms it into the
+/// forward schedule.
+fn build_schedule(
+    reversed: &Oracle,
+    cache_blocks: usize,
+    fetch_estimate: u64,
+    batch_size: usize,
+) -> Vec<Pair> {
+    let n = reversed.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut pass = ReversePass::new(reversed, cache_blocks, fetch_estimate, batch_size);
+    pass.run();
+    let ReversePass {
+        cache,
+        last_use,
+        mut fetches,
+        mut evictions,
+        ..
+    } = pass;
+    // Blocks resident at reverse end: cold-start forward fetches keyed by
+    // their last reverse use, which is their first forward use.
+    for b in cache.resident_indices() {
+        let last = last_use[b as usize];
+        debug_assert_eq!(
+            (last != NONE32).then_some(last as usize),
+            reversed.last_occurrence_before(reversed.block_of(b), n),
+            "resident block's recorded last use"
+        );
+        if last != NONE32 {
+            fetches.push(pack(n - 1 - last as usize, b));
         }
     }
-    // Blocks resident at reverse end: cold-start forward fetches.
-    for b in final_cache {
-        let first = rev_oracle.next_occurrence(b, 0);
-        if first != NEVER {
-            // Last reverse occurrence = first forward occurrence.
-            let last = rev_oracle
-                .last_occurrence_before(b, rev_oracle.len())
-                .expect("resident block was referenced");
-            fetches.push((n - 1 - last, b));
-        }
-    }
-
     fetches.sort_unstable();
     evictions.sort_unstable();
 
     // Match fetches to evictions in order; the first `cache_blocks`
     // fetches fill cold frames. Surplus evictions are dropped.
+    let unpack = |k: u64| ((k >> 32) as usize, reversed.block_of(k as u32));
     let mut pairs: Vec<Pair> = Vec::with_capacity(fetches.len());
-    let mut ev_iter = evictions.into_iter();
-    for (i, (key, block)) in fetches.into_iter().enumerate() {
+    let mut ev_iter = evictions.into_iter().map(unpack);
+    for (i, (key, block)) in fetches.into_iter().map(unpack).enumerate() {
         let (evict, release) = if i < cache_blocks {
             (None, 0)
         } else {
@@ -396,201 +399,211 @@ fn build_schedule(
     pairs
 }
 
-/// Simulates batched aggressive over the reversed sequence in the uniform
-/// fetch-time model. Returns the issue events and the final cache
-/// contents.
-fn reverse_pass(
-    oracle: &Oracle,
-    cache_blocks: usize,
+/// Batched aggressive over the reversed sequence in the uniform
+/// fetch-time model (§2.5; the module docs give the transformation).
+/// Instead of an event log it emits the forward fetches and evictions
+/// directly, as packed sort keys, and it records every block's last
+/// reverse use as it consumes references, so keying the forward fetch of
+/// an evicted block needs no occurrence-list search. An eviction with no
+/// prior use would serve no forward reference and is dropped.
+struct ReversePass<'o> {
+    oracle: &'o Oracle,
+    cache: Cache,
+    missing: MissingTracker,
     fetch_time: u64,
     batch_size: usize,
-) -> (Vec<RevEvent>, Vec<BlockId>) {
-    /// Sentinel in `completion_of` for "no pending fetch".
-    const NO_COMPLETION: u64 = u64::MAX;
+    /// Current reverse time, in compute steps.
+    time: u64,
+    busy_until: Vec<u64>,
+    /// The earliest `busy_until`: before then no disk is free and a
+    /// decision point can do nothing.
+    next_free: u64,
+    /// Pending completions: (time, block, index), min-heap. The block id
+    /// sits in the middle so ties order exactly as they did before the
+    /// compact index existed; the index rides along for the dense
+    /// lookups.
+    completions: BinaryHeap<Reverse<(u64, BlockId, u32)>>,
+    /// Pending completion time per compact index.
+    completion_of: Vec<u64>,
+    /// Last consumed reverse position per compact index.
+    last_use: Vec<u32>,
+    /// Per-disk batch budget and scan start of the current decision.
+    budget: Vec<usize>,
+    from: Vec<usize>,
+    /// Forward fetches as packed `(key, index)`.
+    fetches: Vec<u64>,
+    /// Forward evictions as packed `(release, index)`.
+    evictions: Vec<u64>,
+}
 
-    let n = oracle.len();
-    let disks = oracle.layout().disks();
-    let mut cache = Cache::new(cache_blocks, oracle.num_blocks());
-    let mut missing = MissingTracker::new(oracle);
-    let mut events: Vec<RevEvent> = Vec::new();
-
-    let mut time: u64 = 0;
-    let mut cursor: usize = 0;
-    let mut busy_until: Vec<u64> = vec![0; disks];
-    // Pending completions: (time, block, index), min-heap. The block id
-    // sits in the middle so ties order exactly as they did before the
-    // compact index existed; the index rides along for the dense lookups.
-    let mut completions: BinaryHeap<Reverse<(u64, BlockId, u32)>> = BinaryHeap::new();
-    // Pending completion time per compact index.
-    let mut completion_of: Vec<u64> = vec![NO_COMPLETION; oracle.num_blocks()];
-
-    // Applies all completions due by `time`.
-    let advance = |time: u64,
-                   completions: &mut BinaryHeap<Reverse<(u64, BlockId, u32)>>,
-                   completion_of: &mut Vec<u64>,
-                   cache: &mut Cache,
-                   cursor: usize| {
-        while let Some(&Reverse((t, _, idx))) = completions.peek() {
-            if t > time {
-                break;
-            }
-            completions.pop();
-            completion_of[idx as usize] = NO_COMPLETION;
-            cache.complete_fetch(idx, cursor, oracle);
-        }
-    };
-
-    // Per-disk working vectors for the batch-filling pass, hoisted out of
-    // the per-reference loop.
-    let mut budget: Vec<usize> = vec![0; disks];
-    let mut from: Vec<usize> = vec![0; disks];
-
-    // Fills batches on free disks, aggressive-style.
-    #[allow(clippy::too_many_arguments)]
-    fn decide(
-        oracle: &Oracle,
-        cache: &mut Cache,
-        missing: &mut MissingTracker,
-        events: &mut Vec<RevEvent>,
-        busy_until: &mut [u64],
-        completions: &mut BinaryHeap<Reverse<(u64, BlockId, u32)>>,
-        completion_of: &mut [u64],
-        budget: &mut [usize],
-        from: &mut [usize],
-        time: u64,
-        cursor: usize,
-        fetch_time: u64,
-        batch_size: usize,
-    ) {
-        let disks = busy_until.len();
-        for d in 0..disks {
-            budget[d] = if busy_until[d] <= time { batch_size } else { 0 };
-            from[d] = cursor;
-        }
-        loop {
-            let mut best: Option<(usize, usize)> = None;
-            for d in 0..disks {
-                if budget[d] == 0 {
-                    continue;
-                }
-                if let Some(p) = missing.first_missing_on_disk(d, from[d]) {
-                    if best.is_none_or(|(bp, _)| p < bp) {
-                        best = Some((p, d));
-                    }
-                }
-            }
-            let Some((pos, disk)) = best else { return };
-            let idx = oracle
-                .index_at(pos)
-                .expect("missing-tracker positions are disclosed");
-            let block = oracle.block_of(idx);
-            let evict = if cache.has_free_frame() {
-                None
-            } else {
-                match cache.furthest_resident(cursor, oracle) {
-                    Some((victim, key)) if key > pos => Some(victim),
-                    _ => return, // do no harm: stop entirely
-                }
-            };
-            cache.start_fetch(idx, evict);
-            missing.on_fetch_issued_idx(idx, cursor, oracle);
-            if let Some(e) = evict {
-                missing.on_evicted_idx(e, cursor, oracle);
-            }
-            let done = busy_until[disk].max(time) + fetch_time;
-            busy_until[disk] = done;
-            completions.push(Reverse((done, block, idx)));
-            completion_of[idx as usize] = done;
-            events.push(RevEvent {
-                fetched: block,
-                evicted: evict.map(|e| oracle.block_of(e)),
-                cursor,
-                target: pos,
-            });
-            budget[disk] -= 1;
-            from[disk] = pos + 1;
-        }
-    }
-
-    for i in 0..n {
-        // Undisclosed references are invisible to the offline planner:
-        // they cost their compute step but trigger nothing.
-        let Some(bi) = oracle.index_at(i) else {
-            cursor = i + 1;
-            time += 1;
-            continue;
-        };
-        advance(
-            time,
-            &mut completions,
-            &mut completion_of,
-            &mut cache,
-            cursor,
-        );
-        decide(
+impl<'o> ReversePass<'o> {
+    fn new(oracle: &'o Oracle, cache_blocks: usize, fetch_time: u64, batch_size: usize) -> Self {
+        let disks = oracle.layout().disks();
+        let blocks = oracle.num_blocks();
+        ReversePass {
             oracle,
-            &mut cache,
-            &mut missing,
-            &mut events,
-            &mut busy_until,
-            &mut completions,
-            &mut completion_of,
-            &mut budget,
-            &mut from,
-            time,
-            cursor,
+            cache: Cache::new(cache_blocks, blocks),
+            missing: MissingTracker::new(oracle),
             fetch_time,
             batch_size,
-        );
-        if !cache.resident(bi) {
-            if !cache.inflight(bi) {
-                let b = oracle.block_of(bi);
-                // Demand fetch with the best possible eviction.
-                let evict = if cache.has_free_frame() {
-                    None
-                } else {
-                    cache
-                        .furthest_resident(cursor, oracle)
-                        .map(|(victim, _)| victim)
-                };
-                let disk = oracle.disk_of(b).index();
-                cache.start_fetch(bi, evict);
-                missing.on_fetch_issued_idx(bi, cursor, oracle);
-                if let Some(e) = evict {
-                    missing.on_evicted_idx(e, cursor, oracle);
-                }
-                let done = busy_until[disk].max(time) + fetch_time;
-                busy_until[disk] = done;
-                completions.push(Reverse((done, b, bi)));
-                completion_of[bi as usize] = done;
-                events.push(RevEvent {
-                    fetched: b,
-                    evicted: evict.map(|e| oracle.block_of(e)),
-                    cursor,
-                    target: i,
-                });
-            }
-            let arrival = completion_of[bi as usize];
-            assert_ne!(arrival, NO_COMPLETION, "stalled block has a pending fetch");
-            time = time.max(arrival);
-            advance(
-                time,
-                &mut completions,
-                &mut completion_of,
-                &mut cache,
-                cursor,
-            );
+            time: 0,
+            busy_until: vec![0; disks],
+            next_free: 0,
+            completions: BinaryHeap::new(),
+            completion_of: vec![NO_COMPLETION; blocks],
+            last_use: vec![NONE32; blocks],
+            budget: vec![0; disks],
+            from: vec![0; disks],
+            fetches: Vec::new(),
+            evictions: Vec::new(),
         }
-        cache.on_reference(bi, i, oracle);
-        cursor = i + 1;
-        time += 1;
     }
 
-    let final_cache: Vec<BlockId> = cache
-        .resident_indices()
-        .map(|i| oracle.block_of(i))
-        .collect();
-    (events, final_cache)
+    fn run(&mut self) {
+        for i in 0..self.oracle.len() {
+            // Undisclosed references are invisible to the offline
+            // planner: they cost their compute step but trigger nothing.
+            let Some(bi) = self.oracle.index_at(i) else {
+                self.time += 1;
+                continue;
+            };
+            self.advance(i);
+            self.decide(i);
+            if !self.cache.resident(bi) {
+                if !self.cache.inflight(bi) {
+                    // Demand fetch with the best possible eviction.
+                    let evict = if self.cache.has_free_frame() {
+                        None
+                    } else {
+                        self.cache
+                            .furthest_resident(i, self.oracle)
+                            .map(|(victim, _)| victim)
+                    };
+                    self.issue(bi, evict, i, i);
+                }
+                let arrival = self.completion_of[bi as usize];
+                assert_ne!(arrival, NO_COMPLETION, "stalled block has a pending fetch");
+                self.time = self.time.max(arrival);
+                self.advance(i);
+            }
+            self.cache.on_reference(bi, i, self.oracle);
+            self.last_use[bi as usize] = i as u32;
+            self.time += 1;
+        }
+    }
+
+    /// Applies all completions due by the current time.
+    fn advance(&mut self, cursor: usize) {
+        while let Some(&Reverse((t, _, idx))) = self.completions.peek() {
+            if t > self.time {
+                break;
+            }
+            self.completions.pop();
+            self.completion_of[idx as usize] = NO_COMPLETION;
+            self.cache.complete_fetch(idx, cursor, self.oracle);
+        }
+    }
+
+    /// The first missing position on a disk with batch budget left, and
+    /// its disk.
+    fn candidate(&self) -> Option<(usize, usize)> {
+        let mut best: Option<(usize, usize)> = None;
+        for d in 0..self.budget.len() {
+            if self.budget[d] == 0 {
+                continue;
+            }
+            if let Some(p) = self.missing.first_missing_on_disk(d, self.from[d]) {
+                if best.is_none_or(|(bp, _)| p < bp) {
+                    best = Some((p, d));
+                }
+            }
+        }
+        best
+    }
+
+    /// Fills batches on free disks, aggressive-style: whenever a disk is
+    /// free, fetch the first missing block on it, evicting the furthest
+    /// resident block provided its next use falls after the fetched
+    /// block's (do no harm), else stop entirely.
+    fn decide(&mut self, cursor: usize) {
+        if self.time < self.next_free {
+            debug_assert!(self.busy_until.iter().all(|&b| b > self.time));
+            return;
+        }
+        for d in 0..self.busy_until.len() {
+            self.budget[d] = if self.busy_until[d] <= self.time {
+                self.batch_size
+            } else {
+                0
+            };
+            self.from[d] = cursor;
+        }
+        loop {
+            let victim = if self.cache.has_free_frame() {
+                None
+            } else {
+                let Some((victim, key)) = self.cache.furthest_resident(cursor, self.oracle) else {
+                    return;
+                };
+                // Every candidate sits at or after the global first
+                // missing position, so a victim needed no later than it
+                // stops the batch before any per-disk scan.
+                if self
+                    .missing
+                    .first_missing(cursor)
+                    .is_none_or(|first| key <= first)
+                {
+                    debug_assert!(self.candidate().is_none_or(|(pos, _)| key <= pos));
+                    return;
+                }
+                Some((victim, key))
+            };
+            let Some((pos, disk)) = self.candidate() else {
+                return;
+            };
+            let evict = match victim {
+                Some((_, key)) if key <= pos => return, // do no harm: stop entirely
+                v => v.map(|(victim, _)| victim),
+            };
+            let idx = self
+                .oracle
+                .index_at(pos)
+                .expect("missing-tracker positions are disclosed");
+            debug_assert_eq!(self.oracle.disk_of(self.oracle.block_of(idx)).index(), disk);
+            self.issue(idx, evict, cursor, pos);
+            self.budget[disk] -= 1;
+            self.from[disk] = pos + 1;
+        }
+    }
+
+    /// Fetches block `idx` for its use at `target`, evicting `evict`, and
+    /// records the forward eviction and fetch the two halves become.
+    fn issue(&mut self, idx: u32, evict: Option<u32>, cursor: usize, target: usize) {
+        let oracle = self.oracle;
+        let block = oracle.block_of(idx);
+        self.cache.start_fetch(idx, evict);
+        self.missing.on_fetch_issued_idx(idx, cursor, oracle);
+        let n = oracle.len();
+        self.evictions.push(pack(n - target, idx));
+        if let Some(e) = evict {
+            self.missing.on_evicted_idx(e, cursor, oracle);
+            let last = self.last_use[e as usize];
+            debug_assert_eq!(
+                (last != NONE32).then_some(last as usize),
+                oracle.last_occurrence_before(oracle.block_of(e), cursor),
+                "evicted block's recorded last use"
+            );
+            if last != NONE32 {
+                self.fetches.push(pack(n - 1 - last as usize, e));
+            }
+        }
+        let disk = oracle.disk_of(block).index();
+        let done = self.busy_until[disk].max(self.time) + self.fetch_time;
+        self.busy_until[disk] = done;
+        self.next_free = self.busy_until.iter().copied().min().unwrap_or(u64::MAX);
+        self.completions.push(Reverse((done, block, idx)));
+        self.completion_of[idx as usize] = done;
+    }
 }
 
 #[cfg(test)]

@@ -18,17 +18,22 @@ use std::collections::BinaryHeap;
 /// Sentinel in the `last_use` slot array for "never used".
 const NO_USE: usize = usize::MAX;
 
+/// The Belady heap is rebuilt from the resident set once it holds more
+/// than this many entries per cache frame; below that, stale entries are
+/// cheaper to skip lazily than to sweep.
+const HEAP_SLACK: usize = 4;
+
 /// The cache state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     capacity: usize,
     resident: BitSet,
     inflight: BitSet,
     /// Lazy max-heap over resident blocks keyed by next-reference
     /// position. Entries go stale as the cursor advances or blocks are
-    /// evicted; they are validated against the oracle when popped. The
-    /// `BlockId` stays in the entry so tie-breaking on equal keys is
-    /// identical to the pre-index implementation; the trailing compact
+    /// evicted; they are validated against the oracle when they reach the
+    /// top. The `BlockId` stays in the entry so tie-breaking on equal keys
+    /// is identical to the pre-index implementation; the trailing compact
     /// index never influences the order because equal `(key, block)`
     /// implies an equal index.
     belady: BinaryHeap<(usize, BlockId, u32)>,
@@ -47,6 +52,9 @@ pub struct Cache {
     /// Most recent reference (or fetch) position per compact index, for
     /// the LRU estimate. Only maintained when `lru_estimate` is on.
     last_use: Vec<usize>,
+    /// Whether [`Cache::furthest_resident`] may rebuild the heap from the
+    /// resident set. See [`Cache::disable_compaction`].
+    compact: bool,
 }
 
 impl Cache {
@@ -62,6 +70,7 @@ impl Cache {
             pinned: None,
             lru_estimate: false,
             last_use: vec![NO_USE; universe],
+            compact: true,
         }
     }
 
@@ -69,6 +78,17 @@ impl Cache {
     /// the engine for incomplete-hint runs).
     pub fn enable_lru_estimate(&mut self) {
         self.lru_estimate = true;
+    }
+
+    /// Keeps every Belady heap entry until it reaches the top. Needed when
+    /// a block's key can change without a reference to it: under a
+    /// predicted oracle, the cursor passing a wrong guess moves the
+    /// guessed block's next occurrence. A block may then hold only stale
+    /// entries below its current key, and which block
+    /// [`Cache::furthest_resident`] returns depends on the entries the
+    /// heap holds, so rebuilding it would change answers.
+    pub fn disable_compaction(&mut self) {
+        self.compact = false;
     }
 
     /// The Belady key of block `idx` given its next occurrence `next`:
@@ -212,24 +232,40 @@ impl Cache {
     /// resident. The pinned block is never returned.
     ///
     /// Lazily repairs stale heap entries; amortized cost is logarithmic.
+    /// A valid, unpinned top entry is answered from `peek` with no heap
+    /// traffic, and a stale top is re-keyed in place; both leave the heap
+    /// holding the same entries as popping and re-pushing would.
+    ///
+    /// Ties on the key go to the larger `(BlockId, index)`. When a block's
+    /// key changes only through a push (a reference to it, or its fetch
+    /// completing) every resident block has an entry holding its current
+    /// key, so the answer is the maximum over the resident set: callers
+    /// may then ask early or often without changing any later answer,
+    /// and once stale entries push the heap past `HEAP_SLACK` × capacity
+    /// it is rebuilt from the resident set (unless
+    /// [`Cache::disable_compaction`] was called).
     pub fn furthest_resident(&mut self, cursor: usize, oracle: &Oracle) -> Option<(u32, usize)> {
+        if self.compact && self.belady.len() > HEAP_SLACK * self.capacity {
+            self.compact_belady(cursor, oracle);
+        }
         let mut stash: Option<(usize, BlockId, u32)> = None;
         let mut found = None;
-        while let Some((key, block, idx)) = self.belady.pop() {
+        while let Some(&(key, block, idx)) = self.belady.peek() {
             if !self.resident(idx) {
-                continue; // evicted since this entry was pushed
+                self.belady.pop(); // evicted since this entry was pushed
+                continue;
             }
             let actual = self.key_for(idx, cursor, oracle);
             if actual != key {
-                self.belady.push((actual, block, idx));
+                // Re-key in place; the sift restores the heap order.
+                *self.belady.peek_mut().expect("peeked entry") = (actual, block, idx);
                 continue;
             }
             if Some(idx) == self.pinned {
                 // Valid entry, but exempt: set it aside and keep looking.
-                stash = Some((key, block, idx));
+                stash = self.belady.pop();
                 continue;
             }
-            self.belady.push((key, block, idx));
             found = Some((idx, key));
             break;
         }
@@ -237,6 +273,17 @@ impl Cache {
             self.belady.push(entry);
         }
         found
+    }
+
+    /// Replaces the Belady heap with one current entry per resident
+    /// block, dropping the stale entries that accumulate as keys refresh.
+    fn compact_belady(&mut self, cursor: usize, oracle: &Oracle) {
+        let mut entries = std::mem::take(&mut self.belady).into_vec();
+        entries.clear();
+        for idx in self.resident.ones() {
+            entries.push((self.key_for(idx, cursor, oracle), oracle.block_of(idx), idx));
+        }
+        self.belady = BinaryHeap::from(entries);
     }
 
     /// Iterates over resident block indices, ascending.
@@ -252,7 +299,7 @@ impl Cache {
 /// [`PosSet`] bitsets over the trace's positions. This is what lets every
 /// policy find "the first missing block (on disk D)" in near-constant
 /// time instead of scanning the future.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MissingTracker {
     /// Next-occurrence positions of missing blocks, global.
     global: PosSet,
@@ -610,6 +657,180 @@ mod tests {
         assert_eq!(c.furthest_resident(2, &o).unwrap(), (b2, 3));
         // At cursor 4 both are NEVER; either may win but the key is NEVER.
         assert_eq!(c.furthest_resident(4, &o).unwrap().1, NEVER);
+    }
+
+    /// The naive spec of [`Cache::furthest_resident`] when every key
+    /// change is pushed: a linear scan of the resident set for the
+    /// largest `(key, block, index)`.
+    fn furthest_by_scan(c: &Cache, cursor: usize, o: &Oracle) -> Option<(u32, usize)> {
+        c.resident_indices()
+            .filter(|&i| Some(i) != c.pinned())
+            .map(|i| (c.key_for(i, cursor, o), o.block_of(i), i))
+            .max()
+            .map(|(key, _, i)| (i, key))
+    }
+
+    /// The reference lazy heap, for keys that can change unpushed: pop
+    /// the top, drop it if evicted, re-push it re-keyed if stale, set it
+    /// aside if pinned, else push it back and answer.
+    fn furthest_by_pop_push(c: &mut Cache, cursor: usize, o: &Oracle) -> Option<(u32, usize)> {
+        let mut stash = None;
+        let mut found = None;
+        while let Some((key, block, idx)) = c.belady.pop() {
+            if !c.resident(idx) {
+                continue;
+            }
+            let actual = c.key_for(idx, cursor, o);
+            if actual != key {
+                c.belady.push((actual, block, idx));
+            } else if Some(idx) == c.pinned {
+                stash = Some((key, block, idx));
+            } else {
+                c.belady.push((key, block, idx));
+                found = Some((idx, key));
+                break;
+            }
+        }
+        if let Some(entry) = stash {
+            c.belady.push(entry);
+        }
+        found
+    }
+
+    /// The heap's entries, sorted: equal for two heaps holding the same
+    /// entries in any layout.
+    fn heap_entries(c: &Cache) -> Vec<(usize, BlockId, u32)> {
+        let mut v = c.belady.clone().into_vec();
+        v.sort_unstable();
+        v
+    }
+
+    /// Drives caches the way the engine does (pin the reference, random
+    /// prefetches with random or Belady victims, completions at random
+    /// later points, pins moved off a block without a reference to it,
+    /// then consume) and checks every [`Cache::furthest_resident`]
+    /// answer. Partial disclosure puts undisclosed blocks in the
+    /// universe; half the cases run with the LRU estimate.
+    ///
+    /// With `predicted`, a third of the disclosed positions guess a wrong
+    /// block, compaction is off as the engine sets it, and each answer
+    /// and the heap's entries afterwards must equal the reference lazy
+    /// heap's. Otherwise each answer must equal the linear scan.
+    fn drive_cache(seed: u64, predicted: bool) {
+        let mut rng = parcache_types::rng::Rng::seed_from_u64(seed);
+        for case in 0..400 {
+            let len = rng.gen_range(1usize..=200);
+            let universe = rng.gen_range(1u64..=24);
+            let blocks: Vec<u64> = (0..len).map(|_| rng.gen_range(0u64..universe)).collect();
+            let mut entries: Vec<(usize, BlockId)> = Vec::new();
+            for (i, &b) in blocks.iter().enumerate() {
+                if rng.gen_bool(0.8) {
+                    let guess = match predicted && rng.gen_bool(0.3) {
+                        true => rng.gen_range(0u64..universe),
+                        false => b,
+                    };
+                    entries.push((i, BlockId(guess)));
+                }
+            }
+            let all: Vec<BlockId> = blocks.iter().map(|&b| BlockId(b)).collect();
+            let o = Oracle::from_positions_with_universe(len, entries, &all, Layout::striped(1));
+            let mut c = Cache::new(rng.gen_range(1usize..=6), o.num_blocks());
+            if case % 2 == 1 {
+                c.enable_lru_estimate();
+            }
+            if predicted {
+                c.disable_compaction();
+            }
+            let mut inflight: Vec<u32> = Vec::new();
+            let check = |c: &mut Cache, cursor: usize| {
+                if predicted {
+                    let mut twin = c.clone();
+                    let want = furthest_by_pop_push(&mut twin, cursor, &o);
+                    assert_eq!(
+                        c.furthest_resident(cursor, &o),
+                        want,
+                        "case {case} at {cursor}"
+                    );
+                    assert_eq!(heap_entries(c), heap_entries(&twin), "case {case}");
+                } else {
+                    let want = furthest_by_scan(c, cursor, &o);
+                    assert_eq!(
+                        c.furthest_resident(cursor, &o),
+                        want,
+                        "case {case} at {cursor}"
+                    );
+                }
+            };
+            for (pos, &b) in blocks.iter().enumerate() {
+                let r = o.index_of(BlockId(b)).unwrap();
+                c.pin(Some(r));
+                for _ in 0..rng.gen_range(0usize..4) {
+                    check(&mut c, pos);
+                    if rng.gen_bool(0.5) {
+                        let resident: Vec<u32> = c.resident_indices().collect();
+                        c.pin(rng.choose(&resident).copied());
+                        check(&mut c, pos);
+                        c.pin(Some(r));
+                    }
+                    if !inflight.is_empty() && rng.gen_bool(0.5) {
+                        let i = inflight.swap_remove(rng.gen_range(0..inflight.len()));
+                        c.complete_fetch(i, pos, &o);
+                        continue;
+                    }
+                    let f = rng.gen_range(0..o.num_blocks()) as u32;
+                    if c.resident(f) || c.inflight(f) {
+                        continue;
+                    }
+                    let victim = if c.has_free_frame() {
+                        None
+                    } else if rng.gen_bool(0.5) {
+                        c.furthest_resident(pos, &o).map(|(v, _)| v)
+                    } else {
+                        let evictable: Vec<u32> = c
+                            .resident_indices()
+                            .filter(|&i| Some(i) != c.pinned())
+                            .collect();
+                        rng.choose(&evictable).copied()
+                    };
+                    if victim.is_none() && !c.has_free_frame() {
+                        continue;
+                    }
+                    c.start_fetch(f, victim);
+                    inflight.push(f);
+                }
+                if c.inflight(r) {
+                    inflight.retain(|&i| i != r);
+                    c.complete_fetch(r, pos, &o);
+                } else if !c.resident(r) {
+                    if !c.has_free_frame() {
+                        if furthest_by_scan(&c, pos, &o).is_none() {
+                            // Every other frame is in flight: land one.
+                            let i = inflight.pop().unwrap();
+                            c.complete_fetch(i, pos, &o);
+                        }
+                        let (v, _) = furthest_by_scan(&c, pos, &o).unwrap();
+                        c.start_fetch(r, Some(v));
+                    } else {
+                        c.start_fetch(r, None);
+                    }
+                    c.complete_fetch(r, pos, &o);
+                }
+                check(&mut c, pos);
+                c.on_reference(r, pos, &o);
+                c.pin(None);
+                check(&mut c, pos + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn furthest_resident_matches_linear_scan() {
+        drive_cache(0xbe1a_d711, false);
+    }
+
+    #[test]
+    fn furthest_resident_matches_the_lazy_heap_under_predicted_keys() {
+        drive_cache(0x9e55_0d17, true);
     }
 
     #[test]

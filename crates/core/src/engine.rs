@@ -597,7 +597,140 @@ pub fn simulate_with_probed<P: Probe>(
     config: &SimConfig,
     probe: &mut P,
 ) -> Report {
-    Engine::new(trace, config).run(policy, probe)
+    Prepared::new(trace, config).run(policy, config, probe)
+}
+
+/// The set-up every run over one trace shares, for one setting of the
+/// knowledge-defining parts of a [`SimConfig`]: the array size, the hint
+/// mode and the hint spec. It holds the policies' oracle (for a predicted
+/// mode, the output of the deterministic predictor pre-pass), the compact
+/// index of every reference, the cold-cache [`MissingTracker`], and, built
+/// on first use, the reversed oracle reverse aggressive plans over.
+///
+/// Runs borrow it and never change it, so repeated runs of one trace —
+/// the tuned reverse-aggressive search runs eight — build it once.
+/// [`simulate_with_probed`] builds a one-shot value per call.
+pub struct Prepared<'t> {
+    trace: &'t Trace,
+    disks: usize,
+    hint_mode: crate::predict::HintMode,
+    hints: crate::hints::HintSpec,
+    oracle: Oracle,
+    /// Prediction accounting from the hint-source pre-pass; `Some`
+    /// exactly when the hint mode is predicted.
+    hint_stats: Option<HintStats>,
+    /// Compact index of each trace reference, so the main loop's
+    /// residency checks and Belady refreshes never hash. `None` when the
+    /// oracle discloses every reference exactly: its own per-position
+    /// indices are then the same array.
+    ref_idx: Option<Vec<u32>>,
+    /// The missing-block index of a cold cache; each run starts from a
+    /// copy.
+    missing: MissingTracker,
+    reversed: std::sync::OnceLock<Oracle>,
+}
+
+impl<'t> Prepared<'t> {
+    /// Builds the shared state of runs of `trace` under `config`'s array
+    /// size, hint mode and hint spec.
+    pub fn new(trace: &'t Trace, config: &SimConfig) -> Prepared<'t> {
+        let layout = Layout::striped(config.disks);
+        // Policies only know what the hint source told them. Under the
+        // oracle mode that is the application's disclosed subsequence;
+        // under a predicted mode it is the epoch pre-pass of an online
+        // predictor (wrong guesses included — the policy prefetches
+        // them, paying the wasted bandwidth). Undisclosed blocks still
+        // receive compact indices (with empty occurrence lists) so the
+        // cache can track them densely when the application
+        // demand-misses on them.
+        let (oracle, hint_stats) = match config.hint_mode {
+            crate::predict::HintMode::Oracle => {
+                let oracle = match config.hints {
+                    crate::hints::HintSpec::Full => Oracle::new(trace, layout),
+                    ref spec => {
+                        let mask = spec.mask(trace.requests.len());
+                        crate::hints::hinted_oracle(trace, layout, &mask)
+                    }
+                };
+                (oracle, None)
+            }
+            crate::predict::HintMode::Predicted(kind) => {
+                let mut source = kind.build();
+                let (oracle, stats) = crate::predict::predicted_oracle(
+                    trace,
+                    layout,
+                    source.as_mut(),
+                    crate::predict::DEFAULT_EPOCH,
+                );
+                (oracle, Some(stats))
+            }
+        };
+        let ref_idx = (!fully_hinted(trace, config)).then(|| {
+            trace
+                .requests
+                .iter()
+                .map(|r| {
+                    oracle
+                        .index_of(r.block)
+                        .expect("every trace block is in the indexed universe")
+                })
+                .collect()
+        });
+        let missing = MissingTracker::new(&oracle);
+        Prepared {
+            trace,
+            disks: config.disks,
+            hint_mode: config.hint_mode,
+            hints: config.hints.clone(),
+            oracle,
+            hint_stats,
+            ref_idx,
+            missing,
+            reversed: std::sync::OnceLock::new(),
+        }
+    }
+
+    /// The oracle over the reversed disclosed sequence that reverse
+    /// aggressive's offline pass plans over, built on first use.
+    pub fn reversed_oracle(&self) -> &Oracle {
+        self.reversed.get_or_init(|| {
+            crate::algs::reverse::reversed_oracle(
+                self.trace,
+                Layout::striped(self.disks),
+                &self.hints,
+            )
+        })
+    }
+
+    /// Runs the trace under `policy` and `config`, reporting every
+    /// simulation [`Event`] to `probe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` differs from the configuration this value was
+    /// built for in array size, hint mode or hint spec.
+    pub fn run<P: Probe>(
+        &self,
+        policy: &mut dyn Policy,
+        config: &SimConfig,
+        probe: &mut P,
+    ) -> Report {
+        assert!(
+            config.disks == self.disks
+                && config.hint_mode == self.hint_mode
+                && config.hints == self.hints,
+            "configuration does not match the prepared run state"
+        );
+        Engine::new(self, config).run(policy, probe)
+    }
+}
+
+/// Whether the policies' oracle holds exactly the trace's references:
+/// oracle hints that disclose every position. Only then is absence of a
+/// disclosed future exact knowledge.
+fn fully_hinted(trace: &Trace, config: &SimConfig) -> bool {
+    matches!(config.hint_mode, crate::predict::HintMode::Oracle)
+        && config.hints.fully_disclosing(trace.requests.len())
 }
 
 /// Per-request driver retry progress.
@@ -640,10 +773,9 @@ struct StallOpen {
 struct Engine<'t> {
     trace: &'t Trace,
     config: &'t SimConfig,
-    oracle: Oracle,
-    /// Compact index of each trace reference, precomputed so the main
-    /// loop's residency checks and Belady refreshes never hash.
-    ref_idx: Vec<u32>,
+    oracle: &'t Oracle,
+    /// Compact index of each trace reference (see [`Prepared`]).
+    ref_idx: &'t [u32],
     cache: Cache,
     missing: MissingTracker,
     array: DiskArray,
@@ -690,7 +822,7 @@ struct Engine<'t> {
 }
 
 impl<'t> Engine<'t> {
-    fn new(trace: &'t Trace, config: &'t SimConfig) -> Engine<'t> {
+    fn new(prepared: &'t Prepared<'_>, config: &'t SimConfig) -> Engine<'t> {
         if !config.faults.is_empty() {
             // Guard configs built by struct literal rather than through
             // the validating builders: a bad plan or retry policy must
@@ -698,47 +830,13 @@ impl<'t> Engine<'t> {
             config.faults.validate().expect("invalid fault plan");
             config.retry.validate();
         }
-        let layout = Layout::striped(config.disks);
-        // Policies only know what the hint source told them. Under the
-        // oracle mode that is the application's disclosed subsequence;
-        // under a predicted mode it is the epoch pre-pass of an online
-        // predictor (wrong guesses included — the policy prefetches
-        // them, paying the wasted bandwidth). Undisclosed blocks still
-        // receive compact indices (with empty occurrence lists) so the
-        // cache can track them densely when the application
-        // demand-misses on them.
-        let (oracle, hint_stats) = match config.hint_mode {
-            crate::predict::HintMode::Oracle => {
-                let oracle = match config.hints {
-                    crate::hints::HintSpec::Full => Oracle::new(trace, layout),
-                    ref spec => {
-                        let mask = spec.mask(trace.requests.len());
-                        crate::hints::hinted_oracle(trace, layout, &mask)
-                    }
-                };
-                (oracle, None)
-            }
-            crate::predict::HintMode::Predicted(kind) => {
-                let mut source = kind.build();
-                let (oracle, stats) = crate::predict::predicted_oracle(
-                    trace,
-                    layout,
-                    source.as_mut(),
-                    crate::predict::DEFAULT_EPOCH,
-                );
-                (oracle, Some(stats))
-            }
-        };
-        let ref_idx: Vec<u32> = trace
-            .requests
-            .iter()
-            .map(|r| {
-                oracle
-                    .index_of(r.block)
-                    .expect("every trace block is in the indexed universe")
-            })
-            .collect();
-        let missing = MissingTracker::new(&oracle);
+        let trace = prepared.trace;
+        let oracle = &prepared.oracle;
+        let ref_idx = prepared
+            .ref_idx
+            .as_deref()
+            .unwrap_or_else(|| oracle.seq_indices());
+        let missing = prepared.missing.clone();
         let array = DiskArray::new(config.disks, config.discipline, |i| build_model(config, i));
         let degraded_windows: Vec<Vec<(Nanos, Nanos)>> = (0..config.disks)
             .map(|i| config.faults.degraded_windows(i))
@@ -753,14 +851,17 @@ impl<'t> Engine<'t> {
         boundaries.sort_by_key(|&(t, d, entering)| (t, d.index(), entering));
         let evicted_ever = vec![0u64; oracle.num_blocks().div_ceil(64)];
         let mut cache = Cache::new(config.cache_blocks, oracle.num_blocks());
-        let fully_hinted = matches!(config.hint_mode, crate::predict::HintMode::Oracle)
-            && config.hints.fully_disclosing(trace.requests.len());
-        if !fully_hinted {
+        if !fully_hinted(trace, config) {
             // Value blocks with no disclosed future by LRU recency, as
             // TIP2 does for unhinted pages. Predicted hints are never
             // complete knowledge — the predictor can go silent or guess
             // wrong — so predicted runs always keep the LRU estimate.
             cache.enable_lru_estimate();
+        }
+        if matches!(config.hint_mode, crate::predict::HintMode::Predicted(_)) {
+            // Wrong guesses move Belady keys with no reference to push
+            // them (see `Cache::disable_compaction`).
+            cache.disable_compaction();
         }
         Engine {
             trace,
@@ -789,7 +890,7 @@ impl<'t> Engine<'t> {
             stall_by_cause: StallBreakdown::ZERO,
             degraded_windows,
             evicted_ever,
-            hint_stats,
+            hint_stats: prepared.hint_stats.clone(),
         }
     }
 
@@ -894,7 +995,7 @@ impl<'t> Engine<'t> {
         let mut ctx = Ctx {
             now: self.now,
             cursor: self.cursor,
-            oracle: &self.oracle,
+            oracle: self.oracle,
             cache: &mut self.cache,
             missing: &mut self.missing,
             array: &mut self.array,
@@ -919,7 +1020,7 @@ impl<'t> Engine<'t> {
         let mut ctx = Ctx {
             now: self.now,
             cursor: self.cursor,
-            oracle: &self.oracle,
+            oracle: self.oracle,
             cache: &mut self.cache,
             missing: &mut self.missing,
             array: &mut self.array,
@@ -1026,7 +1127,7 @@ impl<'t> Engine<'t> {
                 .index_of(block)
                 .expect("abandoned block outside the indexed universe");
             self.cache.cancel_fetch(idx);
-            self.missing.on_evicted_idx(idx, self.cursor, &self.oracle);
+            self.missing.on_evicted_idx(idx, self.cursor, self.oracle);
         }
     }
 
@@ -1122,7 +1223,7 @@ impl<'t> Engine<'t> {
                         .oracle
                         .index_of(done.block)
                         .expect("completed block outside the indexed universe");
-                    self.cache.complete_fetch(idx, self.cursor, &self.oracle);
+                    self.cache.complete_fetch(idx, self.cursor, self.oracle);
                 } else {
                     // A media error: the platter time was spent but no
                     // data arrived. The frame stays reserved pending the
@@ -1273,7 +1374,7 @@ impl<'t> Engine<'t> {
             // Consume. The reference is satisfied, so the pin lifts: the
             // just-used block is an ordinary eviction candidate again.
             self.cache.pin(None);
-            self.cache.on_reference(req_idx, i, &self.oracle);
+            self.cache.on_reference(req_idx, i, self.oracle);
             self.cursor = i + 1;
             // Write-behind extension: periodically flush the block the
             // application just updated. The app does not wait for it, but
@@ -1435,6 +1536,45 @@ mod tests {
         // One fetch (5ms stall) + 3 x 2ms compute.
         assert_eq!(r.elapsed, Nanos::from_millis(11));
         assert_eq!(r.fetches, 1);
+    }
+
+    #[test]
+    fn one_prepared_value_serves_every_policy() {
+        // Reusing one Prepared across policies and runs must give exactly
+        // the reports of independent one-shot simulations, under full,
+        // partial and predicted hints.
+        let blocks: Vec<u64> = (0..40).map(|i| (i * 7) % 13).collect();
+        let t = unit_trace(&blocks, 1);
+        let full = theory_config(2, 4, 3);
+        let partial = full.clone().with_hints(crate::hints::HintSpec::Fraction {
+            fraction: 0.5,
+            seed: 5,
+        });
+        let predicted = full
+            .clone()
+            .with_hint_mode(crate::predict::HintMode::Predicted(
+                crate::predict::PredictorKind::Markov,
+            ));
+        for cfg in [full, partial, predicted] {
+            let prepared = Prepared::new(&t, &cfg);
+            for _ in 0..2 {
+                for kind in PolicyKind::ALL {
+                    let mut p = kind.build(&t, &cfg);
+                    let shared = prepared.run(p.as_mut(), &cfg, &mut NoopProbe);
+                    assert_eq!(shared, simulate(&t, kind, &cfg), "{kind}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the prepared run state")]
+    fn prepared_rejects_a_different_array() {
+        let t = unit_trace(&[0, 1, 2, 3], 1);
+        let prepared = Prepared::new(&t, &theory_config(2, 4, 3));
+        let other = theory_config(3, 4, 3);
+        let mut p = PolicyKind::Demand.build(&t, &other);
+        prepared.run(p.as_mut(), &other, &mut NoopProbe);
     }
 
     #[test]

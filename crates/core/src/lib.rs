@@ -54,7 +54,7 @@ pub mod theory;
 pub use audit::{simulate_audited, AuditOutcome, AuditProbe, AuditViolation};
 pub use config::{RetryPolicy, SimConfig};
 pub use engine::{
-    simulate, simulate_probed, simulate_with, simulate_with_probed, FaultSummary, Report,
+    simulate, simulate_probed, simulate_with, simulate_with_probed, FaultSummary, Prepared, Report,
 };
 pub use metrics::{Histogram, MetricsProbe, RunMetrics};
 pub use policy::{Policy, PolicyKind};

@@ -3,8 +3,9 @@
 //! All four prefetching algorithms assume full advance knowledge of the
 //! request sequence (§1). The oracle answers the two queries they need —
 //! *when is block B next referenced at or after position p?* (for Belady
-//! replacement and the do-no-harm rule), and *which positions reference
-//! blocks on disk D?* (for per-disk prefetch candidates).
+//! replacement and the do-no-harm rule), and *which block is referenced
+//! at position p?* (for prefetch candidates, which the missing-block
+//! index in `crate::cache` finds per disk).
 //!
 //! Internally every block is assigned a dense **compact index** (`u32`),
 //! so the hot paths work over plain arrays instead of hash maps: occurrence
@@ -72,10 +73,9 @@ impl<T: Copy + Default> Rows<T> {
 /// Precomputed full-knowledge index of one trace under one disk layout.
 #[derive(Debug)]
 pub struct Oracle {
-    /// The reference sequence, by position.
-    sequence: Vec<BlockId>,
     /// Compact index of the block at each position (`NONE32` for
-    /// undisclosed positions).
+    /// undisclosed positions). Together with `blocks` this is also the
+    /// reference sequence: [`Oracle::block_at`] reads through it.
     seq_idx: Vec<u32>,
     /// Next position strictly after `p` referencing the same block as
     /// `p`, or `NONE32` — the O(1) cursor-advance next pointer.
@@ -92,8 +92,6 @@ pub struct Oracle {
     /// Every position at which each block is referenced, ascending, by
     /// compact index. Universe-only blocks have empty rows.
     occurrences: Rows<u32>,
-    /// Positions whose block lives on each disk, ascending.
-    disk_positions: Rows<usize>,
     /// Disk of each block (cached from the layout).
     layout: Layout,
 }
@@ -101,15 +99,13 @@ pub struct Oracle {
 impl Oracle {
     /// Builds the oracle for `trace` under `layout`.
     pub fn new(trace: &Trace, layout: Layout) -> Oracle {
-        let sequence: Vec<BlockId> = trace.requests.iter().map(|r| r.block).collect();
-        Oracle::from_sequence(sequence, layout)
-    }
-
-    /// Builds the oracle from a bare block sequence (used by the reverse
-    /// aggressive pass, which indexes the *reversed* sequence).
-    pub fn from_sequence(sequence: Vec<BlockId>, layout: Layout) -> Oracle {
-        let entries: Vec<(usize, BlockId)> = sequence.iter().copied().enumerate().collect();
-        Oracle::from_positions(sequence.len(), entries, layout)
+        let entries: Vec<(usize, BlockId)> = trace
+            .requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (i, r.block))
+            .collect();
+        Oracle::from_positions(entries.len(), entries, layout)
     }
 
     /// Builds the oracle from explicit `(position, block)` entries over a
@@ -117,6 +113,10 @@ impl Oracle {
     /// *undisclosed*: they have no occurrences and [`block_at`] returns a
     /// reserved unknown block for them. This is how incomplete hints
     /// (`crate::hints`) restrict a policy's knowledge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is out of range or appears twice.
     ///
     /// [`block_at`]: Oracle::block_at
     pub fn from_positions(len: usize, entries: Vec<(usize, BlockId)>, layout: Layout) -> Oracle {
@@ -143,31 +143,27 @@ impl Oracle {
         if !entries.is_sorted_by_key(|&(pos, _)| pos) {
             entries.sort_by_key(|&(pos, _)| pos);
         }
-        let mut sequence = vec![UNKNOWN_BLOCK; len];
         let mut seq_idx = vec![NONE32; len];
         let mut next_same = vec![NONE32; len];
-        let mut index: FastMap<BlockId, u32> =
-            FastMap::with_capacity_and_hasher(entries.len(), Default::default());
+        // Sized by growth, not by `entries.len()`: a trace has far fewer
+        // distinct blocks than references, and a table sized per
+        // reference stays resident for the oracle's whole life.
+        let mut index: FastMap<BlockId, u32> = FastMap::default();
         let mut blocks: Vec<BlockId> = Vec::new();
-        // Pass 1: assign compact indices and count each block's and each
-        // disk's entries, so the occurrence and disk-position lists can
-        // be laid out flat (one allocation each) instead of one growing
-        // `Vec` per block.
+        // Pass 1: assign compact indices and count each block's entries,
+        // so the occurrence lists can be laid out flat (one allocation)
+        // instead of one growing `Vec` per block.
         let mut counts: Vec<u32> = Vec::new();
-        let mut disk_counts: Vec<u32> = vec![0; layout.disks()];
-        let mut entry_idx: Vec<u32> = Vec::with_capacity(entries.len());
         for &(pos, block) in &entries {
             assert!(pos < len, "entry position {pos} out of range");
-            sequence[pos] = block;
+            assert_eq!(seq_idx[pos], NONE32, "duplicate entry position {pos}");
             let idx = *index.entry(block).or_insert_with(|| {
                 blocks.push(block);
                 counts.push(0);
                 (blocks.len() - 1) as u32
             });
             seq_idx[pos] = idx;
-            entry_idx.push(idx);
             counts[idx as usize] += 1;
-            disk_counts[layout.disk_of(block).index()] += 1;
         }
         let disclosed = blocks.len();
         for &block in universe {
@@ -177,15 +173,14 @@ impl Oracle {
                 (blocks.len() - 1) as u32
             });
         }
-        // Pass 2: fill the flat stores in place. Entries are ascending by
-        // position, so each row fills in ascending order, and the next
-        // pointer of a block's previous occurrence is the slot just
-        // written before the cursor.
+        // Pass 2: fill the occurrence rows in place. Entries are
+        // ascending by position, so each row fills in ascending order,
+        // and the next pointer of a block's previous occurrence is the
+        // slot just written before the cursor.
         let mut occurrences = Rows::<u32>::from_counts(&counts);
-        let mut disk_positions = Rows::<usize>::from_counts(&disk_counts);
         let mut occ_cursor: Vec<u32> = occurrences.offsets[..counts.len()].to_vec();
-        let mut disk_cursor: Vec<u32> = disk_positions.offsets[..disk_counts.len()].to_vec();
-        for (&(pos, block), &idx) in entries.iter().zip(&entry_idx) {
+        for &(pos, _) in &entries {
+            let idx = seq_idx[pos];
             let at = occ_cursor[idx as usize] as usize;
             if at > occurrences.offsets[idx as usize] as usize {
                 let prev = occurrences.data[at - 1];
@@ -193,32 +188,26 @@ impl Oracle {
             }
             occurrences.data[at] = pos as u32;
             occ_cursor[idx as usize] += 1;
-            let disk = layout.disk_of(block).index();
-            let d_at = disk_cursor[disk] as usize;
-            disk_positions.data[d_at] = pos;
-            disk_cursor[disk] += 1;
         }
         Oracle {
-            sequence,
             seq_idx,
             next_same,
             index,
             blocks,
             disclosed,
             occurrences,
-            disk_positions,
             layout,
         }
     }
 
     /// Number of references in the sequence.
     pub fn len(&self) -> usize {
-        self.sequence.len()
+        self.seq_idx.len()
     }
 
     /// True for an empty sequence.
     pub fn is_empty(&self) -> bool {
-        self.sequence.is_empty()
+        self.seq_idx.is_empty()
     }
 
     /// Number of blocks holding a compact index (disclosed plus
@@ -228,13 +217,17 @@ impl Oracle {
         self.blocks.len()
     }
 
-    /// The block referenced at `pos`.
+    /// The block referenced at `pos`, or [`UNKNOWN_BLOCK`] for an
+    /// undisclosed position.
     ///
     /// # Panics
     ///
     /// Panics if `pos` is out of range.
     pub fn block_at(&self, pos: usize) -> BlockId {
-        self.sequence[pos]
+        match self.seq_idx[pos] {
+            NONE32 => UNKNOWN_BLOCK,
+            idx => self.blocks[idx as usize],
+        }
     }
 
     /// The compact index of the (disclosed) block at `pos`, or `None`
@@ -243,6 +236,12 @@ impl Oracle {
     pub fn index_at(&self, pos: usize) -> Option<u32> {
         let i = self.seq_idx[pos];
         (i != NONE32).then_some(i)
+    }
+
+    /// The compact index of the block at every position, `u32::MAX` at
+    /// undisclosed ones.
+    pub(crate) fn seq_indices(&self) -> &[u32] {
+        &self.seq_idx
     }
 
     /// The compact index of `block`, if it has one. This is the single
@@ -314,11 +313,6 @@ impl Oracle {
         i.checked_sub(1).map(|i| occ[i] as usize)
     }
 
-    /// All positions referencing blocks on `disk`, ascending.
-    pub fn positions_on_disk(&self, disk: DiskId) -> &[usize] {
-        self.disk_positions.row(disk.index())
-    }
-
     /// The distinct *disclosed* blocks of the sequence, in
     /// first-appearance order. Undisclosed positions are skipped.
     pub fn distinct_blocks(&self) -> Vec<BlockId> {
@@ -363,15 +357,6 @@ mod tests {
         assert_eq!(o.next_occurrence(BlockId(1), 5), NEVER);
         assert_eq!(o.next_occurrence(BlockId(3), 0), 3);
         assert_eq!(o.next_occurrence(BlockId(99), 0), NEVER);
-    }
-
-    #[test]
-    fn disk_positions_follow_striping() {
-        let t = trace_of(&[0, 1, 2, 3, 4, 5]);
-        let o = Oracle::new(&t, Layout::striped(2));
-        // Even blocks on disk 0 sit at positions 0, 2, 4.
-        assert_eq!(o.positions_on_disk(DiskId(0)), &[0, 2, 4]);
-        assert_eq!(o.positions_on_disk(DiskId(1)), &[1, 3, 5]);
     }
 
     #[test]
