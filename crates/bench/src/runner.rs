@@ -268,11 +268,8 @@ fn fingerprint(schedule: &[Pair]) -> u128 {
     let mut b = 0x1319_8a2e_0370_7344u64;
     for p in schedule {
         let words = [
-            p.block.0,
-            p.key as u64,
-            u64::from(p.evict.is_some()),
-            p.evict.map_or(0, |e| e.0),
-            p.release as u64,
+            u64::from(p.block) << 32 | u64::from(p.key),
+            u64::from(p.evict) << 32 | u64::from(p.release),
         ];
         for w in words {
             a = (a ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);

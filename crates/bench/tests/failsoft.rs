@@ -217,12 +217,15 @@ fn bounded_retry_recovers_a_cell_that_fails_once() {
 fn watchdog_times_out_a_hung_cell_and_spares_the_rest() {
     let cells = small_cells();
     let faults = FaultPlan::default();
-    let limit = Duration::from_millis(30);
+    // A debug-build cell takes a few milliseconds, and many times that
+    // on a loaded machine; the limit must never catch a healthy cell,
+    // and the hang must outlast the limit by far.
+    let limit = Duration::from_secs(2);
     let policy = FailSoft {
         cell_timeout: Some(limit),
         inject: Some(Injection {
             cell: 1,
-            kind: InjectionKind::Hang(Duration::from_millis(400)),
+            kind: InjectionKind::Hang(Duration::from_secs(60)),
             times: u32::MAX,
         }),
         ..FailSoft::default()

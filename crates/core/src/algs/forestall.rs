@@ -423,10 +423,24 @@ fn finish(
 /// [`FLOAT_SLOP`] (saturating at `u128::MAX`), checked against the exact
 /// [`scaled_floor`] in debug builds. Used only for certificate slack,
 /// where over-estimating the floor merely shrinks the covered advance.
+///
+/// Both conversions go through `u64` when the value fits: the `u128`
+/// ones are software routines, and each `u64` conversion rounds (or
+/// truncates, saturating) exactly as the `u128` one does in its range.
 #[inline]
 fn floor_upper_bound(a: u128, f: f64) -> u128 {
-    let ub = (a as f64) * f * (1.0 + FLOAT_SLOP);
-    let ub = ub as u128;
+    /// 2^64 as an `f64` (exact).
+    const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+    let af = match u64::try_from(a) {
+        Ok(a) => a as f64,
+        Err(_) => a as f64,
+    };
+    let ub = af * f * (1.0 + FLOAT_SLOP);
+    let ub = if ub < TWO_POW_64 {
+        u128::from(ub as u64)
+    } else {
+        ub as u128
+    };
     debug_assert!(scaled_floor(a, f).is_none_or(|fl| ub >= fl));
     ub
 }
@@ -709,6 +723,46 @@ mod tests {
         // Large exponent against a large a: 2^64 * 2^64 overflows into
         // the checked_mul arm.
         assert_eq!(scaled_cmp(1u128 << 100, 2.0, u64::MAX), Ordering::Greater);
+    }
+
+    #[test]
+    fn floor_upper_bound_matches_the_direct_u128_conversion() {
+        // The u64 fast paths must reproduce `((a as f64) * f * (1 +
+        // FLOAT_SLOP)) as u128` on both sides of 2^64, in `a` and in the
+        // result.
+        let direct = |a: u128, f: f64| ((a as f64) * f * (1.0 + FLOAT_SLOP)) as u128;
+        let two_64 = 1u128 << 64;
+        let values = [
+            0,
+            1,
+            3,
+            (1 << 53) + 1,
+            two_64 - 1,
+            two_64,
+            two_64 + 1,
+            (1u128 << 100) + 12_345,
+            u128::MAX,
+        ];
+        let factors = [
+            1.0,
+            1.0 + f64::EPSILON,
+            1.0625,
+            1.5,
+            4096.0,
+            1e19,
+            1e30,
+            1e300,
+        ];
+        for a in values {
+            for f in factors {
+                assert_eq!(floor_upper_bound(a, f), direct(a, f), "{a} * {f}");
+            }
+        }
+        // Results straddling 2^64 from a small rank.
+        let near = 18_446_744_073_709_551_616.0 / (1.0 + FLOAT_SLOP);
+        for f in [near * (1.0 - 1e-15), near, near * (1.0 + 1e-15)] {
+            assert_eq!(floor_upper_bound(1, f), direct(1, f), "1 * {f}");
+        }
     }
 
     #[test]

@@ -31,25 +31,30 @@ use crate::config::SimConfig;
 use crate::engine::Ctx;
 use crate::hints::HintSpec;
 use crate::oracle::{Oracle, NEVER};
-use crate::policy::{demand_fetch, Policy};
+use crate::policy::{demand_fetch_idx, Policy};
 use parcache_disk::Layout;
 use parcache_trace::Trace;
-use parcache_types::{BlockId, DiskId, FastMap};
+use parcache_types::{BitSet, BlockId, DiskId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-/// One scheduled forward fetch/eviction pair.
+/// One scheduled forward fetch/eviction pair. Blocks are compact indices
+/// into the oracle of the reversed sequence the schedule was planned
+/// over; positions are forward reference positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pair {
-    /// The block to fetch.
-    pub block: BlockId,
+    /// Compact index of the block to fetch.
+    pub block: u32,
     /// Forward position of the fetched block's next use (ordering key).
-    pub key: usize,
-    /// The block to evict, if the schedule calls for one.
-    pub evict: Option<BlockId>,
+    pub key: u32,
+    /// Compact index of the block to evict, or [`NO_EVICT`].
+    pub evict: u32,
     /// Earliest cursor position at which the eviction may happen.
-    pub release: usize,
+    pub release: u32,
 }
+
+/// [`Pair::evict`] of a pair whose schedule calls for no eviction.
+pub const NO_EVICT: u32 = u32::MAX;
 
 /// Outcome of attempting to issue a scheduled pair.
 enum IssueOutcome {
@@ -63,36 +68,14 @@ enum IssueOutcome {
 
 /// The reverse aggressive policy.
 pub struct ReverseAggressive {
-    /// Pairs sorted by `key`.
+    /// Pairs sorted by `key`, in the planning oracle's compact indices.
     schedule: Vec<Pair>,
-    consumed: Vec<bool>,
-    /// Pending pair indexes per disk, in key order.
-    per_disk: Vec<VecDeque<usize>>,
-    /// Pending pair indexes per block (for demand misses), in CSR form:
-    /// [`block_slot`](Self::block_slot) maps a block to a slot `s`, and
-    /// `by_block_idx[by_block_off[s] .. by_block_off[s + 1]]` lists the
-    /// slot's pair indexes in key order. Three flat arrays plus one map
-    /// instead of a heap-allocated queue per distinct block — the queues
-    /// were the policy's entire ~19k-allocation footprint.
-    block_slot: FastMap<BlockId, u32>,
-    by_block_off: Vec<u32>,
-    by_block_idx: Vec<u32>,
-    /// Per slot: consume cursor into its `by_block_idx` range. Entries
-    /// behind the cursor are spent (popped by earlier demand misses).
-    by_block_head: Vec<u32>,
+    /// The block of each of the planning oracle's compact indices.
+    planned_blocks: Vec<BlockId>,
     batch_size: usize,
-    /// Scratch for unreleased pairs pulled during a decide scan; reused
-    /// across decision points to avoid a per-disk allocation.
-    requeue: Vec<usize>,
-    /// Disk each scheduled pair's fetch lives on.
-    pair_disk: Vec<u32>,
-    /// Per disk: a scan is needed. Cleared when a scan changes nothing,
-    /// set again when a pair on the disk is consumed out of band.
-    scan_dirty: Vec<bool>,
-    /// Per disk: when `scan_dirty` is clear, the earliest cursor at which
-    /// a pending pair in the probe window becomes released. Until then a
-    /// rescan would observably do nothing, so `decide` skips it.
-    next_release: Vec<usize>,
+    /// The forward replay's state, built against the run's oracle on the
+    /// first call into the policy.
+    replay: Option<Replay>,
 }
 
 impl ReverseAggressive {
@@ -112,111 +95,200 @@ impl ReverseAggressive {
     ///
     /// [`Prepared::reversed_oracle`]: crate::engine::Prepared::reversed_oracle
     pub fn with_reversed(reversed: &Oracle, config: &SimConfig) -> ReverseAggressive {
-        let layout = reversed.layout();
-        debug_assert_eq!(layout.disks(), config.disks, "reversed oracle layout");
-        let schedule = build_schedule(
-            reversed,
-            config.cache_blocks,
-            config.reverse_fetch_estimate,
-            config.reverse_batch_size,
+        debug_assert_eq!(
+            reversed.layout().disks(),
+            config.disks,
+            "reversed oracle layout"
         );
-        assert!(
-            schedule.len() <= u32::MAX as usize,
-            "schedule too large for u32 pair indexes"
-        );
-        let mut per_disk: Vec<VecDeque<usize>> = vec![VecDeque::new(); config.disks];
-        let mut pair_disk: Vec<u32> = Vec::with_capacity(schedule.len());
-        // First pass: assign slots in first-seen order and count each
-        // slot's pairs.
-        let mut block_slot: FastMap<BlockId, u32> = FastMap::default();
-        let mut counts: Vec<u32> = Vec::new();
-        for (i, p) in schedule.iter().enumerate() {
-            let d = layout.disk_of(p.block).index();
-            per_disk[d].push_back(i);
-            pair_disk.push(d as u32);
-            let next = counts.len() as u32;
-            let s = *block_slot.entry(p.block).or_insert(next);
-            if s == next {
-                counts.push(0);
-            }
-            counts[s as usize] += 1;
-        }
-        // Prefix sums, then a second pass scatters the pair indexes into
-        // their slot ranges (schedule order is key order, preserved
-        // within each slot).
-        let mut by_block_off: Vec<u32> = Vec::with_capacity(counts.len() + 1);
-        by_block_off.push(0);
-        let mut acc = 0u32;
-        for &c in &counts {
-            acc += c;
-            by_block_off.push(acc);
-        }
-        let by_block_head: Vec<u32> = by_block_off[..counts.len()].to_vec();
-        let mut write = by_block_head.clone();
-        let mut by_block_idx: Vec<u32> = vec![0; schedule.len()];
-        for (i, p) in schedule.iter().enumerate() {
-            let s = block_slot[&p.block] as usize;
-            by_block_idx[write[s] as usize] = i as u32;
-            write[s] += 1;
-        }
         ReverseAggressive {
-            consumed: vec![false; schedule.len()],
-            schedule,
-            per_disk,
-            block_slot,
-            by_block_off,
-            by_block_idx,
-            by_block_head,
+            schedule: build_schedule(
+                reversed,
+                config.cache_blocks,
+                config.reverse_fetch_estimate,
+                config.reverse_batch_size,
+            ),
+            planned_blocks: (0..reversed.num_blocks() as u32)
+                .map(|i| reversed.block_of(i))
+                .collect(),
             batch_size: config.reverse_batch_size,
-            requeue: Vec::new(),
-            pair_disk,
-            scan_dirty: vec![true; config.disks],
-            next_release: vec![0; config.disks],
+            replay: None,
         }
     }
 
-    /// The constructed schedule (diagnostics, tests).
+    /// The constructed schedule, in key order (diagnostics, tests).
     pub fn schedule(&self) -> &[Pair] {
         &self.schedule
     }
 
-    /// Attempts to issue pair `i`, repairing a stale eviction.
-    fn issue_pair(&mut self, ctx: &mut Ctx<'_>, i: usize) -> IssueOutcome {
-        let pair = self.schedule[i];
-        let idx = ctx
-            .oracle
-            .index_of(pair.block)
-            .expect("scheduled block outside the indexed universe");
-        if ctx.cache.resident(idx) || ctx.cache.inflight(idx) {
-            self.consumed[i] = true; // already handled (e.g. demand fetch)
-            return IssueOutcome::Skipped;
-        }
-        // Deviations from the planned schedule (demand consumption of an
-        // earlier pair, eviction repair, an abandoned faulted fetch) can
-        // leave a pair pending after the block's last disclosed use has
-        // been served from residency. Issuing it then would fetch data
-        // nothing will ever reference — wasted bandwidth mid-run, and a
-        // fetch that never completes if it happens at the end of the run.
-        if ctx.oracle.next_occurrence_idx(idx, ctx.cursor) == NEVER {
-            self.consumed[i] = true;
-            return IssueOutcome::Skipped;
-        }
-        // Resolve the eviction: prefer the scheduled victim, fall back to
-        // a free frame or the current furthest-future resident.
-        let scheduled_evict = pair.evict.and_then(|e| ctx.oracle.index_of(e));
-        let evict = match scheduled_evict {
-            Some(e) if ctx.cache.resident(e) && Some(e) != ctx.cache.pinned() => Some(e),
-            _ if ctx.cache.has_free_frame() => None,
-            _ => match ctx.cache.furthest_resident(ctx.cursor, ctx.oracle) {
-                Some((victim, _)) => Some(victim),
-                // Every frame is in flight; keep the pair for later.
-                None => return IssueOutcome::Blocked,
-            },
-        };
-        self.consumed[i] = true;
-        ctx.issue_fetch_idx(idx, evict);
-        IssueOutcome::Issued
+    /// The replay state, built against `oracle` on first use.
+    fn replay(&mut self, oracle: &Oracle) -> &mut Replay {
+        let (schedule, blocks) = (&self.schedule, &self.planned_blocks);
+        self.replay
+            .get_or_insert_with(|| Replay::new(schedule, blocks, oracle))
     }
+}
+
+/// Sentinel for "none" in the replay's `u32` slot links.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The forward replay's index over the schedule.
+///
+/// Each pair gets a *slot*: slots group the pairs by the fetched block's
+/// disk (disk d owns `disk_off[d]..disk_off[d + 1]`), in key order within
+/// a disk. §2.7's replay attempts a disk's pending pairs in key order
+/// while they are released. Releases never decrease along key order
+/// (asserted in [`Replay::new`]), so a disk's released pending pairs are
+/// a prefix of its pending pairs, and its scan walks slots from a head
+/// cursor: it passes consumed slots for good and stops at the first
+/// unreleased or blocked pair, which stays at the head. A scan costs
+/// what it attempts plus the consumed slots it passes once.
+struct Replay {
+    /// The schedule in slot order, blocks as the run oracle's indices.
+    pairs: Vec<Pair>,
+    disk_off: Vec<u32>,
+    /// Per disk: every slot of the disk below it is consumed.
+    head: Vec<u32>,
+    /// Slots whose pair was issued, found obsolete, or taken by a demand
+    /// miss.
+    consumed: BitSet,
+    /// Per run-oracle block: its first slot not yet passed by demand
+    /// consumption; `next_same` links each slot to the block's next slot
+    /// in key order.
+    block_head: Vec<u32>,
+    next_same: Vec<u32>,
+}
+
+impl Replay {
+    fn new(schedule: &[Pair], planned_blocks: &[BlockId], oracle: &Oracle) -> Replay {
+        // `build_schedule` hands the release-sorted evictions to the
+        // key-sorted fetches in order, after `cache_blocks` release-0
+        // cold fills. The head-cursor scan is exact only under this.
+        assert!(
+            schedule.windows(2).all(|w| w[0].release <= w[1].release),
+            "schedule releases decrease along key order"
+        );
+        let layout = oracle.layout();
+        let to_run: Vec<u32> = planned_blocks
+            .iter()
+            .map(|&b| {
+                oracle
+                    .index_of(b)
+                    .expect("scheduled block outside the indexed universe")
+            })
+            .collect();
+        let disk_of = |p: &Pair| layout.disk_of(planned_blocks[p.block as usize]).index();
+        let disks = layout.disks();
+        let mut disk_off = vec![0u32; disks + 1];
+        for p in schedule {
+            disk_off[disk_of(p) + 1] += 1;
+        }
+        for d in 0..disks {
+            disk_off[d + 1] += disk_off[d];
+        }
+        let mut fill = disk_off[..disks].to_vec();
+        let mut pairs = vec![
+            Pair {
+                block: 0,
+                key: 0,
+                evict: NO_EVICT,
+                release: 0,
+            };
+            schedule.len()
+        ];
+        for p in schedule {
+            let s = &mut fill[disk_of(p)];
+            pairs[*s as usize] = Pair {
+                block: to_run[p.block as usize],
+                evict: match p.evict {
+                    NO_EVICT => NO_EVICT,
+                    e => to_run[e as usize],
+                },
+                ..*p
+            };
+            *s += 1;
+        }
+        let mut block_head = vec![NO_SLOT; oracle.num_blocks()];
+        let mut next_same = vec![NO_SLOT; pairs.len()];
+        for (s, p) in pairs.iter().enumerate().rev() {
+            next_same[s] = block_head[p.block as usize];
+            block_head[p.block as usize] = s as u32;
+        }
+        Replay {
+            head: disk_off[..disks].to_vec(),
+            disk_off,
+            consumed: BitSet::with_capacity(pairs.len()),
+            pairs,
+            block_head,
+            next_same,
+        }
+    }
+
+    /// Issues up to `batch` of disk `d`'s released pending pairs, in key
+    /// order, stopping at the first unreleased or blocked pair.
+    fn scan(&mut self, ctx: &mut Ctx<'_>, d: usize, batch: usize) {
+        let end = self.disk_off[d + 1];
+        let mut s = self.head[d];
+        let mut issued = 0;
+        while issued < batch && s < end {
+            if !self.consumed.contains(s) {
+                let p = self.pairs[s as usize];
+                if p.release as usize > ctx.cursor {
+                    break;
+                }
+                match try_issue(ctx, p.block, p.evict) {
+                    IssueOutcome::Issued => issued += 1,
+                    IssueOutcome::Skipped => {}
+                    IssueOutcome::Blocked => break,
+                }
+                self.consumed.insert(s);
+            }
+            s += 1;
+        }
+        self.head[d] = s;
+    }
+
+    /// Consumes the next pending pair that fetches block `idx`, if any.
+    fn consume_block(&mut self, idx: u32) {
+        let mut s = self.block_head[idx as usize];
+        while s != NO_SLOT {
+            let newly = self.consumed.insert(s);
+            s = self.next_same[s as usize];
+            if newly {
+                break;
+            }
+        }
+        self.block_head[idx as usize] = s;
+    }
+}
+
+/// Attempts to fetch block `idx` evicting `evict` (or [`NO_EVICT`]),
+/// repairing a stale eviction.
+fn try_issue(ctx: &mut Ctx<'_>, idx: u32, evict: u32) -> IssueOutcome {
+    if ctx.cache.resident(idx) || ctx.cache.inflight(idx) {
+        return IssueOutcome::Skipped; // already handled (e.g. demand fetch)
+    }
+    // Deviations from the planned schedule (demand consumption of an
+    // earlier pair, eviction repair, an abandoned faulted fetch) can
+    // leave a pair pending after the block's last disclosed use has
+    // been served from residency. Issuing it then would fetch data
+    // nothing will ever reference — wasted bandwidth mid-run, and a
+    // fetch that never completes if it happens at the end of the run.
+    if ctx.oracle.next_occurrence_idx(idx, ctx.cursor) == NEVER {
+        return IssueOutcome::Skipped;
+    }
+    // Resolve the eviction: prefer the scheduled victim, fall back to
+    // a free frame or the current furthest-future resident.
+    let evict = match evict {
+        e if e != NO_EVICT && ctx.cache.resident(e) && Some(e) != ctx.cache.pinned() => Some(e),
+        _ if ctx.cache.has_free_frame() => None,
+        _ => match ctx.cache.furthest_resident(ctx.cursor, ctx.oracle) {
+            Some((victim, _)) => Some(victim),
+            // Every frame is in flight; keep the pair for later.
+            None => return IssueOutcome::Blocked,
+        },
+    };
+    ctx.issue_fetch_idx(idx, evict);
+    IssueOutcome::Issued
 }
 
 impl Policy for ReverseAggressive {
@@ -225,89 +297,23 @@ impl Policy for ReverseAggressive {
     }
 
     fn decide(&mut self, ctx: &mut Ctx<'_>) {
+        let batch = self.batch_size;
+        let replay = self.replay(ctx.oracle);
         for d in 0..ctx.config.disks {
-            if !ctx.array.is_free(DiskId(d)) {
-                continue;
-            }
-            // A previous scan proved the probe window holds only
-            // unreleased pairs; until the cursor reaches the earliest of
-            // their releases (or a pair on this disk is consumed out of
-            // band, widening the window) a rescan would do nothing.
-            if !self.scan_dirty[d] && ctx.cursor < self.next_release[d] {
-                continue;
-            }
-            let mut issued = 0;
-            let mut mutated = false;
-            let mut min_release = usize::MAX;
-            // Scan this disk's pending pairs in key order, issuing the
-            // released ones. Releases are near-sorted by construction, so
-            // stop at the first pair released well in the future.
-            self.requeue.clear();
-            while issued < self.batch_size {
-                let Some(i) = self.per_disk[d].pop_front() else {
-                    break;
-                };
-                if self.consumed[i] {
-                    mutated = true;
-                    continue;
-                }
-                if self.schedule[i].release > ctx.cursor {
-                    self.requeue.push(i);
-                    min_release = min_release.min(self.schedule[i].release);
-                    // Unreleased; deeper pairs release even later in the
-                    // common case. Probe a bounded window then stop.
-                    if self.requeue.len() > 2 * self.batch_size {
-                        break;
-                    }
-                    continue;
-                }
-                match self.issue_pair(ctx, i) {
-                    IssueOutcome::Issued => {
-                        issued += 1;
-                        mutated = true;
-                    }
-                    IssueOutcome::Skipped => mutated = true,
-                    IssueOutcome::Blocked => {
-                        self.requeue.push(i);
-                        mutated = true;
-                        break;
-                    }
-                }
-            }
-            // Put unreleased pairs back, preserving order.
-            for j in (0..self.requeue.len()).rev() {
-                let i = self.requeue[j];
-                self.per_disk[d].push_front(i);
-            }
-            if !mutated {
-                // Nothing issued, consumed, or blocked: the window is
-                // stable until `min_release` or out-of-band consumption.
-                self.scan_dirty[d] = false;
-                self.next_release[d] = min_release;
+            if ctx.array.is_free(DiskId(d)) {
+                replay.scan(ctx, d, batch);
             }
         }
     }
 
     fn on_miss(&mut self, ctx: &mut Ctx<'_>, block: BlockId) {
         // Consume the block's next scheduled pair, if any, then fetch.
-        if let Some(&slot) = self.block_slot.get(&block) {
-            let s = slot as usize;
-            let end = self.by_block_off[s + 1];
-            let mut head = self.by_block_head[s];
-            while head < end {
-                let i = self.by_block_idx[head as usize] as usize;
-                head += 1;
-                if !self.consumed[i] {
-                    self.consumed[i] = true;
-                    // Consuming a pair widens another scan's probe
-                    // window, so that disk must rescan.
-                    self.scan_dirty[self.pair_disk[i] as usize] = true;
-                    break;
-                }
-            }
-            self.by_block_head[s] = head;
-        }
-        demand_fetch(ctx, block);
+        let idx = ctx
+            .oracle
+            .index_of(block)
+            .expect("demand-missed block outside the indexed universe");
+        self.replay(ctx.oracle).consume_block(idx);
+        demand_fetch_idx(ctx, idx);
     }
 }
 
@@ -350,6 +356,10 @@ fn build_schedule(
     if n == 0 {
         return Vec::new();
     }
+    assert!(
+        n < u32::MAX as usize,
+        "trace too long for u32 schedule positions"
+    );
     let mut pass = ReversePass::new(reversed, cache_blocks, fetch_estimate, batch_size);
     pass.run();
     let ReversePass {
@@ -377,26 +387,26 @@ fn build_schedule(
 
     // Match fetches to evictions in order; the first `cache_blocks`
     // fetches fill cold frames. Surplus evictions are dropped.
-    let unpack = |k: u64| ((k >> 32) as usize, reversed.block_of(k as u32));
-    let mut pairs: Vec<Pair> = Vec::with_capacity(fetches.len());
+    let unpack = |k: u64| ((k >> 32) as u32, k as u32);
     let mut ev_iter = evictions.into_iter().map(unpack);
-    for (i, (key, block)) in fetches.into_iter().map(unpack).enumerate() {
-        let (evict, release) = if i < cache_blocks {
-            (None, 0)
-        } else {
-            match ev_iter.next() {
-                Some((release, e)) => (Some(e), release),
-                None => (None, 0),
+    fetches
+        .into_iter()
+        .map(unpack)
+        .enumerate()
+        .map(|(i, (key, block))| {
+            let (release, evict) = if i < cache_blocks {
+                (0, NO_EVICT)
+            } else {
+                ev_iter.next().unwrap_or((0, NO_EVICT))
+            };
+            Pair {
+                block,
+                key,
+                evict,
+                release,
             }
-        };
-        pairs.push(Pair {
-            block,
-            key,
-            evict,
-            release,
-        });
-    }
-    pairs
+        })
+        .collect()
 }
 
 /// Batched aggressive over the reversed sequence in the uniform
@@ -611,9 +621,269 @@ mod tests {
     use super::*;
     use crate::config::DiskModelKind;
     use crate::engine::{simulate, simulate_with};
-    use crate::policy::PolicyKind;
+    use crate::policy::{demand_fetch, PolicyKind};
     use parcache_trace::Request;
     use parcache_types::Nanos;
+    use std::collections::{HashMap, VecDeque};
+
+    /// The probe-window replay the head-cursor scan replaced, kept as its
+    /// executable spec. Each scan pops the disk's pending pairs in key
+    /// order: consumed pairs are dropped, released ones attempted, and
+    /// unreleased ones set aside and pushed back, until `b` fetches went
+    /// out, a pair was blocked, or more than `2b` unreleased pairs were
+    /// set aside. A scan that changes nothing memoizes the earliest
+    /// release among the pairs it set aside, and the disk's next scans
+    /// are skipped until the cursor reaches it or a demand miss consumes
+    /// one of the disk's pairs.
+    struct ProbeWindowReplay {
+        schedule: Vec<Pair>,
+        planned_blocks: Vec<BlockId>,
+        consumed: Vec<bool>,
+        /// Pending pair indexes per disk, in key order.
+        per_disk: Vec<VecDeque<usize>>,
+        /// Pending pair indexes per block, in key order.
+        per_block: HashMap<BlockId, VecDeque<usize>>,
+        pair_disk: Vec<usize>,
+        batch_size: usize,
+        requeue: Vec<usize>,
+        scan_dirty: Vec<bool>,
+        next_release: Vec<usize>,
+        /// Coverage: attempts that found no frame to free.
+        blocked: usize,
+        /// Coverage: demand misses that consumed a pair inside its
+        /// disk's probe window.
+        consumed_in_window: usize,
+    }
+
+    impl ProbeWindowReplay {
+        fn new(plan: &ReverseAggressive, disks: usize) -> ProbeWindowReplay {
+            let layout = Layout::striped(disks);
+            let mut per_disk = vec![VecDeque::new(); disks];
+            let mut per_block: HashMap<BlockId, VecDeque<usize>> = HashMap::new();
+            let mut pair_disk = Vec::new();
+            for (i, p) in plan.schedule.iter().enumerate() {
+                let block = plan.planned_blocks[p.block as usize];
+                let d = layout.disk_of(block).index();
+                per_disk[d].push_back(i);
+                per_block.entry(block).or_default().push_back(i);
+                pair_disk.push(d);
+            }
+            ProbeWindowReplay {
+                schedule: plan.schedule.clone(),
+                planned_blocks: plan.planned_blocks.clone(),
+                consumed: vec![false; plan.schedule.len()],
+                per_disk,
+                per_block,
+                pair_disk,
+                batch_size: plan.batch_size,
+                requeue: Vec::new(),
+                scan_dirty: vec![true; disks],
+                next_release: vec![0; disks],
+                blocked: 0,
+                consumed_in_window: 0,
+            }
+        }
+
+        fn issue_pair(&mut self, ctx: &mut Ctx<'_>, i: usize) -> IssueOutcome {
+            let pair = self.schedule[i];
+            let run_idx = |ctx: &Ctx<'_>, planned: u32| {
+                ctx.oracle
+                    .index_of(self.planned_blocks[planned as usize])
+                    .expect("scheduled block outside the indexed universe")
+            };
+            let idx = run_idx(ctx, pair.block);
+            let evict = match pair.evict {
+                NO_EVICT => NO_EVICT,
+                e => run_idx(ctx, e),
+            };
+            let outcome = try_issue(ctx, idx, evict);
+            match outcome {
+                IssueOutcome::Blocked => self.blocked += 1,
+                IssueOutcome::Issued | IssueOutcome::Skipped => self.consumed[i] = true,
+            }
+            outcome
+        }
+
+        /// Whether pending pair `i` on disk `d` lies inside the disk's
+        /// probe window at `cursor`.
+        fn in_window(&self, d: usize, i: usize, cursor: usize) -> bool {
+            let mut unreleased = 0;
+            for &j in &self.per_disk[d] {
+                if j == i {
+                    return true;
+                }
+                if !self.consumed[j] && self.schedule[j].release as usize > cursor {
+                    unreleased += 1;
+                    if unreleased > 2 * self.batch_size {
+                        return false;
+                    }
+                }
+            }
+            false
+        }
+    }
+
+    impl Policy for ProbeWindowReplay {
+        fn name(&self) -> &'static str {
+            "reverse-aggressive"
+        }
+
+        fn decide(&mut self, ctx: &mut Ctx<'_>) {
+            for d in 0..ctx.config.disks {
+                if !ctx.array.is_free(DiskId(d)) {
+                    continue;
+                }
+                if !self.scan_dirty[d] && ctx.cursor < self.next_release[d] {
+                    continue;
+                }
+                let mut issued = 0;
+                let mut mutated = false;
+                let mut min_release = usize::MAX;
+                self.requeue.clear();
+                while issued < self.batch_size {
+                    let Some(i) = self.per_disk[d].pop_front() else {
+                        break;
+                    };
+                    if self.consumed[i] {
+                        mutated = true;
+                        continue;
+                    }
+                    let release = self.schedule[i].release as usize;
+                    if release > ctx.cursor {
+                        self.requeue.push(i);
+                        min_release = min_release.min(release);
+                        if self.requeue.len() > 2 * self.batch_size {
+                            break;
+                        }
+                        continue;
+                    }
+                    match self.issue_pair(ctx, i) {
+                        IssueOutcome::Issued => {
+                            issued += 1;
+                            mutated = true;
+                        }
+                        IssueOutcome::Skipped => mutated = true,
+                        IssueOutcome::Blocked => {
+                            self.requeue.push(i);
+                            mutated = true;
+                            break;
+                        }
+                    }
+                }
+                for &i in self.requeue.iter().rev() {
+                    self.per_disk[d].push_front(i);
+                }
+                if !mutated {
+                    self.scan_dirty[d] = false;
+                    self.next_release[d] = min_release;
+                }
+            }
+        }
+
+        fn on_miss(&mut self, ctx: &mut Ctx<'_>, block: BlockId) {
+            let mut taken = None;
+            if let Some(queue) = self.per_block.get_mut(&block) {
+                while let Some(i) = queue.pop_front() {
+                    if !self.consumed[i] {
+                        taken = Some(i);
+                        break;
+                    }
+                }
+            }
+            if let Some(i) = taken {
+                let d = self.pair_disk[i];
+                if self.in_window(d, i, ctx.cursor) {
+                    self.consumed_in_window += 1;
+                }
+                self.consumed[i] = true;
+                self.scan_dirty[d] = true;
+            }
+            demand_fetch(ctx, block);
+        }
+    }
+
+    #[test]
+    fn indexed_scan_matches_the_probe_window_reference() {
+        // Every reverse_grid configuration (F̂ in {1, 4, 16, 64} × batch
+        // in {4, 40}) under full, partial and predicted hints, on a
+        // healthy array and under read faults plus an outage, on 1-4
+        // disks: the head-cursor replay must produce the reference's
+        // report and event stream exactly.
+        use crate::engine::simulate_with_probed;
+        use crate::predict::{HintMode, PredictorKind};
+        use crate::probe::Event;
+        use parcache_disk::FaultPlan;
+        let mut rng = parcache_types::rng::Rng::seed_from_u64(0x2b1_1996);
+        let (mut blocked, mut consumed_in_window) = (0, 0);
+        for case in 0..12u64 {
+            let disks = 1 + case as usize % 4;
+            let len = rng.gen_range(80usize..=220);
+            let universe = rng.gen_range(4u64..=40);
+            let stride = rng.gen_range(1u64..=3);
+            // Loops with random jumps, so runs, reuse and misses all occur.
+            let mut b = 0u64;
+            let requests: Vec<Request> = (0..len)
+                .map(|_| {
+                    b = if rng.gen_bool(0.2) {
+                        rng.gen_range(0..universe)
+                    } else {
+                        (b + stride) % universe
+                    };
+                    Request {
+                        block: BlockId(b),
+                        compute: Nanos::from_micros(rng.gen_range(200u64..=3000)),
+                    }
+                })
+                .collect();
+            let cache = rng.gen_range(2usize..=10);
+            let trace = Trace::new("spec", requests, cache);
+            let hint_modes = [
+                SimConfig::new(disks, cache),
+                SimConfig::new(disks, cache).with_hints(HintSpec::Fraction {
+                    fraction: 0.6,
+                    seed: case,
+                }),
+                SimConfig::new(disks, cache)
+                    .with_hint_mode(HintMode::Predicted(PredictorKind::Markov)),
+            ];
+            for base in hint_modes {
+                let faulty = base.clone().with_faults(
+                    FaultPlan::parse(&format!("flaky:*:0.05,outage:0:20:300,seed:{case}"))
+                        .expect("valid fault plan"),
+                );
+                for plan in [base, faulty] {
+                    for f in [1u64, 4, 16, 64] {
+                        for batch in [4usize, 40] {
+                            let cfg = plan.clone().with_reverse_params(f, batch);
+                            let mut fast = ReverseAggressive::new(&trace, &cfg);
+                            let mut spec = ProbeWindowReplay::new(&fast, disks);
+                            let (mut fast_events, mut spec_events) = (Vec::new(), Vec::new());
+                            let got =
+                                simulate_with_probed(&trace, &mut fast, &cfg, &mut |e: &Event| {
+                                    fast_events.push(*e)
+                                });
+                            let want =
+                                simulate_with_probed(&trace, &mut spec, &cfg, &mut |e: &Event| {
+                                    spec_events.push(*e)
+                                });
+                            let what = format!("case {case}, F̂ {f}, batch {batch}, {cfg:?}");
+                            assert_eq!(got, want, "{what}");
+                            assert!(fast_events == spec_events, "event streams differ: {what}");
+                            blocked += spec.blocked;
+                            consumed_in_window += spec.consumed_in_window;
+                        }
+                    }
+                }
+            }
+        }
+        // The corpus reaches both paths that can end or widen a window
+        // outside the release cursor.
+        assert!(blocked > 0, "no attempt was blocked");
+        assert!(
+            consumed_in_window > 0,
+            "no demand miss consumed a windowed pair"
+        );
+    }
 
     fn trace_of(blocks: &[u64], cache: usize) -> Trace {
         Trace::new(
@@ -644,8 +914,11 @@ mod tests {
         let t = trace_of(&blocks, 8);
         let c = cfg(2, 8, 3);
         let p = ReverseAggressive::new(&t, &c);
-        let scheduled: std::collections::HashSet<BlockId> =
-            p.schedule().iter().map(|q| q.block).collect();
+        let scheduled: std::collections::HashSet<BlockId> = p
+            .schedule()
+            .iter()
+            .map(|q| p.planned_blocks[q.block as usize])
+            .collect();
         for b in 0..20u64 {
             assert!(scheduled.contains(&BlockId(b)), "block {b} unscheduled");
         }
@@ -657,7 +930,7 @@ mod tests {
         let t = trace_of(&blocks, 10);
         let c = cfg(3, 10, 4);
         let p = ReverseAggressive::new(&t, &c);
-        let keys: Vec<usize> = p.schedule().iter().map(|q| q.key).collect();
+        let keys: Vec<u32> = p.schedule().iter().map(|q| q.key).collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);

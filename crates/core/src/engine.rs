@@ -733,6 +733,23 @@ fn fully_hinted(trace: &Trace, config: &SimConfig) -> bool {
         && config.hints.fully_disclosing(trace.requests.len())
 }
 
+/// The engine's next event, as [`Engine::next_pending`] chooses it.
+#[derive(Debug, Clone, Copy)]
+enum Pending {
+    /// The in-service request on a disk completes.
+    Completion(Nanos, DiskId),
+    /// The earliest driver retry timer fires.
+    Retry(Nanos),
+}
+
+impl Pending {
+    fn time(self) -> Nanos {
+        match self {
+            Pending::Completion(t, _) | Pending::Retry(t) => t,
+        }
+    }
+}
+
 /// Per-request driver retry progress.
 #[derive(Debug, Clone, Copy)]
 struct RetryState {
@@ -1162,31 +1179,31 @@ impl<'t> Engine<'t> {
         }
     }
 
-    /// The time of the earliest pending event from either source: a disk
-    /// completion or a driver retry timer.
-    fn next_pending(&self) -> Option<Nanos> {
-        let completion = self.array.next_event().map(|(t, _)| t);
+    /// The earliest pending event from either source — a disk completion
+    /// or a driver retry timer, completions first on ties.
+    fn next_pending(&self) -> Option<Pending> {
+        let completion = self.array.next_event();
         let retry = self.retry_timers.peek().map(|r| r.0 .0);
         match (completion, retry) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+            (Some((tc, _)), Some(tr)) if tr < tc => Some(Pending::Retry(tr)),
+            (Some((tc, d)), _) => Some(Pending::Completion(tc, d)),
+            (None, retry) => retry.map(Pending::Retry),
         }
     }
 
-    /// Processes the earliest pending event — a disk completion or a
-    /// retry timer, completions first on ties — advancing `now` to it.
+    /// Processes the earliest pending event, advancing `now` to it.
     fn pop_event<P: Probe>(&mut self, policy: &mut dyn Policy, probe: &mut P) {
-        let completion = self.array.next_event();
-        let retry = self.retry_timers.peek().map(|r| r.0);
-        match (completion, retry) {
-            (None, None) => {
-                panic!("waiting with no pending I/O and no retry timer — policy deadlock")
-            }
-            (Some((tc, d)), r) if r.is_none_or(|(tr, _)| tc <= tr) => {
-                self.pop_completion(tc, d, policy, probe);
-            }
-            // Either no completion is pending or the retry fires first.
-            _ => {
+        let event = self
+            .next_pending()
+            .expect("waiting with no pending I/O and no retry timer — policy deadlock");
+        self.pop_pending(event, policy, probe);
+    }
+
+    /// Processes `event`, which [`Engine::next_pending`] just returned.
+    fn pop_pending<P: Probe>(&mut self, event: Pending, policy: &mut dyn Policy, probe: &mut P) {
+        match event {
+            Pending::Completion(t, d) => self.pop_completion(t, d, policy, probe),
+            Pending::Retry(_) => {
                 let Reverse((t, block)) = self.retry_timers.pop().expect("peeked a timer");
                 self.fire_retry(t, block, probe);
             }
@@ -1217,7 +1234,9 @@ impl<'t> Engine<'t> {
         match done.kind {
             parcache_disk::disk::ReqKind::Read => {
                 if done.outcome.is_ok() {
-                    self.retrying.remove(&done.block);
+                    if !self.retrying.is_empty() {
+                        self.retrying.remove(&done.block);
+                    }
                     self.history.push_fetch(d.index(), done.service);
                     let idx = self
                         .oracle
@@ -1285,11 +1304,11 @@ impl<'t> Engine<'t> {
     /// timers) on the way. Completions may add driver work, pushing
     /// `cpu_done` out further.
     fn advance_cpu<P: Probe>(&mut self, policy: &mut dyn Policy, probe: &mut P) {
-        while let Some(t) = self.next_pending() {
-            if t > self.cpu_done {
+        while let Some(event) = self.next_pending() {
+            if event.time() > self.cpu_done {
                 break;
             }
-            self.pop_event(policy, probe);
+            self.pop_pending(event, policy, probe);
         }
         self.flush_boundaries(self.cpu_done, probe);
         self.now = self.cpu_done;

@@ -34,6 +34,11 @@ pub fn demand_fetch(ctx: &mut Ctx<'_>, block: BlockId) {
         .oracle
         .index_of(block)
         .expect("demand-missed block outside the indexed universe");
+    demand_fetch_idx(ctx, idx);
+}
+
+/// [`demand_fetch`] of the block with compact index `idx`.
+pub(crate) fn demand_fetch_idx(ctx: &mut Ctx<'_>, idx: u32) {
     if ctx.cache.resident(idx) || ctx.cache.inflight(idx) {
         return;
     }

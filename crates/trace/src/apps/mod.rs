@@ -28,13 +28,14 @@ pub(crate) fn assemble(
 ) -> Trace {
     let mut rng = Rng::seed_from_u64(seed ^ 0xC0FFEE);
     let mut sampler = ComputeSampler::new(dist);
-    let mut computes: Vec<Nanos> = blocks.iter().map(|_| sampler.sample(&mut rng)).collect();
-    calibrate_total(&mut computes, total_compute);
-    let requests = blocks
+    let mut requests: Vec<Request> = blocks
         .into_iter()
-        .zip(computes)
-        .map(|(block, compute)| Request { block, compute })
+        .map(|block| Request {
+            block,
+            compute: sampler.sample(&mut rng),
+        })
         .collect();
+    calibrate_total(&mut requests, total_compute);
     Trace::new(name, requests, cache_blocks)
 }
 

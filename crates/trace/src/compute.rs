@@ -7,6 +7,7 @@
 //! — and a calibration pass pins each trace's *total* compute time to the
 //! paper's Table 3 value exactly.
 
+use crate::Request;
 use parcache_types::rng::Rng;
 use parcache_types::Nanos;
 
@@ -102,42 +103,57 @@ impl ComputeSampler {
     }
 }
 
-/// Rescales `times` so they sum to exactly `target`.
+/// Rescales the compute times of `requests` so they sum to exactly
+/// `target`.
 ///
 /// Multiplies every entry by `target / current_total`, then corrects
 /// rounding residue on the final entry, so the total is *exact*. This is
 /// how each generated trace pins its total compute to Table 3.
-pub fn calibrate_total(times: &mut [Nanos], target: Nanos) {
-    if times.is_empty() {
+pub fn calibrate_total(requests: &mut [Request], target: Nanos) {
+    if requests.is_empty() {
         return;
     }
-    let current: u128 = times.iter().map(|t| t.as_nanos() as u128).sum();
+    let current: u128 = requests.iter().map(|r| r.compute.as_nanos() as u128).sum();
     match std::num::NonZeroU128::new(current) {
         None => {
             // Degenerate: spread evenly.
-            let per = target.as_nanos() / times.len() as u64;
-            for t in times.iter_mut() {
-                *t = Nanos(per);
+            let per = target.as_nanos() / requests.len() as u64;
+            for r in requests.iter_mut() {
+                r.compute = Nanos(per);
             }
         }
         Some(current) => {
-            let target_n = target.as_nanos() as u128;
-            for t in times.iter_mut() {
-                *t = Nanos((t.as_nanos() as u128 * target_n / current) as u64);
+            for r in requests.iter_mut() {
+                r.compute = Nanos(scale(r.compute.as_nanos(), target.as_nanos(), current));
             }
         }
     }
-    let sum: u128 = times.iter().map(|t| t.as_nanos() as u128).sum();
+    let sum: u128 = requests.iter().map(|r| r.compute.as_nanos() as u128).sum();
     let diff = target.as_nanos() as i128 - sum as i128;
-    let last = times.last_mut().expect("non-empty checked above");
+    let last = &mut requests
+        .last_mut()
+        .expect("non-empty checked above")
+        .compute;
     let fixed = last.as_nanos() as i128 + diff;
     assert!(fixed >= 0, "calibration residue exceeded the final entry");
     *last = Nanos(fixed as u64);
 }
 
+/// `t * target / current`, truncated, in `u64` arithmetic when the
+/// product and divisor fit (exact there, like the `u128` form, which is a
+/// software division).
+#[inline]
+fn scale(t: u64, target: u64, current: std::num::NonZeroU128) -> u64 {
+    match (t.checked_mul(target), u64::try_from(current.get())) {
+        (Some(product), Ok(current)) => product / current,
+        _ => (t as u128 * target as u128 / current) as u64,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parcache_types::BlockId;
 
     fn draw(dist: ComputeDist, n: usize, seed: u64) -> Vec<Nanos> {
         let mut rng = Rng::seed_from_u64(seed);
@@ -200,28 +216,65 @@ mod tests {
         );
     }
 
+    fn requests(computes: &[Nanos]) -> Vec<Request> {
+        computes
+            .iter()
+            .map(|&compute| Request {
+                block: BlockId(0),
+                compute,
+            })
+            .collect()
+    }
+
+    fn total(requests: &[Request]) -> Nanos {
+        requests.iter().map(|r| r.compute).sum()
+    }
+
     #[test]
     fn calibrate_hits_target_exactly() {
-        let mut xs = draw(ComputeDist::Exponential { mean_ms: 2.0 }, 997, 4);
+        let mut xs = requests(&draw(ComputeDist::Exponential { mean_ms: 2.0 }, 997, 4));
         let target = Nanos::from_secs(5);
         calibrate_total(&mut xs, target);
-        let total: Nanos = xs.iter().copied().sum();
-        assert_eq!(total, target);
+        assert_eq!(total(&xs), target);
     }
 
     #[test]
     fn calibrate_handles_all_zero_input() {
-        let mut xs = vec![Nanos::ZERO; 10];
+        let mut xs = requests(&[Nanos::ZERO; 10]);
         calibrate_total(&mut xs, Nanos::from_millis(10));
-        let total: Nanos = xs.iter().copied().sum();
-        assert_eq!(total, Nanos::from_millis(10));
+        assert_eq!(total(&xs), Nanos::from_millis(10));
     }
 
     #[test]
     fn calibrate_empty_is_noop() {
-        let mut xs: Vec<Nanos> = vec![];
+        let mut xs: Vec<Request> = vec![];
         calibrate_total(&mut xs, Nanos::from_secs(1));
         assert!(xs.is_empty());
+    }
+
+    #[test]
+    fn scale_matches_u128_arithmetic_across_the_u64_boundary() {
+        let direct =
+            |t: u64, target: u64, current: u128| (t as u128 * target as u128 / current) as u64;
+        let big = u64::MAX / 3;
+        for (t, target, current) in [
+            (0, 5, 7u128),
+            (1_000_000, 99_900_000_000, 100_000_000_000),
+            (u64::MAX, 1, 1),
+            (u64::MAX / 2, 2, 3),
+            (u64::MAX / 2 + 1, 2, 3),
+            (big, 4, 5),
+            (big, 3, u64::MAX as u128),
+            (7, 9, u64::MAX as u128 + 1),
+            (u64::MAX, u64::MAX, u128::MAX),
+        ] {
+            let current = std::num::NonZeroU128::new(current).expect("non-zero divisor");
+            assert_eq!(
+                scale(t, target, current),
+                direct(t, target, current.get()),
+                "{t} * {target} / {current}"
+            );
+        }
     }
 
     #[test]

@@ -24,20 +24,16 @@ pub fn synth_trace(passes: usize, loop_blocks: usize, seed: u64) -> Trace {
     let mut rng = Rng::seed_from_u64(seed);
     let mut sampler = ComputeSampler::new(ComputeDist::Exponential { mean_ms: 1.0 });
     let n = passes * loop_blocks;
-    let mut computes: Vec<Nanos> = (0..n).map(|_| sampler.sample(&mut rng)).collect();
+    let mut requests: Vec<Request> = (0..n)
+        .map(|i| Request {
+            block: BlockId((i % loop_blocks) as u64),
+            compute: sampler.sample(&mut rng),
+        })
+        .collect();
     // Scale the total so the full-size trace matches Table 3 exactly; the
     // per-reference mean stays ~1 ms at any size.
     let target = Nanos(TABLE3_COMPUTE.as_nanos() * n as u64 / 100_000);
-    calibrate_total(&mut computes, target);
-
-    let requests = computes
-        .into_iter()
-        .enumerate()
-        .map(|(i, compute)| Request {
-            block: BlockId((i % loop_blocks) as u64),
-            compute,
-        })
-        .collect();
+    calibrate_total(&mut requests, target);
     Trace::new("synth", requests, 1280)
 }
 

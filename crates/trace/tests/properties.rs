@@ -5,7 +5,7 @@
 use parcache_trace::calibrate::calibrate_counts;
 use parcache_trace::compute::{calibrate_total, ComputeDist, ComputeSampler};
 use parcache_trace::placement::{GroupPlacer, GROUPS, GROUP_BLOCKS};
-use parcache_trace::{trace_by_name, TRACE_NAMES};
+use parcache_trace::{trace_by_name, Request, TRACE_NAMES};
 use parcache_types::rng::Rng;
 use parcache_types::{BlockId, Nanos};
 use std::collections::HashSet;
@@ -90,10 +90,15 @@ fn compute_calibration_is_exact() {
         let n = rng.gen_range(1usize..500);
         let target_ms = rng.gen_range(1u64..100_000);
         let mut sampler = ComputeSampler::new(ComputeDist::Exponential { mean_ms: 2.0 });
-        let mut xs: Vec<Nanos> = (0..n).map(|_| sampler.sample(&mut rng)).collect();
+        let mut xs: Vec<Request> = (0..n)
+            .map(|_| Request {
+                block: BlockId(0),
+                compute: sampler.sample(&mut rng),
+            })
+            .collect();
         let target = Nanos::from_millis(target_ms);
         calibrate_total(&mut xs, target);
-        let total: Nanos = xs.iter().copied().sum();
+        let total: Nanos = xs.iter().map(|r| r.compute).sum();
         assert_eq!(total, target, "case {case}");
     }
 }
