@@ -6,7 +6,7 @@
 //! repetitions) so the workspace carries no external bench dependencies
 //! and builds offline. Run with `cargo bench --bench micro`.
 
-use parcache_core::cache::Cache;
+use parcache_core::cache::{Cache, Knowledge};
 use parcache_core::oracle::Oracle;
 use parcache_core::policy::PolicyKind;
 use parcache_core::{simulate, SimConfig};
@@ -74,21 +74,33 @@ fn bench_oracle() {
 fn bench_cache() {
     let t = synth_trace(10, 2000, 3);
     let oracle = Oracle::new(&t, Layout::striped(1));
-    let universe = oracle.num_blocks();
-    assert!(universe >= 1024, "need at least 1024 distinct blocks");
-    bench("cache_fetch_evict_cycle (512 evictions)", || {
-        let mut cache = Cache::new(512, universe);
-        for idx in 0..512u32 {
-            cache.start_fetch(idx, None);
-            cache.complete_fetch(idx, 0, &oracle);
-        }
-        for idx in 512..1024u32 {
-            let (victim, _) = cache.furthest_resident(0, &oracle).expect("resident");
-            cache.start_fetch(idx, Some(victim));
-            cache.complete_fetch(idx, 0, &oracle);
-        }
-        black_box(cache.resident_count());
-    });
+    assert!(
+        oracle.num_blocks() >= 1024,
+        "need at least 1024 distinct blocks"
+    );
+    // One case per Belady structure: the exact next-use index, and the
+    // lazy heap as it runs under incomplete hints.
+    for (name, knowledge) in [
+        ("cache_evict_cycle/exact (512 evictions)", Knowledge::Exact),
+        (
+            "cache_evict_cycle/lru-heap (512 evictions)",
+            Knowledge::LruEstimate,
+        ),
+    ] {
+        bench(name, || {
+            let mut cache = Cache::new(512, &oracle, knowledge);
+            for idx in 0..512u32 {
+                cache.start_fetch(idx, None);
+                cache.complete_fetch(idx, 0, &oracle);
+            }
+            for idx in 512..1024u32 {
+                let (victim, _) = cache.furthest_resident(0, &oracle).expect("resident");
+                cache.start_fetch(idx, Some(victim));
+                cache.complete_fetch(idx, 0, &oracle);
+            }
+            black_box(cache.resident_count());
+        });
+    }
 }
 
 fn bench_engine() {

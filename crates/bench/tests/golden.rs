@@ -21,8 +21,9 @@
 //! noting the model change in the commit message.
 
 use parcache_bench::sweep::{self, SweepEntry, SweepSpec};
-use parcache_bench::{trace, Algo};
-use parcache_core::HintMode;
+use parcache_bench::{best_reverse_search, trace, Algo};
+use parcache_core::hints::HintSpec;
+use parcache_core::{simulate, HintMode, PolicyKind, Report, SimConfig};
 use parcache_disk::FaultPlan;
 
 /// Committed digest of the appendix-A sweep CSV.
@@ -87,4 +88,50 @@ fn predicted_hint_sweep_csv_matches_committed_digest() {
     let rows = sweep::run_sweep(&spec, sweep::default_threads());
     let digest = parcache_bench::sha256_hex(sweep::sweep_csv(&rows).as_bytes());
     assert_eq!(digest, PREDICTED_GOLDEN);
+}
+
+/// Digest of the CSV rows of two small traces at 1 and 3 disks under
+/// three incomplete oracle-hint specs (per-reference, segment and prefix
+/// disclosure), for all five policies at their default parameters plus
+/// the tuned reverse-aggressive search. Under partial hints the forward
+/// engine's cache keeps the lazy heap with the LRU estimate while the
+/// reverse pass plans over the exact disclosed sequence, so this pins
+/// both Belady paths of one run.
+const PARTIAL_GOLDEN: &str = "3a4acaeb15a21740a935a023dbccc4f07a8b48c6fd26c5d7c6b0b656db79d617";
+
+#[test]
+fn partial_hint_runs_match_committed_digest() {
+    let mut csv = String::from(Report::csv_header());
+    csv.push('\n');
+    for name in ["dinero", "cscope1"] {
+        let t = trace(name);
+        let specs = [
+            HintSpec::Fraction {
+                fraction: 0.7,
+                seed: 11,
+            },
+            HintSpec::Segments {
+                fraction: 0.6,
+                mean_run: 200,
+                seed: 11,
+            },
+            HintSpec::Prefix {
+                disclosed: t.requests.len() / 2,
+            },
+        ];
+        for disks in [1, 3] {
+            for spec in &specs {
+                let cfg = SimConfig::for_trace(disks, &t).with_hints(spec.clone());
+                for kind in PolicyKind::ALL {
+                    csv.push_str(&simulate(&t, kind, &cfg).to_csv_row());
+                    csv.push('\n');
+                }
+                let (tuned, _) = best_reverse_search(&t, &cfg, sweep::default_threads());
+                csv.push_str(&tuned.to_csv_row());
+                csv.push('\n');
+            }
+        }
+    }
+    let digest = parcache_bench::sha256_hex(csv.as_bytes());
+    assert_eq!(digest, PARTIAL_GOLDEN);
 }

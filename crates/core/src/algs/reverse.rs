@@ -26,7 +26,7 @@
 //! (§2.7). Demand misses consume the block's scheduled pair early; stale
 //! evictions are repaired with the current furthest-future resident.
 
-use crate::cache::{Cache, MissingTracker};
+use crate::cache::{Cache, Knowledge, MissingTracker};
 use crate::config::SimConfig;
 use crate::engine::Ctx;
 use crate::hints::HintSpec;
@@ -106,6 +106,7 @@ impl ReverseAggressive {
                 config.cache_blocks,
                 config.reverse_fetch_estimate,
                 config.reverse_batch_size,
+                Knowledge::Exact,
             ),
             planned_blocks: (0..reversed.num_blocks() as u32)
                 .map(|i| reversed.block_of(i))
@@ -345,12 +346,14 @@ fn pack(pos: usize, idx: u32) -> u64 {
 }
 
 /// Runs the reverse pass over `reversed` and transforms it into the
-/// forward schedule.
+/// forward schedule. The pass knows exactly the disclosed sequence it
+/// plans over, so `knowledge` is [`Knowledge::Exact`] outside tests.
 fn build_schedule(
     reversed: &Oracle,
     cache_blocks: usize,
     fetch_estimate: u64,
     batch_size: usize,
+    knowledge: Knowledge,
 ) -> Vec<Pair> {
     let n = reversed.len();
     if n == 0 {
@@ -360,7 +363,13 @@ fn build_schedule(
         n < u32::MAX as usize,
         "trace too long for u32 schedule positions"
     );
-    let mut pass = ReversePass::new(reversed, cache_blocks, fetch_estimate, batch_size);
+    let mut pass = ReversePass::new(
+        reversed,
+        cache_blocks,
+        fetch_estimate,
+        batch_size,
+        knowledge,
+    );
     pass.run();
     let ReversePass {
         cache,
@@ -447,12 +456,18 @@ struct ReversePass<'o> {
 }
 
 impl<'o> ReversePass<'o> {
-    fn new(oracle: &'o Oracle, cache_blocks: usize, fetch_time: u64, batch_size: usize) -> Self {
+    fn new(
+        oracle: &'o Oracle,
+        cache_blocks: usize,
+        fetch_time: u64,
+        batch_size: usize,
+        knowledge: Knowledge,
+    ) -> Self {
         let disks = oracle.layout().disks();
         let blocks = oracle.num_blocks();
         ReversePass {
             oracle,
-            cache: Cache::new(cache_blocks, blocks),
+            cache: Cache::new(cache_blocks, oracle, knowledge),
             missing: MissingTracker::new(oracle),
             fetch_time,
             batch_size,
@@ -591,12 +606,12 @@ impl<'o> ReversePass<'o> {
     fn issue(&mut self, idx: u32, evict: Option<u32>, cursor: usize, target: usize) {
         let oracle = self.oracle;
         let block = oracle.block_of(idx);
-        self.cache.start_fetch(idx, evict);
+        let evict_next = self.cache.start_fetch(idx, evict);
         self.missing.on_fetch_issued_idx(idx, cursor, oracle);
         let n = oracle.len();
         self.evictions.push(pack(n - target, idx));
         if let Some(e) = evict {
-            self.missing.on_evicted_idx(e, cursor, oracle);
+            self.missing.on_evicted_idx(e, cursor, evict_next, oracle);
             let last = self.last_use[e as usize];
             debug_assert_eq!(
                 (last != NONE32).then_some(last as usize),
@@ -883,6 +898,53 @@ mod tests {
             consumed_in_window > 0,
             "no demand miss consumed a windowed pair"
         );
+    }
+
+    #[test]
+    fn reverse_pass_on_the_next_use_index_matches_the_lazy_heap() {
+        // The reverse pass knows exactly the disclosed sequence it plans
+        // over, under full and partial hints alike, so its cache takes
+        // the next-use index. Forced onto the lazy heap, its executable
+        // spec, every grid configuration must plan the same schedule.
+        let mut rng = parcache_types::rng::Rng::seed_from_u64(0x2e7e_25ed);
+        for case in 0..24u64 {
+            let disks = 1 + case as usize % 4;
+            let len = rng.gen_range(40usize..=240);
+            let universe = rng.gen_range(4u64..=40);
+            let blocks: Vec<u64> = (0..len).map(|_| rng.gen_range(0..universe)).collect();
+            let cache = rng.gen_range(2usize..=10);
+            let trace = trace_of(&blocks, cache);
+            let specs = [
+                HintSpec::Full,
+                HintSpec::Fraction {
+                    fraction: 0.6,
+                    seed: case,
+                },
+                HintSpec::Segments {
+                    fraction: 0.5,
+                    mean_run: 12,
+                    seed: case,
+                },
+                HintSpec::Prefix { disclosed: len / 2 },
+            ];
+            for hints in specs {
+                let reversed = reversed_oracle(&trace, Layout::striped(disks), &hints);
+                for f in [1u64, 4, 16, 64] {
+                    for batch in [4usize, 40] {
+                        let cfg = SimConfig::new(disks, cache)
+                            .with_hints(hints.clone())
+                            .with_reverse_params(f, batch);
+                        let index = ReverseAggressive::with_reversed(&reversed, &cfg);
+                        let heap = build_schedule(&reversed, cache, f, batch, Knowledge::ExactHeap);
+                        assert_eq!(
+                            index.schedule(),
+                            heap,
+                            "case {case}, {disks} disks, {hints:?}, F̂ {f}, batch {batch}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn trace_of(blocks: &[u64], cache: usize) -> Trace {

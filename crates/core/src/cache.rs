@@ -10,6 +10,10 @@
 //! (`u32`): residency and in-flight are bitsets, the LRU recency estimate
 //! is a slot array. Membership tests on the reference hot path are a load
 //! and a mask, with no hashing.
+//!
+//! How the Belady victim is found depends on what the policies know
+//! ([`Knowledge`]): an exact next-use index when keys are exact, a lazy
+//! max-heap otherwise.
 
 use crate::oracle::{Oracle, NEVER};
 use parcache_types::{BitSet, BlockId, PosSet};
@@ -18,10 +22,39 @@ use std::collections::BinaryHeap;
 /// Sentinel in the `last_use` slot array for "never used".
 const NO_USE: usize = usize::MAX;
 
-/// The Belady heap is rebuilt from the resident set once it holds more
-/// than this many entries per cache frame; below that, stale entries are
-/// cheaper to skip lazily than to sweep.
+/// The lazy Belady heap is rebuilt from the resident set once it holds
+/// more than this many entries per cache frame; below that, stale
+/// entries are cheaper to skip lazily than to sweep.
 const HEAP_SLACK: usize = 4;
+
+/// What the policies' oracle knows about the future. It is fixed when
+/// the cache is built and decides how the cache finds its Belady victim.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Knowledge {
+    /// The oracle holds exactly the references to come: oracle hints
+    /// that disclose every reference, or reverse aggressive's pass over
+    /// the disclosed sequence. A resident block's key is its next
+    /// reference, which changes only when the block is referenced or its
+    /// fetch completes, so the cache keeps an exact next-use index.
+    Exact,
+    /// Oracle hints that disclose only some references. Blocks with no
+    /// disclosed future are valued by LRU recency (`last use +
+    /// capacity`), the way TIP2 values unhinted pages; those keys go
+    /// stale as the cursor moves, so the cache keeps a lazy heap and
+    /// rebuilds it once stale entries pile up.
+    LruEstimate,
+    /// Hints from an online predictor: the LRU estimate as above, and in
+    /// addition the cursor passing a wrong guess moves the guessed
+    /// block's next occurrence with no reference to push it. A block may
+    /// then hold only stale entries below its current key, and which
+    /// block [`Cache::furthest_resident`] returns depends on the entries
+    /// the heap holds, so the heap is never rebuilt.
+    Predicted,
+    /// Exact knowledge answered by the lazy heap: the next-use index's
+    /// executable spec.
+    #[cfg(test)]
+    ExactHeap,
+}
 
 /// The cache state.
 #[derive(Debug, Clone)]
@@ -29,14 +62,8 @@ pub struct Cache {
     capacity: usize,
     resident: BitSet,
     inflight: BitSet,
-    /// Lazy max-heap over resident blocks keyed by next-reference
-    /// position. Entries go stale as the cursor advances or blocks are
-    /// evicted; they are validated against the oracle when they reach the
-    /// top. The `BlockId` stays in the entry so tie-breaking on equal keys
-    /// is identical to the pre-index implementation; the trailing compact
-    /// index never influences the order because equal `(key, block)`
-    /// implies an equal index.
-    belady: BinaryHeap<(usize, BlockId, u32)>,
+    /// How the furthest-future resident block is found.
+    belady: Belady,
     /// The block the application is about to reference, exempt from
     /// eviction. Without this, a block demand-fetched for an
     /// *undisclosed* reference (whose policy-visible next use is NEVER)
@@ -44,69 +71,178 @@ pub struct Cache {
     /// simulation would livelock — a real OS never evicts a page with an
     /// outstanding demand on it.
     pinned: Option<u32>,
-    /// Under incomplete hints, value blocks with no *disclosed* future by
-    /// LRU recency (`last use + capacity`) instead of "never used again",
-    /// the way TIP2 values unhinted pages. Off in the fully-hinted
-    /// setting, where absence of a future reference is exact knowledge.
+}
+
+/// The Belady structure of one [`Knowledge`] regime.
+#[derive(Debug, Clone)]
+enum Belady {
+    Index(NextUseIndex),
+    Heap(LazyHeap),
+}
+
+/// The exact next-use index: one member per resident block, in a
+/// [`PosSet`] over `[0, n + U)` for a sequence of `n` references over
+/// `U` indexed blocks. A block next used at position `p` holds member
+/// `p`; a block never used again holds `n + rank`, its rank in `BlockId`
+/// order, so the largest member is Belady's victim with ties among
+/// never-again blocks going to the larger `BlockId`, as on the heap.
+/// Members are unique: one block per position, one rank per block.
+#[derive(Debug, Clone)]
+struct NextUseIndex {
+    members: PosSet,
+    /// Each resident block's member, by compact index (meaningless for
+    /// blocks that are not resident).
+    member: Vec<u32>,
+    /// The sequence length `n`.
+    len: usize,
+}
+
+impl NextUseIndex {
+    fn new(oracle: &Oracle) -> NextUseIndex {
+        let (len, blocks) = (oracle.len(), oracle.num_blocks());
+        assert!(
+            len + blocks < u32::MAX as usize,
+            "sequence and universe must fit u32 members"
+        );
+        NextUseIndex {
+            members: PosSet::new(len + blocks),
+            member: vec![0; blocks],
+            len,
+        }
+    }
+
+    /// Makes `next` (a position or [`NEVER`]) block `idx`'s member.
+    fn insert(&mut self, idx: u32, next: usize, oracle: &Oracle) {
+        let m = match next {
+            NEVER => self.len + oracle.ranks().rank[idx as usize] as usize,
+            p => p,
+        };
+        let newly = self.members.insert(m);
+        debug_assert!(newly, "member {m} held twice");
+        self.member[idx as usize] = m as u32;
+    }
+
+    /// Removes block `idx`'s member and returns its key.
+    fn remove(&mut self, idx: u32) -> usize {
+        let m = self.member[idx as usize] as usize;
+        let present = self.members.remove(m);
+        debug_assert!(present, "block index {idx} holds no member");
+        self.key_of(m)
+    }
+
+    /// The key a member stands for.
+    fn key_of(&self, m: usize) -> usize {
+        if m < self.len {
+            m
+        } else {
+            NEVER
+        }
+    }
+
+    /// The block holding member `m`.
+    fn block_at(&self, m: usize, oracle: &Oracle) -> u32 {
+        if m < self.len {
+            oracle
+                .index_at(m)
+                .expect("members sit at disclosed positions")
+        } else {
+            oracle.ranks().by_rank[m - self.len]
+        }
+    }
+
+    /// The block with the largest member other than `pinned`, with its
+    /// key: a predecessor query from the top, repeated once to step
+    /// past the pinned block.
+    fn furthest(&self, pinned: Option<u32>, oracle: &Oracle) -> Option<(u32, usize)> {
+        let mut m = self.members.prev_at_or_before(usize::MAX)?;
+        let mut idx = self.block_at(m, oracle);
+        if Some(idx) == pinned {
+            m = self.members.prev_at_or_before(m.checked_sub(1)?)?;
+            idx = self.block_at(m, oracle);
+        }
+        Some((idx, self.key_of(m)))
+    }
+}
+
+/// Lazy max-heap over resident blocks keyed by next-reference position,
+/// for keys that are not exact. Entries go stale as the cursor advances
+/// or blocks are evicted; they are validated against the oracle when
+/// they reach the top.
+#[derive(Debug, Clone)]
+struct LazyHeap {
+    /// `(key, block, index)` entries. The `BlockId` breaks ties on equal
+    /// keys; the trailing compact index never influences the order
+    /// because equal `(key, block)` implies an equal index.
+    heap: BinaryHeap<(usize, BlockId, u32)>,
+    /// Whether blocks with no disclosed future are valued by LRU recency
+    /// (see [`Knowledge::LruEstimate`]).
     lru_estimate: bool,
     /// Most recent reference (or fetch) position per compact index, for
     /// the LRU estimate. Only maintained when `lru_estimate` is on.
     last_use: Vec<usize>,
-    /// Whether [`Cache::furthest_resident`] may rebuild the heap from the
-    /// resident set. See [`Cache::disable_compaction`].
+    /// Whether the heap may be rebuilt from the resident set (off under
+    /// [`Knowledge::Predicted`]).
     compact: bool,
 }
 
-impl Cache {
-    /// Creates an empty cache of `capacity` frames whose block universe
-    /// holds `universe` compact indices (see [`Oracle::num_blocks`]).
-    pub fn new(capacity: usize, universe: usize) -> Cache {
-        assert!(capacity > 0, "cache must hold at least one block");
-        Cache {
-            capacity,
-            resident: BitSet::with_capacity(universe),
-            inflight: BitSet::with_capacity(universe),
-            belady: BinaryHeap::new(),
-            pinned: None,
-            lru_estimate: false,
-            last_use: vec![NO_USE; universe],
-            compact: true,
+impl LazyHeap {
+    fn new(universe: usize, lru_estimate: bool, compact: bool) -> LazyHeap {
+        LazyHeap {
+            heap: BinaryHeap::new(),
+            lru_estimate,
+            last_use: if lru_estimate {
+                vec![NO_USE; universe]
+            } else {
+                Vec::new()
+            },
+            compact,
         }
     }
 
-    /// Enables LRU valuation of blocks with no disclosed future (used by
-    /// the engine for incomplete-hint runs).
-    pub fn enable_lru_estimate(&mut self) {
-        self.lru_estimate = true;
-    }
-
-    /// Keeps every Belady heap entry until it reaches the top. Needed when
-    /// a block's key can change without a reference to it: under a
-    /// predicted oracle, the cursor passing a wrong guess moves the
-    /// guessed block's next occurrence. A block may then hold only stale
-    /// entries below its current key, and which block
-    /// [`Cache::furthest_resident`] returns depends on the entries the
-    /// heap holds, so rebuilding it would change answers.
-    pub fn disable_compaction(&mut self) {
-        self.compact = false;
-    }
-
-    /// The Belady key of block `idx` given its next occurrence `next`:
-    /// that occurrence, or — under the LRU estimate — its last use plus
-    /// the cache capacity.
-    fn key_from_next(&self, idx: u32, next: usize) -> usize {
+    /// The key of block `idx` given its next occurrence `next`: that
+    /// occurrence, or — under the LRU estimate — its last use plus the
+    /// cache capacity.
+    fn key_from_next(&self, idx: u32, next: usize, capacity: usize) -> usize {
         if next != NEVER || !self.lru_estimate {
             return next;
         }
         match self.last_use[idx as usize] {
             NO_USE => NEVER,
-            lu => lu.saturating_add(self.capacity),
+            lu => lu.saturating_add(capacity),
+        }
+    }
+}
+
+impl Cache {
+    /// Creates an empty cache of `capacity` frames over `oracle`'s block
+    /// universe, finding Belady victims the way `knowledge` allows.
+    pub fn new(capacity: usize, oracle: &Oracle, knowledge: Knowledge) -> Cache {
+        assert!(capacity > 0, "cache must hold at least one block");
+        let universe = oracle.num_blocks();
+        let belady = match knowledge {
+            Knowledge::Exact => Belady::Index(NextUseIndex::new(oracle)),
+            Knowledge::LruEstimate => Belady::Heap(LazyHeap::new(universe, true, true)),
+            Knowledge::Predicted => Belady::Heap(LazyHeap::new(universe, true, false)),
+            #[cfg(test)]
+            Knowledge::ExactHeap => Belady::Heap(LazyHeap::new(universe, false, true)),
+        };
+        Cache {
+            capacity,
+            resident: BitSet::with_capacity(universe),
+            inflight: BitSet::with_capacity(universe),
+            belady,
+            pinned: None,
         }
     }
 
     /// The Belady key of block `idx` for an event at position `pos`.
+    #[cfg(test)]
     fn key_for(&self, idx: u32, pos: usize, oracle: &Oracle) -> usize {
-        self.key_from_next(idx, oracle.next_occurrence_idx(idx, pos))
+        let next = oracle.next_occurrence_idx(idx, pos);
+        match &self.belady {
+            Belady::Index(_) => next,
+            Belady::Heap(h) => h.key_from_next(idx, next, self.capacity),
+        }
     }
 
     /// Pins block `idx` against eviction (the engine pins the current
@@ -152,22 +288,30 @@ impl Cache {
         self.resident.len() + self.inflight.len() < self.capacity
     }
 
-    /// Begins a fetch of block `idx`, evicting `evict` if given.
+    /// Begins a fetch of block `idx`, evicting `evict` if given. Under
+    /// [`Knowledge::Exact`] an eviction returns the victim's next
+    /// occurrence at or after the cursor ([`NEVER`] if none), which the
+    /// caller can hand to [`MissingTracker::on_evicted_idx`] instead of
+    /// searching for it; otherwise it returns `None`.
     ///
     /// # Panics
     ///
     /// Panics on violated invariants: fetching a resident or in-flight
     /// block, evicting a non-resident block, or fetching without a frame.
-    pub fn start_fetch(&mut self, idx: u32, evict: Option<u32>) {
+    pub fn start_fetch(&mut self, idx: u32, evict: Option<u32>) -> Option<usize> {
         assert!(!self.resident(idx), "fetching resident block index {idx}");
         assert!(!self.inflight(idx), "duplicate fetch of block index {idx}");
+        let mut next = None;
         if let Some(e) = evict {
             assert!(Some(e) != self.pinned, "evicting pinned block index {e}");
             assert!(
                 self.resident.remove(e),
                 "evicting non-resident block index {e}"
             );
-            // The heap entry for `e` goes stale and is skipped on pop.
+            // A heap entry for `e` goes stale and is skipped on pop.
+            if let Belady::Index(ix) = &mut self.belady {
+                next = Some(ix.remove(e));
+            }
         } else {
             assert!(
                 self.resident.len() + self.inflight.len() < self.capacity,
@@ -175,10 +319,11 @@ impl Cache {
             );
         }
         self.inflight.insert(idx);
+        next
     }
 
     /// Completes the fetch of block `idx` at cursor position `cursor`:
-    /// the block becomes resident and enters the Belady heap.
+    /// the block becomes resident, keyed by its next occurrence.
     ///
     /// # Panics
     ///
@@ -189,11 +334,18 @@ impl Cache {
             "completing unfetched block index {idx}"
         );
         self.resident.insert(idx);
-        if self.lru_estimate && self.last_use[idx as usize] == NO_USE {
-            self.last_use[idx as usize] = cursor;
+        let next = oracle.next_occurrence_idx(idx, cursor);
+        let capacity = self.capacity;
+        match &mut self.belady {
+            Belady::Index(ix) => ix.insert(idx, next, oracle),
+            Belady::Heap(h) => {
+                if h.lru_estimate && h.last_use[idx as usize] == NO_USE {
+                    h.last_use[idx as usize] = cursor;
+                }
+                let key = h.key_from_next(idx, next, capacity);
+                h.heap.push((key, oracle.block_of(idx), idx));
+            }
         }
-        self.belady
-            .push((self.key_for(idx, cursor, oracle), oracle.block_of(idx), idx));
     }
 
     /// Abandons the in-flight fetch of block `idx`: the reserved frame is
@@ -219,71 +371,97 @@ impl Cache {
             self.resident(idx),
             "consumed non-resident block index {idx}"
         );
-        if self.lru_estimate {
-            self.last_use[idx as usize] = pos + 1;
+        let next = oracle.next_after_idx(idx, pos);
+        let capacity = self.capacity;
+        match &mut self.belady {
+            Belady::Index(ix) => {
+                debug_assert_eq!(
+                    ix.member[idx as usize] as usize, pos,
+                    "referenced block index {idx} is keyed elsewhere"
+                );
+                ix.remove(idx);
+                ix.insert(idx, next, oracle);
+            }
+            Belady::Heap(h) => {
+                if h.lru_estimate {
+                    h.last_use[idx as usize] = pos + 1;
+                }
+                let key = h.key_from_next(idx, next, capacity);
+                h.heap.push((key, oracle.block_of(idx), idx));
+            }
         }
-        let key = self.key_from_next(idx, oracle.next_after_idx(idx, pos));
-        self.belady.push((key, oracle.block_of(idx), idx));
     }
 
     /// The evictable resident block whose next reference (at or after
     /// `cursor`) is furthest in the future, with that position ([`NEVER`]
     /// if it is never referenced again). `None` when nothing evictable is
-    /// resident. The pinned block is never returned.
+    /// resident. The pinned block is never returned. Ties on the key go
+    /// to the larger `BlockId`.
     ///
-    /// Lazily repairs stale heap entries; amortized cost is logarithmic.
-    /// A valid, unpinned top entry is answered from `peek` with no heap
-    /// traffic, and a stale top is re-keyed in place; both leave the heap
-    /// holding the same entries as popping and re-pushing would.
-    ///
-    /// Ties on the key go to the larger `(BlockId, index)`. When a block's
+    /// Under [`Knowledge::Exact`] this is a predecessor query on the
+    /// next-use index. Otherwise the lazy heap repairs stale entries as
+    /// they reach the top; amortized cost is logarithmic. A valid,
+    /// unpinned top entry is answered from `peek` with no heap traffic,
+    /// and a stale top is re-keyed in place; both leave the heap holding
+    /// the same entries as popping and re-pushing would. When a block's
     /// key changes only through a push (a reference to it, or its fetch
     /// completing) every resident block has an entry holding its current
     /// key, so the answer is the maximum over the resident set: callers
     /// may then ask early or often without changing any later answer,
     /// and once stale entries push the heap past `HEAP_SLACK` × capacity
-    /// it is rebuilt from the resident set (unless
-    /// [`Cache::disable_compaction`] was called).
+    /// it is rebuilt from the resident set (except under
+    /// [`Knowledge::Predicted`]).
     pub fn furthest_resident(&mut self, cursor: usize, oracle: &Oracle) -> Option<(u32, usize)> {
-        if self.compact && self.belady.len() > HEAP_SLACK * self.capacity {
-            self.compact_belady(cursor, oracle);
+        let h = match &mut self.belady {
+            Belady::Index(ix) => {
+                let found = ix.furthest(self.pinned, oracle);
+                debug_assert!(
+                    found.is_none_or(|(_, key)| key >= cursor),
+                    "next-use index answered behind the cursor {cursor}"
+                );
+                return found;
+            }
+            Belady::Heap(h) => h,
+        };
+        if h.compact && h.heap.len() > HEAP_SLACK * self.capacity {
+            // Replace the heap with one current entry per resident
+            // block, dropping the stale entries that accumulate as keys
+            // refresh.
+            let mut entries = std::mem::take(&mut h.heap).into_vec();
+            entries.clear();
+            for idx in self.resident.ones() {
+                let key =
+                    h.key_from_next(idx, oracle.next_occurrence_idx(idx, cursor), self.capacity);
+                entries.push((key, oracle.block_of(idx), idx));
+            }
+            h.heap = BinaryHeap::from(entries);
         }
         let mut stash: Option<(usize, BlockId, u32)> = None;
         let mut found = None;
-        while let Some(&(key, block, idx)) = self.belady.peek() {
-            if !self.resident(idx) {
-                self.belady.pop(); // evicted since this entry was pushed
+        while let Some(&(key, block, idx)) = h.heap.peek() {
+            if !self.resident.contains(idx) {
+                h.heap.pop(); // evicted since this entry was pushed
                 continue;
             }
-            let actual = self.key_for(idx, cursor, oracle);
+            let actual =
+                h.key_from_next(idx, oracle.next_occurrence_idx(idx, cursor), self.capacity);
             if actual != key {
                 // Re-key in place; the sift restores the heap order.
-                *self.belady.peek_mut().expect("peeked entry") = (actual, block, idx);
+                *h.heap.peek_mut().expect("peeked entry") = (actual, block, idx);
                 continue;
             }
             if Some(idx) == self.pinned {
                 // Valid entry, but exempt: set it aside and keep looking.
-                stash = self.belady.pop();
+                stash = h.heap.pop();
                 continue;
             }
             found = Some((idx, key));
             break;
         }
         if let Some(entry) = stash {
-            self.belady.push(entry);
+            h.heap.push(entry);
         }
         found
-    }
-
-    /// Replaces the Belady heap with one current entry per resident
-    /// block, dropping the stale entries that accumulate as keys refresh.
-    fn compact_belady(&mut self, cursor: usize, oracle: &Oracle) {
-        let mut entries = std::mem::take(&mut self.belady).into_vec();
-        entries.clear();
-        for idx in self.resident.ones() {
-            entries.push((self.key_for(idx, cursor, oracle), oracle.block_of(idx), idx));
-        }
-        self.belady = BinaryHeap::from(entries);
     }
 
     /// Iterates over resident block indices, ascending.
@@ -445,8 +623,23 @@ impl MissingTracker {
     }
 
     /// [`MissingTracker::on_evicted`] by compact index (no hashing).
-    pub fn on_evicted_idx(&mut self, idx: u32, cursor: usize, oracle: &Oracle) {
-        let pos = oracle.next_occurrence_idx(idx, cursor);
+    /// `next` is the block's next occurrence at or after `cursor` when
+    /// the caller already knows it (the exact-knowledge cache returns it
+    /// from [`Cache::start_fetch`]); `None` searches for it.
+    pub fn on_evicted_idx(
+        &mut self,
+        idx: u32,
+        cursor: usize,
+        next: Option<usize>,
+        oracle: &Oracle,
+    ) {
+        let pos = match next {
+            Some(pos) => {
+                debug_assert_eq!(pos, oracle.next_occurrence_idx(idx, cursor));
+                pos
+            }
+            None => oracle.next_occurrence_idx(idx, cursor),
+        };
         self.insert_idx(idx, pos, oracle);
     }
 
@@ -553,7 +746,7 @@ mod tests {
     #[test]
     fn fetch_lifecycle() {
         let o = oracle_of(&[1, 2, 1], 1);
-        let mut c = Cache::new(2, o.num_blocks());
+        let mut c = Cache::new(2, &o, Knowledge::Exact);
         let b1 = idx(&o, 1);
         assert!(c.has_free_frame());
         c.start_fetch(b1, None);
@@ -568,31 +761,58 @@ mod tests {
     #[test]
     fn frames_are_reserved_at_issue() {
         let o = oracle_of(&[1, 2, 3], 1);
-        let mut c = Cache::new(2, o.num_blocks());
+        let mut c = Cache::new(2, &o, Knowledge::Exact);
         let (b1, b2, b3) = (idx(&o, 1), idx(&o, 2), idx(&o, 3));
         c.start_fetch(b1, None);
         c.start_fetch(b2, None);
         assert!(!c.has_free_frame());
         c.complete_fetch(b1, 0, &o);
         c.complete_fetch(b2, 0, &o);
-        // Full cache: must evict to fetch.
-        c.start_fetch(b3, Some(b1));
+        // Full cache: must evict to fetch. The exact regime hands back
+        // the victim's next use.
+        assert_eq!(c.start_fetch(b3, Some(b1)), Some(0));
         assert!(!c.resident(b1));
         assert_eq!(c.resident_count() + c.inflight_count(), 2);
     }
 
     #[test]
+    fn only_the_exact_regime_reports_the_victims_next_use() {
+        let o = oracle_of(&[1, 2, 3, 1], 1);
+        let (b1, b2, b3) = (idx(&o, 1), idx(&o, 2), idx(&o, 3));
+        for knowledge in [
+            Knowledge::Exact,
+            Knowledge::LruEstimate,
+            Knowledge::Predicted,
+        ] {
+            let mut c = Cache::new(2, &o, knowledge);
+            for b in [b1, b2] {
+                c.start_fetch(b, None);
+                c.complete_fetch(b, 0, &o);
+            }
+            c.on_reference(b1, 0, &o);
+            let want = (knowledge == Knowledge::Exact).then_some(3);
+            assert_eq!(c.start_fetch(b3, Some(b1)), want, "{knowledge:?}");
+            // A block never used again reports NEVER.
+            c.complete_fetch(b3, 1, &o);
+            c.on_reference(b2, 1, &o);
+            let want = (knowledge == Knowledge::Exact).then_some(NEVER);
+            assert_eq!(c.start_fetch(b1, Some(b2)), want, "{knowledge:?}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "no free frame")]
     fn overcommit_panics() {
-        let mut c = Cache::new(1, 4);
-        c.start_fetch(0, None);
-        c.start_fetch(1, None);
+        let o = oracle_of(&[0, 1], 1);
+        let mut c = Cache::new(1, &o, Knowledge::Exact);
+        c.start_fetch(idx(&o, 0), None);
+        c.start_fetch(idx(&o, 1), None);
     }
 
     #[test]
     fn cancel_fetch_releases_the_frame() {
         let o = oracle_of(&[1, 2], 1);
-        let mut c = Cache::new(1, o.num_blocks());
+        let mut c = Cache::new(1, &o, Knowledge::Exact);
         let b1 = idx(&o, 1);
         c.start_fetch(b1, None);
         assert!(!c.has_free_frame());
@@ -608,16 +828,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "cancelling unfetched")]
     fn cancel_of_unfetched_block_panics() {
-        let mut c = Cache::new(2, 4);
-        c.cancel_fetch(1);
+        let o = oracle_of(&[0, 1], 1);
+        let mut c = Cache::new(2, &o, Knowledge::Exact);
+        c.cancel_fetch(idx(&o, 1));
     }
 
     #[test]
     #[should_panic(expected = "duplicate fetch")]
     fn duplicate_fetch_panics() {
-        let mut c = Cache::new(2, 4);
-        c.start_fetch(1, None);
-        c.start_fetch(1, None);
+        let o = oracle_of(&[0, 1], 1);
+        let mut c = Cache::new(2, &o, Knowledge::Exact);
+        c.start_fetch(idx(&o, 1), None);
+        c.start_fetch(idx(&o, 1), None);
     }
 
     #[test]
@@ -625,7 +847,7 @@ mod tests {
         // Sequence: 1 2 3 1 2 3 ... blocks 9 and 42 never referenced but
         // part of the indexed universe.
         let o = oracle_with_extras(&[1, 2, 3, 1, 2, 3], 1, &[9, 42]);
-        let mut c = Cache::new(4, o.num_blocks());
+        let mut c = Cache::new(4, &o, Knowledge::Exact);
         for b in [1u64, 2, 3, 9] {
             c.start_fetch(idx(&o, b), None);
             c.complete_fetch(idx(&o, b), 0, &o);
@@ -638,12 +860,18 @@ mod tests {
         // Now block 3 (next ref at 2) is furthest among 1(0), 2(1), 3(2).
         let (b, key) = c.furthest_resident(0, &o).unwrap();
         assert_eq!((b, key), (idx(&o, 3), 2));
+        // Block 42 lands never to be used again, like block 9 before it;
+        // pinning it steps the index past it.
+        c.complete_fetch(idx(&o, 42), 0, &o);
+        assert_eq!(c.furthest_resident(0, &o).unwrap(), (idx(&o, 42), NEVER));
+        c.pin(Some(idx(&o, 42)));
+        assert_eq!(c.furthest_resident(0, &o).unwrap(), (idx(&o, 3), 2));
     }
 
     #[test]
     fn belady_keys_refresh_as_cursor_advances() {
         let o = oracle_of(&[1, 2, 1, 2], 1);
-        let mut c = Cache::new(2, o.num_blocks());
+        let mut c = Cache::new(2, &o, Knowledge::Exact);
         let (b1, b2) = (idx(&o, 1), idx(&o, 2));
         for b in [b1, b2] {
             c.start_fetch(b, None);
@@ -655,8 +883,10 @@ mod tests {
         c.on_reference(b1, 0, &o);
         c.on_reference(b2, 1, &o);
         assert_eq!(c.furthest_resident(2, &o).unwrap(), (b2, 3));
-        // At cursor 4 both are NEVER; either may win but the key is NEVER.
-        assert_eq!(c.furthest_resident(4, &o).unwrap().1, NEVER);
+        // At cursor 4 both are NEVER; the tie goes to the larger block.
+        c.on_reference(b1, 2, &o);
+        c.on_reference(b2, 3, &o);
+        assert_eq!(c.furthest_resident(4, &o).unwrap(), (b2, NEVER));
     }
 
     /// The naive spec of [`Cache::furthest_resident`] when every key
@@ -670,61 +900,77 @@ mod tests {
             .map(|(key, _, i)| (i, key))
     }
 
+    /// The lazy heap of a heap-regime cache.
+    fn heap_mut(c: &mut Cache) -> &mut BinaryHeap<(usize, BlockId, u32)> {
+        match &mut c.belady {
+            Belady::Heap(h) => &mut h.heap,
+            Belady::Index(_) => panic!("cache is on the next-use index"),
+        }
+    }
+
     /// The reference lazy heap, for keys that can change unpushed: pop
     /// the top, drop it if evicted, re-push it re-keyed if stale, set it
     /// aside if pinned, else push it back and answer.
     fn furthest_by_pop_push(c: &mut Cache, cursor: usize, o: &Oracle) -> Option<(u32, usize)> {
+        let mut heap = std::mem::take(heap_mut(c));
         let mut stash = None;
         let mut found = None;
-        while let Some((key, block, idx)) = c.belady.pop() {
+        while let Some((key, block, idx)) = heap.pop() {
             if !c.resident(idx) {
                 continue;
             }
             let actual = c.key_for(idx, cursor, o);
             if actual != key {
-                c.belady.push((actual, block, idx));
+                heap.push((actual, block, idx));
             } else if Some(idx) == c.pinned {
                 stash = Some((key, block, idx));
             } else {
-                c.belady.push((key, block, idx));
+                heap.push((key, block, idx));
                 found = Some((idx, key));
                 break;
             }
         }
         if let Some(entry) = stash {
-            c.belady.push(entry);
+            heap.push(entry);
         }
+        *heap_mut(c) = heap;
         found
     }
 
     /// The heap's entries, sorted: equal for two heaps holding the same
     /// entries in any layout.
-    fn heap_entries(c: &Cache) -> Vec<(usize, BlockId, u32)> {
-        let mut v = c.belady.clone().into_vec();
+    fn heap_entries(c: &mut Cache) -> Vec<(usize, BlockId, u32)> {
+        let mut v = heap_mut(c).clone().into_vec();
         v.sort_unstable();
         v
     }
 
     /// Drives caches the way the engine does (pin the reference, random
-    /// prefetches with random or Belady victims, completions at random
-    /// later points, pins moved off a block without a reference to it,
-    /// then consume) and checks every [`Cache::furthest_resident`]
-    /// answer. Partial disclosure puts undisclosed blocks in the
-    /// universe; half the cases run with the LRU estimate.
+    /// prefetches with random or Belady victims, completions and cancels
+    /// at random later points, pins moved off a block without a
+    /// reference to it, then consume) and checks every
+    /// [`Cache::furthest_resident`] answer.
     ///
-    /// With `predicted`, a third of the disclosed positions guess a wrong
-    /// block, compaction is off as the engine sets it, and each answer
-    /// and the heap's entries afterwards must equal the reference lazy
-    /// heap's. Otherwise each answer must equal the linear scan.
-    fn drive_cache(seed: u64, predicted: bool) {
+    /// - [`Knowledge::Exact`]: every position is disclosed and the
+    ///   universe holds never-referenced blocks, so never-again ties
+    ///   arise among many blocks. Half the cases run the next-use index,
+    ///   half the heap; each answer must equal the linear scan.
+    /// - [`Knowledge::LruEstimate`]: partial disclosure puts undisclosed
+    ///   blocks in the universe; each answer must equal the linear scan.
+    /// - [`Knowledge::Predicted`]: a third of the disclosed positions
+    ///   also guess a wrong block; each answer and the heap's entries
+    ///   afterwards must equal the reference lazy heap's.
+    fn drive_cache(seed: u64, knowledge: Knowledge) {
         let mut rng = parcache_types::rng::Rng::seed_from_u64(seed);
+        let exact = knowledge == Knowledge::Exact;
+        let predicted = knowledge == Knowledge::Predicted;
         for case in 0..400 {
             let len = rng.gen_range(1usize..=200);
             let universe = rng.gen_range(1u64..=24);
             let blocks: Vec<u64> = (0..len).map(|_| rng.gen_range(0u64..universe)).collect();
             let mut entries: Vec<(usize, BlockId)> = Vec::new();
             for (i, &b) in blocks.iter().enumerate() {
-                if rng.gen_bool(0.8) {
+                if exact || rng.gen_bool(0.8) {
                     let guess = match predicted && rng.gen_bool(0.3) {
                         true => rng.gen_range(0u64..universe),
                         false => b,
@@ -732,15 +978,16 @@ mod tests {
                     entries.push((i, BlockId(guess)));
                 }
             }
-            let all: Vec<BlockId> = blocks.iter().map(|&b| BlockId(b)).collect();
+            // Exact runs index a few blocks the trace never references.
+            let all: Vec<BlockId> = (0..universe + if exact { 4 } else { 0 })
+                .map(BlockId)
+                .collect();
             let o = Oracle::from_positions_with_universe(len, entries, &all, Layout::striped(1));
-            let mut c = Cache::new(rng.gen_range(1usize..=6), o.num_blocks());
-            if case % 2 == 1 {
-                c.enable_lru_estimate();
-            }
-            if predicted {
-                c.disable_compaction();
-            }
+            let regime = match knowledge {
+                Knowledge::Exact if case % 2 == 1 => Knowledge::ExactHeap,
+                k => k,
+            };
+            let mut c = Cache::new(rng.gen_range(1usize..=6), &o, regime);
             let mut inflight: Vec<u32> = Vec::new();
             let check = |c: &mut Cache, cursor: usize| {
                 if predicted {
@@ -751,7 +998,7 @@ mod tests {
                         want,
                         "case {case} at {cursor}"
                     );
-                    assert_eq!(heap_entries(c), heap_entries(&twin), "case {case}");
+                    assert_eq!(heap_entries(c), heap_entries(&mut twin), "case {case}");
                 } else {
                     let want = furthest_by_scan(c, cursor, &o);
                     assert_eq!(
@@ -774,7 +1021,11 @@ mod tests {
                     }
                     if !inflight.is_empty() && rng.gen_bool(0.5) {
                         let i = inflight.swap_remove(rng.gen_range(0..inflight.len()));
-                        c.complete_fetch(i, pos, &o);
+                        if rng.gen_bool(0.2) {
+                            c.cancel_fetch(i);
+                        } else {
+                            c.complete_fetch(i, pos, &o);
+                        }
                         continue;
                     }
                     let f = rng.gen_range(0..o.num_blocks()) as u32;
@@ -795,7 +1046,11 @@ mod tests {
                     if victim.is_none() && !c.has_free_frame() {
                         continue;
                     }
-                    c.start_fetch(f, victim);
+                    let want = victim.map(|v| o.next_occurrence_idx(v, pos));
+                    let got = c.start_fetch(f, victim);
+                    if regime == Knowledge::Exact {
+                        assert_eq!(got, want, "case {case}: victim's next use");
+                    }
                     inflight.push(f);
                 }
                 if c.inflight(r) {
@@ -824,26 +1079,33 @@ mod tests {
     }
 
     #[test]
+    fn next_use_index_matches_linear_scan() {
+        drive_cache(0x1dec_5e75, Knowledge::Exact);
+    }
+
+    #[test]
     fn furthest_resident_matches_linear_scan() {
-        drive_cache(0xbe1a_d711, false);
+        drive_cache(0xbe1a_d711, Knowledge::LruEstimate);
     }
 
     #[test]
     fn furthest_resident_matches_the_lazy_heap_under_predicted_keys() {
-        drive_cache(0x9e55_0d17, true);
+        drive_cache(0x9e55_0d17, Knowledge::Predicted);
     }
 
     #[test]
     fn empty_cache_has_no_furthest() {
         let o = oracle_of(&[1], 1);
-        let mut c = Cache::new(2, o.num_blocks());
-        assert_eq!(c.furthest_resident(0, &o), None);
+        for knowledge in [Knowledge::Exact, Knowledge::LruEstimate] {
+            let mut c = Cache::new(2, &o, knowledge);
+            assert_eq!(c.furthest_resident(0, &o), None);
+        }
     }
 
     #[test]
     fn resident_indices_are_ascending() {
         let o = oracle_of(&[1, 2, 3], 1);
-        let mut c = Cache::new(3, o.num_blocks());
+        let mut c = Cache::new(3, &o, Knowledge::Exact);
         for b in [3u64, 1, 2] {
             c.start_fetch(idx(&o, b), None);
             c.complete_fetch(idx(&o, b), 0, &o);
@@ -884,7 +1146,7 @@ mod tests {
         a.on_fetch_issued(BlockId(5), 0, &o);
         b.on_fetch_issued_idx(idx(&o, 5), 0, &o);
         a.on_evicted(BlockId(5), 1, &o);
-        b.on_evicted_idx(idx(&o, 5), 1, &o);
+        b.on_evicted_idx(idx(&o, 5), 1, None, &o);
         for from in 0..4 {
             assert_eq!(a.first_missing(from), b.first_missing(from));
             for d in 0..2 {

@@ -20,7 +20,7 @@
 //! Policies run at every decision point: simulation start, each
 //! consumption, each fetch completion, and demand misses.
 
-use crate::cache::{Cache, MissingTracker};
+use crate::cache::{Cache, Knowledge, MissingTracker};
 use crate::config::{DiskModelKind, SimConfig};
 use crate::metrics::json_escape;
 use crate::oracle::Oracle;
@@ -198,11 +198,12 @@ impl Ctx<'_> {
     pub fn issue_fetch_idx(&mut self, idx: u32, evict_idx: Option<u32>) {
         let block = self.oracle.block_of(idx);
         let evict = evict_idx.map(|e| self.oracle.block_of(e));
-        self.cache.start_fetch(idx, evict_idx);
+        let evict_next = self.cache.start_fetch(idx, evict_idx);
         self.missing
             .on_fetch_issued_idx(idx, self.cursor, self.oracle);
         if let Some(e) = evict_idx {
-            self.missing.on_evicted_idx(e, self.cursor, self.oracle);
+            self.missing
+                .on_evicted_idx(e, self.cursor, evict_next, self.oracle);
             // Every eviction of a resident block flows through here
             // (abandoning an in-flight fetch is not an eviction: the
             // block was never resident).
@@ -721,7 +722,41 @@ impl<'t> Prepared<'t> {
                 && config.hints == self.hints,
             "configuration does not match the prepared run state"
         );
-        Engine::new(self, config).run(policy, probe)
+        Engine::new(self, config, self.knowledge(config)).run(policy, probe)
+    }
+
+    /// What the run's policies know, which fixes its cache's Belady
+    /// structure: exact under oracle hints that disclose every
+    /// reference, where absence of a disclosed future is exact
+    /// knowledge too; otherwise the LRU estimate values blocks with no
+    /// disclosed future, as TIP2 does for unhinted pages. Predicted
+    /// hints are never complete knowledge — the predictor can go silent
+    /// or guess wrong — and wrong guesses move keys with no reference to
+    /// push them (see [`Knowledge::Predicted`]).
+    fn knowledge(&self, config: &SimConfig) -> Knowledge {
+        if matches!(config.hint_mode, crate::predict::HintMode::Predicted(_)) {
+            Knowledge::Predicted
+        } else if fully_hinted(self.trace, config) {
+            Knowledge::Exact
+        } else {
+            Knowledge::LruEstimate
+        }
+    }
+
+    /// [`Prepared::run`] with the cache on the lazy heap even when the
+    /// knowledge is exact: the next-use index's executable spec.
+    #[cfg(test)]
+    pub(crate) fn run_on_heap<P: Probe>(
+        &self,
+        policy: &mut dyn Policy,
+        config: &SimConfig,
+        probe: &mut P,
+    ) -> Report {
+        let knowledge = match self.knowledge(config) {
+            Knowledge::Exact => Knowledge::ExactHeap,
+            k => k,
+        };
+        Engine::new(self, config, knowledge).run(policy, probe)
     }
 }
 
@@ -839,7 +874,7 @@ struct Engine<'t> {
 }
 
 impl<'t> Engine<'t> {
-    fn new(prepared: &'t Prepared<'_>, config: &'t SimConfig) -> Engine<'t> {
+    fn new(prepared: &'t Prepared<'_>, config: &'t SimConfig, knowledge: Knowledge) -> Engine<'t> {
         if !config.faults.is_empty() {
             // Guard configs built by struct literal rather than through
             // the validating builders: a bad plan or retry policy must
@@ -867,19 +902,7 @@ impl<'t> Engine<'t> {
         }
         boundaries.sort_by_key(|&(t, d, entering)| (t, d.index(), entering));
         let evicted_ever = vec![0u64; oracle.num_blocks().div_ceil(64)];
-        let mut cache = Cache::new(config.cache_blocks, oracle.num_blocks());
-        if !fully_hinted(trace, config) {
-            // Value blocks with no disclosed future by LRU recency, as
-            // TIP2 does for unhinted pages. Predicted hints are never
-            // complete knowledge — the predictor can go silent or guess
-            // wrong — so predicted runs always keep the LRU estimate.
-            cache.enable_lru_estimate();
-        }
-        if matches!(config.hint_mode, crate::predict::HintMode::Predicted(_)) {
-            // Wrong guesses move Belady keys with no reference to push
-            // them (see `Cache::disable_compaction`).
-            cache.disable_compaction();
-        }
+        let cache = Cache::new(config.cache_blocks, oracle, knowledge);
         Engine {
             trace,
             config,
@@ -1144,7 +1167,8 @@ impl<'t> Engine<'t> {
                 .index_of(block)
                 .expect("abandoned block outside the indexed universe");
             self.cache.cancel_fetch(idx);
-            self.missing.on_evicted_idx(idx, self.cursor, self.oracle);
+            self.missing
+                .on_evicted_idx(idx, self.cursor, None, self.oracle);
         }
     }
 
@@ -1581,6 +1605,61 @@ mod tests {
                     let mut p = kind.build(&t, &cfg);
                     let shared = prepared.run(p.as_mut(), &cfg, &mut NoopProbe);
                     assert_eq!(shared, simulate(&t, kind, &cfg), "{kind}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_runs_on_the_next_use_index_match_the_lazy_heap() {
+        // Fully hinted runs find Belady victims with the exact next-use
+        // index. The same runs forced onto the lazy heap, its executable
+        // spec, must give equal reports and event streams for every
+        // policy, on 1-4 disks, healthy and under read faults plus an
+        // outage. (Reverse aggressive's own reverse pass is checked
+        // against the heap in `algs::reverse`.)
+        use parcache_disk::FaultPlan;
+        let mut rng = parcache_types::rng::Rng::seed_from_u64(0x1dec_2026);
+        for case in 0..16u64 {
+            let disks = 1 + case as usize % 4;
+            let len = rng.gen_range(60usize..=200);
+            let universe = rng.gen_range(4u64..=40);
+            // Loops with random jumps, so runs, reuse and misses all occur.
+            let mut b = 0u64;
+            let requests: Vec<Request> = (0..len)
+                .map(|_| {
+                    b = if rng.gen_bool(0.2) {
+                        rng.gen_range(0..universe)
+                    } else {
+                        (b + 1) % universe
+                    };
+                    Request {
+                        block: BlockId(b),
+                        compute: Nanos::from_micros(rng.gen_range(200u64..=3000)),
+                    }
+                })
+                .collect();
+            let cache = rng.gen_range(2usize..=10);
+            let trace = Trace::new("spec", requests, cache);
+            let healthy = SimConfig::new(disks, cache);
+            let faulty = healthy.clone().with_faults(
+                FaultPlan::parse(&format!("flaky:*:0.05,outage:0:20:300,seed:{case}"))
+                    .expect("valid fault plan"),
+            );
+            for cfg in [healthy, faulty] {
+                let prepared = Prepared::new(&trace, &cfg);
+                assert_eq!(prepared.knowledge(&cfg), Knowledge::Exact);
+                for kind in PolicyKind::ALL {
+                    let (mut index_events, mut heap_events) = (Vec::new(), Vec::new());
+                    let mut p = kind.build(&trace, &cfg);
+                    let index =
+                        prepared.run(p.as_mut(), &cfg, &mut |e: &Event| index_events.push(*e));
+                    let mut p = kind.build(&trace, &cfg);
+                    let heap = prepared
+                        .run_on_heap(p.as_mut(), &cfg, &mut |e: &Event| heap_events.push(*e));
+                    let what = format!("case {case}, {kind}, {cfg:?}");
+                    assert_eq!(index, heap, "{what}");
+                    assert!(index_events == heap_events, "event streams differ: {what}");
                 }
             }
         }

@@ -17,6 +17,7 @@
 use parcache_disk::layout::Layout;
 use parcache_trace::Trace;
 use parcache_types::{BlockId, DiskId, FastMap};
+use std::sync::OnceLock;
 
 /// Sentinel position for "never referenced again" — compares greater than
 /// every real position, which is exactly what Belady comparisons want.
@@ -94,6 +95,18 @@ pub struct Oracle {
     occurrences: Rows<u32>,
     /// Disk of each block (cached from the layout).
     layout: Layout,
+    /// The compact indices in `BlockId` order, built on first use.
+    ranks: OnceLock<Ranks>,
+}
+
+/// The compact indices of an [`Oracle`] ordered by `BlockId`: the order
+/// Belady's rule breaks ties in among blocks never referenced again.
+#[derive(Debug)]
+pub(crate) struct Ranks {
+    /// Compact index of each rank, ascending by `BlockId`.
+    pub(crate) by_rank: Vec<u32>,
+    /// Rank of each compact index (the inverse of `by_rank`).
+    pub(crate) rank: Vec<u32>,
 }
 
 impl Oracle {
@@ -197,7 +210,22 @@ impl Oracle {
             disclosed,
             occurrences,
             layout,
+            ranks: OnceLock::new(),
         }
+    }
+
+    /// The compact indices ranked by `BlockId`, computed once per oracle
+    /// on first use: runs that share an oracle share its ranks.
+    pub(crate) fn ranks(&self) -> &Ranks {
+        self.ranks.get_or_init(|| {
+            let mut by_rank: Vec<u32> = (0..self.blocks.len() as u32).collect();
+            by_rank.sort_unstable_by_key(|&i| self.blocks[i as usize]);
+            let mut rank = vec![0u32; by_rank.len()];
+            for (r, &i) in by_rank.iter().enumerate() {
+                rank[i as usize] = r as u32;
+            }
+            Ranks { by_rank, rank }
+        })
     }
 
     /// Number of references in the sequence.
@@ -435,6 +463,23 @@ mod tests {
         assert_eq!(o.distinct_blocks(), vec![BlockId(4), BlockId(6)]);
         assert_eq!(o.block_at(1), UNKNOWN_BLOCK);
         assert_eq!(o.index_at(1), None);
+    }
+
+    #[test]
+    fn ranks_order_every_indexed_block_by_id() {
+        let entries = vec![(0, BlockId(7)), (1, BlockId(2)), (2, BlockId(7))];
+        let o = Oracle::from_positions_with_universe(
+            3,
+            entries,
+            &[BlockId(9), BlockId(1)],
+            Layout::striped(1),
+        );
+        let ranks = o.ranks();
+        let ids: Vec<BlockId> = ranks.by_rank.iter().map(|&i| o.block_of(i)).collect();
+        assert_eq!(ids, [1, 2, 7, 9].map(BlockId));
+        for (r, &i) in ranks.by_rank.iter().enumerate() {
+            assert_eq!(ranks.rank[i as usize] as usize, r);
+        }
     }
 
     #[test]

@@ -29,6 +29,9 @@ pub struct Pending {
     pub block: BlockId,
     /// The physical sectors accessed.
     pub span: SectorSpan,
+    /// The cylinder of the span's first sector, computed once at enqueue
+    /// for the scheduling discipline (drive geometry is fixed).
+    pub cylinder: u64,
     /// When the request entered the queue.
     pub enqueued: Nanos,
     /// Global arrival sequence number (FCFS key, tie-breaker elsewhere).
@@ -123,9 +126,6 @@ pub struct Disk {
     in_service: Option<InService>,
     next_seq: u64,
     stats: DiskStats,
-    /// Scratch for per-candidate cylinder numbers during selection;
-    /// reused across service starts so the hot path allocates nothing.
-    cyl_scratch: Vec<u64>,
 }
 
 impl Disk {
@@ -139,7 +139,6 @@ impl Disk {
             in_service: None,
             next_seq: 0,
             stats: DiskStats::default(),
-            cyl_scratch: Vec::new(),
         }
     }
 
@@ -216,6 +215,7 @@ impl Disk {
         self.queue.push(Pending {
             block,
             span,
+            cylinder: self.model.cylinder_of(span.start),
             enqueued: now,
             seq,
             kind,
@@ -239,16 +239,10 @@ impl Disk {
         if self.in_service.is_some() || self.queue.is_empty() {
             return;
         }
-        self.cyl_scratch.clear();
-        self.cyl_scratch.extend(
-            self.queue
-                .iter()
-                .map(|p| self.model.cylinder_of(p.span.start)),
-        );
         let head = self.model.head_cylinder();
         let idx = self
             .discipline
-            .select(&self.queue, &self.cyl_scratch, head)
+            .select(&self.queue, head)
             .expect("non-empty queue must select a request");
         let request = self.queue.swap_remove(idx);
         // A request already in the queue when an outage begins is not

@@ -271,13 +271,14 @@ fn cscan_picks_ahead_or_wraps() {
                     start: c * 1368,
                     len: 16,
                 },
+                cylinder: c,
                 enqueued: Nanos::ZERO,
                 seq: i as u64,
                 kind: ReqKind::Read,
             })
             .collect();
         let mut d = Discipline::Cscan;
-        let picked = d.select(&queue, &cyls, head).expect("non-empty");
+        let picked = d.select(&queue, head).expect("non-empty");
         let picked_cyl = cyls[picked];
         let ahead: Vec<u64> = cyls.iter().copied().filter(|&c| c >= head).collect();
         if ahead.is_empty() {

@@ -7,7 +7,9 @@
 //! "first missing block at or after the cursor" query every prefetching
 //! policy runs at every decision point — touches at most one data word
 //! plus a short scan of the summary (1/4096th the size of the range),
-//! instead of the pointer-chasing of an ordered tree. Results are
+//! instead of the pointer-chasing of an ordered tree.
+//! [`PosSet::prev_at_or_before`] is the mirror-image predecessor query
+//! (the Belady next-use index asks it from the top). Results are
 //! identical to a sorted set; only the constant factor changes.
 
 /// A set of positions in `[0, capacity)` with O(1) updates and fast
@@ -118,6 +120,34 @@ impl PosSet {
             if sw >= self.summary.len() {
                 return None;
             }
+            s = self.summary[sw];
+        }
+    }
+
+    /// The largest member `<= from`, or `None`. A `from` at or beyond
+    /// the capacity asks for the largest member.
+    #[inline]
+    pub fn prev_at_or_before(&self, from: usize) -> Option<usize> {
+        if self.cap == 0 {
+            return None;
+        }
+        let from = from.min(self.cap - 1);
+        let w = from >> 6;
+        let word = self.words[w] & (!0u64 >> (63 - (from & 63)));
+        if word != 0 {
+            return Some((w << 6) + 63 - word.leading_zeros() as usize);
+        }
+        // Find the previous non-empty word via the summary.
+        let prev = w.checked_sub(1)?;
+        let mut sw = prev >> 6;
+        let mut s = self.summary[sw] & (!0u64 >> (63 - (prev & 63)));
+        loop {
+            if s != 0 {
+                let w2 = (sw << 6) + 63 - s.leading_zeros() as usize;
+                let word = self.words[w2];
+                return Some((w2 << 6) + 63 - word.leading_zeros() as usize);
+            }
+            sw = sw.checked_sub(1)?;
             s = self.summary[sw];
         }
     }
@@ -301,6 +331,11 @@ mod tests {
                         s.next_at_or_after(from),
                         reference.range(from..).next().copied()
                     );
+                    assert_eq!(
+                        s.prev_at_or_before(from),
+                        reference.range(..=from).next_back().copied(),
+                        "prev_at_or_before({from})"
+                    );
                     // The word-caching iterator must agree with the tree
                     // over a bounded window.
                     let got: Vec<usize> = s.iter_from(from).take(8).collect();
@@ -310,6 +345,42 @@ mod tests {
             }
             assert_eq!(s.len(), reference.len());
         }
+    }
+
+    #[test]
+    fn predecessor_queries_cross_word_and_summary_boundaries() {
+        // Two summary words' worth of positions plus a partial third, so
+        // the predecessor walk crosses both data-word and summary-word
+        // boundaries; each member is asked from itself, from just above,
+        // and from the far side of the gap above it.
+        let cap = 2 * 4096 + 100;
+        let mut s = PosSet::new(cap);
+        let members = [0, 63, 64, 4095, 4096, 4097, 8191, 8192, cap - 1];
+        let mut reference = std::collections::BTreeSet::new();
+        for &p in &members {
+            s.insert(p);
+            reference.insert(p);
+        }
+        let mut froms = vec![cap, cap + 1, usize::MAX];
+        for &p in &members {
+            froms.extend([p, p + 1, p.saturating_sub(1)]);
+        }
+        for &from in &froms {
+            assert_eq!(
+                s.prev_at_or_before(from),
+                reference.range(..=from).next_back().copied(),
+                "prev_at_or_before({from})"
+            );
+        }
+        // Only a low member left: the walk crosses every empty summary
+        // word above it.
+        for &p in &members[1..] {
+            s.remove(p);
+        }
+        assert_eq!(s.prev_at_or_before(usize::MAX), Some(0));
+        s.remove(0);
+        assert_eq!(s.prev_at_or_before(usize::MAX), None);
+        assert_eq!(s.prev_at_or_before(0), None);
     }
 
     #[test]
@@ -364,8 +435,12 @@ mod tests {
     fn empty_and_zero_capacity() {
         let s = PosSet::new(0);
         assert_eq!(s.next_at_or_after(0), None);
+        assert_eq!(s.prev_at_or_before(0), None);
+        assert_eq!(s.prev_at_or_before(usize::MAX), None);
         assert!(s.is_empty());
         let s = PosSet::new(64);
         assert_eq!(s.next_at_or_after(63), None);
+        assert_eq!(s.prev_at_or_before(63), None);
+        assert_eq!(s.prev_at_or_before(64), None);
     }
 }
