@@ -13,6 +13,11 @@ cargo fmt --all --check
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Only rustdoc resolves intra-doc links, so a doc comment naming a
+# deleted or private item fails here and nowhere else.
+echo "== cargo doc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo build --release =="
 cargo build --release
 

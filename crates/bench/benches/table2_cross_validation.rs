@@ -8,7 +8,7 @@
 //! This bench reproduces the methodology with the detailed and coarse
 //! drive models.
 
-use parcache_bench::{run, trace, Algo};
+use parcache_bench::{trace, Algo};
 use parcache_core::config::{DiskModelKind, SimConfig};
 
 fn main() {
@@ -25,16 +25,7 @@ fn main() {
                 let coarse_cfg =
                     SimConfig::for_trace(disks, &t).with_disk_model(DiskModelKind::Coarse);
                 let a = algo.run(&t, &detailed_cfg).elapsed.as_secs_f64();
-                let b = run(
-                    &t,
-                    match algo {
-                        Algo::FixedHorizon => parcache_core::PolicyKind::FixedHorizon,
-                        _ => parcache_core::PolicyKind::Aggressive,
-                    },
-                    &coarse_cfg,
-                )
-                .elapsed
-                .as_secs_f64();
+                let b = algo.run(&t, &coarse_cfg).elapsed.as_secs_f64();
                 println!(
                     "{:<8} {:<6} {:<15} {:>14.3} {:>14.3} {:>8.3}",
                     trace_name,

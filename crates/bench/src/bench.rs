@@ -17,7 +17,7 @@
 //!
 //! Wall-clock timing uses [`std::time::Instant`]. Allocation counts are
 //! reported when the embedding binary installs a counting global
-//! allocator and passes a reader down ([`parcache-run`] does); the
+//! allocator and passes a reader down (`parcache-run` does); the
 //! library itself stays `forbid(unsafe_code)`.
 //!
 //! Regression checking is intentionally tolerant: CI fails only when the
@@ -34,7 +34,7 @@
 //! scheduler.
 
 use crate::prof::{detect_parallelism, EffectiveParallelism};
-use crate::sweep::{self, SweepCell, SweepSpec, ThreadAllocSampler};
+use crate::sweep::{self, FailSoft, SweepCell, SweepSpec, ThreadAllocSampler};
 use crate::Algo;
 use parcache_core::engine::simulate_probed;
 use parcache_core::metrics::json_escape;
@@ -260,9 +260,15 @@ pub fn run_sweep_bench(
     }
 }
 
-/// Times one sweep over `cells` at `threads` workers, splitting the
-/// allocation count into the comparable per-cell work figure and the
-/// thread-count-dependent harness overhead.
+/// Times one sweep over `cells` at `threads` workers through the
+/// fail-soft executor, splitting the allocation count into the
+/// comparable per-cell work figure and the thread-count-dependent
+/// harness overhead.
+///
+/// # Panics
+///
+/// Panics when any cell fails: a caught panic would shrink the work and
+/// inflate cells/sec.
 fn timed_cells(
     cells: &[SweepCell],
     threads: usize,
@@ -270,12 +276,14 @@ fn timed_cells(
     alloc: AllocReader<'_>,
     thread_alloc: ThreadAllocSampler,
 ) -> Stage {
-    let ((_, workers), wall, total) = timed(alloc, || {
-        sweep::run_sweep_cells_profiled(cells, threads, false, faults, thread_alloc)
+    let policy = FailSoft::default();
+    let (run, wall, total) = timed(alloc, || {
+        sweep::run_cells_failsoft(cells, threads, false, false, faults, &policy, thread_alloc)
     });
     let work: Option<u64> = thread_alloc
         .is_some()
-        .then(|| workers.iter().map(|w| w.work_allocs).sum());
+        .then(|| run.workers.iter().map(|w| w.work_allocs).sum());
+    run.expect_clean();
     let harness = match (total, work) {
         (Some(t), Some(w)) => Some(t.saturating_sub(w)),
         _ => None,

@@ -133,13 +133,14 @@
 
 use parcache_bench::bench;
 use parcache_bench::fsio::{write_atomic, AtomicFile};
-use parcache_bench::manifest::{self, ManifestCell, SweepManifest};
+use parcache_bench::manifest::{self, SweepManifest};
 use parcache_bench::prof::{detect_parallelism, NoopProf, Prof, WallProf, WorkerStats};
 use parcache_bench::report::{explain_table, failsoft_summary};
 use parcache_bench::runner::{trace_cache_stats, TraceError};
 use parcache_bench::sweep::{self, CellRow, SweepAggregate, SweepEntry, SweepSpec};
-use parcache_bench::{breakdown_table, run, trace, Algo, BreakdownRow, DISK_COUNTS};
-use parcache_core::engine::simulate_probed;
+use parcache_bench::{breakdown_table, trace, Algo, BreakdownRow, DISK_COUNTS};
+use parcache_core::audit::{audit_rerun, AuditOutcome};
+use parcache_core::engine::{simulate, simulate_probed};
 use parcache_core::metrics::{MetricsProbe, RunMetrics, Unit};
 use parcache_core::policy::PolicyKind;
 use parcache_core::predict::HintMode;
@@ -797,8 +798,7 @@ fn sweep_main<P: Prof>(
     // A --resume manifest carries finished rows forward; everything it
     // records as failed, skipped, or missing (and, without a manifest,
     // everything) runs now.
-    let (stored, to_run): (HashMap<usize, ManifestCell>, Vec<usize>) = match opts.resume.as_deref()
-    {
+    let (stored, to_run) = match opts.resume.as_deref() {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| {
                 CliError::Io(format!("failed to read --resume manifest {path}: {e}"))
@@ -829,6 +829,7 @@ fn sweep_main<P: Prof>(
         }
         None => (HashMap::new(), (0..cells.len()).collect()),
     };
+    let carried = stored.len();
     let run_cells: Vec<sweep::SweepCell> = to_run.iter().map(|&i| cells[i].clone()).collect();
 
     let wall = Instant::now();
@@ -858,32 +859,16 @@ fn sweep_main<P: Prof>(
     let elapsed = wall.elapsed();
 
     let _span = prof.span("render");
-    let document = if opts.json {
+    let (document, outcomes) = if opts.json {
         // --resume is CSV-only (validated), so every row here is fresh.
         let rows: Vec<CellRow> = run.rows().cloned().collect();
-        sweep::sweep_json(&rows) + "\n"
+        (sweep::sweep_json(&rows) + "\n", Vec::new())
     } else {
-        // Splice in cell-index order: a fresh row where this run
-        // produced one, the stored row where the manifest carried one
-        // forward. A failed cell leaves no row — the CSV is the partial
-        // result, the manifest records why.
-        let fresh: HashMap<usize, &CellRow> = run
-            .executions
-            .iter()
-            .filter_map(|e| e.outcome.row().map(|r| (e.index, r)))
-            .collect();
-        let per_row = if opts.explain { 128 } else { 96 };
-        let mut doc = String::with_capacity(cells.len() * per_row + 160);
-        doc.push_str(&gates.header());
-        for i in 0..cells.len() {
-            if let Some(row) = fresh.get(&i) {
-                doc.push_str(&gates.row(row));
-            } else if let Some(row) = stored.get(&i).and_then(|m| m.status.row()) {
-                doc.push_str(row);
-                doc.push('\n');
-            }
-        }
-        doc
+        // Fresh entries where this run produced them, stored ones where
+        // the manifest carried them forward: the CSV and the manifest
+        // are both rendered from this one splice.
+        let outcomes = manifest::splice(cells.len(), gates, stored, &run.executions);
+        (manifest::csv_document(gates, &outcomes), outcomes)
     };
     let aggregate = if !opts.json && opts.hist {
         let rows: Vec<CellRow> = run.rows().cloned().collect();
@@ -907,22 +892,12 @@ fn sweep_main<P: Prof>(
     }
     if write_manifest {
         let out = opts.out.as_deref().expect("write_manifest implies --out");
-        let fresh: HashMap<usize, &sweep::CellExecution> =
-            run.executions.iter().map(|e| (e.index, e)).collect();
-        let mut entries: Vec<ManifestCell> = Vec::with_capacity(cells.len());
-        for i in 0..cells.len() {
-            if let Some(e) = fresh.get(&i) {
-                entries.push(ManifestCell::from_execution(e, gates));
-            } else if let Some(m) = stored.get(&i) {
-                entries.push(m.clone());
-            }
-        }
         let man = SweepManifest {
-            grid_hash: grid_hash.clone().expect("hash computed for --out"),
+            grid_hash: grid_hash.expect("hash computed for --out"),
             cells: cells.len(),
             gates,
             audited: opts.audit,
-            outcomes: entries,
+            outcomes,
         };
         let man_path = format!("{out}.manifest.json");
         write_atomic(&man_path, man.to_json())
@@ -962,22 +937,13 @@ fn sweep_main<P: Prof>(
         // Carried-forward cells were already audited clean (dirty ones
         // re-ran); fresh rows carry their verdicts.
         let mut bad = 0usize;
-        let mut audited_cells = stored.len();
+        let mut audited_cells = carried;
         for e in &run.executions {
             if let (Some(row), Some(audit)) = (e.outcome.row(), e.audit.as_ref()) {
                 audited_cells += 1;
                 if !audit.is_clean() {
                     bad += 1;
-                    eprintln!(
-                        "audit FAILED for {}/{}/{} disk(s):",
-                        row.report.trace, row.report.policy, row.report.disks
-                    );
-                    for v in &audit.violations {
-                        eprintln!("  {v}");
-                    }
-                    if audit.suppressed > 0 {
-                        eprintln!("  ... and {} more suppressed", audit.suppressed);
-                    }
+                    eprintln!("{}", audit_failure(&row.report, audit));
                 }
             }
         }
@@ -993,6 +959,15 @@ fn sweep_main<P: Prof>(
         std::process::exit(1);
     }
     Ok(())
+}
+
+/// The stderr block of one failed audit: the run, then each violation.
+fn audit_failure(report: &Report, audit: &AuditOutcome) -> String {
+    let (t, p, d) = (&report.trace, &report.policy, report.disks);
+    format!(
+        "audit FAILED for {t}/{p}/{d} disk(s):\n  {}",
+        audit.lines().join("\n  ")
+    )
 }
 
 /// `--fuzz` mode: run the differential fuzzer and exit nonzero on any
@@ -1340,28 +1315,12 @@ fn single_main<P: Prof>(opts: &Options, prof: &P) -> Result<(), CliError> {
                 let report = simulate_probed(&t, kind, &cfg, &mut probe);
                 (report, Some(probe.metrics.finish()))
             } else {
-                (run(&t, kind, &cfg), None)
+                (simulate(&t, kind, &cfg), None)
             };
             if opts.audit {
-                let (audited, outcome) = parcache_core::simulate_audited(&t, kind, &cfg);
-                let mut lines = Vec::new();
-                for v in &outcome.violations {
-                    lines.push(format!("  {v}"));
-                }
-                if outcome.suppressed > 0 {
-                    lines.push(format!("  ... and {} more suppressed", outcome.suppressed));
-                }
-                if audited != report {
-                    lines.push("  audited rerun diverged from the plain run".to_string());
-                }
-                if !lines.is_empty() {
-                    audit_failures.push(format!(
-                        "audit FAILED for {}/{}/{} disk(s):\n{}",
-                        report.trace,
-                        report.policy,
-                        report.disks,
-                        lines.join("\n")
-                    ));
+                let outcome = audit_rerun(&t, kind, &cfg, &report);
+                if !outcome.is_clean() {
+                    audit_failures.push(audit_failure(&report, &outcome));
                 }
             }
             results.push((report, metrics));
@@ -1670,11 +1629,12 @@ mod tests {
         let totals: Vec<u64> = [1usize, 2, 4]
             .iter()
             .map(|&threads| {
-                let (results, workers) = parcache_bench::run_indexed_measured(
+                let (results, workers) = parcache_bench::run_indexed_observed(
                     12,
                     threads,
                     Some(thread_alloc_count),
                     run,
+                    |_, _| {},
                 );
                 assert_eq!(results.len(), 12);
                 workers.iter().map(|w| w.work_allocs).sum()

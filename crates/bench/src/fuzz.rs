@@ -20,7 +20,7 @@
 
 use crate::runner::{best_reverse_search, reverse_grid};
 use crate::sweep::run_indexed;
-use parcache_core::audit::simulate_audited;
+use parcache_core::audit::audit_rerun;
 use parcache_core::config::{DiskModelKind, RetryPolicy};
 use parcache_core::engine::Report;
 use parcache_core::hints::HintSpec;
@@ -279,17 +279,7 @@ fn fingerprint_report(mut h: u64, r: &Report) -> u64 {
 /// reproduces the exact cases — and fingerprint — of a plain one.
 fn run_policy(case: &FuzzCase, kind: PolicyKind, differential: bool) -> (Vec<String>, Report) {
     let plain = simulate(&case.trace, kind, &case.config);
-    let (audited, outcome) = simulate_audited(&case.trace, kind, &case.config);
-    let mut details: Vec<String> = outcome.violations.iter().map(|v| v.to_string()).collect();
-    if outcome.suppressed > 0 {
-        details.push(format!("... and {} suppressed", outcome.suppressed));
-    }
-    if audited != plain {
-        details.push(format!(
-            "audited report diverged: elapsed {} vs {}, fetches {} vs {}",
-            audited.elapsed, plain.elapsed, audited.fetches, plain.fetches
-        ));
-    }
+    let mut details = audit_rerun(&case.trace, kind, &case.config, &plain).lines();
     if differential && kind == PolicyKind::Forestall {
         let mut naive_config = case.config.clone();
         naive_config.forestall_naive_scan = true;

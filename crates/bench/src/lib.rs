@@ -37,15 +37,12 @@ pub use paper::{paper_cells, paper_elapsed};
 pub use prof::{detect_parallelism, EffectiveParallelism, NoopProf, Prof, WallProf, WorkerStats};
 pub use report::{breakdown_table, explain_table, failsoft_summary, percent, BreakdownRow};
 pub use runner::{
-    best_reverse, best_reverse_search, paper_disk_counts, run, trace, trace_cache_stats, try_trace,
+    best_reverse, best_reverse_search, paper_disk_counts, trace, trace_cache_stats, try_trace,
     TraceError, DISK_COUNTS, SEED,
 };
 pub use sha256::{sha256, sha256_hex};
 pub use sweep::{
-    default_threads, run_cells_failsoft, run_indexed, run_indexed_measured, run_indexed_observed,
-    run_indexed_profiled, run_sweep, run_sweep_audited, run_sweep_cells, run_sweep_cells_audited,
-    run_sweep_cells_audited_profiled, run_sweep_cells_profiled, run_sweep_probed, sweep_csv,
-    sweep_csv_explain, sweep_csv_gated, sweep_json, CellExecution, CellOutcome, CellRow, CsvGates,
-    FailSoft, FailSoftRun, Injection, InjectionKind, SweepCell, SweepEntry, SweepSpec,
-    ThreadAllocSampler,
+    default_threads, run_cells_failsoft, run_indexed, run_indexed_observed, sweep_csv, sweep_json,
+    CellExecution, CellOutcome, CellRow, CsvGates, FailSoft, FailSoftRun, Injection, InjectionKind,
+    SweepCell, SweepEntry, SweepSpec, ThreadAllocSampler,
 };

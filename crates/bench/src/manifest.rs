@@ -5,10 +5,10 @@
 //! cell — finished cells carry their **fully rendered CSV row**, failed
 //! cells their diagnosis and attempt count. `--resume <manifest>`
 //! re-runs only the cells that produced no row and splices stored and
-//! fresh rows back together in cell-index order; because the CSV's
-//! column gates are a pure function of the grid (see
-//! [`CsvGates`](crate::sweep::CsvGates)), the spliced document is
-//! byte-identical to an uninterrupted run.
+//! fresh rows back together in cell-index order ([`splice`]); because
+//! the CSV's column gates are a pure function of the grid (see
+//! [`CsvGates`]), the spliced document is byte-identical to an
+//! uninterrupted run.
 //!
 //! The manifest is parsed by a hand-rolled, std-only JSON reader (the
 //! workspace is hermetic — no serde), which reports malformed input with
@@ -143,28 +143,6 @@ impl ManifestCell {
 }
 
 impl SweepManifest {
-    /// Builds the manifest of a fail-soft run: every execution becomes
-    /// an entry; finished cells store their gate-rendered row.
-    pub fn from_run(
-        executions: &[CellExecution],
-        gates: CsvGates,
-        grid_hash: String,
-        cells: usize,
-        audited: bool,
-    ) -> SweepManifest {
-        let outcomes = executions
-            .iter()
-            .map(|e| ManifestCell::from_execution(e, gates))
-            .collect();
-        SweepManifest {
-            grid_hash,
-            cells,
-            gates,
-            audited,
-            outcomes,
-        }
-    }
-
     /// How many entries finished.
     pub fn completed(&self) -> usize {
         self.outcomes
@@ -369,6 +347,48 @@ pub fn plan_resume(
         to_run,
         stale_audit_failures,
     })
+}
+
+/// Splices a run into the grid's manifest entries, in cell-index order:
+/// a cell this run executed gets its fresh entry, any other cell the
+/// entry `stored` carried forward from a resumed manifest, and a cell
+/// with neither gets none. A run without `--resume` passes nothing
+/// stored. The CSV document ([`csv_document`]) and the manifest written
+/// beside it both come from these entries, and the row gates are a pure
+/// function of the grid, so a resumed document is byte-identical to an
+/// uninterrupted one.
+pub fn splice(
+    cells: usize,
+    gates: CsvGates,
+    mut stored: HashMap<usize, ManifestCell>,
+    executions: &[CellExecution],
+) -> Vec<ManifestCell> {
+    let mut fresh: Vec<Option<&CellExecution>> = vec![None; cells];
+    for e in executions {
+        fresh[e.index] = Some(e);
+    }
+    fresh
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, e)| match e {
+            Some(e) => Some(ManifestCell::from_execution(e, gates)),
+            None => stored.remove(&i),
+        })
+        .collect()
+}
+
+/// The CSV document of spliced entries: the gates' header, then the row
+/// of every finished entry. A failed cell leaves no row — the document is
+/// the partial result, and the manifest records why.
+pub fn csv_document(gates: CsvGates, outcomes: &[ManifestCell]) -> String {
+    let per_row = if gates.explain { 128 } else { 96 };
+    let mut doc = String::with_capacity(outcomes.len() * per_row + 160);
+    doc.push_str(&gates.header());
+    for row in outcomes.iter().filter_map(|o| o.status.row()) {
+        doc.push_str(row);
+        doc.push('\n');
+    }
+    doc
 }
 
 /// Content hash identifying a sweep: every cell's trace (by content

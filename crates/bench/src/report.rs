@@ -113,9 +113,10 @@ pub fn explain_table(title: &str, rows: &[BreakdownRow]) -> String {
     out
 }
 
-/// The stderr summary of a fail-soft sweep: one line per failed or
-/// skipped cell, naming the grid point and the diagnosis, then a totals
-/// line. Empty when every cell finished — the clean path prints nothing.
+/// The stderr summary of a fail-soft sweep: one line per failed cell,
+/// naming the grid point (when `cells` holds it) and the diagnosis, then
+/// a totals line. Empty when every cell finished — the clean path prints
+/// nothing.
 pub fn failsoft_summary(cells: &[SweepCell], executions: &[CellExecution]) -> String {
     use crate::sweep::CellOutcome;
     use std::fmt::Write as _;
@@ -123,10 +124,9 @@ pub fn failsoft_summary(cells: &[SweepCell], executions: &[CellExecution]) -> St
     let (mut ok, mut panicked, mut timed_out, mut skipped, mut retries) = (0, 0, 0, 0, 0u64);
     for e in executions {
         retries += u64::from(e.attempts.saturating_sub(1));
-        let cell = cells.get(e.index);
-        let point = |c: Option<&SweepCell>| match c {
-            Some(c) => format!("{}/{}/{} disks", c.trace.name, c.algo.name(), c.disks),
-            None => "?".to_string(),
+        let point = || match cells.get(e.index) {
+            Some(c) => format!(" ({}/{}/{} disks)", c.trace.name, c.algo.name(), c.disks),
+            None => String::new(),
         };
         match &e.outcome {
             CellOutcome::Ok(_) => ok += 1,
@@ -134,9 +134,9 @@ pub fn failsoft_summary(cells: &[SweepCell], executions: &[CellExecution]) -> St
                 panicked += 1;
                 let _ = writeln!(
                     out,
-                    "cell {} ({}): panicked after {} attempt(s): {}",
+                    "cell {}{}: panicked after {} attempt(s): {}",
                     e.index,
-                    point(cell),
+                    point(),
                     e.attempts,
                     msg.lines().next().unwrap_or(""),
                 );
@@ -145,9 +145,9 @@ pub fn failsoft_summary(cells: &[SweepCell], executions: &[CellExecution]) -> St
                 timed_out += 1;
                 let _ = writeln!(
                     out,
-                    "cell {} ({}): timed out after {} attempt(s) of {:?} each",
+                    "cell {}{}: timed out after {} attempt(s) of {:?} each",
                     e.index,
-                    point(cell),
+                    point(),
                     e.attempts,
                     limit,
                 );

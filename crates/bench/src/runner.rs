@@ -2,8 +2,7 @@
 //! aggressive parameter search.
 
 use parcache_core::algs::reverse::{Pair, ReverseAggressive};
-use parcache_core::engine::{simulate, Prepared, Report};
-use parcache_core::policy::PolicyKind;
+use parcache_core::engine::{Prepared, Report};
 use parcache_core::{NoopProbe, SimConfig};
 use parcache_trace::Trace;
 use std::collections::HashMap;
@@ -135,11 +134,6 @@ pub fn trace(name: &str) -> Arc<Trace> {
     try_trace(name).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Runs one simulation.
-pub fn run(trace: &Trace, kind: PolicyKind, config: &SimConfig) -> Report {
-    simulate(trace, kind, config)
-}
-
 /// Reverse aggressive with per-configuration tuning, as the paper does:
 /// "reverse aggressive's fetch time estimate F̂ and batch size are chosen
 /// to minimize its elapsed time" (appendix A). Searches a small grid and
@@ -171,13 +165,14 @@ pub(crate) fn reverse_grid(base: &SimConfig) -> Vec<SimConfig> {
 /// strictly-smaller-elapsed rule — exactly the serial loop's
 /// first-wins tie-break — so the result does not depend on `threads`.
 ///
-/// Two things make the eight runs cheaper than eight [`simulate`] calls
-/// while returning the same bytes. The state they share (the oracles,
-/// the reference index and the cold missing-block index) is built once in
-/// a [`Prepared`] value. And a configuration whose schedule and batch
-/// size repeat an earlier configuration's is not replayed: only reverse
-/// aggressive reads F̂ and the batch size, so its replay would repeat the
-/// earlier report, which the first-wins fold already prefers.
+/// Two things make the eight runs cheaper than eight
+/// [`simulate`](parcache_core::simulate) calls while returning the same
+/// bytes. The state they share (the oracles, the reference index and the
+/// cold missing-block index) is built once in a [`Prepared`] value. And a
+/// configuration whose schedule and batch size repeat an earlier
+/// configuration's is not replayed: only reverse aggressive reads F̂ and
+/// the batch size, so its replay would repeat the earlier report, which
+/// the first-wins fold already prefers.
 pub fn best_reverse_search(trace: &Trace, base: &SimConfig, threads: usize) -> (Report, SimConfig) {
     let grid = reverse_grid(base);
     let prepared = Prepared::new(trace, base);
@@ -284,6 +279,7 @@ fn fingerprint(schedule: &[Pair]) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parcache_core::{simulate, PolicyKind};
 
     #[test]
     fn trace_cache_returns_consistent_traces() {
@@ -361,7 +357,7 @@ mod tests {
     fn best_reverse_is_no_worse_than_default() {
         let t = parcache_trace::synth::synth_trace(3, 200, 7);
         let cfg = SimConfig::for_trace(2, &t);
-        let default = run(&t, PolicyKind::ReverseAggressive, &cfg);
+        let default = simulate(&t, PolicyKind::ReverseAggressive, &cfg);
         let tuned = best_reverse(&t, &cfg);
         assert!(tuned.elapsed <= default.elapsed);
     }
@@ -400,7 +396,7 @@ mod tests {
                 crate::fuzz::naive_reverse_search(&t, &base)
             );
             // The winning configuration really produces the winning report.
-            let replay = run(&t, PolicyKind::ReverseAggressive, &serial_cfg);
+            let replay = simulate(&t, PolicyKind::ReverseAggressive, &serial_cfg);
             assert_eq!(replay, serial);
         }
     }

@@ -17,14 +17,16 @@
 use crate::experiments::Algo;
 use crate::prof::WorkerStats;
 use crate::runner::{best_reverse_search, panic_message, try_trace, TraceError};
-use parcache_core::audit::{simulate_audited, AuditOutcome, AuditViolation};
+use parcache_core::audit::{audit_rerun, AuditOutcome};
 use parcache_core::engine::{simulate_probed, Report};
 use parcache_core::metrics::{Counters, Histogram, MetricsProbe, RunMetrics, Unit};
 use parcache_core::policy::PolicyKind;
 use parcache_core::predict::HintMode;
+use parcache_core::probe::StallCause;
 use parcache_core::SimConfig;
 use parcache_disk::FaultPlan;
 use parcache_trace::Trace;
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -43,13 +45,15 @@ pub fn default_threads() -> usize {
     (p.effective.floor() as usize).max(1)
 }
 
-/// Runs `run(0..n)` on `threads` scoped workers pulling indices from a
-/// shared atomic counter, and returns the results **in index order**
-/// regardless of which worker computed what — the deterministic core of
-/// the sweep engine.
-///
-/// With one thread (or one task) the closure runs inline, so the serial
-/// path is exactly a `map` over `0..n`.
+/// Samples a *thread-local* allocation counter: the embedding binary's
+/// counting allocator maintains one exact counter per thread, so a
+/// worker reading it before and after an item sees exactly the item's
+/// own allocations — no cross-thread noise, no shared cache line.
+/// `None` disables allocation accounting (the counters read 0).
+pub type ThreadAllocSampler = Option<fn() -> u64>;
+
+/// Runs `run(0..n)` on `threads` scoped workers and returns the results
+/// **in index order**: [`run_indexed_observed`] without telemetry.
 ///
 /// # Panics
 ///
@@ -59,91 +63,35 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 {
-        return (0..n).map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, T)> = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    // Sized for an even split up front: result collection
-                    // should almost never grow mid-loop, keeping worker
-                    // allocator traffic out of the items' way.
-                    let mut local = Vec::with_capacity(n / threads + 1);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, run(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => collected.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    // Reassemble in cell-index order: the output must not depend on the
-    // scheduler's interleaving.
-    collected.sort_by_key(|&(i, _)| i);
-    collected.into_iter().map(|(_, t)| t).collect()
+    run_indexed_observed(n, threads, None, run, |_, _| {}).0
 }
 
-/// Samples a *thread-local* allocation counter: the embedding binary's
-/// counting allocator maintains one exact counter per thread, so a
-/// worker reading it before and after an item sees exactly the item's
-/// own allocations — no cross-thread noise, no shared cache line.
-/// `None` disables allocation accounting (the counters read 0).
-pub type ThreadAllocSampler = Option<fn() -> u64>;
-
-/// [`run_indexed`] with per-worker wall-clock telemetry: how many items
-/// each worker ran, how long it was busy inside them, and its total
-/// thread lifetime (idle = wall − busy covers queue waits and the tail
-/// after the queue drains). Results are identical to [`run_indexed`];
-/// only the second return value is new. The serial path reports one
-/// worker.
-pub fn run_indexed_profiled<T, F>(n: usize, threads: usize, run: F) -> (Vec<T>, Vec<WorkerStats>)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_measured(n, threads, None, run)
-}
-
-/// [`run_indexed_profiled`] with per-item allocation accounting: when a
-/// sampler is given, each item's allocations are read off the worker's
-/// own thread-local counter and accumulated into
+/// Runs `run(0..n)` on `threads` scoped workers pulling indices from a
+/// shared atomic counter, and returns the results **in index order**
+/// regardless of which worker computed what — the deterministic core of
+/// the sweep engine. With one thread (or one task) the closure runs
+/// inline, so the serial path is exactly a `map` over `0..n`.
+///
+/// Alongside the results come per-worker wall-clock telemetry: how many
+/// items each worker ran, how long it was busy inside them, and its
+/// total thread lifetime (idle = wall − busy covers queue waits and the
+/// tail after the queue drains). The serial path reports one worker.
+///
+/// When a `sampler` is given, each item's allocations are read off the
+/// worker's own thread-local counter and accumulated into
 /// [`WorkerStats::work_allocs`]. Worker *setup* — thread spawn, the
 /// result vector, queue bookkeeping — falls outside the sampled windows,
 /// so `work_allocs` summed over workers is a pure function of the item
-/// set: identical at any thread count (the committed bench baselines
-/// used to drift by a few dozen allocations per extra worker).
-pub fn run_indexed_measured<T, F>(
-    n: usize,
-    threads: usize,
-    sampler: ThreadAllocSampler,
-    run: F,
-) -> (Vec<T>, Vec<WorkerStats>)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_observed(n, threads, sampler, run, |_, _| {})
-}
-
-/// [`run_indexed_measured`] with a per-item observer: after each item is
-/// produced (and its time/allocation windows closed), `observe` may fold
-/// item-derived counts into the worker's own [`WorkerStats`]. The
-/// fail-soft executor attributes ok/failed/skipped/retry counts to the
-/// worker that ran each cell this way; plain callers pass a no-op.
+/// set: identical at any thread count.
+///
+/// After each item is produced (and its time/allocation windows closed),
+/// `observe` may fold item-derived counts into the worker's own
+/// [`WorkerStats`]. The fail-soft executor attributes ok/failed/skipped/
+/// retry counts to the worker that ran each cell this way.
+///
+/// # Panics
+///
+/// Propagates a panic from any worker.
 pub fn run_indexed_observed<T, F, O>(
     n: usize,
     threads: usize,
@@ -158,22 +106,22 @@ where
 {
     use std::time::Instant;
     let sample = move || sampler.map_or(0, |f| f());
+    // One item inside its time and allocation windows, then observed.
+    let item = |i: usize, stats: &mut WorkerStats| {
+        let t0 = Instant::now();
+        let a0 = sample();
+        let r = run(i);
+        stats.work_allocs += sample().saturating_sub(a0);
+        stats.busy_us += t0.elapsed().as_micros() as u64;
+        stats.items += 1;
+        observe(&r, stats);
+        r
+    };
     let threads = threads.max(1).min(n.max(1));
     if threads == 1 {
         let from = Instant::now();
         let mut stats = WorkerStats::default();
-        let out: Vec<T> = (0..n)
-            .map(|i| {
-                let t0 = Instant::now();
-                let a0 = sample();
-                let r = run(i);
-                stats.work_allocs += sample().saturating_sub(a0);
-                stats.busy_us += t0.elapsed().as_micros() as u64;
-                stats.items += 1;
-                observe(&r, &mut stats);
-                r
-            })
-            .collect();
+        let out: Vec<T> = (0..n).map(|i| item(i, &mut stats)).collect();
         stats.wall_us = from.elapsed().as_micros() as u64;
         return (out, vec![stats]);
     }
@@ -185,6 +133,8 @@ where
             .map(|_| {
                 s.spawn(|| {
                     let from = Instant::now();
+                    // Sized for an even split up front: result collection
+                    // should almost never grow mid-loop.
                     let mut local = Vec::with_capacity(n / threads + 1);
                     let mut stats = WorkerStats::default();
                     loop {
@@ -192,14 +142,7 @@ where
                         if i >= n {
                             break;
                         }
-                        let t0 = Instant::now();
-                        let a0 = sample();
-                        let r = run(i);
-                        stats.work_allocs += sample().saturating_sub(a0);
-                        stats.busy_us += t0.elapsed().as_micros() as u64;
-                        stats.items += 1;
-                        observe(&r, &mut stats);
-                        local.push((i, r));
+                        local.push((i, item(i, &mut stats)));
                     }
                     stats.wall_us = from.elapsed().as_micros() as u64;
                     (local, stats)
@@ -216,6 +159,8 @@ where
             }
         }
     });
+    // Reassemble in cell-index order: the output must not depend on the
+    // scheduler's interleaving.
     collected.sort_by_key(|&(i, _)| i);
     (collected.into_iter().map(|(_, t)| t).collect(), workers)
 }
@@ -273,7 +218,7 @@ impl SweepSpec {
     /// The full appendix-A grid: every paper trace at every published
     /// array size under the four prefetching algorithms (332 cells).
     /// Traces are generated in parallel on `threads` workers (each is
-    /// generated once and shared; see [`trace`]).
+    /// generated once and shared; see [`trace`](crate::runner::trace)).
     pub fn appendix_a(threads: usize) -> SweepSpec {
         SweepSpec::named(
             &parcache_trace::TRACE_NAMES,
@@ -361,14 +306,19 @@ impl SweepSpec {
     }
 }
 
-/// Executes one cell, also returning the policy and configuration that
-/// produced the report (for tuned reverse aggressive, the search's
-/// winning configuration) so an audited rerun can replay it exactly.
-fn run_cell_inner(
+/// Executes one cell. Tuned reverse aggressive runs its parameter search
+/// serially here — the sweep already owns the machine's parallelism, and
+/// nested worker pools would oversubscribe it. With `audited`, the
+/// policy and configuration that produced the report (for tuned reverse
+/// aggressive, the search's winner) run once more under the audit; the
+/// row is the unaudited one either way, so output bytes never depend on
+/// the audit.
+fn run_cell(
     cell: &SweepCell,
     probed: bool,
+    audited: bool,
     faults: &FaultPlan,
-) -> (CellRow, PolicyKind, SimConfig) {
+) -> (CellRow, Option<AuditOutcome>) {
     let cfg = SimConfig::for_trace(cell.disks, &cell.trace).with_hint_mode(cell.hints);
     // An empty plan leaves the config untouched, so healthy sweeps stay
     // byte-identical to builds without fault support.
@@ -377,149 +327,33 @@ fn run_cell_inner(
     } else {
         cfg.with_faults(faults.clone())
     };
-    let (report, metrics, kind, cfg) = match cell.algo {
+    let (report, kind, cfg) = match cell.algo {
         Algo::TunedReverse => {
             let (report, best_cfg) = best_reverse_search(&cell.trace, &cfg, 1);
-            let kind = PolicyKind::ReverseAggressive;
-            if probed {
-                // Re-run the winning configuration under a probe; the
-                // simulator is deterministic, so the report is unchanged.
-                let mut probe = MetricsProbe::for_disks(cell.disks);
-                let report = simulate_probed(&cell.trace, kind, &best_cfg, &mut probe);
-                (report, Some(probe.finish()), kind, best_cfg)
-            } else {
-                (report, None, kind, best_cfg)
-            }
+            (Some(report), PolicyKind::ReverseAggressive, best_cfg)
         }
         algo => {
             let kind = algo.policy_kind().expect("only TunedReverse lacks a kind");
-            if probed {
-                let mut probe = MetricsProbe::for_disks(cell.disks);
-                let report = simulate_probed(&cell.trace, kind, &cfg, &mut probe);
-                (report, Some(probe.finish()), kind, cfg)
-            } else {
-                (
-                    parcache_core::simulate(&cell.trace, kind, &cfg),
-                    None,
-                    kind,
-                    cfg,
-                )
-            }
+            (None, kind, cfg)
         }
     };
-    let outcome = CellRow {
+    let (report, metrics) = if probed {
+        // The simulator is deterministic, so re-running a tuned winner
+        // under the probe reproduces the search's report.
+        let mut probe = MetricsProbe::for_disks(cell.disks);
+        let report = simulate_probed(&cell.trace, kind, &cfg, &mut probe);
+        (report, Some(probe.finish()))
+    } else {
+        let report = report.unwrap_or_else(|| parcache_core::simulate(&cell.trace, kind, &cfg));
+        (report, None)
+    };
+    let audit = audited.then(|| audit_rerun(&cell.trace, kind, &cfg, &report));
+    let row = CellRow {
         cell: cell.clone(),
         report,
         metrics,
     };
-    (outcome, kind, cfg)
-}
-
-/// Executes one cell. Tuned reverse aggressive runs its parameter search
-/// serially here — the sweep already owns the machine's parallelism, and
-/// nested worker pools would oversubscribe it.
-fn run_cell(cell: &SweepCell, probed: bool, faults: &FaultPlan) -> CellRow {
-    run_cell_inner(cell, probed, faults).0
-}
-
-/// Executes one cell twice — once exactly as [`run_cell`] (so the
-/// outcome, and therefore the sweep's output bytes, are identical to an
-/// unaudited sweep) and once with an [`AuditProbe`] riding the event
-/// stream. A report that differs between the two runs is itself recorded
-/// as an audit violation: the audit must never perturb the simulation.
-///
-/// [`AuditProbe`]: parcache_core::audit::AuditProbe
-fn run_cell_audited(cell: &SweepCell, probed: bool, faults: &FaultPlan) -> (CellRow, AuditOutcome) {
-    let (outcome, kind, cfg) = run_cell_inner(cell, probed, faults);
-    let (audited_report, mut audit) = simulate_audited(&cell.trace, kind, &cfg);
-    if audited_report != outcome.report {
-        audit.violations.push(AuditViolation {
-            time: outcome.report.elapsed,
-            rule: "audit-transparency",
-            detail: format!(
-                "audited rerun of {}/{}/{} disks diverged from the unaudited report",
-                outcome.report.trace, outcome.report.policy, outcome.report.disks
-            ),
-        });
-    }
-    (outcome, audit)
-}
-
-/// Runs every cell of `spec` on `threads` workers and returns the
-/// outcomes in cell-index order.
-pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Vec<CellRow> {
-    run_sweep_cells(&spec.cells(), threads, false, &FaultPlan::default())
-}
-
-/// [`run_sweep`] with a metrics probe attached to every cell, so the
-/// outcomes carry [`RunMetrics`] (and can be folded into a
-/// [`SweepAggregate`]).
-pub fn run_sweep_probed(spec: &SweepSpec, threads: usize) -> Vec<CellRow> {
-    run_sweep_cells(&spec.cells(), threads, true, &FaultPlan::default())
-}
-
-/// Runs pre-expanded cells; the building block both entry points share.
-/// A non-empty `faults` plan is applied to every cell (the plan's own
-/// seed stream keeps the whole sweep deterministic at any thread count).
-pub fn run_sweep_cells(
-    cells: &[SweepCell],
-    threads: usize,
-    probed: bool,
-    faults: &FaultPlan,
-) -> Vec<CellRow> {
-    run_indexed(cells.len(), threads, |i| {
-        run_cell(&cells[i], probed, faults)
-    })
-}
-
-/// [`run_sweep_cells`] with every cell audited: returns the outcomes
-/// (byte-identical to an unaudited sweep) together with each cell's
-/// audit verdict, in cell-index order.
-pub fn run_sweep_cells_audited(
-    cells: &[SweepCell],
-    threads: usize,
-    probed: bool,
-    faults: &FaultPlan,
-) -> (Vec<CellRow>, Vec<AuditOutcome>) {
-    let pairs = run_indexed(cells.len(), threads, |i| {
-        run_cell_audited(&cells[i], probed, faults)
-    });
-    pairs.into_iter().unzip()
-}
-
-/// [`run_sweep_cells`] with per-worker telemetry (for `--profile` and
-/// the bench harness). A `sampler` attributes each cell's allocations to
-/// [`WorkerStats::work_allocs`]; see [`run_indexed_measured`].
-pub fn run_sweep_cells_profiled(
-    cells: &[SweepCell],
-    threads: usize,
-    probed: bool,
-    faults: &FaultPlan,
-    sampler: ThreadAllocSampler,
-) -> (Vec<CellRow>, Vec<WorkerStats>) {
-    run_indexed_measured(cells.len(), threads, sampler, |i| {
-        run_cell(&cells[i], probed, faults)
-    })
-}
-
-/// [`run_sweep_cells_audited`] with per-worker telemetry.
-pub fn run_sweep_cells_audited_profiled(
-    cells: &[SweepCell],
-    threads: usize,
-    probed: bool,
-    faults: &FaultPlan,
-    sampler: ThreadAllocSampler,
-) -> (Vec<CellRow>, Vec<AuditOutcome>, Vec<WorkerStats>) {
-    let (pairs, workers) = run_indexed_measured(cells.len(), threads, sampler, |i| {
-        run_cell_audited(&cells[i], probed, faults)
-    });
-    let (outcomes, audits) = pairs.into_iter().unzip();
-    (outcomes, audits, workers)
-}
-
-/// [`run_sweep`] with every cell audited.
-pub fn run_sweep_audited(spec: &SweepSpec, threads: usize) -> (Vec<CellRow>, Vec<AuditOutcome>) {
-    run_sweep_cells_audited(&spec.cells(), threads, false, &FaultPlan::default())
+    (row, audit)
 }
 
 // ---------------------------------------------------------------------------
@@ -529,7 +363,7 @@ pub fn run_sweep_audited(spec: &SweepSpec, threads: usize) -> (Vec<CellRow>, Vec
 /// Fail-soft execution policy for a sweep. The default — no timeout, no
 /// retries, no fail-fast, no injection — runs every cell exactly once,
 /// inline on its worker, behind a `catch_unwind` boundary; a clean grid
-/// produces byte-identical output to the historical executor.
+/// produces the same rows as running each cell directly.
 #[derive(Debug, Clone, Default)]
 pub struct FailSoft {
     /// Wall-clock deadline per cell attempt. When set, each attempt runs
@@ -703,6 +537,27 @@ impl FailSoftRun {
     pub fn rows(&self) -> impl Iterator<Item = &CellRow> {
         self.executions.iter().filter_map(|e| e.outcome.row())
     }
+
+    /// Every cell's row, in cell-index order, for callers that need the
+    /// whole grid (tests, the golden digest, the bench harness): a caught
+    /// panic must still fail them rather than quietly shrink the work.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`failsoft_summary`](crate::report::failsoft_summary)
+    /// of the run — each failed cell's index and diagnosis — when any cell
+    /// produced no row.
+    pub fn expect_clean(self) -> Vec<CellRow> {
+        let failures = crate::report::failsoft_summary(&[], &self.executions);
+        assert!(failures.is_empty(), "sweep cells failed:\n{failures}");
+        self.executions
+            .into_iter()
+            .filter_map(|e| match e.outcome {
+                CellOutcome::Ok(row) => Some(row),
+                _ => None,
+            })
+            .collect()
+    }
 }
 
 /// Runs pre-expanded cells under a fail-soft `policy`: every attempt is
@@ -712,6 +567,15 @@ impl FailSoftRun {
 /// cell, not the sweep. Results come back in cell-index order, so the
 /// surviving rows render byte-identically to the same cells of a clean
 /// run at any thread count.
+///
+/// This is the one way to run sweep cells. `probed` attaches a metrics
+/// probe to every cell, so rows carry [`RunMetrics`] (and fold into a
+/// [`SweepAggregate`]); `audited` gives every finished cell an audit
+/// verdict; a non-empty `faults` plan applies to every cell (its own
+/// seed stream keeps the sweep deterministic at any thread count); a
+/// `sampler` attributes each cell's allocations to its worker (see
+/// [`run_indexed_observed`]). Callers that need every cell take the rows
+/// with [`FailSoftRun::expect_clean`].
 pub fn run_cells_failsoft(
     cells: &[SweepCell],
     threads: usize,
@@ -772,43 +636,21 @@ fn run_cell_failsoft(
         let injected = policy
             .inject
             .filter(|inj| inj.cell == cell.index && attempts <= inj.times);
-        let result = attempt_cell(cell, probed, audited, faults, policy.cell_timeout, injected);
-        let outcome = match result {
-            AttemptResult::Finished(row, audit) => {
-                return CellExecution {
-                    index: cell.index,
-                    attempts,
-                    outcome: CellOutcome::Ok(row),
-                    audit,
-                }
-            }
-            AttemptResult::Panicked(msg) => CellOutcome::Panicked { msg },
-            AttemptResult::TimedOut(limit) => CellOutcome::TimedOut { limit },
-        };
-        if attempts >= max_attempts {
+        let (outcome, audit) =
+            attempt_cell(cell, probed, audited, faults, policy.cell_timeout, injected);
+        if !outcome.needs_rerun() || attempts >= max_attempts {
             return CellExecution {
                 index: cell.index,
                 attempts,
                 outcome,
-                audit: None,
+                audit,
             };
         }
     }
 }
 
-/// One isolated attempt at a cell. (`Finished` is near-universal, so —
-/// as with [`CellOutcome`] — boxing the row is not worth an allocation
-/// per healthy cell.)
-#[allow(clippy::large_enum_variant)]
-enum AttemptResult {
-    /// The attempt produced a row (and, when audited, a verdict).
-    Finished(CellRow, Option<AuditOutcome>),
-    /// The attempt panicked; the rendered payload.
-    Panicked(String),
-    /// The attempt overran the watchdog deadline.
-    TimedOut(Duration),
-}
-
+/// One isolated attempt at a cell: its outcome and, when it finished
+/// audited, the verdict.
 fn attempt_cell(
     cell: &SweepCell,
     probed: bool,
@@ -816,18 +658,13 @@ fn attempt_cell(
     faults: &FaultPlan,
     timeout: Option<Duration>,
     injected: Option<Injection>,
-) -> AttemptResult {
-    match timeout {
-        None => {
-            // No deadline: run inline on the worker behind the unwind
-            // boundary alone — the zero-cost clean path.
-            match catch_unwind(AssertUnwindSafe(|| {
-                cell_body(cell, probed, audited, faults, injected)
-            })) {
-                Ok((row, audit)) => AttemptResult::Finished(row, audit),
-                Err(payload) => AttemptResult::Panicked(panic_message(payload.as_ref())),
-            }
-        }
+) -> (CellOutcome, Option<AuditOutcome>) {
+    let result = match timeout {
+        // No deadline: run inline on the worker behind the unwind
+        // boundary alone — the zero-cost clean path.
+        None => catch_unwind(AssertUnwindSafe(|| {
+            cell_body(cell, probed, audited, faults, injected)
+        })),
         Some(limit) => {
             // Watchdog: the attempt runs on its own thread and reports
             // over a channel; the worker waits at most `limit`. On
@@ -844,13 +681,22 @@ fn attempt_cell(
                 let _ = tx.send(result);
             });
             match rx.recv_timeout(limit) {
-                Ok(Ok((row, audit))) => AttemptResult::Finished(row, audit),
-                Ok(Err(payload)) => AttemptResult::Panicked(panic_message(payload.as_ref())),
-                Err(mpsc::RecvTimeoutError::Timeout) => AttemptResult::TimedOut(limit),
+                Ok(result) => result,
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    return (CellOutcome::TimedOut { limit }, None)
+                }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    AttemptResult::Panicked("cell worker vanished without reporting".to_string())
+                    let msg = "cell worker vanished without reporting".to_string();
+                    return (CellOutcome::Panicked { msg }, None);
                 }
             }
+        }
+    };
+    match result {
+        Ok((row, audit)) => (CellOutcome::Ok(row), audit),
+        Err(payload) => {
+            let msg = panic_message(payload.as_ref());
+            (CellOutcome::Panicked { msg }, None)
         }
     }
 }
@@ -871,12 +717,7 @@ fn cell_body(
             InjectionKind::Hang(d) => std::thread::sleep(d),
         }
     }
-    if audited {
-        let (row, audit) = run_cell_audited(cell, probed, faults);
-        (row, Some(audit))
-    } else {
-        (run_cell(cell, probed, faults), None)
-    }
+    run_cell(cell, probed, audited, faults)
 }
 
 /// Shape-independent metrics folded across every probed cell of a sweep
@@ -952,15 +793,6 @@ impl SweepAggregate {
     }
 }
 
-/// Whether any outcome ran under a predicted hint source. Gates the
-/// `hints` CSV columns the same way fault accounting gates the fault
-/// columns: oracle-only sweeps keep the exact historical bytes.
-fn any_hinted(outcomes: &[CellRow]) -> bool {
-    outcomes
-        .iter()
-        .any(|o| o.cell.hints != HintMode::Oracle || o.report.hints.is_some())
-}
-
 /// The column gates of a sweep CSV document: which optional column
 /// groups the header and every row carry. Fault columns appear iff the
 /// run carries fault accounting; hint columns iff any cell runs a
@@ -997,44 +829,49 @@ impl CsvGates {
     pub fn for_rows(rows: &[CellRow], explain: bool) -> CsvGates {
         CsvGates {
             faulted: rows.iter().any(|o| o.report.fault.is_some()),
-            hinted: any_hinted(rows),
+            hinted: rows
+                .iter()
+                .any(|o| o.cell.hints != HintMode::Oracle || o.report.hints.is_some()),
             explain,
         }
     }
 
-    /// The header line (with trailing newline).
+    /// The header line (with trailing newline): the report columns, then
+    /// each gated group in the order rows append them.
     pub fn header(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::from(Report::csv_header());
+        if self.faulted {
+            out.push_str(",faults_injected,retries,abandoned,degraded_s,availability");
+        }
         if self.explain {
-            out.push_str(&Report::csv_header_explain(self.faulted));
-            if self.hinted {
-                out.push_str(",hints,hint_precision,hint_recall");
+            for c in StallCause::ALL {
+                let _ = write!(out, ",stall_{}_s", c.name());
             }
-        } else {
-            // Fault columns appear only when a cell carries fault
-            // accounting, so healthy sweeps keep the exact historical
-            // header and row bytes.
-            if self.faulted {
-                out.push_str(Report::csv_header_faulted());
-            } else {
-                out.push_str(Report::csv_header());
-            }
-            if self.hinted {
-                out.push_str(",hints");
+        }
+        if self.hinted {
+            out.push_str(",hints");
+            if self.explain {
+                out.push_str(",hint_precision,hint_recall");
             }
         }
         out.push('\n');
         out
     }
 
-    /// One row (with trailing newline), rendered under these gates.
+    /// One row (with trailing newline), rendered under these gates. The
+    /// fault columns come from [`Report::to_csv_row`] itself, which
+    /// appends them exactly when the run had a fault plan.
     pub fn row(&self, o: &CellRow) -> String {
-        let mut out = if self.explain {
-            o.report.to_csv_row_explain()
-        } else {
-            o.report.to_csv_row()
-        };
+        let mut out = o.report.to_csv_row();
+        if self.explain {
+            for c in StallCause::ALL {
+                let secs = o.report.stall_by_cause.get(c).as_secs_f64();
+                let _ = write!(out, ",{secs:.6}");
+            }
+        }
         if self.hinted {
+            out.push(',');
+            out.push_str(o.cell.hints.name());
             if self.explain {
                 // The oracle source is by definition perfectly precise
                 // and complete; predicted cells report measured figures.
@@ -1042,18 +879,22 @@ impl CsvGates {
                     Some(stats) => (stats.precision(), stats.recall()),
                     None => (1.0, 1.0),
                 };
-                out.push_str(&format!(
-                    ",{},{:.4},{:.4}",
-                    o.cell.hints.name(),
-                    precision,
-                    recall
-                ));
-            } else {
-                out.push(',');
-                out.push_str(o.cell.hints.name());
+                let _ = write!(out, ",{precision:.4},{recall:.4}");
             }
         }
         out.push('\n');
+        out
+    }
+
+    /// The rows as a CSV document under these gates: the header, then
+    /// one row per cell in the order given.
+    pub fn document(&self, rows: &[CellRow]) -> String {
+        let per_row = if self.explain { 128 } else { 96 };
+        let mut out = String::with_capacity(rows.len() * per_row + 160);
+        out.push_str(&self.header());
+        for o in rows {
+            out.push_str(&self.row(o));
+        }
         out
     }
 }
@@ -1062,29 +903,7 @@ impl CsvGates {
 /// order). Identical input produces identical bytes, whatever the thread
 /// count that computed it.
 pub fn sweep_csv(outcomes: &[CellRow]) -> String {
-    sweep_csv_gated(CsvGates::for_rows(outcomes, false), outcomes)
-}
-
-/// [`sweep_csv`] with the five per-cause stall columns appended to every
-/// row (`--explain`), plus — when any cell ran on predicted hints — the
-/// hint source and its prediction precision/recall. A separate function,
-/// not a flag on [`sweep_csv`]: the default document's bytes are
-/// golden-pinned and must not change.
-pub fn sweep_csv_explain(outcomes: &[CellRow]) -> String {
-    sweep_csv_gated(CsvGates::for_rows(outcomes, true), outcomes)
-}
-
-/// Renders rows under explicit `gates` — the building block the resume
-/// path uses to splice stored and freshly-computed rows into one
-/// document with a grid-determined shape.
-pub fn sweep_csv_gated(gates: CsvGates, outcomes: &[CellRow]) -> String {
-    let per_row = if gates.explain { 128 } else { 96 };
-    let mut out = String::with_capacity(outcomes.len() * per_row + 160);
-    out.push_str(&gates.header());
-    for o in outcomes {
-        out.push_str(&gates.row(o));
-    }
-    out
+    CsvGates::for_rows(outcomes, false).document(outcomes)
 }
 
 /// The outcomes as one JSON document: `{"cells":[...]}`, each cell's
@@ -1149,23 +968,23 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_profiled_matches_run_indexed() {
+    fn run_indexed_observed_matches_run_indexed() {
         for threads in [1, 3] {
-            let (out, workers) = run_indexed_profiled(23, threads, |i| i * 3);
-            assert_eq!(out, (0..23).map(|i| i * 3).collect::<Vec<_>>());
+            let (out, workers) = run_indexed_observed(23, threads, None, |i| i * 3, |_, _| {});
+            assert_eq!(out, run_indexed(23, threads, |i| i * 3));
             assert_eq!(workers.len(), threads);
             assert_eq!(workers.iter().map(|w| w.items).sum::<u64>(), 23);
             for w in &workers {
                 assert!(w.wall_us >= w.busy_us, "{w:?}");
             }
         }
-        let (out, workers) = run_indexed_profiled(0, 4, |i| i);
+        let (out, workers) = run_indexed_observed(0, 4, None, |i| i, |_, _| {});
         assert!(out.is_empty());
         assert_eq!(workers.len(), 1);
     }
 
     #[test]
-    fn measured_work_allocs_are_thread_count_invariant() {
+    fn observed_work_allocs_are_thread_count_invariant() {
         use std::cell::Cell;
         thread_local! {
             static FAKE: Cell<u64> = const { Cell::new(0) };
@@ -1182,14 +1001,41 @@ mod tests {
         };
         let expected: u64 = (1..=40).sum();
         for threads in [1, 2, 4] {
-            let (out, workers) = run_indexed_measured(40, threads, Some(read_fake), run);
+            let (out, workers) = run_indexed_observed(40, threads, Some(read_fake), run, |_, _| {});
             assert_eq!(out, (0..40).map(|i| i * 2).collect::<Vec<_>>());
             let total: u64 = workers.iter().map(|w| w.work_allocs).sum();
             assert_eq!(total, expected, "{threads} threads");
         }
         // Without a sampler the counters stay zero.
-        let (_, workers) = run_indexed_measured(8, 2, None, |i| i);
+        let (_, workers) = run_indexed_observed(8, 2, None, |i| i, |_, _| {});
         assert!(workers.iter().all(|w| w.work_allocs == 0));
+    }
+
+    /// Runs `spec` through the fail-soft executor, requiring every cell.
+    fn run_clean(spec: &SweepSpec, policy: &FailSoft) -> Vec<CellRow> {
+        let faults = FaultPlan::default();
+        run_cells_failsoft(&spec.cells(), 2, false, false, &faults, policy, None).expect_clean()
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 1: panicked after 1 attempt(s): injected failure in cell 1")]
+    fn expect_clean_names_a_failed_cell() {
+        let spec = SweepSpec {
+            entries: vec![SweepEntry {
+                trace: Arc::new(parcache_trace::synth::synth_trace(2, 40, 5)),
+                disks: vec![1],
+            }],
+            algos: vec![Algo::Demand, Algo::Aggressive, Algo::FixedHorizon],
+            hints: Vec::new(),
+        };
+        let inject = Injection::parse("panic:1").ok();
+        run_clean(
+            &spec,
+            &FailSoft {
+                inject,
+                ..FailSoft::default()
+            },
+        );
     }
 
     #[test]
@@ -1203,9 +1049,9 @@ mod tests {
             algos: vec![Algo::Demand, Algo::Aggressive],
             hints: Vec::new(),
         };
-        let outcomes = run_sweep(&spec, 1);
+        let outcomes = run_clean(&spec, &FailSoft::default());
         let plain = sweep_csv(&outcomes);
-        let explain = sweep_csv_explain(&outcomes);
+        let explain = CsvGates::for_rows(&outcomes, true).document(&outcomes);
         let plain_cols = plain.lines().next().unwrap().split(',').count();
         for (p, e) in plain.lines().zip(explain.lines()) {
             // Every explain row is its default row plus five columns —
@@ -1266,7 +1112,7 @@ mod tests {
         assert_eq!(cells.len(), 4);
         let order: Vec<&str> = cells.iter().map(|c| c.hints.name()).collect();
         assert_eq!(order, vec!["oracle", "oracle", "seq", "seq"]);
-        let outcomes = run_sweep(&spec, 1);
+        let outcomes = run_clean(&spec, &FailSoft::default());
         // Oracle cells stay stats-free; predicted cells carry stats.
         assert!(outcomes[0].report.hints.is_none());
         assert!(outcomes[2].report.hints.is_some());
@@ -1274,7 +1120,7 @@ mod tests {
         assert!(csv.lines().next().unwrap().ends_with(",hints"));
         assert!(csv.lines().nth(1).unwrap().ends_with(",oracle"));
         assert!(csv.lines().nth(3).unwrap().ends_with(",seq"));
-        let explain = sweep_csv_explain(&outcomes);
+        let explain = CsvGates::for_rows(&outcomes, true).document(&outcomes);
         let header = explain.lines().next().unwrap();
         assert!(header.ends_with(",hints,hint_precision,hint_recall"));
         // Oracle rows render as perfectly precise and complete.

@@ -5,8 +5,7 @@
 
 use parcache_bench::fuzz::fuzz;
 use parcache_bench::sweep::{
-    run_sweep, run_sweep_audited, run_sweep_cells, run_sweep_cells_audited, sweep_csv, sweep_json,
-    SweepEntry, SweepSpec,
+    run_cells_failsoft, sweep_csv, sweep_json, CellRow, FailSoft, SweepCell, SweepEntry, SweepSpec,
 };
 use parcache_bench::Algo;
 use parcache_core::audit::simulate_audited;
@@ -31,6 +30,19 @@ const MODELS: [DiskModelKind; 4] = [
     DiskModelKind::Hp97560,
     DiskModelKind::Hp97560NoReadahead,
 ];
+
+/// Runs `cells` through the fail-soft executor, requiring every cell to
+/// finish and, when `audited`, every cell's audit to come back clean.
+fn sweep(cells: &[SweepCell], threads: usize, audited: bool, faults: &FaultPlan) -> Vec<CellRow> {
+    let policy = FailSoft::default();
+    let run = run_cells_failsoft(cells, threads, false, audited, faults, &policy, None);
+    for e in run.executions.iter().filter(|_| audited) {
+        let audit = e.audit.as_ref().expect("an audited cell carries a verdict");
+        assert!(audit.is_clean(), "cell {}: {:?}", e.index, audit.violations);
+        assert!(audit.events > 0, "the audit probe saw the event stream");
+    }
+    run.expect_clean()
+}
 
 #[test]
 fn audit_is_clean_across_the_full_feature_matrix() {
@@ -67,21 +79,11 @@ fn audited_sweep_is_byte_identical_to_unaudited() {
         algos: vec![Algo::Demand, Algo::Aggressive, Algo::TunedReverse],
         hints: Vec::new(),
     };
-    let plain = run_sweep(&spec, 2);
-    let (audited, audits) = run_sweep_audited(&spec, 2);
+    let cells = spec.cells();
+    let plain = sweep(&cells, 2, false, &FaultPlan::default());
+    let audited = sweep(&cells, 2, true, &FaultPlan::default());
     assert_eq!(sweep_csv(&plain), sweep_csv(&audited));
     assert_eq!(sweep_json(&plain), sweep_json(&audited));
-    assert_eq!(audits.len(), plain.len());
-    for (outcome, audit) in audited.iter().zip(&audits) {
-        assert!(
-            audit.is_clean(),
-            "{} on {} disks: {:?}",
-            outcome.report.policy,
-            outcome.report.disks,
-            audit.violations
-        );
-        assert!(audit.events > 0, "the audit probe saw the event stream");
-    }
 }
 
 #[test]
@@ -137,23 +139,16 @@ fn faulted_spec() -> (SweepSpec, FaultPlan) {
 fn faulted_sweep_is_deterministic_and_audits_clean() {
     let (spec, plan) = faulted_spec();
     let cells = spec.cells();
-    let serial = run_sweep_cells(&cells, 1, false, &plan);
-    let threaded = run_sweep_cells(&cells, 4, false, &plan);
+    let serial = sweep(&cells, 1, false, &plan);
+    let threaded = sweep(&cells, 4, false, &plan);
     // Byte-identity at any thread count, with fault columns present.
     assert_eq!(sweep_csv(&serial), sweep_csv(&threaded));
     assert_eq!(sweep_json(&serial), sweep_json(&threaded));
-    assert!(sweep_csv(&serial).starts_with(parcache_core::Report::csv_header_faulted()));
-    let (audited, audits) = run_sweep_cells_audited(&cells, 2, false, &plan);
-    assert_eq!(sweep_csv(&serial), sweep_csv(&audited));
-    for (outcome, audit) in audited.iter().zip(&audits) {
-        assert!(
-            audit.is_clean(),
-            "{} on {} disks: {:?}",
-            outcome.report.policy,
-            outcome.report.disks,
-            audit.violations
-        );
-    }
+    let csv = sweep_csv(&serial);
+    let header = csv.lines().next().unwrap();
+    assert!(header.ends_with(",faults_injected,retries,abandoned,degraded_s,availability"));
+    let audited = sweep(&cells, 2, true, &plan);
+    assert_eq!(csv, sweep_csv(&audited));
 }
 
 #[test]
@@ -162,11 +157,11 @@ fn empty_fault_plan_is_byte_identical_to_the_plain_path() {
     // relative to the pre-fault code path.
     let (spec, _) = faulted_spec();
     let cells = spec.cells();
-    let plain = run_sweep(&spec, 2);
-    let empty = run_sweep_cells(&cells, 2, false, &FaultPlan::default());
+    let plain = sweep(&cells, 2, false, &FaultPlan::default());
+    let empty = sweep(&cells, 2, false, &FaultPlan::parse("").expect("parses"));
     assert_eq!(sweep_csv(&plain), sweep_csv(&empty));
     assert_eq!(sweep_json(&plain), sweep_json(&empty));
-    assert!(sweep_csv(&empty).starts_with(parcache_core::Report::csv_header()));
+    assert!(sweep_csv(&empty).starts_with(&format!("{}\n", parcache_core::Report::csv_header())));
     assert!(!sweep_json(&empty).contains("\"fault\""));
 }
 

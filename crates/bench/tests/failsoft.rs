@@ -1,18 +1,20 @@
-//! The fail-soft executor's contract, end to end: a clean run is
-//! byte-identical to the plain sweep, an injected failure costs exactly
-//! its own cell at every thread count, and a manifest-driven resume
-//! reproduces the uninterrupted document byte for byte (pinned by
-//! SHA-256). Also pins the manifest's reject paths — malformed JSON,
-//! schema drift, and stale grids all fail typed, never panic.
+//! The fail-soft executor's contract, end to end: a clean run matches
+//! direct runs of every cell, an injected failure costs exactly its own
+//! cell at every thread count, and a manifest-driven resume — through the
+//! same splice the CLI renders with — reproduces the uninterrupted
+//! document byte for byte (pinned by SHA-256). Also pins the manifest's
+//! reject paths — malformed JSON, schema drift, and stale grids all fail
+//! typed, never panic.
 
 use parcache_bench::manifest::{
-    grid_hash, plan_resume, ManifestCell, ManifestError, ManifestStatus, SweepManifest,
+    csv_document, grid_hash, plan_resume, splice, ManifestError, ManifestStatus, SweepManifest,
 };
 use parcache_bench::sweep::{
-    run_cells_failsoft, run_sweep_cells, sweep_csv, sweep_csv_gated, CellOutcome, CsvGates,
-    FailSoft, FailSoftRun, Injection, InjectionKind, SweepCell, SweepEntry, SweepSpec,
+    run_cells_failsoft, CellOutcome, CellRow, CsvGates, FailSoft, FailSoftRun, Injection,
+    InjectionKind, SweepCell, SweepEntry, SweepSpec,
 };
 use parcache_bench::{sha256_hex, Algo};
+use parcache_core::SimConfig;
 use parcache_disk::FaultPlan;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,29 +53,35 @@ fn panic_in(cell: usize) -> FailSoft {
     }
 }
 
-/// The CLI's splice: fresh rows where this run produced them, stored
-/// rows where a manifest carried them forward, nothing for failures.
-fn splice(
+/// The manifest a run writes with nothing carried forward.
+fn manifest_of(
     cells: &[SweepCell],
     gates: CsvGates,
-    stored: &HashMap<usize, ManifestCell>,
+    audited: bool,
     run: &FailSoftRun,
-) -> String {
-    let fresh: HashMap<usize, String> = run
-        .executions
-        .iter()
-        .filter_map(|e| e.outcome.row().map(|r| (e.index, gates.row(r))))
-        .collect();
-    let mut doc = gates.header();
-    for i in 0..cells.len() {
-        if let Some(row) = fresh.get(&i) {
-            doc.push_str(row);
-        } else if let Some(row) = stored.get(&i).and_then(|m| m.status.row()) {
-            doc.push_str(row);
-            doc.push('\n');
-        }
+) -> SweepManifest {
+    SweepManifest {
+        grid_hash: grid_hash(cells, &FaultPlan::default()),
+        cells: cells.len(),
+        gates,
+        audited,
+        outcomes: splice(cells.len(), gates, HashMap::new(), &run.executions),
     }
-    doc
+}
+
+/// Every cell run directly, one `Algo::run` each: the executor's naive
+/// spec.
+fn direct_rows(cells: &[SweepCell]) -> Vec<CellRow> {
+    cells
+        .iter()
+        .map(|c| CellRow {
+            cell: c.clone(),
+            report: c
+                .algo
+                .run(&c.trace, &SimConfig::for_trace(c.disks, &c.trace)),
+            metrics: None,
+        })
+        .collect()
 }
 
 #[test]
@@ -81,26 +89,22 @@ fn clean_failsoft_run_matches_the_plain_sweep() {
     let cells = small_cells();
     let faults = FaultPlan::default();
     let gates = CsvGates::for_grid(&cells, &faults, false);
-    let plain = sweep_csv(&run_sweep_cells(&cells, 2, false, &faults));
+    let plain = gates.document(&direct_rows(&cells));
     let run = run_cells_failsoft(&cells, 2, false, false, &faults, &FailSoft::default(), None);
     assert_eq!(run.failures(), 0);
     assert!(run
         .executions
         .iter()
         .all(|e| e.attempts == 1 && matches!(e.outcome, CellOutcome::Ok(_))));
-    let rows: Vec<_> = run.rows().cloned().collect();
-    assert_eq!(sweep_csv_gated(gates, &rows), plain);
 
-    // And the zero-failure manifest says so, round-tripping exactly.
-    let man = SweepManifest::from_run(
-        &run.executions,
-        gates,
-        grid_hash(&cells, &faults),
-        cells.len(),
-        false,
-    );
+    // The zero-failure manifest says so, round-tripping exactly, and
+    // its spliced document is the plain one.
+    let man = manifest_of(&cells, gates, false, &run);
     assert_eq!(man.completed(), cells.len());
     assert_eq!(SweepManifest::parse(&man.to_json()).unwrap(), man);
+    assert_eq!(csv_document(gates, &man.outcomes), plain);
+    let rows = run.expect_clean();
+    assert_eq!(gates.document(&rows), plain);
 }
 
 #[test]
@@ -109,7 +113,7 @@ fn injected_panic_costs_exactly_its_own_cell_at_every_thread_count() {
     let faults = FaultPlan::default();
     let gates = CsvGates::for_grid(&cells, &faults, false);
     let victim = 3;
-    let clean = run_sweep_cells(&cells, 1, false, &faults);
+    let clean = direct_rows(&cells);
     let surviving: String = clean
         .iter()
         .enumerate()
@@ -151,14 +155,13 @@ fn resume_reproduces_the_uninterrupted_document_byte_for_byte() {
     let faults = FaultPlan::default();
     let gates = CsvGates::for_grid(&cells, &faults, false);
     let hash = grid_hash(&cells, &faults);
-    let uninterrupted = sweep_csv_gated(gates, &run_sweep_cells(&cells, 1, false, &faults));
+    let uninterrupted = gates.document(&direct_rows(&cells));
     let digest = sha256_hex(uninterrupted.as_bytes());
 
     for threads in [1, 2, 4] {
         // First invocation: cell 5 poisons itself; the rest finish.
         let first = run_cells_failsoft(&cells, threads, false, false, &faults, &panic_in(5), None);
-        let man =
-            SweepManifest::from_run(&first.executions, gates, hash.clone(), cells.len(), false);
+        let man = manifest_of(&cells, gates, false, &first);
         // Second invocation: resume from the (parsed) manifest.
         let man = SweepManifest::parse(&man.to_json()).unwrap();
         let plan = plan_resume(&man, cells.len(), &hash, gates, false).unwrap();
@@ -173,7 +176,10 @@ fn resume_reproduces_the_uninterrupted_document_byte_for_byte() {
             &FailSoft::default(),
             None,
         );
-        let spliced = splice(&cells, gates, &plan.stored, &second);
+        let spliced = csv_document(
+            gates,
+            &splice(cells.len(), gates, plan.stored, &second.executions),
+        );
         assert_eq!(
             sha256_hex(spliced.as_bytes()),
             digest,
@@ -272,7 +278,7 @@ fn fail_fast_skips_undispatched_cells_and_resume_picks_them_up() {
     );
     // Every skipped (and the failed) cell is in the resume plan.
     let hash = grid_hash(&cells, &faults);
-    let man = SweepManifest::from_run(&run.executions, gates, hash.clone(), cells.len(), false);
+    let man = manifest_of(&cells, gates, false, &run);
     let plan = plan_resume(&man, cells.len(), &hash, gates, false).unwrap();
     assert_eq!(plan.to_run, (0..cells.len()).collect::<Vec<_>>());
 }
@@ -289,7 +295,7 @@ fn audited_failsoft_run_records_verdicts_in_the_manifest() {
         .iter()
         .all(|e| e.audit.as_ref().is_some_and(|a| a.is_clean())));
     let hash = grid_hash(&cells, &faults);
-    let man = SweepManifest::from_run(&run.executions, gates, hash.clone(), cells.len(), true);
+    let man = manifest_of(&cells, gates, true, &run);
     assert!(man.outcomes.iter().all(|o| matches!(
         o.status,
         ManifestStatus::Ok {
@@ -310,7 +316,7 @@ fn malformed_and_stale_manifests_are_rejected_with_typed_errors() {
     let gates = CsvGates::for_grid(&cells, &faults, false);
     let hash = grid_hash(&cells, &faults);
     let run = run_cells_failsoft(&cells, 1, false, false, &faults, &FailSoft::default(), None);
-    let man = SweepManifest::from_run(&run.executions, gates, hash.clone(), cells.len(), false);
+    let man = manifest_of(&cells, gates, false, &run);
     let json = man.to_json();
 
     // Truncation is a parse error carrying the line it died on.

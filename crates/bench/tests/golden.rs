@@ -20,7 +20,7 @@
 //! and replace the digest in `tests/fixtures/appendix_a_sweep.sha256`,
 //! noting the model change in the commit message.
 
-use parcache_bench::sweep::{self, SweepEntry, SweepSpec};
+use parcache_bench::sweep::{self, FailSoft, SweepCell, SweepEntry, SweepSpec};
 use parcache_bench::{best_reverse_search, trace, Algo};
 use parcache_core::hints::HintSpec;
 use parcache_core::{simulate, HintMode, PolicyKind, Report, SimConfig};
@@ -32,20 +32,29 @@ const GOLDEN: &str = include_str!("fixtures/appendix_a_sweep.sha256");
 #[test]
 #[ignore = "full 332-cell sweep; run with -- --ignored (CI does)"]
 fn appendix_a_sweep_csv_matches_committed_digest() {
-    let threads = sweep::default_threads();
-    let spec = SweepSpec::appendix_a(threads);
-    let cells = spec.cells();
+    let cells = SweepSpec::appendix_a(sweep::default_threads()).cells();
     assert_eq!(cells.len(), 332, "appendix-A grid changed size");
-    let outcomes = sweep::run_sweep_cells(&cells, threads, false, &FaultPlan::default());
-    let csv = sweep::sweep_csv(&outcomes);
-    let digest = parcache_bench::sha256_hex(csv.as_bytes());
-    assert_eq!(
-        digest,
-        GOLDEN.trim(),
-        "appendix-A sweep CSV diverged from the committed golden digest; \
-         if this is an intentional model change, follow the fixture \
-         update procedure in DESIGN.md (\"Golden outputs\")"
-    );
+    // The users' path (the executor the CLI runs), serially and at the
+    // machine's parallelism: the bytes must not depend on either.
+    for threads in [1, sweep::default_threads().max(2)] {
+        let digest = parcache_bench::sha256_hex(swept_csv(&cells, threads).as_bytes());
+        assert_eq!(
+            digest,
+            GOLDEN.trim(),
+            "appendix-A sweep CSV at {threads} thread(s) diverged from the committed \
+             golden digest; if this is an intentional model change, follow the \
+             fixture update procedure in DESIGN.md (\"Golden outputs\")"
+        );
+    }
+}
+
+/// The sweep CSV of `cells` run through the fail-soft executor on
+/// `threads` workers, requiring every cell.
+fn swept_csv(cells: &[SweepCell], threads: usize) -> String {
+    let (faults, policy) = (FaultPlan::default(), FailSoft::default());
+    let rows = sweep::run_cells_failsoft(cells, threads, false, false, &faults, &policy, None)
+        .expect_clean();
+    sweep::sweep_csv(&rows)
 }
 
 /// Digest of the sweep CSV of two small traces at 1 and 3 disks, the
@@ -85,8 +94,8 @@ fn predicted_hint_sweep_csv_matches_committed_digest() {
         ],
         hints: HintMode::ALL.to_vec(),
     };
-    let rows = sweep::run_sweep(&spec, sweep::default_threads());
-    let digest = parcache_bench::sha256_hex(sweep::sweep_csv(&rows).as_bytes());
+    let digest =
+        parcache_bench::sha256_hex(swept_csv(&spec.cells(), sweep::default_threads()).as_bytes());
     assert_eq!(digest, PREDICTED_GOLDEN);
 }
 

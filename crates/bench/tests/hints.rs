@@ -7,7 +7,7 @@
 //! stall gap.
 
 use parcache_bench::sweep::{
-    run_sweep, sweep_csv, sweep_csv_explain, sweep_json, SweepEntry, SweepSpec,
+    run_cells_failsoft, sweep_csv, sweep_json, CellRow, CsvGates, FailSoft, SweepEntry, SweepSpec,
 };
 use parcache_bench::Algo;
 use parcache_core::audit::simulate_audited;
@@ -15,6 +15,7 @@ use parcache_core::predict::{HintMode, PredictorKind};
 use parcache_core::theory::unit_trace;
 use parcache_core::{simulate, PolicyKind, SimConfig};
 use parcache_disk::sched::Discipline;
+use parcache_disk::FaultPlan;
 use std::sync::Arc;
 
 /// A small grid over every hint source and every appendix-A policy —
@@ -37,20 +38,31 @@ fn predicted_spec() -> SweepSpec {
     }
 }
 
+/// Runs `spec` through the fail-soft executor, requiring every cell.
+fn sweep(spec: &SweepSpec, threads: usize) -> Vec<CellRow> {
+    let (faults, policy) = (FaultPlan::default(), FailSoft::default());
+    run_cells_failsoft(&spec.cells(), threads, false, false, &faults, &policy, None).expect_clean()
+}
+
+/// The `--explain` flavor of [`sweep_csv`].
+fn explain_csv(rows: &[CellRow]) -> String {
+    CsvGates::for_rows(rows, true).document(rows)
+}
+
 #[test]
 fn predicted_sweeps_are_byte_identical_across_thread_counts() {
     let spec = predicted_spec();
-    let serial = run_sweep(&spec, 1);
+    let serial = sweep(&spec, 1);
     for threads in [2, 4] {
-        let threaded = run_sweep(&spec, threads);
+        let threaded = sweep(&spec, threads);
         assert_eq!(
             sweep_csv(&serial),
             sweep_csv(&threaded),
             "{threads} threads"
         );
         assert_eq!(
-            sweep_csv_explain(&serial),
-            sweep_csv_explain(&threaded),
+            explain_csv(&serial),
+            explain_csv(&threaded),
             "{threads} threads"
         );
         assert_eq!(
@@ -106,14 +118,14 @@ fn every_predictor_is_audit_clean_across_the_policy_discipline_matrix() {
 fn hint_columns_appear_only_when_a_predicted_source_is_in_the_grid() {
     let mut oracle_only = predicted_spec();
     oracle_only.hints = Vec::new();
-    let plain = run_sweep(&oracle_only, 2);
+    let plain = sweep(&oracle_only, 2);
     let csv = sweep_csv(&plain);
     assert!(
         !csv.lines().next().unwrap().contains("hints"),
         "oracle-only sweep CSV must keep the historical column set"
     );
 
-    let predicted = run_sweep(&predicted_spec(), 2);
+    let predicted = sweep(&predicted_spec(), 2);
     let csv = sweep_csv(&predicted);
     assert!(csv.lines().next().unwrap().ends_with(",hints"));
     for mode in HintMode::ALL {
@@ -124,7 +136,7 @@ fn hint_columns_appear_only_when_a_predicted_source_is_in_the_grid() {
             mode.name()
         );
     }
-    let explain = sweep_csv_explain(&predicted);
+    let explain = explain_csv(&predicted);
     assert!(explain
         .lines()
         .next()

@@ -8,7 +8,7 @@
 //! 2. the CSV is byte-identical at 1, 2, and 4 threads, compared by
 //!    SHA-256 digest on a real paper trace.
 
-use parcache_bench::sweep::{run_sweep_cells, sweep_csv, SweepSpec};
+use parcache_bench::sweep::{run_cells_failsoft, sweep_csv, FailSoft, SweepSpec};
 use parcache_bench::{sha256_hex, trace_cache_stats, Algo};
 use parcache_disk::FaultPlan;
 
@@ -24,7 +24,10 @@ fn shared_trace_sweep_is_digest_identical_and_cache_silent() {
     let digests: Vec<String> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
-            let outcomes = run_sweep_cells(&cells, threads, false, &FaultPlan::default());
+            let (faults, policy) = (FaultPlan::default(), FailSoft::default());
+            let outcomes =
+                run_cells_failsoft(&cells, threads, false, false, &faults, &policy, None)
+                    .expect_clean();
             sha256_hex(sweep_csv(&outcomes).as_bytes())
         })
         .collect();

@@ -1,12 +1,14 @@
 //! Determinism contract of the multi-threaded sweep engine: the same
 //! specification produces byte-identical output at every thread count,
-//! and every cell matches what the serial runner computes on its own.
+//! and every cell matches what a direct `Algo::run` computes on its own
+//! (the executor's naive spec).
 
 use parcache_bench::sweep::{
-    run_sweep, run_sweep_probed, sweep_csv, sweep_json, SweepEntry, SweepSpec,
+    run_cells_failsoft, sweep_csv, sweep_json, CellRow, FailSoft, SweepEntry, SweepSpec,
 };
 use parcache_bench::Algo;
 use parcache_core::SimConfig;
+use parcache_disk::FaultPlan;
 use std::sync::Arc;
 
 /// A small grid — two tiny traces, three array sizes, three algorithms
@@ -31,12 +33,27 @@ fn small_spec() -> SweepSpec {
     }
 }
 
+/// Runs `spec` through the fail-soft executor, requiring every cell.
+fn sweep(spec: &SweepSpec, threads: usize, probed: bool) -> Vec<CellRow> {
+    let (faults, policy) = (FaultPlan::default(), FailSoft::default());
+    run_cells_failsoft(
+        &spec.cells(),
+        threads,
+        probed,
+        false,
+        &faults,
+        &policy,
+        None,
+    )
+    .expect_clean()
+}
+
 #[test]
 fn sweep_output_is_byte_identical_across_thread_counts() {
     let spec = small_spec();
-    let serial = run_sweep(&spec, 1);
+    let serial = sweep(&spec, 1, false);
     for threads in [2, 4] {
-        let threaded = run_sweep(&spec, threads);
+        let threaded = sweep(&spec, threads, false);
         assert_eq!(
             sweep_csv(&serial),
             sweep_csv(&threaded),
@@ -53,8 +70,8 @@ fn sweep_output_is_byte_identical_across_thread_counts() {
 #[test]
 fn probed_sweep_output_is_byte_identical_across_thread_counts() {
     let spec = small_spec();
-    let serial = run_sweep_probed(&spec, 1);
-    let threaded = run_sweep_probed(&spec, 4);
+    let serial = sweep(&spec, 1, true);
+    let threaded = sweep(&spec, 4, true);
     // The probed JSON covers counters, histograms, and per-disk
     // timelines, so this pins the full metrics pipeline, not just the
     // headline report.
@@ -64,7 +81,7 @@ fn probed_sweep_output_is_byte_identical_across_thread_counts() {
 #[test]
 fn sweep_cells_match_serial_runs_exactly() {
     let spec = small_spec();
-    let outcomes = run_sweep(&spec, 4);
+    let outcomes = sweep(&spec, 4, false);
     assert_eq!(outcomes.len(), 9);
     for o in &outcomes {
         let cfg = SimConfig::for_trace(o.cell.disks, &o.cell.trace);
@@ -82,8 +99,8 @@ fn sweep_cells_match_serial_runs_exactly() {
 #[test]
 fn probed_sweep_reports_match_unprobed_and_carry_metrics() {
     let spec = small_spec();
-    let plain = run_sweep(&spec, 2);
-    let probed = run_sweep_probed(&spec, 2);
+    let plain = sweep(&spec, 2, false);
+    let probed = sweep(&spec, 2, true);
     assert_eq!(plain.len(), probed.len());
     for (a, b) in plain.iter().zip(&probed) {
         // Attaching a probe must not change the simulation.

@@ -64,20 +64,25 @@ impl AuditOutcome {
         self.violations.is_empty() && self.suppressed == 0
     }
 
+    /// One line per recorded violation, then the count of suppressed
+    /// ones: how every caller reports a failed audit.
+    pub fn lines(&self) -> Vec<String> {
+        let mut lines: Vec<String> = self.violations.iter().map(|v| v.to_string()).collect();
+        if self.suppressed > 0 {
+            lines.push(format!("... and {} more suppressed", self.suppressed));
+        }
+        lines
+    }
+
     /// Panics with every recorded violation unless the run was clean.
     pub fn assert_clean(&self) {
-        if !self.is_clean() {
-            let mut msg = format!(
-                "audit failed: {} violation(s) over {} events",
-                self.violations.len() as u64 + self.suppressed,
-                self.events
-            );
-            for v in &self.violations {
-                msg.push_str("\n  ");
-                msg.push_str(&v.to_string());
-            }
-            panic!("{msg}");
-        }
+        assert!(
+            self.is_clean(),
+            "audit failed: {} violation(s) over {} events\n  {}",
+            self.violations.len() as u64 + self.suppressed,
+            self.events,
+            self.lines().join("\n  ")
+        );
     }
 }
 
@@ -901,6 +906,37 @@ pub fn simulate_audited(
     (report, outcome)
 }
 
+/// Audits a finished run: reruns `trace` under `policy` with the audit
+/// riding the probe stream and returns the verdict. An audited report
+/// that differs from `plain` is itself an `audit-transparency`
+/// violation — the audit must never perturb the simulation it observes.
+pub fn audit_rerun(
+    trace: &Trace,
+    policy: PolicyKind,
+    config: &SimConfig,
+    plain: &Report,
+) -> AuditOutcome {
+    let (audited, mut outcome) = simulate_audited(trace, policy, config);
+    if audited != *plain {
+        outcome.violations.push(AuditViolation {
+            time: plain.elapsed,
+            rule: "audit-transparency",
+            detail: format!(
+                "audited rerun of {}/{}/{} disks diverged from the plain report: \
+                 elapsed {} vs {}, fetches {} vs {}",
+                plain.trace,
+                plain.policy,
+                plain.disks,
+                audited.elapsed,
+                plain.elapsed,
+                audited.fetches,
+                plain.fetches
+            ),
+        });
+    }
+    outcome
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -933,6 +969,29 @@ mod tests {
             assert!(audit.is_clean(), "{kind}: {:?}", audit.violations);
             assert_eq!(plain, audited, "{kind}: audit changed the simulation");
         }
+    }
+
+    #[test]
+    fn audit_rerun_flags_a_report_the_audited_run_does_not_reproduce() {
+        let t = unit_trace(&[5, 3, 5, 1, 0, 2, 4, 1, 3], 4);
+        let cfg = theory_config(3, 4, 2);
+        let plain = crate::engine::simulate(&t, PolicyKind::Aggressive, &cfg);
+        assert!(audit_rerun(&t, PolicyKind::Aggressive, &cfg, &plain).is_clean());
+        let mut tampered = plain.clone();
+        tampered.fetches += 1;
+        let audit = audit_rerun(&t, PolicyKind::Aggressive, &cfg, &tampered);
+        assert_eq!(audit.violations.len(), 1);
+        assert_eq!(audit.violations[0].rule, "audit-transparency");
+        let lines = audit.lines();
+        assert!(
+            lines[0].contains("elapsed") && lines[0].contains("fetches"),
+            "{lines:?}"
+        );
+        let capped = AuditOutcome {
+            suppressed: 3,
+            ..audit
+        };
+        assert_eq!(capped.lines().last().unwrap(), "... and 3 more suppressed");
     }
 
     #[test]

@@ -541,7 +541,7 @@ impl MissingTracker {
 
     /// Whether every position inserted on `disk` since insertion epoch
     /// `since` landed at or beyond `guard`. Returns `None` when more
-    /// than [`RECENT_INS`] insertions happened since and the ring no
+    /// than `RECENT_INS` insertions happened since and the ring no
     /// longer remembers them all.
     #[inline]
     pub fn inserts_all_at_or_beyond(&self, disk: usize, since: u64, guard: usize) -> Option<bool> {

@@ -49,7 +49,7 @@ const HISTORY: usize = 100;
 /// Window sums are maintained incrementally — an observation is added on
 /// push and subtracted when it slides out — so the averages and ratio the
 /// estimator reads at every decision point are O(1) instead of re-summing
-/// up to [`HISTORY`] entries. The arithmetic is exact (`u64` adds and
+/// up to `HISTORY` entries. The arithmetic is exact (`u64` adds and
 /// subtracts), so results are bit-identical to re-summing the window.
 #[derive(Debug)]
 pub struct FetchHistory {
@@ -424,17 +424,11 @@ impl Report {
         "trace,policy,disks,elapsed_s,compute_s,driver_s,stall_s,fetches,writes,avg_fetch_ms,avg_disk_utilization"
     }
 
-    /// Column names for rows from faulted runs, which carry five extra
-    /// fault-accounting columns.
-    pub fn csv_header_faulted() -> &'static str {
-        "trace,policy,disks,elapsed_s,compute_s,driver_s,stall_s,fetches,writes,avg_fetch_ms,avg_disk_utilization,faults_injected,retries,abandoned,degraded_s,availability"
-    }
-
-    /// This report as one CSV row — matching [`csv_header`] for a healthy
-    /// run, [`csv_header_faulted`] when the run had a fault plan.
+    /// This report as one CSV row matching [`csv_header`] — plus five
+    /// fault-accounting columns (faults injected, retries, abandoned,
+    /// degraded seconds, availability) when the run had a fault plan.
     ///
     /// [`csv_header`]: Report::csv_header
-    /// [`csv_header_faulted`]: Report::csv_header_faulted
     pub fn to_csv_row(&self) -> String {
         let mut row = format!(
             "{},{},{},{:.6},{:.6},{:.6},{:.6},{},{},{:.4},{:.4}",
@@ -461,33 +455,6 @@ impl Report {
             ));
         }
         row
-    }
-
-    /// Column names for [`to_csv_row_explain`](Report::to_csv_row_explain):
-    /// the default columns plus one per stall cause. Kept separate from
-    /// [`csv_header`](Report::csv_header) so the default CSV schema stays
-    /// byte-identical — explain columns appear only behind `--explain`.
-    pub fn csv_header_explain(faulted: bool) -> String {
-        let base = if faulted {
-            Report::csv_header_faulted()
-        } else {
-            Report::csv_header()
-        };
-        let causes: Vec<String> = StallCause::ALL
-            .iter()
-            .map(|c| format!("stall_{}_s", c.name()))
-            .collect();
-        format!("{},{}", base, causes.join(","))
-    }
-
-    /// This report as one CSV row matching
-    /// [`csv_header_explain`](Report::csv_header_explain).
-    pub fn to_csv_row_explain(&self) -> String {
-        let causes: Vec<String> = StallCause::ALL
-            .iter()
-            .map(|&c| format!("{:.6}", self.stall_by_cause.get(c).as_secs_f64()))
-            .collect();
-        format!("{},{}", self.to_csv_row(), causes.join(","))
     }
 
     /// This report as a JSON object (hand-rolled; the workspace has no

@@ -119,7 +119,7 @@ impl HintSource for OracleHints {
 const SEQ_MIN_RUN: u32 = 2;
 
 /// Stride run detection: tracks the delta between consecutive references
-/// and, once the same nonzero delta repeats [`SEQ_MIN_RUN`] times,
+/// and, once the same nonzero delta repeats `SEQ_MIN_RUN` times,
 /// extrapolates it forward. Exactly the shape of classic file-system
 /// readahead, generalized to arbitrary strides.
 #[derive(Debug, Default)]
@@ -249,7 +249,7 @@ const MITHRIL_MIN_SUPPORT: u32 = 2;
 
 /// MITHRIL-style sporadic-association mining (Yang et al., PAPERS.md):
 /// count pairs of blocks that recur close together in time at distances
-/// **2..=[`MITHRIL_SPAN`]** — deliberately excluding the immediate
+/// **2..=`MITHRIL_SPAN`** — deliberately excluding the immediate
 /// successor, which is the Markov model's territory — and predict the
 /// strongest associations of the last few references. This catches
 /// recurring loose patterns (metadata-then-data, header-then-footer)
