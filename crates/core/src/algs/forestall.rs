@@ -180,18 +180,21 @@ impl Forestall {
         if let Some(p) = self.preds[disk].as_mut() {
             match p.verdict {
                 Verdict::True { index, pos } => {
-                    if ctx.missing.rem_epoch(disk) == p.epoch {
-                        // No removal means the entry was not consumed
-                        // (the cursor reaching it would have fetched it),
-                        // so `pos >= cursor`, and insertions since can
-                        // only have grown its rank past `index`.
-                        debug_assert!(pos >= cursor, "missing entry behind the cursor");
-                        if scaled_cmp(u128::from(index), f_prime, (pos - cursor) as u64)
+                    // No removal means the entry was not consumed, and
+                    // insertions since can only have grown its rank past
+                    // `index`. Under exact hints the cursor reaching the
+                    // entry would have fetched it, so `pos >= cursor`.
+                    // A predicted hint can be a wrong guess the cursor
+                    // passes without fetching, which leaves the entry
+                    // behind the cursor: the certificate then fails and
+                    // the scan decides.
+                    if ctx.missing.rem_epoch(disk) == p.epoch
+                        && pos >= cursor
+                        && scaled_cmp(u128::from(index), f_prime, (pos - cursor) as u64)
                             != Ordering::Less
-                        {
-                            debug_assert!(naive_scan(ctx, disk, f_prime));
-                            return true;
-                        }
+                    {
+                        debug_assert!(naive_scan(ctx, disk, f_prime));
+                        return true;
                     }
                 }
                 Verdict::False {
@@ -608,6 +611,28 @@ mod tests {
             "forestall {} vs aggressive {}",
             f.elapsed,
             agg.elapsed
+        );
+    }
+
+    #[test]
+    fn a_wrong_guess_behind_the_cursor_fails_the_cached_stall_certificate() {
+        // Under `seq` hints on the `ld` trace at 2 disks, the cursor
+        // passes wrong guesses without fetching them. A cached TRUE
+        // verdict can then rest on a missing entry behind the cursor
+        // with no removal since. Its certificate must fail (debug builds
+        // used to panic here, and release builds computed a wrapped
+        // distance), and the incremental predictor must still give the
+        // naive scan's report.
+        use crate::predict::{HintMode, PredictorKind};
+        let trace = parcache_trace::trace_by_name("ld", 1996).expect("paper trace");
+        let c = SimConfig::for_trace(2, &trace)
+            .with_hint_mode(HintMode::Predicted(PredictorKind::Sequential));
+        let fast = simulate_with(&trace, &mut Forestall::new(&c), &c);
+        let mut naive = c.clone();
+        naive.forestall_naive_scan = true;
+        assert_eq!(
+            fast,
+            crate::engine::simulate(&trace, PolicyKind::Forestall, &naive)
         );
     }
 

@@ -15,7 +15,7 @@
 //! ([`Knowledge`]): an exact next-use index when keys are exact, a lazy
 //! max-heap otherwise.
 
-use crate::oracle::{Oracle, NEVER};
+use crate::oracle::{NextUseCursors, Oracle, NEVER};
 use parcache_types::{BitSet, BlockId, PosSet};
 use std::collections::BinaryHeap;
 
@@ -64,6 +64,9 @@ pub struct Cache {
     inflight: BitSet,
     /// How the furthest-future resident block is found.
     belady: Belady,
+    /// Next-use lookups of completions and heap validation, which all
+    /// ask from the run's cursor.
+    next_use: NextUseCursors,
     /// The block the application is about to reference, exempt from
     /// eviction. Without this, a block demand-fetched for an
     /// *undisclosed* reference (whose policy-visible next use is NEVER)
@@ -231,6 +234,7 @@ impl Cache {
             resident: BitSet::with_capacity(universe),
             inflight: BitSet::with_capacity(universe),
             belady,
+            next_use: NextUseCursors::new(oracle),
             pinned: None,
         }
     }
@@ -323,7 +327,9 @@ impl Cache {
     }
 
     /// Completes the fetch of block `idx` at cursor position `cursor`:
-    /// the block becomes resident, keyed by its next occurrence.
+    /// the block becomes resident, keyed by its next occurrence, read
+    /// from the cache's run-local cursors (amortized O(1) while `cursor`
+    /// never moves backwards).
     ///
     /// # Panics
     ///
@@ -334,7 +340,7 @@ impl Cache {
             "completing unfetched block index {idx}"
         );
         self.resident.insert(idx);
-        let next = oracle.next_occurrence_idx(idx, cursor);
+        let next = self.next_use.next(oracle, idx, cursor);
         let capacity = self.capacity;
         match &mut self.belady {
             Belady::Index(ix) => ix.insert(idx, next, oracle),
@@ -431,7 +437,7 @@ impl Cache {
             entries.clear();
             for idx in self.resident.ones() {
                 let key =
-                    h.key_from_next(idx, oracle.next_occurrence_idx(idx, cursor), self.capacity);
+                    h.key_from_next(idx, self.next_use.next(oracle, idx, cursor), self.capacity);
                 entries.push((key, oracle.block_of(idx), idx));
             }
             h.heap = BinaryHeap::from(entries);
@@ -444,7 +450,7 @@ impl Cache {
                 continue;
             }
             let actual =
-                h.key_from_next(idx, oracle.next_occurrence_idx(idx, cursor), self.capacity);
+                h.key_from_next(idx, self.next_use.next(oracle, idx, cursor), self.capacity);
             if actual != key {
                 // Re-key in place; the sift restores the heap order.
                 *h.heap.peek_mut().expect("peeked entry") = (actual, block, idx);
@@ -502,6 +508,9 @@ pub struct MissingTracker {
     /// all landed beyond the verdict's horizon (the common case:
     /// evicted blocks re-enter at far-future next occurrences).
     recent_ins: Vec<[usize; RECENT_INS]>,
+    /// Next-use lookups of the compact-index updates, which ask from the
+    /// run's cursor.
+    next_use: NextUseCursors,
 }
 
 /// Ring capacity of [`MissingTracker::recent_ins`]: enough to span the
@@ -520,6 +529,7 @@ impl MissingTracker {
             ins_epochs: vec![0; disks],
             rem_epochs: vec![0; disks],
             recent_ins: vec![[0; RECENT_INS]; disks],
+            next_use: NextUseCursors::new(oracle),
         };
         for (block, pos) in oracle.first_occurrences() {
             t.insert(block, pos, oracle);
@@ -603,9 +613,11 @@ impl MissingTracker {
         self.rem_epochs[d] += 1;
     }
 
-    /// [`MissingTracker::on_fetch_issued`] by compact index (no hashing).
+    /// [`MissingTracker::on_fetch_issued`] by compact index (no hashing),
+    /// read from the tracker's run-local cursors: amortized O(1) while
+    /// `cursor` never moves backwards.
     pub fn on_fetch_issued_idx(&mut self, idx: u32, cursor: usize, oracle: &Oracle) {
-        let pos = oracle.next_occurrence_idx(idx, cursor);
+        let pos = self.next_use.next(oracle, idx, cursor);
         if pos == NEVER {
             return;
         }
@@ -625,7 +637,8 @@ impl MissingTracker {
     /// [`MissingTracker::on_evicted`] by compact index (no hashing).
     /// `next` is the block's next occurrence at or after `cursor` when
     /// the caller already knows it (the exact-knowledge cache returns it
-    /// from [`Cache::start_fetch`]); `None` searches for it.
+    /// from [`Cache::start_fetch`]); `None` reads it from the tracker's
+    /// run-local cursors.
     pub fn on_evicted_idx(
         &mut self,
         idx: u32,
@@ -638,7 +651,7 @@ impl MissingTracker {
                 debug_assert_eq!(pos, oracle.next_occurrence_idx(idx, cursor));
                 pos
             }
-            None => oracle.next_occurrence_idx(idx, cursor),
+            None => self.next_use.next(oracle, idx, cursor),
         };
         self.insert_idx(idx, pos, oracle);
     }

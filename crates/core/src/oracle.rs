@@ -306,11 +306,23 @@ impl Oracle {
     }
 
     /// [`Oracle::next_occurrence`] by compact index: binary search over
-    /// the block's dense occurrence list, no hashing.
+    /// the block's dense occurrence list, no hashing. A caller whose
+    /// queries never move backwards reads the same answers from a
+    /// [`NextUseCursors`] in amortized O(1).
     pub fn next_occurrence_idx(&self, idx: u32, at: usize) -> usize {
         let occ = self.occurrences.row(idx as usize);
         let i = occ.partition_point(|&p| (p as usize) < at);
         occ.get(i).map_or(NEVER, |&p| p as usize)
+    }
+
+    /// Whether block `idx` is referenced at or after position `at`: its
+    /// last occurrence is at least `at`. O(1).
+    #[inline]
+    pub fn occurs_at_or_after(&self, idx: u32, at: usize) -> bool {
+        self.occurrences
+            .row(idx as usize)
+            .last()
+            .is_some_and(|&p| p as usize >= at)
     }
 
     /// The first position strictly after `pos` referencing block `idx`.
@@ -352,6 +364,78 @@ impl Oracle {
         (0..self.disclosed)
             .map(|i| (self.blocks[i], self.occurrences.row(i)[0] as usize))
             .collect()
+    }
+}
+
+/// Run-local forward cursors into an [`Oracle`]'s occurrence rows: one
+/// per block, pointing at the first occurrence not behind the block's
+/// last query.
+///
+/// Within one run the cursor position a caller asks from never moves
+/// backwards, so a block's cursor only advances, and the work of every
+/// query of a run together is bounded by the rows' total length: each
+/// query is amortized O(1) instead of [`Oracle::next_occurrence_idx`]'s
+/// binary search. A query that does move backwards is still answered
+/// exactly, by re-seeking the block's cursor with that binary search,
+/// which stays the spec every answer is checked against in debug builds.
+#[derive(Debug, Clone)]
+pub struct NextUseCursors {
+    /// Per compact index: an offset into the oracle's flat occurrence
+    /// data inside the block's row; every occurrence before it lies
+    /// before the block's last query position.
+    at: Vec<u32>,
+}
+
+impl NextUseCursors {
+    /// Cursors at the start of every row of `oracle`.
+    pub fn new(oracle: &Oracle) -> NextUseCursors {
+        NextUseCursors {
+            at: oracle.occurrences.offsets[..oracle.num_blocks()].to_vec(),
+        }
+    }
+
+    /// The first position `>= at` referencing block `idx`, or [`NEVER`]:
+    /// [`Oracle::next_occurrence_idx`], read from the block's cursor.
+    #[inline]
+    pub fn next(&mut self, oracle: &Oracle, idx: u32, at: usize) -> usize {
+        let i = idx as usize;
+        let offsets = &oracle.occurrences.offsets;
+        let data = &oracle.occurrences.data;
+        let end = offsets[i + 1] as usize;
+        let mut c = self.at[i] as usize;
+        if c < end && (data[c] as usize) < at {
+            // Forward: a query usually passes one occurrence at most.
+            // Gallop, then finish with a binary search, so a long jump
+            // costs its logarithm rather than its length.
+            let mut lo = c + 1;
+            let mut step = 1;
+            let hi = loop {
+                let probe = c + step;
+                if probe >= end {
+                    break end;
+                }
+                if data[probe] as usize >= at {
+                    break probe;
+                }
+                lo = probe + 1;
+                step *= 2;
+            };
+            c = lo + data[lo..hi].partition_point(|&p| (p as usize) < at);
+        } else {
+            let start = offsets[i] as usize;
+            if c > start && data[c - 1] as usize >= at {
+                // The query moved backwards: re-seek from the row start.
+                c = start + data[start..c].partition_point(|&p| (p as usize) < at);
+            }
+        }
+        self.at[i] = c as u32;
+        let next = if c < end { data[c] as usize } else { NEVER };
+        debug_assert_eq!(
+            next,
+            oracle.next_occurrence_idx(idx, at),
+            "next-use cursor of block index {idx} at {at}"
+        );
+        next
     }
 }
 
@@ -444,6 +528,45 @@ mod tests {
         let idx1 = o.index_of(BlockId(1)).unwrap();
         assert_eq!(o.next_after_idx(idx1, 1), 2);
         assert_eq!(o.next_after_idx(idx1, 4), NEVER);
+    }
+
+    #[test]
+    fn next_use_cursors_match_binary_search() {
+        // Mostly forward queries, as one run asks them, with occasional
+        // jumps back (re-seeks) and far ahead (gallops), over universes
+        // holding never-referenced blocks: every cursor answer must equal
+        // the binary search, and so must `occurs_at_or_after`.
+        let mut rng = parcache_types::rng::Rng::seed_from_u64(0xc0_5e55);
+        for case in 0..200 {
+            let len = rng.gen_range(1usize..=300);
+            let universe = rng.gen_range(1u64..=24);
+            let mut entries: Vec<(usize, BlockId)> = Vec::new();
+            for i in 0..len {
+                if rng.gen_bool(0.8) {
+                    entries.push((i, BlockId(rng.gen_range(0..universe))));
+                }
+            }
+            let extras: Vec<BlockId> = (universe..universe + 3).map(BlockId).collect();
+            let o = Oracle::from_positions_with_universe(len, entries, &extras, Layout::striped(1));
+            let mut cursors = NextUseCursors::new(&o);
+            let mut at = 0usize;
+            for _ in 0..400 {
+                at = match rng.gen_range(0u64..20) {
+                    0 => rng.gen_range(0..=len),
+                    1 => at + rng.gen_range(0..=len / 2 + 1),
+                    _ => at + rng.gen_range(0usize..=2),
+                }
+                .min(len + 1);
+                let idx = rng.gen_range(0..o.num_blocks()) as u32;
+                let want = o.next_occurrence_idx(idx, at);
+                assert_eq!(
+                    cursors.next(&o, idx, at),
+                    want,
+                    "case {case}: {idx} at {at}"
+                );
+                assert_eq!(o.occurs_at_or_after(idx, at), want != NEVER, "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,26 @@ use crate::probe::DiskEvent;
 use crate::sched::Discipline;
 use parcache_types::{BlockId, DiskId, Nanos};
 
+/// Sentinel in [`DiskArray::next_done`] for a drive with nothing in
+/// service.
+const IDLE: u64 = u64::MAX;
+
 /// A striped array of drives.
+///
+/// Beside the drives it keeps their scheduling state densely: each
+/// drive's next completion time and free flag, refreshed by every call
+/// that changes a drive. The engine asks for the earliest completion at
+/// every event and policies ask which drives are free at every decision
+/// point; both read one small array instead of striding across the
+/// drives.
 pub struct DiskArray {
     disks: Vec<Disk>,
     layout: Layout,
+    /// Per drive: the completion time of its in-service request, in
+    /// nanoseconds, or [`IDLE`].
+    next_done: Vec<u64>,
+    /// Per drive: [`Disk::is_free`].
+    free: Vec<bool>,
 }
 
 impl DiskArray {
@@ -32,7 +48,20 @@ impl DiskArray {
                 .map(|i| Disk::new(make_model(i), discipline))
                 .collect(),
             layout: Layout::striped(n),
+            next_done: vec![IDLE; n],
+            free: vec![true; n],
         }
+    }
+
+    /// Refreshes drive `d`'s dense scheduling state after a change.
+    #[inline]
+    fn refresh(&mut self, d: usize) {
+        let disk = &self.disks[d];
+        self.next_done[d] = disk.next_completion().map_or(IDLE, |t| {
+            debug_assert_ne!(t.as_nanos(), IDLE, "completion at the idle sentinel");
+            t.as_nanos()
+        });
+        self.free[d] = disk.is_free();
     }
 
     /// Number of drives.
@@ -58,8 +87,9 @@ impl DiskArray {
     }
 
     /// Whether the given drive is free (idle with an empty queue).
+    #[inline]
     pub fn is_free(&self, disk: DiskId) -> bool {
-        self.disks[disk.index()].is_free()
+        self.free[disk.index()]
     }
 
     /// Queue length plus in-service count for the given drive.
@@ -70,10 +100,10 @@ impl DiskArray {
     /// Drives that are currently free, in index order. Borrows rather
     /// than allocating: policies call this at every decision point.
     pub fn free_disks(&self) -> impl Iterator<Item = DiskId> + '_ {
-        self.disks
+        self.free
             .iter()
             .enumerate()
-            .filter(|(_, d)| d.is_free())
+            .filter(|(_, &free)| free)
             .map(|(i, _)| DiskId(i))
     }
 
@@ -93,7 +123,10 @@ impl DiskArray {
     ) -> EnqueueOutcome {
         let disk = self.disk_of(block);
         let span = self.layout.span_of(block);
-        self.disks[disk.index()].enqueue_observed(now, block, span, |e| observe(disk, e))
+        let outcome =
+            self.disks[disk.index()].enqueue_observed(now, block, span, |e| observe(disk, e));
+        self.refresh(disk.index());
+        outcome
     }
 
     /// Enqueues a write-behind flush of `block` on its drive.
@@ -111,16 +144,23 @@ impl DiskArray {
     ) -> EnqueueOutcome {
         let disk = self.disk_of(block);
         let span = self.layout.span_of(block);
-        self.disks[disk.index()].enqueue_write_observed(now, block, span, |e| observe(disk, e))
+        let outcome =
+            self.disks[disk.index()].enqueue_write_observed(now, block, span, |e| observe(disk, e));
+        self.refresh(disk.index());
+        outcome
     }
 
-    /// The earliest pending completion across all drives.
+    /// The earliest pending completion across all drives; ties go to
+    /// the lower [`DiskId`].
+    #[inline]
     pub fn next_event(&self) -> Option<(Nanos, DiskId)> {
-        self.disks
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| d.next_completion().map(|t| (t, DiskId(i))))
-            .min()
+        let mut best = (IDLE, 0);
+        for (d, &t) in self.next_done.iter().enumerate() {
+            if t < best.0 {
+                best = (t, d);
+            }
+        }
+        (best.0 != IDLE).then_some((Nanos(best.0), DiskId(best.1)))
     }
 
     /// Completes the in-service request on `disk` (which must complete at
@@ -136,7 +176,9 @@ impl DiskArray {
         disk: DiskId,
         mut observe: impl FnMut(DiskId, DiskEvent),
     ) -> Completed {
-        self.disks[disk.index()].complete_observed(now, |e| observe(disk, e))
+        let done = self.disks[disk.index()].complete_observed(now, |e| observe(disk, e));
+        self.refresh(disk.index());
+        done
     }
 
     /// Current head position (cylinder) of the given drive.
@@ -208,8 +250,9 @@ impl DiskArray {
 
     /// Resets all drives (queues, stats, and model state).
     pub fn reset(&mut self) {
-        for d in &mut self.disks {
-            d.reset();
+        for d in 0..self.disks.len() {
+            self.disks[d].reset();
+            self.refresh(d);
         }
     }
 }
@@ -370,6 +413,74 @@ mod tests {
         let (t, d) = a.next_event().unwrap();
         a.complete(t, d);
         assert!(a.in_service(BlockId(2)), "head moved on to the queue");
+    }
+
+    #[test]
+    fn dense_drive_state_matches_the_drives() {
+        // Random read and write enqueues (some turned away by an outage),
+        // completions with media errors, and resets, over drives whose
+        // service times tie across drives: after every call the dense
+        // answers must equal the ones read from the drives themselves,
+        // ties going to the lower drive.
+        use crate::fault::{FaultPlan, FaultyDisk};
+        let mut rng = parcache_types::rng::Rng::seed_from_u64(0xd15c_a77a);
+        let (mut ties, mut rejected) = (0, 0);
+        for case in 0..60u64 {
+            let n = rng.gen_range(1usize..=6);
+            let ms: Vec<u64> = (0..n).map(|_| rng.gen_range(1u64..=3)).collect();
+            let plan = FaultPlan::parse(&format!("flaky:*:0.1,outage:0:20:60,seed:{case}"))
+                .expect("valid fault plan");
+            let mut a = DiskArray::new(n, Discipline::Fcfs, |i| {
+                let base = Box::new(UniformDisk::new(Nanos::from_millis(ms[i])));
+                match plan.for_disk(i) {
+                    Some(f) => Box::new(FaultyDisk::new(base, f, plan.rng_for_disk(i))),
+                    None => base,
+                }
+            });
+            let mut now = Nanos::ZERO;
+            for step in 0..300 {
+                let block = BlockId(rng.gen_range(0u64..64));
+                match rng.gen_range(0u64..20) {
+                    0..=8 => rejected += usize::from(a.enqueue(now, block).is_rejected()),
+                    9 | 10 => rejected += usize::from(a.enqueue_write(now, block).is_rejected()),
+                    11..=18 => {
+                        if let Some((t, d)) = a.next_event() {
+                            now = t;
+                            a.complete(t, d);
+                        }
+                    }
+                    _ => {
+                        a.reset();
+                        now = Nanos::ZERO;
+                    }
+                }
+                let by_drive = a
+                    .disks
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, d)| d.next_completion().map(|t| (t, DiskId(i))))
+                    .min();
+                assert_eq!(a.next_event(), by_drive, "case {case}, step {step}");
+                let due = a.disks.iter().filter_map(|d| d.next_completion());
+                ties +=
+                    usize::from(by_drive.is_some_and(|(t, _)| due.filter(|&u| u == t).count() > 1));
+                for (i, d) in a.disks.iter().enumerate() {
+                    assert_eq!(
+                        a.is_free(DiskId(i)),
+                        d.is_free(),
+                        "case {case}, step {step}"
+                    );
+                }
+                let free: Vec<DiskId> = a.free_disks().collect();
+                let want: Vec<DiskId> = (0..n)
+                    .map(DiskId)
+                    .filter(|&d| a.disks[d.index()].is_free())
+                    .collect();
+                assert_eq!(free, want, "case {case}, step {step}");
+            }
+        }
+        assert!(ties > 0, "no two drives ever completed at once");
+        assert!(rejected > 0, "no enqueue was turned away");
     }
 
     #[test]
