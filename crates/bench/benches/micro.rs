@@ -181,11 +181,28 @@ fn bench_engine() {
     });
 }
 
+/// Whole forestall runs on paper traces: the stall predictor's scans
+/// and certificate checks, plus the engine around them. Running this
+/// case on two checkouts compares the predictor and the engine's
+/// per-event index work together.
+fn bench_forestall() {
+    for name in ["cscope1", "ld", "synth"] {
+        let t = parcache_trace::trace_by_name(name, 1996).expect("paper trace");
+        for disks in [1, 4, 16] {
+            let cfg = SimConfig::for_trace(disks, &t);
+            bench(&format!("forestall ({name}, {disks} disks)"), || {
+                black_box(simulate(&t, PolicyKind::Forestall, &cfg));
+            });
+        }
+    }
+}
+
 fn main() {
     bench_disk_model();
     bench_oracle();
     bench_next_use();
     bench_reverse_pass();
+    bench_forestall();
     bench_cache();
     bench_engine();
 }

@@ -105,10 +105,53 @@ const DISCIPLINES: [Discipline; 4] = [
     Discipline::Sstf,
 ];
 
+/// The paper traces whose windows predicted-hint cases draw.
+const WINDOW_TRACES: [&str; 3] = ["ld", "cscope1", "xds"];
+
+/// The paper traces of [`WINDOW_TRACES`], generated once per process
+/// with the harness seed.
+fn window_traces() -> &'static [Trace] {
+    static TRACES: std::sync::OnceLock<Vec<Trace>> = std::sync::OnceLock::new();
+    TRACES.get_or_init(|| {
+        WINDOW_TRACES
+            .iter()
+            .map(|n| parcache_trace::trace_by_name(n, crate::SEED).expect("paper trace"))
+            .collect()
+    })
+}
+
+/// A window of one of the [`WINDOW_TRACES`], drawn from `rng`: a few
+/// hundred to a few thousand consecutive references, under a cache a
+/// fraction of the paper's. Small synthetic traces never let the cursor
+/// pass a predictor's wrong guess with a stall verdict cached on it;
+/// stretches of the real reference strings do.
+fn paper_window(rng: &mut Rng, index: usize) -> Trace {
+    let traces = window_traces();
+    let full = &traces[rng.gen_range(0..traces.len())];
+    let len = rng.gen_range(300usize..=3000).min(full.requests.len());
+    let start = rng.gen_range(0..=full.requests.len() - len);
+    let cache = (full.cache_blocks / rng.gen_range(1usize..=8)).max(2);
+    Trace::new(
+        format!("fuzz-{index}-{}", full.name),
+        full.requests[start..start + len].to_vec(),
+        cache,
+    )
+}
+
+/// Whether case `index` runs under a predicted hint source (see the
+/// period-7 cycle in [`gen_case`]).
+fn predicted_case(index: usize) -> bool {
+    matches!(index % 7, 0 | 2 | 3)
+}
+
 /// Generates the case for `index`, consuming `rng` deterministically.
 /// Discipline and disk model cycle with the index (guaranteed coverage
-/// even for tiny runs); everything else is drawn at random.
-fn gen_case(rng: &mut Rng, index: usize) -> FuzzCase {
+/// even for tiny runs); everything else is drawn at random. Half the
+/// predicted-hint cases replace the synthetic trace with a
+/// [`paper_window`] drawn from `windows`, a stream of its own, so every
+/// draw from `rng` — and every oracle case — is as it would be without
+/// them.
+fn gen_case(rng: &mut Rng, windows: &mut Rng, index: usize) -> FuzzCase {
     let blocks = rng.gen_range(1u64..=12);
     let refs = rng.gen_range(1usize..=40);
     let requests: Vec<Request> = (0..refs)
@@ -117,7 +160,10 @@ fn gen_case(rng: &mut Rng, index: usize) -> FuzzCase {
             compute: Nanos::from_micros(rng.gen_range(0u64..=2000)),
         })
         .collect();
-    let trace = Trace::new(format!("fuzz-{index}"), requests, rng.gen_range(2usize..=8));
+    let mut trace = Trace::new(format!("fuzz-{index}"), requests, rng.gen_range(2usize..=8));
+    if predicted_case(index) && windows.gen_bool(0.5) {
+        trace = paper_window(windows, index);
+    }
 
     let disks = rng.gen_range(1usize..=4);
     let mut config =
@@ -159,6 +205,7 @@ fn gen_case(rng: &mut Rng, index: usize) -> FuzzCase {
         3 => HintMode::Predicted(PredictorKind::Mithril),
         _ => HintMode::Oracle,
     };
+    debug_assert_eq!(predicted_case(index), config.hint_mode != HintMode::Oracle);
     // Small batches/horizons exercise the policies' do-no-harm edges on
     // traces this short; the paper's defaults would reduce every case to
     // one batch.
@@ -217,7 +264,10 @@ fn gen_case(rng: &mut Rng, index: usize) -> FuzzCase {
 /// Generates the full deterministic case list for a seed.
 pub fn gen_cases(seed: u64, cases: usize) -> Vec<FuzzCase> {
     let mut rng = Rng::seed_from_u64(seed);
-    (0..cases).map(|i| gen_case(&mut rng, i)).collect()
+    let mut windows = Rng::seed_from_u64(seed ^ 0x7061_7065_7277_696e);
+    (0..cases)
+        .map(|i| gen_case(&mut rng, &mut windows, i))
+        .collect()
 }
 
 /// One FNV-1a-style mixing step.
@@ -482,6 +532,10 @@ mod tests {
         // both faulted and healthy configurations.
         assert!(cases.iter().any(|c| !c.config.faults.is_empty()));
         assert!(cases.iter().any(|c| c.config.faults.is_empty()));
+        // Some predicted-hint case runs a paper-trace window.
+        assert!(cases.iter().any(|c| WINDOW_TRACES
+            .iter()
+            .any(|t| c.trace.name.ends_with(&format!("-{t}")))));
         // The hint-source cycle (period 7) covers the oracle and every
         // online predictor within any 7 consecutive cases.
         for mode in HintMode::ALL {

@@ -11,7 +11,7 @@
 //! and the do-no-harm rule allows it.
 
 use crate::engine::Ctx;
-use crate::policy::Policy;
+use crate::policy::{Indexes, Policy};
 
 /// The aggressive policy.
 #[derive(Debug)]
@@ -77,7 +77,7 @@ pub(crate) fn fill_free_disk_batches(
             if scratch.budget[d].is_none_or(|b| b == 0) {
                 continue;
             }
-            if let Some(p) = ctx.missing.first_missing_on_disk(d, scratch.from[d]) {
+            if let Some(p) = ctx.missing().first_missing_on_disk(d, scratch.from[d]) {
                 if best.is_none_or(|(bp, _)| p < bp) {
                     best = Some((p, d));
                 }
@@ -118,6 +118,10 @@ impl Policy for Aggressive {
 
     fn decide(&mut self, ctx: &mut Ctx<'_>) {
         fill_free_disk_batches(ctx, self.batch_size, None, &mut self.scratch);
+    }
+
+    fn indexes(&self) -> Indexes {
+        Indexes::MISSING
     }
 }
 

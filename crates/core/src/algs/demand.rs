@@ -7,7 +7,7 @@
 //! demand fetching as possible.
 
 use crate::engine::Ctx;
-use crate::policy::Policy;
+use crate::policy::{Indexes, Policy};
 
 /// The optimal-replacement demand-fetching baseline.
 #[derive(Debug, Default)]
@@ -20,6 +20,10 @@ impl Policy for Demand {
 
     fn decide(&mut self, _ctx: &mut Ctx<'_>) {
         // Never prefetches; all fetching happens in the default on_miss.
+    }
+
+    fn indexes(&self) -> Indexes {
+        Indexes::NONE
     }
 }
 

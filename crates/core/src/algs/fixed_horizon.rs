@@ -9,7 +9,7 @@
 
 use crate::engine::Ctx;
 use crate::oracle::NEVER;
-use crate::policy::Policy;
+use crate::policy::{Indexes, Policy};
 
 /// The fixed horizon policy.
 #[derive(Debug)]
@@ -36,12 +36,16 @@ impl Policy for FixedHorizon {
         "fixed-horizon"
     }
 
+    fn indexes(&self) -> Indexes {
+        Indexes::MISSING
+    }
+
     fn decide(&mut self, ctx: &mut Ctx<'_>) {
         let cursor = ctx.cursor;
         let end = cursor.saturating_add(self.horizon);
         loop {
             // The earliest missing block within the horizon window.
-            let Some(pos) = ctx.missing.first_missing(cursor) else {
+            let Some(pos) = ctx.missing().first_missing(cursor) else {
                 return;
             };
             if pos >= end {

@@ -20,7 +20,7 @@
 use crate::algs::aggressive::{fill_free_disk_batches, BatchScratch};
 use crate::algs::fixed_horizon::FixedHorizon;
 use crate::engine::Ctx;
-use crate::policy::Policy;
+use crate::policy::{Indexes, Policy};
 use parcache_types::{DiskId, Nanos};
 use std::cmp::Ordering;
 
@@ -44,27 +44,9 @@ const DEFAULT_FETCH: Nanos = Nanos::from_millis(15);
 /// a disk with no fetch history at all).
 const COLD_COMPUTE_FLOOR: Nanos = Nanos::from_millis(1);
 
-/// Dyadic headroom folded into the F' bound a cached FALSE verdict is
-/// certified against (see [`scan_certified`]). F' moves a little on
-/// every reference (the compute window slides), so certifying against
-/// exactly today's F' would invalidate the verdict on the next call;
-/// certifying against `F' * 17/16` keeps it valid through small upward
-/// drift at the cost of slightly smaller cursor slack.
-const F_CAP_MARGIN: f64 = 1.0625;
-
-/// Relative safety margin for the conservative float bounds the
-/// certificate is built from ([`floor_upper_bound`] and
-/// [`quota_lower_bound`]). The certificate only needs *valid* bounds,
-/// not tight ones — under-claiming slack merely causes a rescan — so the
-/// hot path uses one f64 multiply or divide nudged by this margin instead
-/// of an exact `u128` division (~10x cheaper on the scan path). The
-/// margin dwarfs the few-ulp rounding error of the float computation
-/// (`~4 * 2^-53 < 1e-15`) while costing only a part in 10^12 of slack.
-const FLOAT_SLOP: f64 = 1e-12;
-
 /// A cached stall-prediction verdict for one disk, carrying the
-/// certificate that re-validates it in O(1) against everything that can
-/// move between decisions: the cursor, F', and the disk's missing set.
+/// certificate that re-validates it against everything that can move
+/// between decisions: the cursor, F', and the disk's missing set.
 ///
 /// The two variants are invalidated by *opposite* halves of the missing
 /// set's churn, which is what makes the cache survive the steady state:
@@ -89,21 +71,111 @@ enum Verdict {
     /// rank is at least `index`, and the exact trigger test re-runs in
     /// O(1) against the current cursor and F'.
     True { index: u64, pos: usize },
-    /// The scan proved no trigger exists at cursor `cursor`, and the
-    /// proof survives a cursor advance of `delta_scan` for any
-    /// `F' <= f_scan` (the F' the scan ran under), or `delta_cap` for
-    /// any `F' <= f_cap` (a slightly larger cap absorbing upward F'
-    /// drift; `f_cap == f_scan` when the capped bounds degenerated).
-    /// Insertions at or beyond `guard` cannot reach any covered window
-    /// and leave the certificate intact.
-    False {
-        cursor: usize,
-        f_scan: f64,
-        delta_scan: u64,
-        f_cap: f64,
-        delta_cap: u64,
-        guard: usize,
-    },
+    /// The scan proved no trigger exists (see [`NoStall`]).
+    False(NoStall),
+}
+
+/// The certificate of a FALSE scan at cursor `cursor` under F' =
+/// `f_scan`. It covers every cursor advance `delta <= delta_scan`:
+///
+/// * for any `F' <= f_scan` outright, the predicate being monotone in F';
+/// * for any larger F' after two exact checks ([`NoStall::covers`]): the
+///   scanned prefix against the lower convex hull of its `(rank,
+///   distance)` points, which the policy keeps per disk, and the tail
+///   against its count bound.
+///
+/// Insertions at or beyond `guard = cursor + window + delta_scan` cannot
+/// reach any covered window and leave the certificate intact.
+#[derive(Debug, Clone, Copy)]
+struct NoStall {
+    cursor: usize,
+    f_scan: f64,
+    delta_scan: u64,
+    guard: usize,
+    /// The window's far edge, `window - 1`.
+    far: u64,
+    /// The missing entries past the scanned prefix; `None` when there
+    /// are none on the disk.
+    tail: Option<Tail>,
+}
+
+/// The tail past a FALSE scan's prefix, anchored at `p*`, the first
+/// missing position at or past the scan's window edge. It is
+/// trigger-free at advance `delta` and factor F' while `delta <= enter`
+/// (nothing has entered the window yet) or `(anchor + delta) * F' < far`
+/// (the count bound; see [`scan_certified`]).
+#[derive(Debug, Clone, Copy)]
+struct Tail {
+    /// `p* - window_end`.
+    enter: u64,
+    /// `a* = (R + 1) - ((p* - cursor) - far)`, clamped at zero.
+    anchor: u64,
+}
+
+impl NoStall {
+    /// Whether the certificate proves that no missing entry of the
+    /// current window triggers at `cursor` under `f_prime`, given
+    /// `hull`, the lower hull the scan left, and a missing set changed
+    /// since only by removals and by insertions at or beyond `guard`.
+    fn covers(&self, hull: &[(u64, u64)], cursor: usize, f_prime: f64) -> bool {
+        debug_assert!(cursor >= self.cursor, "cursor moved backwards");
+        let delta = (cursor - self.cursor) as u64;
+        if delta > self.delta_scan {
+            return false;
+        }
+        if f_prime <= self.f_scan {
+            return true;
+        }
+        let tail_clear = self.tail.is_none_or(|t| {
+            delta <= t.enter
+                || scaled_cmp(u128::from(t.anchor) + u128::from(delta), f_prime, self.far)
+                    == Ordering::Less
+        });
+        tail_clear && prefix_clear(hull, delta, f_prime)
+    }
+}
+
+/// Whether every scanned prefix entry `(i, d_i)` still satisfies
+/// `delta + i * f < d_i`. The region of `(delta, f)` where that holds is
+/// fixed by the lower convex hull of the points: `min_i (d_i - i * f)`
+/// is attained at the hull vertex whose incoming edge is no steeper than
+/// `f` and whose outgoing edge is steeper. Edge slopes increase along
+/// the hull, so a binary search finds that vertex; both the slope
+/// comparisons and the final check are exact (`scaled_cmp`). An empty
+/// hull (no entry in the window) is trivially clear.
+fn prefix_clear(hull: &[(u64, u64)], delta: u64, f: f64) -> bool {
+    // The number of edges whose slope `dd / di` is at most `f`.
+    let (mut lo, mut hi) = (0, hull.len().saturating_sub(1));
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        let ((i0, d0), (i1, d1)) = (hull[mid], hull[mid + 1]);
+        if scaled_cmp(u128::from(i1 - i0), f, d1 - d0) != Ordering::Less {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    hull.get(lo).is_none_or(|&(i, d)| {
+        d.checked_sub(delta)
+            .is_some_and(|room| scaled_cmp(u128::from(i), f, room) == Ordering::Less)
+    })
+}
+
+/// Appends `(rank, distance)` to the lower convex hull of the points
+/// before it. Ranks and distances both ascend, so every difference is
+/// positive; the middle of the last three points is dropped unless its
+/// incoming edge is strictly shallower than the new outgoing one.
+#[inline]
+fn push_lower_hull(hull: &mut Vec<(u64, u64)>, p: (u64, u64)) {
+    while let [.., (ia, da), (ib, db)] = hull[..] {
+        let left = u128::from(db - da) * u128::from(p.0 - ib);
+        let right = u128::from(p.1 - db) * u128::from(ib - ia);
+        if left < right {
+            break;
+        }
+        hull.pop();
+    }
+    hull.push(p);
 }
 
 /// A [`Verdict`] tied to the missing-set epoch it was derived from:
@@ -125,6 +197,9 @@ pub struct Forestall {
     scratch: BatchScratch,
     /// Per-disk cached stall verdicts (the incremental predictor).
     preds: Vec<Option<CachedPrediction>>,
+    /// Per-disk lower hull of the last FALSE scan's prefix (see
+    /// [`NoStall`]), a buffer each scan reuses.
+    hulls: Vec<Vec<(u64, u64)>>,
     /// Force the naive full-rescan predictor (differential fuzzing).
     naive: bool,
 }
@@ -138,17 +213,18 @@ impl Forestall {
             static_multiplier: config.forestall_static_f,
             scratch: BatchScratch::default(),
             preds: vec![None; config.disks],
+            hulls: vec![Vec::new(); config.disks],
             naive: config.forestall_naive_scan,
         }
     }
 
     /// The overestimated fetch/compute ratio F' for `disk`.
     fn f_prime(&self, ctx: &Ctx<'_>, disk: usize) -> f64 {
-        let avg_fetch = ctx.history.avg_fetch(disk).unwrap_or(DEFAULT_FETCH);
-        let f = ctx
-            .history
+        let history = ctx.history();
+        let avg_fetch = history.avg_fetch(disk).unwrap_or(DEFAULT_FETCH);
+        let f = history
             .fetch_compute_ratio(disk)
-            .unwrap_or_else(|| cold_start_ratio(avg_fetch, ctx.history.avg_compute()));
+            .unwrap_or_else(|| cold_start_ratio(avg_fetch, history.avg_compute()));
         let multiplier = self.static_multiplier.unwrap_or({
             if avg_fetch < FAST_DISK_THRESHOLD {
                 1.0
@@ -165,18 +241,20 @@ impl Forestall {
     /// Incremental: the verdict of the last full scan is cached per disk
     /// with a certificate ([`Verdict`]) and an epoch of the disk's
     /// missing set. A call first tries to re-validate the cached verdict
-    /// in O(1); only when the certificate no longer covers the current
+    /// (O(1), or O(log n) in the hull for a FALSE verdict under a larger
+    /// F'); only when the certificate no longer covers the current
     /// (cursor, F') — or the missing set mutated — does the full
     /// [`scan_certified`] rescan run. Byte-identity with the naive scan
     /// holds by construction (each certificate implies the naive scan's
     /// answer exactly) and is re-checked here by a `debug_assert!`
-    /// oracle on every cache-served verdict.
+    /// oracle on every verdict.
     fn stall_predicted(&mut self, ctx: &Ctx<'_>, disk: usize) -> bool {
         let f_prime = self.f_prime(ctx, disk);
         if self.naive {
             return naive_scan(ctx, disk, f_prime);
         }
         let cursor = ctx.cursor;
+        let missing = ctx.missing();
         if let Some(p) = self.preds[disk].as_mut() {
             match p.verdict {
                 Verdict::True { index, pos } => {
@@ -188,7 +266,7 @@ impl Forestall {
                     // passes without fetching, which leaves the entry
                     // behind the cursor: the certificate then fails and
                     // the scan decides.
-                    if ctx.missing.rem_epoch(disk) == p.epoch
+                    if missing.rem_epoch(disk) == p.epoch
                         && pos >= cursor
                         && scaled_cmp(u128::from(index), f_prime, (pos - cursor) as u64)
                             != Ordering::Less
@@ -197,27 +275,11 @@ impl Forestall {
                         return true;
                     }
                 }
-                Verdict::False {
-                    cursor: c0,
-                    f_scan,
-                    delta_scan,
-                    f_cap,
-                    delta_cap,
-                    guard,
-                } => {
-                    debug_assert!(cursor >= c0, "cursor moved backwards");
-                    let delta = (cursor - c0) as u64;
-                    let covered = if f_prime <= f_scan {
-                        delta <= delta_scan
-                    } else if f_prime <= f_cap {
-                        delta <= delta_cap
-                    } else {
-                        false
-                    };
-                    if covered {
-                        let ins_now = ctx.missing.ins_epoch(disk);
+                Verdict::False(cert) => {
+                    if cert.covers(&self.hulls[disk], cursor, f_prime) {
+                        let ins_now = missing.ins_epoch(disk);
                         if ins_now == p.epoch
-                            || ctx.missing.inserts_all_at_or_beyond(disk, p.epoch, guard)
+                            || missing.inserts_all_at_or_beyond(disk, p.epoch, cert.guard)
                                 == Some(true)
                         {
                             // Every insertion since the scan landed past
@@ -232,13 +294,19 @@ impl Forestall {
                 }
             }
         }
-        let rem_epoch = ctx.missing.rem_epoch(disk);
-        let ins_epoch = ctx.missing.ins_epoch(disk);
-        let (predicted, verdict) = scan_certified(ctx, disk, f_prime);
-        let epoch = match verdict {
-            Verdict::True { .. } => rem_epoch,
-            Verdict::False { .. } => ins_epoch,
+        let window = LOOKAHEAD_CACHES * ctx.cache.capacity();
+        let verdict = scan_certified(
+            missing.missing_on_disk_from(disk, cursor),
+            cursor,
+            window,
+            f_prime,
+            &mut self.hulls[disk],
+        );
+        let (predicted, epoch) = match verdict {
+            Verdict::True { .. } => (true, missing.rem_epoch(disk)),
+            Verdict::False(_) => (false, missing.ins_epoch(disk)),
         };
+        debug_assert_eq!(predicted, naive_scan(ctx, disk, f_prime));
         self.preds[disk] = Some(CachedPrediction { epoch, verdict });
         predicted
     }
@@ -254,12 +322,25 @@ fn cold_start_ratio(avg_fetch: Nanos, avg_compute: Option<Nanos>) -> f64 {
 /// The naive stall predictor: a full rescan of the window, exactly the
 /// pre-incremental implementation. Kept as the differential oracle — the
 /// `debug_assert!`s in [`Forestall::stall_predicted`] check every
-/// cache-served verdict against it, and the fuzzer's differential mode
-/// runs whole simulations on it via `SimConfig::forestall_naive_scan`.
+/// verdict against it, and the fuzzer's differential mode runs whole
+/// simulations on it via `SimConfig::forestall_naive_scan`.
 fn naive_scan(ctx: &Ctx<'_>, disk: usize, f_prime: f64) -> bool {
     let cursor = ctx.cursor;
     let window = LOOKAHEAD_CACHES * ctx.cache.capacity();
-    let window_end = cursor.saturating_add(window);
+    let in_window =
+        ctx.missing()
+            .missing_on_disk_in_window(disk, cursor, cursor.saturating_add(window));
+    naive_verdict(in_window, cursor, window, f_prime)
+}
+
+/// [`naive_scan`] over `in_window`, the disk's missing positions in
+/// `[cursor, cursor + window)`, ascending.
+fn naive_verdict(
+    in_window: impl IntoIterator<Item = usize>,
+    cursor: usize,
+    window: usize,
+    f_prime: f64,
+) -> bool {
     // `window >= 2`: the cache holds at least one block.
     let far = (window - 1) as u64;
     // Early exit: a later j-th missing block at distance d_j has
@@ -273,10 +354,7 @@ fn naive_scan(ctx: &Ctx<'_>, disk: usize, f_prime: f64) -> bool {
     // arithmetic (`scaled_cmp`), so distances beyond 2^53 or
     // platform FP differences can never flip a prefetch decision.
     let mut i = 0u64;
-    for pos in ctx
-        .missing
-        .missing_on_disk_in_window(disk, cursor, window_end)
-    {
+    for pos in in_window {
         i += 1;
         let distance = (pos - cursor) as u64;
         if scaled_cmp(u128::from(i), f_prime, distance) != Ordering::Less {
@@ -289,16 +367,23 @@ fn naive_scan(ctx: &Ctx<'_>, disk: usize, f_prime: f64) -> bool {
     false
 }
 
-/// The full scan, additionally deriving the [`Verdict`] certificate the
-/// incremental cache stores. The returned bool is byte-identical to
-/// [`naive_scan`]: the trigger tests are the same `scaled_cmp` calls on
-/// the same entries in the same order, and the one place the control
-/// flow differs — naive's early exit — is itself a proof that no later
-/// entry can trigger, so scanning past it can never flip the verdict.
-/// Scanning the whole window is deliberate: anchoring the tail bound at
-/// the *last* real entry instead of the early-exit entry is what gives
-/// the FALSE certificate a useful advance slack (the early-exit anchor
-/// assumes a densely packed tail and its slack degenerates to ~0).
+/// The full scan over `positions` (the disk's missing positions from
+/// `cursor` on, ascending), deriving the [`Verdict`] certificate the
+/// incremental cache stores and leaving the prefix's lower hull in
+/// `hull`. Its answer is byte-identical to [`naive_scan`]'s: the trigger
+/// tests decide exactly as `scaled_cmp` on the same entries in the same
+/// order, and the one place the control flow differs — naive's early
+/// exit — is itself a proof that no later entry can trigger, so scanning
+/// past it can never flip the verdict. Scanning the whole window is
+/// deliberate: anchoring the tail bound at the *last* real entry instead
+/// of the early-exit entry is what gives the FALSE certificate a useful
+/// advance slack (the early-exit anchor assumes a densely packed tail
+/// and its slack degenerates to ~0).
+///
+/// The trigger `rank * F' >= distance` is decided by two fixed-point
+/// accumulators that bracket `rank * F' * 2^32` (see
+/// [`fixed_point_bracket`]), one step added per entry; only when the
+/// bracket straddles `distance * 2^32` does the exact `scaled_cmp` run.
 ///
 /// Certificate soundness, with the disk's missing set fixed (enforced by
 /// the epoch) and `delta` the cursor advance since the scan:
@@ -308,156 +393,119 @@ fn naive_scan(ctx: &Ctx<'_>, disk: usize, f_prime: f64) -> bool {
 ///   their 1-based indexes, and new entries appear only past the old
 ///   window's far edge.
 /// * *Prefix*: for a scanned entry `i` at distance `d_i`, the no-trigger
-///   condition at the advanced cursor is `i * F' < d_i - delta`. Since
-///   `floor(x) <= N - 1  <=>  x < N` for integer `N`, this holds for
-///   every `F' <= f_bound` exactly while
-///   `delta <= d_i - 1 - floor(i * f_bound)` ([`floor_upper_bound`] is
-///   conservative).
+///   condition at the advanced cursor is `delta + i * F' < d_i`. Since
+///   `floor(x) <= N - 1  <=>  x < N` for integer `N`, this holds at
+///   `F' = f_scan` while `delta <= d_i - 1 - floor(i * f_scan)`; the
+///   upper accumulator bounds the floor from above, so the slack is
+///   conservative. For a larger F' the lower hull decides exactly
+///   ([`prefix_clear`]).
 /// * *Tail*: entries past the scanned prefix all sit at or beyond `p*`,
 ///   the first missing position at or past the old window edge. One at
 ///   advanced-window distance `d` has rank `j <= (R + 1) + (d + delta -
 ///   (p* - cursor))` with `R` the scanned count (positions are
 ///   distinct), and the no-trigger slack of that claim is worst at the
-///   edge `d = far`, so the whole tail is trigger-free for every
-///   `F' <= f_bound` while `delta <= t - a*`, with `t` the largest
-///   integer with `t * f_bound < far` ([`quota_lower_bound`] is
-///   conservative) and `a* = (R + 1) - ((p* - cursor) - far)` (clamped
-///   at zero — a negative anchor only adds slack). Independently, no
-///   tail entry even enters the window while `delta <= p* - window_end`;
-///   both arguments are valid, so the tail slack is their max. With no
-///   `p*` the tail is empty and the certificate is cursor-unbounded.
-///
-/// When any bound degenerates (the capped F' already violates a prefix
-/// slack, or `f_cap` overflows), the stored FALSE verdict falls back to
-/// `(f_cap = F', delta_max = 0)`, which is sound from monotonicity
-/// alone: the predicate is monotone non-decreasing in F', so the scan's
-/// FALSE at F' covers any smaller F' at the same cursor.
-fn scan_certified(ctx: &Ctx<'_>, disk: usize, f_prime: f64) -> (bool, Verdict) {
-    let cursor = ctx.cursor;
-    let window = LOOKAHEAD_CACHES * ctx.cache.capacity();
+///   edge `d = far`, so the whole tail is trigger-free while
+///   `(a* + delta) * F' < far`, with `a* = (R + 1) - ((p* - cursor) -
+///   far)` (clamped at zero — a negative anchor only adds slack).
+///   Independently, no tail entry even enters the window while
+///   `delta <= p* - window_end`; both arguments are valid, so the tail
+///   slack at `f_scan` is their max. With no `p*` the tail is empty.
+fn scan_certified(
+    positions: impl IntoIterator<Item = usize>,
+    cursor: usize,
+    window: usize,
+    f_prime: f64,
+    hull: &mut Vec<(u64, u64)>,
+) -> Verdict {
     let window_end = cursor.saturating_add(window);
     let far = (window - 1) as u64;
-    let f_cap = f_prime * F_CAP_MARGIN;
-    let mut cap_dead = !f_cap.is_finite();
-    // Running minima of the per-entry advance slacks, under the scan's
-    // own F' and under the drift cap.
-    let mut d_scan = u64::MAX;
-    let mut d_cap = u64::MAX;
+    let (lo_step, hi_step) = fixed_point_bracket(f_prime);
+    let (mut lo, mut hi) = (0u128, 0u128);
+    // Running minimum of the per-entry advance slacks under `f_prime`.
+    let mut delta_scan = u64::MAX;
     let mut rank = 0u64;
     // First missing position at or past the window edge: the tail anchor.
     let mut p_star = None;
-    for pos in ctx.missing.missing_on_disk_from(disk, cursor) {
+    hull.clear();
+    for pos in positions {
         if pos >= window_end {
             p_star = Some(pos);
             break;
         }
         rank += 1;
+        lo += lo_step;
+        hi += hi_step;
         let distance = (pos - cursor) as u64;
         // The paper's trigger, byte-identical to [`naive_scan`]'s.
-        if scaled_cmp(u128::from(rank), f_prime, distance) != Ordering::Less {
-            debug_assert!(naive_scan(ctx, disk, f_prime));
-            return (true, Verdict::True { index: rank, pos });
+        if fixed_point_trigger(lo, hi, rank, f_prime, distance) {
+            return Verdict::True { index: rank, pos };
         }
-        // This entry's advance slack: `rank * f < distance - delta`
-        // holds while `delta <= distance - 1 - floor(rank * f)`,
-        // saturating at zero rather than wrapping.
-        let lhs = u128::from(distance - 1);
-        let s = lhs.saturating_sub(floor_upper_bound(u128::from(rank), f_prime));
-        d_scan = d_scan.min(u64::try_from(s).unwrap_or(u64::MAX));
-        if !cap_dead {
-            let fl = floor_upper_bound(u128::from(rank), f_cap);
-            if fl > lhs {
-                cap_dead = true;
-            } else {
-                d_cap = d_cap.min(u64::try_from(lhs - fl).unwrap_or(u64::MAX));
-            }
-        }
+        // No trigger, so `distance >= 1`, and the slack saturates at
+        // zero rather than wrapping.
+        let floor_ub = u64::try_from(hi >> 32).unwrap_or(u64::MAX);
+        delta_scan = delta_scan.min((distance - 1).saturating_sub(floor_ub));
+        push_lower_hull(hull, (rank, distance));
     }
-    if let Some(p) = p_star {
-        // Tail slack, the max of the two independent arguments in the
-        // doc comment: the count bound anchored at `p*`, and the gap
-        // until anything enters the window at all.
+    let tail = p_star.map(|p| {
         let enter = (p - window_end) as u64;
-        let a = (rank + 1).saturating_sub((p - cursor) as u64 - far);
-        d_scan = d_scan.min(quota_lower_bound(f_prime, far).saturating_sub(a).max(enter));
-        if !cap_dead {
-            d_cap = d_cap.min(quota_lower_bound(f_cap, far).saturating_sub(a).max(enter));
-        }
-    }
-    debug_assert!(!naive_scan(ctx, disk, f_prime));
-    (
-        false,
-        finish(cursor, window, f_prime, d_scan, f_cap, d_cap, cap_dead),
-    )
-}
-
-/// Assembles the FALSE verdict from the folded advance slacks: the
-/// degenerate cap collapses onto the scan bound, and the guard marks the
-/// first position no covered window can reach
-/// (`cursor + window + delta_scan`).
-fn finish(
-    cursor: usize,
-    window: usize,
-    f_scan: f64,
-    delta_scan: u64,
-    f_cap: f64,
-    delta_cap: u64,
-    cap_dead: bool,
-) -> Verdict {
-    let (f_cap, delta_cap) = if cap_dead {
-        (f_scan, delta_scan)
-    } else {
-        (f_cap, delta_cap)
-    };
-    let guard = cursor
-        .saturating_add(window)
-        .saturating_add(usize::try_from(delta_scan).unwrap_or(usize::MAX));
-    Verdict::False {
+        let anchor = (rank + 1).saturating_sub((p - cursor) as u64 - far);
+        delta_scan = delta_scan.min(scaled_quota(f_prime, far).saturating_sub(anchor).max(enter));
+        Tail { enter, anchor }
+    });
+    let guard = window_end.saturating_add(usize::try_from(delta_scan).unwrap_or(usize::MAX));
+    Verdict::False(NoStall {
         cursor,
-        f_scan,
+        f_scan: f_prime,
         delta_scan,
-        f_cap,
-        delta_cap,
         guard,
+        far,
+        tail,
+    })
+}
+
+/// Whether `rank * f >= distance`, exactly, given `lo <= rank * f * 2^32
+/// <= hi` (the accumulators of [`fixed_point_bracket`]'s steps): the
+/// bracket decides unless it straddles `distance * 2^32`, and
+/// `scaled_cmp` decides then.
+#[inline]
+fn fixed_point_trigger(lo: u128, hi: u128, rank: u64, f: f64, distance: u64) -> bool {
+    let scaled = u128::from(distance) << 32;
+    lo >= scaled || (hi >= scaled && scaled_cmp(u128::from(rank), f, distance) != Ordering::Less)
+}
+
+/// `(floor(f * 2^32), ceil(f * 2^32))` for finite `f >= 1.0`: per-entry
+/// steps of two accumulators bracketing `rank * f * 2^32`. They differ
+/// only when `f` has more than 32 fractional bits. Steps saturate at
+/// 2^100, above every `distance * 2^32 < 2^96`, so a saturated lower
+/// accumulator decides the trigger at the first entry; accumulators
+/// then stay below 2^101 and never overflow.
+fn fixed_point_bracket(f: f64) -> (u128, u128) {
+    const SATURATED: u128 = 1 << 100;
+    let (m, exp) = decompose(f);
+    let shift = exp + 32;
+    if shift >= 0 {
+        // m < 2^53, so the shifted mantissa stays below 2^100 while
+        // shift <= 47.
+        let step = if shift > 47 { SATURATED } else { m << shift };
+        (step, step)
+    } else {
+        // -shift <= 20 because f >= 1 means exp >= -52.
+        let floor = m >> -shift;
+        let ceil = floor + u128::from(floor << -shift != m);
+        (floor, ceil)
     }
 }
 
-/// An upper bound on `floor(a * f)` from one float multiply nudged up by
-/// [`FLOAT_SLOP`] (saturating at `u128::MAX`), checked against the exact
-/// [`scaled_floor`] in debug builds. Used only for certificate slack,
-/// where over-estimating the floor merely shrinks the covered advance.
-///
-/// Both conversions go through `u64` when the value fits: the `u128`
-/// ones are software routines, and each `u64` conversion rounds (or
-/// truncates, saturating) exactly as the `u128` one does in its range.
+/// `f = m * 2^exp` with `2^52 <= m < 2^53` and `exp >= -52`, for finite
+/// `f >= 1.0`: the exact IEEE-754 decomposition the integer comparisons
+/// below are built on.
 #[inline]
-fn floor_upper_bound(a: u128, f: f64) -> u128 {
-    /// 2^64 as an `f64` (exact).
-    const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
-    let af = match u64::try_from(a) {
-        Ok(a) => a as f64,
-        Err(_) => a as f64,
-    };
-    let ub = af * f * (1.0 + FLOAT_SLOP);
-    let ub = if ub < TWO_POW_64 {
-        u128::from(ub as u64)
-    } else {
-        ub as u128
-    };
-    debug_assert!(scaled_floor(a, f).is_none_or(|fl| ub >= fl));
-    ub
-}
-
-/// A lower bound on the largest `t` with `t * f < b`, from one float
-/// divide nudged down by [`FLOAT_SLOP`], checked against the exact
-/// [`scaled_quota`] in debug builds. Under-estimating the quota only
-/// shrinks the certificate's covered advance.
-#[inline]
-fn quota_lower_bound(f: f64, b: u64) -> u64 {
-    let lb = (b as f64) / f * (1.0 - FLOAT_SLOP);
-    let lb = lb as u64;
-    debug_assert!(lb <= scaled_quota(f, b));
-    lb
+fn decompose(f: f64) -> (u128, i32) {
+    debug_assert!(f.is_finite() && f >= 1.0, "factor must be finite and >= 1");
+    let bits = f.to_bits();
+    let exp = ((bits >> 52) & 0x7FF) as i32 - 1075;
+    let m = u128::from((bits & ((1u64 << 52) - 1)) | (1u64 << 52));
+    (m, exp)
 }
 
 /// Compares `a * f` with `b` exactly, for finite `f >= 1.0`.
@@ -469,10 +517,7 @@ fn quota_lower_bound(f: f64, b: u64) -> u64 {
 /// the left side dwarfs any `u64` right side (`b * 2^-e < 2^116`), so
 /// it decides as `Greater`.
 fn scaled_cmp(a: u128, f: f64, b: u64) -> Ordering {
-    debug_assert!(f.is_finite() && f >= 1.0, "factor must be finite and >= 1");
-    let bits = f.to_bits();
-    let exp = ((bits >> 52) & 0x7FF) as i32 - 1075;
-    let m = u128::from((bits & ((1u64 << 52) - 1)) | (1u64 << 52));
+    let (m, exp) = decompose(f);
     let lhs = match a.checked_mul(m) {
         Some(l) => l,
         None => return Ordering::Greater,
@@ -493,17 +538,15 @@ fn scaled_cmp(a: u128, f: f64, b: u64) -> Ordering {
 }
 
 /// Exact `floor(a * f)` for finite `f >= 1.0`, or `None` when the
-/// product exceeds `u128` (the true product then dwarfs any window
-/// distance, so callers treat it as an unusable bound).
+/// product exceeds `u128`: the spec the scan's upper accumulator bounds
+/// from above.
 ///
 /// Same IEEE-754 decomposition as [`scaled_cmp`]: `f = m * 2^e` with
 /// `2^52 <= m < 2^53`, so `a * f = (a * m) * 2^e` and the floor is a
 /// single shift of the exact `u128` product.
+#[cfg(test)]
 fn scaled_floor(a: u128, f: f64) -> Option<u128> {
-    debug_assert!(f.is_finite() && f >= 1.0, "factor must be finite and >= 1");
-    let bits = f.to_bits();
-    let exp = ((bits >> 52) & 0x7FF) as i32 - 1075;
-    let m = u128::from((bits & ((1u64 << 52) - 1)) | (1u64 << 52));
+    let (m, exp) = decompose(f);
     let prod = a.checked_mul(m)?;
     if exp >= 0 {
         if prod == 0 {
@@ -528,11 +571,8 @@ fn scaled_floor(a: u128, f: f64) -> Option<u128> {
 /// the shifted mantissa already exceeds `b`). All intermediates fit
 /// `u128` (`b * 2^-e < 2^116`, `m * 2^e` only needed while `e < 64`).
 fn scaled_quota(f: f64, b: u64) -> u64 {
-    debug_assert!(f.is_finite() && f >= 1.0, "factor must be finite and >= 1");
     debug_assert!(b >= 1, "bound must be positive");
-    let bits = f.to_bits();
-    let exp = ((bits >> 52) & 0x7FF) as i32 - 1075;
-    let m = u128::from((bits & ((1u64 << 52) - 1)) | (1u64 << 52));
+    let (m, exp) = decompose(f);
     if exp >= 0 {
         if exp >= 64 {
             return 0;
@@ -559,6 +599,10 @@ impl Policy for Forestall {
         // Fixed horizon's rule: never let a block inside H go unfetched
         // (guards against CSCAN reordering stalls, §5).
         self.horizon_rule.decide(ctx);
+    }
+
+    fn indexes(&self) -> Indexes {
+        Indexes::ALL
     }
 }
 
@@ -751,43 +795,141 @@ mod tests {
     }
 
     #[test]
-    fn floor_upper_bound_matches_the_direct_u128_conversion() {
-        // The u64 fast paths must reproduce `((a as f64) * f * (1 +
-        // FLOAT_SLOP)) as u128` on both sides of 2^64, in `a` and in the
-        // result.
-        let direct = |a: u128, f: f64| ((a as f64) * f * (1.0 + FLOAT_SLOP)) as u128;
-        let two_64 = 1u128 << 64;
-        let values = [
-            0,
-            1,
-            3,
-            (1 << 53) + 1,
-            two_64 - 1,
-            two_64,
-            two_64 + 1,
-            (1u128 << 100) + 12_345,
-            u128::MAX,
-        ];
-        let factors = [
+    fn fixed_point_trigger_matches_scaled_cmp() {
+        // The accumulator bracket must decide exactly as scaled_cmp, and
+        // its upper end must bound floor(rank * f) from above (the slack
+        // stays conservative). Factors with more than 32 fractional bits
+        // make the bracket straddle; distances at floor(rank * f) and
+        // one either side hit the straddle on purpose.
+        let mut rng = parcache_types::rng::Rng::seed_from_u64(0x5ca1_ed32);
+        let mut factors = vec![
             1.0,
-            1.0 + f64::EPSILON,
-            1.0625,
             1.5,
-            4096.0,
-            1e19,
-            1e30,
-            1e300,
+            4.0,
+            1.0 + f64::EPSILON,
+            1.0 + 2f64.powi(-33),
+            17.0 / 3.0,
         ];
-        for a in values {
-            for f in factors {
-                assert_eq!(floor_upper_bound(a, f), direct(a, f), "{a} * {f}");
+        factors.extend((0..200).map(|_| 1.0 + rng.next_f64() * 64.0));
+        factors.extend((0..50).map(|_| 4.0 * (1.0 + rng.next_f64())));
+        let mut straddled = 0;
+        for f in factors {
+            let (lo_step, hi_step) = fixed_point_bracket(f);
+            assert!(lo_step <= hi_step && hi_step - lo_step <= 1, "{f}");
+            for _ in 0..64 {
+                let rank = rng.gen_range(1u64..=1 << 21);
+                let (lo, hi) = (u128::from(rank) * lo_step, u128::from(rank) * hi_step);
+                let floor = scaled_floor(u128::from(rank), f).expect("small product");
+                assert!(
+                    hi >> 32 >= floor,
+                    "upper accumulator below floor: {rank} * {f}"
+                );
+                assert!(
+                    lo >> 32 <= floor,
+                    "lower accumulator above floor: {rank} * {f}"
+                );
+                let at = u64::try_from(floor).expect("fits");
+                let random = rng.gen_range(0u64..=at.saturating_mul(2).max(1));
+                for distance in [at.saturating_sub(1), at, at + 1, at + 2, random] {
+                    let scaled = u128::from(distance) << 32;
+                    straddled += usize::from(lo < scaled && hi >= scaled);
+                    assert_eq!(
+                        fixed_point_trigger(lo, hi, rank, f, distance),
+                        scaled_cmp(u128::from(rank), f, distance) != Ordering::Less,
+                        "{rank} * {f} vs {distance}"
+                    );
+                }
             }
         }
-        // Results straddling 2^64 from a small rank.
-        let near = 18_446_744_073_709_551_616.0 / (1.0 + FLOAT_SLOP);
-        for f in [near * (1.0 - 1e-15), near, near * (1.0 + 1e-15)] {
-            assert_eq!(floor_upper_bound(1, f), direct(1, f), "1 * {f}");
+        assert!(straddled > 0, "no input reached the exact fallback");
+        // Large factors, saturated ones included, at the first entry.
+        for f in [2f64.powi(47), 2f64.powi(68), 2f64.powi(70), 1e300] {
+            let (lo, hi) = fixed_point_bracket(f);
+            for distance in [1, 1 << 40, u64::MAX] {
+                assert_eq!(
+                    fixed_point_trigger(lo, hi, 1, f, distance),
+                    scaled_cmp(1, f, distance) != Ordering::Less,
+                    "{f} vs {distance}"
+                );
+            }
         }
+    }
+
+    /// Ascending positions of `set` in `[from, to)`.
+    fn span(set: &std::collections::BTreeSet<usize>, from: usize, to: usize) -> Vec<usize> {
+        set.range(from..to).copied().collect()
+    }
+
+    #[test]
+    fn cached_no_stall_certificates_imply_the_naive_verdict() {
+        // The FALSE certificate's spec: whenever it re-validates at an
+        // advanced cursor and a new F', the naive scan there must find
+        // no trigger. Between scan and check the missing set loses
+        // random entries and gains entries at or beyond `guard` only
+        // (the two changes the predictor lets through), and F' moves up
+        // and down, including the dynamic rule's 4x jump.
+        use std::collections::BTreeSet;
+        let mut rng = parcache_types::rng::Rng::seed_from_u64(0xce57_1f1e);
+        let (mut covered, mut above, mut tail_only, mut empty, mut inserted) = (0, 0, 0, 0, 0);
+        let mut hull = Vec::new();
+        for case in 0..20_000 {
+            let window = rng.gen_range(2usize..=64);
+            let cursor = rng.gen_range(0usize..=40);
+            let n = cursor + 3 * window + 40;
+            // Sparse to dense sets; some leave the window empty.
+            let density = [0.02, 0.1, 0.3, 0.6][case % 4];
+            let mut set: BTreeSet<usize> = (0..n).filter(|_| rng.gen_bool(density)).collect();
+            if case % 5 == 0 {
+                set.retain(|&p| p >= cursor + window);
+            }
+            let f_scan = 1.0 + rng.next_f64() * [0.5, 3.0, 12.0][case % 3];
+            let Verdict::False(cert) =
+                scan_certified(span(&set, cursor, n), cursor, window, f_scan, &mut hull)
+            else {
+                continue;
+            };
+            assert!(!naive_verdict(
+                span(&set, cursor, cursor + window),
+                cursor,
+                window,
+                f_scan
+            ));
+            for _ in 0..8 {
+                let mut now = set.clone();
+                now.retain(|_| !rng.gen_bool(0.2));
+                let guard = cert.guard.min(n + window);
+                for _ in 0..rng.gen_range(0usize..=3) {
+                    now.insert(rng.gen_range(guard..=guard + window));
+                }
+                let reach = cert.delta_scan.min(2 * window as u64) as usize;
+                let advanced = cursor + rng.gen_range(0usize..=reach + 2);
+                let f = match rng.gen_range(0usize..4) {
+                    0 => f_scan * 4.0,
+                    1 => f_scan * (1.0 + rng.next_f64() * 0.3),
+                    2 => (f_scan * (0.5 + rng.next_f64())).max(1.0),
+                    _ => f_scan + rng.next_f64() * 8.0,
+                };
+                if !cert.covers(&hull, advanced, f) {
+                    continue;
+                }
+                let in_window = span(&now, advanced, advanced + window);
+                assert!(
+                    !naive_verdict(in_window, advanced, window, f),
+                    "case {case}: certificate at cursor {cursor}, F' {f_scan} covered \
+                     cursor {advanced}, F' {f}, but the naive scan triggers"
+                );
+                covered += 1;
+                above += usize::from(f > f_scan);
+                tail_only += usize::from(hull.is_empty() && cert.tail.is_some());
+                empty += usize::from(hull.is_empty() && cert.tail.is_none());
+                inserted += usize::from(now.range(guard..).count() > set.range(guard..).count());
+            }
+        }
+        assert!(covered > 10_000, "{covered}");
+        assert!(above > 1_000, "F' above the scan's: {above}");
+        assert!(tail_only > 100, "tail-only windows: {tail_only}");
+        assert!(empty > 100, "empty windows: {empty}");
+        assert!(inserted > 1_000, "insertions beyond guard: {inserted}");
     }
 
     #[test]

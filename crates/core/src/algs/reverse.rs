@@ -31,7 +31,7 @@ use crate::config::SimConfig;
 use crate::engine::Ctx;
 use crate::hints::HintSpec;
 use crate::oracle::Oracle;
-use crate::policy::{demand_fetch_idx, Policy};
+use crate::policy::{demand_fetch_idx, Indexes, Policy};
 use parcache_disk::Layout;
 use parcache_trace::Trace;
 use parcache_types::{BitSet, BlockId, DiskId};
@@ -347,6 +347,11 @@ impl Policy for ReverseAggressive {
             .expect("demand-missed block outside the indexed universe");
         self.replay(ctx.oracle).consume_block(idx);
         demand_fetch_idx(ctx, idx);
+    }
+
+    /// The replay follows its own schedule: it reads neither index.
+    fn indexes(&self) -> Indexes {
+        Indexes::NONE
     }
 }
 

@@ -4,7 +4,9 @@
 //! §2.1's elapsed = compute + driver + stall identity and §3's disk-model
 //! validation. [`AuditProbe`] rides the [`Probe`] event stream and checks
 //! conservation laws *while the simulation runs* — monotone event time,
-//! every fetch issue matched by exactly one completion, stall begin/end
+//! every fetch issue matched by exactly one completion (or, under
+//! predicted hints, left in flight as a wrong guess nothing waited on),
+//! stall begin/end
 //! balance, cache frame conservation (`resident + inflight <= K`, no
 //! eviction of non-resident or stalled-on blocks), and per-disk
 //! queue-depth conservation — then reconciles the final [`Report`]
@@ -105,6 +107,13 @@ pub struct AuditProbe {
     last_time: Nanos,
     resident: HashSet<BlockId>,
     inflight: HashSet<BlockId>,
+    /// In-flight blocks the application has waited on: referenced while
+    /// in flight, or issued while it stalled on them. Such a read must
+    /// complete before the run ends.
+    awaited: HashSet<BlockId>,
+    /// The run acts on a predictor's guesses, so a read can fetch a wrong
+    /// guess nothing waits on, which may still be in flight at the end.
+    predicted: bool,
     queue_depth: Vec<usize>,
     in_service: Vec<Option<InService>>,
     stalled: Option<(BlockId, Nanos)>,
@@ -141,6 +150,8 @@ impl AuditProbe {
             last_time: Nanos::ZERO,
             resident: HashSet::new(),
             inflight: HashSet::new(),
+            awaited: HashSet::new(),
+            predicted: matches!(config.hint_mode, crate::predict::HintMode::Predicted(_)),
             queue_depth: vec![0; config.disks],
             in_service: vec![None; config.disks],
             stalled: None,
@@ -188,11 +199,22 @@ impl AuditProbe {
     pub fn finish(mut self, report: &Report) -> AuditOutcome {
         let t = report.elapsed;
 
-        // Every issued read must have completed: a referenced block holds
-        // the application until it arrives, so nothing readable can be in
-        // flight when the last reference has been consumed.
-        if !self.inflight.is_empty() {
-            let mut left: Vec<u64> = self.inflight.iter().map(|b| b.raw()).collect();
+        // Every read the application waited on must have completed: a
+        // referenced block holds the application until it arrives, so
+        // nothing it waits on can be in flight when the last reference
+        // has been consumed. Under exact hints every fetched block is
+        // referenced after its issue, so that is every read. Under a
+        // predictor's hints a wrong guess may be fetched and never
+        // referenced; such a read may still be in flight at the end,
+        // wasted bandwidth and nothing else.
+        let mut left: Vec<u64> = self
+            .inflight
+            .iter()
+            .filter(|b| !self.predicted || self.awaited.contains(b))
+            .map(|b| b.raw())
+            .collect();
+        let unawaited = (self.inflight.len() - left.len()) as u64;
+        if !left.is_empty() {
             left.sort_unstable();
             self.violate(
                 t,
@@ -204,14 +226,16 @@ impl AuditProbe {
             );
         }
         // Every issued fetch resolves exactly once: a successful read
-        // completion or an abandonment after the retry budget is spent.
-        if self.reads_completed + self.abandoned_reads != self.fetches_issued {
+        // completion or an abandonment after the retry budget is spent,
+        // unless it is an unawaited wrong guess still in flight.
+        if self.reads_completed + self.abandoned_reads + unawaited != self.fetches_issued {
             self.violate(
                 t,
                 "fetch-completion",
                 format!(
-                    "{} fetches issued but {} read completions + {} abandonments observed",
-                    self.fetches_issued, self.reads_completed, self.abandoned_reads
+                    "{} fetches issued but {} read completions + {} abandonments + {} \
+                     unawaited wrong guesses in flight observed",
+                    self.fetches_issued, self.reads_completed, self.abandoned_reads, unawaited
                 ),
             );
         }
@@ -517,6 +541,9 @@ impl Probe for AuditProbe {
         match *event {
             Event::PolicyDecision { .. } => {}
             Event::CacheHit { block, .. } => {
+                if self.inflight.contains(&block) {
+                    self.awaited.insert(block);
+                }
                 if !self.resident.contains(&block) {
                     self.violate(
                         now,
@@ -526,6 +553,9 @@ impl Probe for AuditProbe {
                 }
             }
             Event::CacheMiss { block, .. } => {
+                if self.inflight.contains(&block) {
+                    self.awaited.insert(block);
+                }
                 if self.resident.contains(&block) {
                     self.violate(
                         now,
@@ -563,6 +593,9 @@ impl Probe for AuditProbe {
                         "fetch-resident",
                         format!("fetch issued for resident block {}", block.raw()),
                     );
+                }
+                if self.stalled.is_some_and(|(on, _)| on == block) {
+                    self.awaited.insert(block);
                 }
                 if !self.inflight.insert(block) {
                     self.violate(
@@ -714,6 +747,7 @@ impl Probe for AuditProbe {
                     }
                 } else {
                     self.reads_completed += 1;
+                    self.awaited.remove(&block);
                     if !self.inflight.remove(&block) {
                         self.violate(
                             now,
@@ -853,6 +887,7 @@ impl Probe for AuditProbe {
                     self.abandoned_writes += 1;
                 } else {
                     self.abandoned_reads += 1;
+                    self.awaited.remove(&block);
                     // Abandonment releases the reserved frame; a later
                     // completion of this block without a fresh issue now
                     // trips "fetch-completion" above.
@@ -1066,6 +1101,64 @@ mod tests {
             "{:?}",
             out.violations
         );
+    }
+
+    #[test]
+    fn only_unawaited_wrong_guesses_may_end_in_flight() {
+        // Under predicted hints a fetched wrong guess nothing references
+        // may still be in flight at the end; a read the application
+        // referenced after its issue may not.
+        let report = |fetches| Report {
+            trace: "t".into(),
+            policy: "p".into(),
+            disks: 1,
+            elapsed: Nanos::ZERO,
+            compute: Nanos::ZERO,
+            driver: Nanos::ZERO,
+            stall: Nanos::ZERO,
+            stall_by_cause: crate::engine::StallBreakdown::ZERO,
+            fetches,
+            writes: 0,
+            avg_fetch_time: Nanos::ZERO,
+            avg_disk_utilization: 0.0,
+            per_disk: vec![Default::default()],
+            fault: None,
+            hints: None,
+        };
+        let issue = |p: &mut AuditProbe, b| {
+            p.on_event(&Event::FetchIssued {
+                now: Nanos::ZERO,
+                block: BlockId(b),
+                disk: DiskId(0),
+                demand: false,
+                evicted: None,
+            })
+        };
+        let predicted = || {
+            let mut cfg = SimConfig::new(1, 4).with_hint_mode(crate::predict::HintMode::Predicted(
+                crate::predict::PredictorKind::Sequential,
+            ));
+            cfg.disk_model = DiskModelKind::Uniform(Nanos::from_millis(1));
+            AuditProbe::new(&cfg)
+        };
+        let completion =
+            |out: &AuditOutcome| out.violations.iter().any(|v| v.rule == "fetch-completion");
+        let mut p = predicted();
+        issue(&mut p, 1);
+        let out = p.finish(&report(1));
+        assert!(!completion(&out), "{:?}", out.violations);
+        let mut p = predicted();
+        issue(&mut p, 1);
+        p.on_event(&Event::CacheMiss {
+            now: Nanos::ZERO,
+            block: BlockId(1),
+        });
+        let out = p.finish(&report(1));
+        assert!(completion(&out), "{:?}", out.violations);
+        // Oracle hints: any read left in flight is a violation.
+        let mut p = probe_for(1, 4);
+        issue(&mut p, 1);
+        assert!(completion(&p.finish(&report(1))));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::cache::{Cache, Knowledge, MissingTracker};
 use crate::config::{DiskModelKind, SimConfig};
 use crate::metrics::json_escape;
 use crate::oracle::Oracle;
-use crate::policy::{Policy, PolicyKind};
+use crate::policy::{Indexes, Policy, PolicyKind};
 use crate::predict::HintStats;
 use crate::probe::{Event, FaultCause, NoopProbe, Probe, StallCause};
 use parcache_disk::coarse::CoarseDisk;
@@ -36,6 +36,7 @@ use parcache_disk::uniform::UniformDisk;
 use parcache_disk::{DiskArray, Layout};
 use parcache_trace::Trace;
 use parcache_types::{BlockId, DiskId, Nanos};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
@@ -51,12 +52,21 @@ const HISTORY: usize = 100;
 /// estimator reads at every decision point are O(1) instead of re-summing
 /// up to `HISTORY` entries. The arithmetic is exact (`u64` adds and
 /// subtracts), so results are bit-identical to re-summing the window.
+/// The means are divided out on the first read after a push and kept
+/// until the next one: forestall may read them several times between
+/// pushes, or not at all.
 #[derive(Debug)]
 pub struct FetchHistory {
     per_disk_fetch: Vec<VecDeque<Nanos>>,
     per_disk_sum: Vec<Nanos>,
+    /// Each disk's window mean, rounded to the nearest nanosecond and as
+    /// an `f64`, once read since the disk's last push.
+    per_disk_mean: Vec<Cell<Option<(Nanos, f64)>>>,
     compute: VecDeque<Nanos>,
     compute_sum: Nanos,
+    /// The compute window's mean as an `f64`, once read since the last
+    /// push.
+    compute_mean: Cell<Option<f64>>,
 }
 
 impl FetchHistory {
@@ -64,8 +74,10 @@ impl FetchHistory {
         FetchHistory {
             per_disk_fetch: vec![VecDeque::with_capacity(HISTORY); disks],
             per_disk_sum: vec![Nanos::ZERO; disks],
+            per_disk_mean: vec![Cell::new(None); disks],
             compute: VecDeque::with_capacity(HISTORY),
             compute_sum: Nanos::ZERO,
+            compute_mean: Cell::new(None),
         }
     }
 
@@ -76,6 +88,7 @@ impl FetchHistory {
         }
         q.push_back(t);
         self.per_disk_sum[disk] += t;
+        self.per_disk_mean[disk].set(None);
     }
 
     fn push_compute(&mut self, t: Nanos) {
@@ -84,16 +97,39 @@ impl FetchHistory {
         }
         self.compute.push_back(t);
         self.compute_sum += t;
+        self.compute_mean.set(None);
+    }
+
+    /// `disk`'s window mean, rounded and as an `f64`; the window must be
+    /// non-empty.
+    fn fetch_mean(&self, disk: usize) -> (Nanos, f64) {
+        let cell = &self.per_disk_mean[disk];
+        cell.get().unwrap_or_else(|| {
+            let sum = self.per_disk_sum[disk];
+            let n = self.per_disk_fetch[disk].len() as u64;
+            let mean = (sum.div_rounded(n), sum.as_nanos() as f64 / n as f64);
+            cell.set(Some(mean));
+            mean
+        })
+    }
+
+    /// The compute window's mean as an `f64`; the window must be
+    /// non-empty.
+    fn compute_mean(&self) -> f64 {
+        self.compute_mean.get().unwrap_or_else(|| {
+            let mean = self.compute_sum.as_nanos() as f64 / self.compute.len() as f64;
+            self.compute_mean.set(Some(mean));
+            mean
+        })
     }
 
     /// Mean of the recent fetch times on `disk`, rounded to the nearest
     /// nanosecond, or `None` with no history.
     pub fn avg_fetch(&self, disk: usize) -> Option<Nanos> {
-        let q = &self.per_disk_fetch[disk];
-        if q.is_empty() {
+        if self.per_disk_fetch[disk].is_empty() {
             return None;
         }
-        Some(self.per_disk_sum[disk].div_rounded(q.len() as u64))
+        Some(self.fetch_mean(disk).0)
     }
 
     /// Mean of the recent inter-reference compute times, rounded to the
@@ -112,10 +148,7 @@ impl FetchHistory {
             return None;
         }
         // Normalize: both windows may hold fewer than HISTORY entries.
-        let f_avg =
-            self.per_disk_sum[disk].as_nanos() as f64 / self.per_disk_fetch[disk].len() as f64;
-        let c_avg = self.compute_sum.as_nanos() as f64 / self.compute.len() as f64;
-        Some(f_avg / c_avg)
+        Some(self.fetch_mean(disk).1 / self.compute_mean())
     }
 }
 
@@ -129,14 +162,16 @@ pub struct Ctx<'a> {
     pub oracle: &'a Oracle,
     /// Cache state.
     pub cache: &'a mut Cache,
-    /// Index of missing blocks' next occurrences.
-    pub missing: &'a mut MissingTracker,
     /// The disk array (free/busy queries).
     pub array: &'a mut DiskArray,
     /// The run configuration.
     pub config: &'a SimConfig,
-    /// Recent fetch/compute observations (forestall's estimator).
-    pub history: &'a FetchHistory,
+    /// Index of missing blocks' next occurrences; `None` unless the
+    /// policy declared it (see [`Ctx::missing`]).
+    missing: Option<&'a mut MissingTracker>,
+    /// Recent fetch/compute observations; `None` unless the policy
+    /// declared them (see [`Ctx::history`]).
+    history: Option<&'a FetchHistory>,
     cpu_done: &'a mut Nanos,
     driver_time: &'a mut Nanos,
     fetches: &'a mut u64,
@@ -199,11 +234,13 @@ impl Ctx<'_> {
         let block = self.oracle.block_of(idx);
         let evict = evict_idx.map(|e| self.oracle.block_of(e));
         let evict_next = self.cache.start_fetch(idx, evict_idx);
-        self.missing
-            .on_fetch_issued_idx(idx, self.cursor, self.oracle);
+        if let Some(missing) = self.missing.as_deref_mut() {
+            missing.on_fetch_issued_idx(idx, self.cursor, self.oracle);
+            if let Some(e) = evict_idx {
+                missing.on_evicted_idx(e, self.cursor, evict_next, self.oracle);
+            }
+        }
         if let Some(e) = evict_idx {
-            self.missing
-                .on_evicted_idx(e, self.cursor, evict_next, self.oracle);
             // Every eviction of a resident block flows through here
             // (abandoning an in-flight fetch is not an eviction: the
             // block was never resident).
@@ -241,6 +278,30 @@ impl Ctx<'_> {
     /// Total references in the trace.
     pub fn sequence_len(&self) -> usize {
         self.oracle.len()
+    }
+
+    /// The index of missing blocks' next occurrences.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the policy declared it in [`Policy::indexes`]: the
+    /// engine does not maintain an undeclared index, so a read would be
+    /// stale.
+    pub fn missing(&self) -> &MissingTracker {
+        self.missing
+            .as_deref()
+            .expect("the policy reads the missing-block index without declaring it")
+    }
+
+    /// The recent fetch and compute observations (forestall's
+    /// estimator).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the policy declared them in [`Policy::indexes`].
+    pub fn history(&self) -> &FetchHistory {
+        self.history
+            .expect("the policy reads the fetch history without declaring it")
     }
 }
 
@@ -572,8 +633,8 @@ pub fn simulate_with_probed<P: Probe>(
 /// knowledge-defining parts of a [`SimConfig`]: the array size, the hint
 /// mode and the hint spec. It holds the policies' oracle (for a predicted
 /// mode, the output of the deterministic predictor pre-pass), the compact
-/// index of every reference, the cold-cache [`MissingTracker`], and, built
-/// on first use, the reversed oracle reverse aggressive plans over.
+/// index of every reference, and, built on first use, the reversed oracle
+/// reverse aggressive plans over.
 ///
 /// Runs borrow it and never change it, so repeated runs of one trace —
 /// the tuned reverse-aggressive search runs eight — build it once.
@@ -592,9 +653,6 @@ pub struct Prepared<'t> {
     /// oracle discloses every reference exactly: its own per-position
     /// indices are then the same array.
     ref_idx: Option<Vec<u32>>,
-    /// The missing-block index of a cold cache; each run starts from a
-    /// copy.
-    missing: MissingTracker,
     reversed: std::sync::OnceLock<Oracle>,
 }
 
@@ -644,7 +702,6 @@ impl<'t> Prepared<'t> {
                 })
                 .collect()
         });
-        let missing = MissingTracker::new(&oracle);
         Prepared {
             trace,
             disks: config.disks,
@@ -653,7 +710,6 @@ impl<'t> Prepared<'t> {
             oracle,
             hint_stats,
             ref_idx,
-            missing,
             reversed: std::sync::OnceLock::new(),
         }
     }
@@ -689,7 +745,7 @@ impl<'t> Prepared<'t> {
                 && config.hints == self.hints,
             "configuration does not match the prepared run state"
         );
-        Engine::new(self, config, self.knowledge(config)).run(policy, probe)
+        Engine::new(self, config, self.knowledge(config), policy.indexes()).run(policy, probe)
     }
 
     /// What the run's policies know, which fixes its cache's Belady
@@ -723,7 +779,7 @@ impl<'t> Prepared<'t> {
             Knowledge::Exact => Knowledge::ExactHeap,
             k => k,
         };
-        Engine::new(self, config, knowledge).run(policy, probe)
+        Engine::new(self, config, knowledge, policy.indexes()).run(policy, probe)
     }
 }
 
@@ -796,9 +852,11 @@ struct Engine<'t> {
     /// Compact index of each trace reference (see [`Prepared`]).
     ref_idx: &'t [u32],
     cache: Cache,
-    missing: MissingTracker,
+    /// The indexes the policy declared ([`Policy::indexes`]); `None`
+    /// when undeclared, and then never built or updated.
+    missing: Option<MissingTracker>,
     array: DiskArray,
-    history: FetchHistory,
+    history: Option<FetchHistory>,
     now: Nanos,
     cursor: usize,
     cpu_done: Nanos,
@@ -841,7 +899,12 @@ struct Engine<'t> {
 }
 
 impl<'t> Engine<'t> {
-    fn new(prepared: &'t Prepared<'_>, config: &'t SimConfig, knowledge: Knowledge) -> Engine<'t> {
+    fn new(
+        prepared: &'t Prepared<'_>,
+        config: &'t SimConfig,
+        knowledge: Knowledge,
+        indexes: Indexes,
+    ) -> Engine<'t> {
         if !config.faults.is_empty() {
             // Guard configs built by struct literal rather than through
             // the validating builders: a bad plan or retry policy must
@@ -855,7 +918,7 @@ impl<'t> Engine<'t> {
             .ref_idx
             .as_deref()
             .unwrap_or_else(|| oracle.seq_indices());
-        let missing = prepared.missing.clone();
+        let missing = indexes.missing.then(|| MissingTracker::new(oracle));
         let array = DiskArray::new(config.disks, config.discipline, |i| build_model(config, i));
         let degraded_windows: Vec<Vec<(Nanos, Nanos)>> = (0..config.disks)
             .map(|i| config.faults.degraded_windows(i))
@@ -878,7 +941,7 @@ impl<'t> Engine<'t> {
             cache,
             missing,
             array,
-            history: FetchHistory::new(config.disks),
+            history: indexes.history.then(|| FetchHistory::new(config.disks)),
             now: Nanos::ZERO,
             cursor: 0,
             cpu_done: Nanos::ZERO,
@@ -1004,10 +1067,10 @@ impl<'t> Engine<'t> {
             cursor: self.cursor,
             oracle: self.oracle,
             cache: &mut self.cache,
-            missing: &mut self.missing,
             array: &mut self.array,
             config: self.config,
-            history: &self.history,
+            missing: self.missing.as_mut(),
+            history: self.history.as_ref(),
             cpu_done: &mut self.cpu_done,
             driver_time: &mut self.driver_time,
             fetches: &mut self.fetches,
@@ -1029,10 +1092,10 @@ impl<'t> Engine<'t> {
             cursor: self.cursor,
             oracle: self.oracle,
             cache: &mut self.cache,
-            missing: &mut self.missing,
             array: &mut self.array,
             config: self.config,
-            history: &self.history,
+            missing: self.missing.as_mut(),
+            history: self.history.as_ref(),
             cpu_done: &mut self.cpu_done,
             driver_time: &mut self.driver_time,
             fetches: &mut self.fetches,
@@ -1134,8 +1197,9 @@ impl<'t> Engine<'t> {
                 .index_of(block)
                 .expect("abandoned block outside the indexed universe");
             self.cache.cancel_fetch(idx);
-            self.missing
-                .on_evicted_idx(idx, self.cursor, None, self.oracle);
+            if let Some(missing) = &mut self.missing {
+                missing.on_evicted_idx(idx, self.cursor, None, self.oracle);
+            }
         }
     }
 
@@ -1228,7 +1292,9 @@ impl<'t> Engine<'t> {
                     if !self.retrying.is_empty() {
                         self.retrying.remove(&done.block);
                     }
-                    self.history.push_fetch(d.index(), done.service);
+                    if let Some(history) = &mut self.history {
+                        history.push_fetch(d.index(), done.service);
+                    }
                     let idx = self
                         .oracle
                         .index_of(done.block)
@@ -1319,7 +1385,9 @@ impl<'t> Engine<'t> {
             // Cache::pin); critical under incomplete hints.
             self.cache.pin(Some(req_idx));
             // The application computes before the reference.
-            self.history.push_compute(req.compute);
+            if let Some(history) = &mut self.history {
+                history.push_compute(req.compute);
+            }
             self.cpu_done = self.cpu_done.max(self.now) + req.compute;
             self.advance_cpu(policy, probe);
 
@@ -1429,10 +1497,15 @@ impl<'t> Engine<'t> {
         if self.cpu_done > self.now {
             self.advance_cpu(policy, probe);
         }
-        // Every fetched block is referenced at or after its issue, and
-        // the blocking loop retries until the block arrives — so no read
-        // can still be mid-retry once the last reference is consumed.
-        debug_assert!(self.retry_timers.is_empty(), "retry timer outlived the run");
+        // Under exact or partial hints every fetched block is referenced
+        // at or after its issue, and the blocking loop retries until the
+        // block arrives — so no read can still be mid-retry once the last
+        // reference is consumed. A predictor's wrong guess can be fetched
+        // and never referenced, so only a predicted run may end with one.
+        debug_assert!(
+            self.retry_timers.is_empty() || self.hint_stats.is_some(),
+            "retry timer outlived the run"
+        );
 
         let elapsed = self.now;
         let compute: Nanos = self.trace.requests.iter().map(|r| r.compute).sum();

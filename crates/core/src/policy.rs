@@ -25,6 +25,46 @@ pub trait Policy {
     fn on_miss(&mut self, ctx: &mut Ctx<'_>, block: BlockId) {
         demand_fetch(ctx, block);
     }
+
+    /// The engine indexes this policy reads through [`Ctx`]. The engine
+    /// builds and maintains only these; reading an undeclared one
+    /// panics. The default declares every index, so a policy that never
+    /// states its reads stays correct and merely pays for all of them.
+    fn indexes(&self) -> Indexes {
+        Indexes::ALL
+    }
+}
+
+/// Which of the engine's optional indexes a policy reads (see
+/// [`Policy::indexes`]). Each one costs work on every event whether or
+/// not anything reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Indexes {
+    /// The missing-block index, [`Ctx::missing`]: updated on every issue,
+    /// eviction and abandonment.
+    pub missing: bool,
+    /// The recent fetch and compute times, [`Ctx::history`]: pushed on
+    /// every completion and every reference.
+    pub history: bool,
+}
+
+impl Indexes {
+    /// Every index.
+    pub const ALL: Indexes = Indexes {
+        missing: true,
+        history: true,
+    };
+    /// No index: the policy reads only the cache, the oracle and the
+    /// array.
+    pub const NONE: Indexes = Indexes {
+        missing: false,
+        history: false,
+    };
+    /// The missing-block index alone.
+    pub const MISSING: Indexes = Indexes {
+        missing: true,
+        history: false,
+    };
 }
 
 /// The default demand-miss reaction: fetch the block now, evicting the
@@ -146,5 +186,104 @@ mod tests {
     #[test]
     fn display_matches_name() {
         assert_eq!(PolicyKind::Aggressive.to_string(), "aggressive");
+    }
+
+    /// Delegates to the wrapped policy but declares every index, so the
+    /// engine builds and maintains what the bare policy skips.
+    struct DeclaresAll<P>(P);
+
+    impl<P: Policy> Policy for DeclaresAll<P> {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn decide(&mut self, ctx: &mut Ctx<'_>) {
+            self.0.decide(ctx);
+        }
+
+        fn on_miss(&mut self, ctx: &mut Ctx<'_>, block: BlockId) {
+            self.0.on_miss(ctx, block);
+        }
+    }
+
+    #[test]
+    fn declaring_every_index_leaves_reports_unchanged() {
+        // The policies that declare no index must report byte for byte
+        // what they report with every index maintained: the indexes feed
+        // nothing but the policies that read them. Windows of the paper
+        // traces keep the debug-build run short.
+        use crate::algs::{demand::Demand, reverse::ReverseAggressive};
+        use crate::engine::simulate_with;
+        use crate::predict::{HintMode, PredictorKind};
+        use parcache_disk::FaultPlan;
+        for name in parcache_trace::TRACE_NAMES {
+            let full = parcache_trace::trace_by_name(name, 1996).expect("paper trace");
+            let window = full.requests[..full.requests.len().min(1200)].to_vec();
+            let trace = Trace::new(name, window, full.cache_blocks);
+            for disks in [1, 4, 16] {
+                for hints in [HintMode::Oracle, HintMode::Predicted(PredictorKind::Markov)] {
+                    for faults in ["", "flaky:*:0.05,outage:0:100:600,seed:9"] {
+                        let mut config = SimConfig::for_trace(disks, &trace).with_hint_mode(hints);
+                        if !faults.is_empty() {
+                            config = config.with_faults(FaultPlan::parse(faults).expect("valid"));
+                        }
+                        let at = format!("{name}, {disks} disks, {hints:?}, faults '{faults}'");
+                        assert_eq!(
+                            simulate_with(&trace, &mut Demand, &config),
+                            simulate_with(&trace, &mut DeclaresAll(Demand), &config),
+                            "demand: {at}"
+                        );
+                        let reverse = || ReverseAggressive::new(&trace, &config);
+                        assert_eq!(
+                            simulate_with(&trace, &mut reverse(), &config),
+                            simulate_with(&trace, &mut DeclaresAll(reverse()), &config),
+                            "reverse aggressive: {at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reads the index named by `missing` (else the history) while
+    /// declaring none.
+    struct Undeclared {
+        missing: bool,
+    }
+
+    impl Policy for Undeclared {
+        fn name(&self) -> &'static str {
+            "undeclared"
+        }
+
+        fn decide(&mut self, ctx: &mut Ctx<'_>) {
+            if self.missing {
+                let _ = ctx.missing().first_missing(ctx.cursor);
+            } else {
+                let _ = ctx.history().avg_compute();
+            }
+        }
+
+        fn indexes(&self) -> Indexes {
+            Indexes::NONE
+        }
+    }
+
+    fn run_undeclared(missing: bool) {
+        let trace = parcache_trace::trace_by_name("synth", 1996).expect("paper trace");
+        let config = SimConfig::for_trace(1, &trace);
+        crate::engine::simulate_with(&trace, &mut Undeclared { missing }, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "reads the missing-block index without declaring it")]
+    fn reading_the_undeclared_missing_index_panics() {
+        run_undeclared(true);
+    }
+
+    #[test]
+    #[should_panic(expected = "reads the fetch history without declaring it")]
+    fn reading_the_undeclared_history_panics() {
+        run_undeclared(false);
     }
 }

@@ -117,8 +117,13 @@ impl Nanos {
         if rhs == 0 {
             return Nanos::ZERO;
         }
-        // Work in u128 so the half-divisor correction cannot overflow.
-        Nanos(((self.0 as u128 + rhs as u128 / 2) / rhs as u128) as u64)
+        // The exact u64 division whenever the half-divisor correction
+        // fits; u128 otherwise, where it cannot overflow. Both give
+        // the same quotient.
+        match self.0.checked_add(rhs / 2) {
+            Some(n) => Nanos(n / rhs),
+            None => Nanos(((self.0 as u128 + rhs as u128 / 2) / rhs as u128) as u64),
+        }
     }
 }
 
@@ -241,6 +246,19 @@ mod tests {
         assert_eq!(Nanos(11).div_rounded(2), Nanos(6)); // ties round up
         assert_eq!(Nanos(5).div_rounded(0), Nanos::ZERO);
         assert_eq!(Nanos::MAX.div_rounded(1), Nanos::MAX); // no overflow
+                                                           // Either side of the point where `self + rhs / 2` overflows u64:
+                                                           // the u64 and u128 paths must agree with exact arithmetic.
+        let exact = |n: u64, d: u64| ((n as u128 + d as u128 / 2) / d as u128) as u64;
+        for d in [2, 3, 7, 1 << 32, u64::MAX / 2, u64::MAX - 1, u64::MAX] {
+            let edge = u64::MAX - d / 2;
+            for n in [edge - 1, edge, edge + 1, edge.saturating_add(2), u64::MAX] {
+                assert_eq!(Nanos(n).div_rounded(d), Nanos(exact(n, d)), "{n} / {d}");
+            }
+        }
+        assert_eq!(Nanos::MAX.div_rounded(2), Nanos(1 << 63)); // rounds up past the edge
+        assert_eq!(Nanos::MAX.div_rounded(u64::MAX), Nanos(1));
+        assert_eq!(Nanos(u64::MAX / 2).div_rounded(u64::MAX), Nanos(0));
+        assert_eq!(Nanos(u64::MAX / 2 + 1).div_rounded(u64::MAX), Nanos(1)); // the tie
     }
 
     #[test]
