@@ -197,12 +197,28 @@ fn bench_forestall() {
     }
 }
 
+/// The whole tuned reverse-aggressive search of one appendix-A cell on
+/// one thread: eight reverse passes and the forward replays the cutoff
+/// and the duplicate-schedule rules leave to run.
+fn bench_tuned_search() {
+    for name in ["cscope2", "glimpse", "synth"] {
+        let t = parcache_trace::trace_by_name(name, 1996).expect("paper trace");
+        for disks in [1, 8] {
+            let cfg = SimConfig::for_trace(disks, &t);
+            bench(&format!("tuned_search ({name}, {disks} disks)"), || {
+                black_box(parcache_bench::best_reverse_search(&t, &cfg, 1));
+            });
+        }
+    }
+}
+
 fn main() {
     bench_disk_model();
     bench_oracle();
     bench_next_use();
     bench_reverse_pass();
     bench_forestall();
+    bench_tuned_search();
     bench_cache();
     bench_engine();
 }

@@ -372,27 +372,29 @@ fn run_policy(case: &FuzzCase, kind: PolicyKind, differential: bool) -> (Vec<Str
 /// poisoned combination instead of dying on it.
 ///
 /// With `differential`, the case's tuned reverse-aggressive search also
-/// runs two ways — the shared-state search with its duplicate-schedule
-/// skip, and [`naive_reverse_search`] — and any difference in the winning
-/// report or configuration is a failure. Neither run enters the
-/// fingerprint.
+/// runs three ways — the pruned shared-state search on one and on four
+/// threads, and [`naive_reverse_search`] — and any difference in the
+/// winning report or configuration is a failure. None of the runs enters
+/// the fingerprint.
 fn run_case(case: &FuzzCase, differential: bool) -> (Vec<FuzzFailure>, u64) {
     let mut failures = Vec::new();
     if differential {
         let result = std::panic::catch_unwind(|| {
-            let fast = best_reverse_search(&case.trace, &case.config, 1);
             let naive = naive_reverse_search(&case.trace, &case.config);
-            (fast != naive).then(|| {
-                format!(
-                    "tuned search diverged from eight independent runs: \
-                     elapsed {} vs {}, F̂ {} vs {}, batch {} vs {}",
-                    fast.0.elapsed,
-                    naive.0.elapsed,
-                    fast.1.reverse_fetch_estimate,
-                    naive.1.reverse_fetch_estimate,
-                    fast.1.reverse_batch_size,
-                    naive.1.reverse_batch_size
-                )
+            [1, 4].into_iter().find_map(|threads| {
+                let fast = best_reverse_search(&case.trace, &case.config, threads);
+                (fast != naive).then(|| {
+                    format!(
+                        "tuned search at {threads} threads diverged from eight independent \
+                         runs: elapsed {} vs {}, F̂ {} vs {}, batch {} vs {}",
+                        fast.0.elapsed,
+                        naive.0.elapsed,
+                        fast.1.reverse_fetch_estimate,
+                        naive.1.reverse_fetch_estimate,
+                        fast.1.reverse_batch_size,
+                        naive.1.reverse_batch_size
+                    )
+                })
             })
         });
         let detail = match result {

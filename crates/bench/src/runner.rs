@@ -2,9 +2,10 @@
 //! aggressive parameter search.
 
 use parcache_core::algs::reverse::{Pair, ReverseAggressive};
-use parcache_core::engine::{Prepared, Report};
+use parcache_core::engine::{Abandoned, Cutoff, Prepared, Report};
 use parcache_core::{NoopProbe, SimConfig};
 use parcache_trace::Trace;
+use parcache_types::Nanos;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -157,45 +158,100 @@ pub(crate) fn reverse_grid(base: &SimConfig) -> Vec<SimConfig> {
         .collect()
 }
 
+/// The order the tuned search tries its grid in, by grid index: F̂
+/// descending, batch ascending. The winner does not depend on it, but
+/// the cutoff prunes more once a good run has finished, and F̂ ≥ 16 wins
+/// 50 of the 83 appendix-A cells.
+const SEARCH_ORDER: [usize; 8] = [6, 7, 4, 5, 2, 3, 0, 1];
+
 /// [`best_reverse`], returning the winning configuration as well and
 /// running the grid's eight simulations on up to `threads` workers via
 /// [`run_indexed`](crate::sweep::run_indexed).
 ///
-/// The winner is chosen by folding the reports *in grid order* with a
-/// strictly-smaller-elapsed rule — exactly the serial loop's
-/// first-wins tie-break — so the result does not depend on `threads`.
+/// The winner is the configuration with the smallest elapsed time, the
+/// earliest in grid order on ties: exactly the serial loop's first-wins
+/// fold, so the result does not depend on `threads` or on the order the
+/// runs are tried in (F̂ descending, batch ascending). Each finished
+/// run's `(elapsed, grid index)` is packed into one word and the
+/// search keeps the smallest in an atomic; a run with grid index `g` is
+/// abandoned once `pack(lb, g)` exceeds it, `lb` being the engine's
+/// lower bound on the run's final elapsed time
+/// ([`Prepared::run_until`]). That is "strictly worse, or tied and later
+/// in the grid", so no abandoned run could have won.
 ///
-/// Two things make the eight runs cheaper than eight
+/// Two more things make the eight runs cheaper than eight
 /// [`simulate`](parcache_core::simulate) calls while returning the same
 /// bytes. The state they share (the oracles, the reference index and the
-/// cold missing-block index) is built once in a [`Prepared`] value. And a
-/// configuration whose schedule and batch size repeat an earlier
-/// configuration's is not replayed: only reverse aggressive reads F̂ and
-/// the batch size, so its replay would repeat the earlier report, which
-/// the first-wins fold already prefers.
+/// bound's per-reference inputs) is built once in a [`Prepared`] value. And
+/// only reverse aggressive reads F̂ and the batch size, so a
+/// configuration whose schedule and batch size repeat another's has the
+/// same report: it takes that report if the other run finished, and is
+/// skipped if the other cannot win in its place.
 pub fn best_reverse_search(trace: &Trace, base: &SimConfig, threads: usize) -> (Report, SimConfig) {
+    search_grid(trace, base, threads).0
+}
+
+/// [`best_reverse_search`], also returning how many replays the cutoff
+/// abandoned.
+fn search_grid(trace: &Trace, base: &SimConfig, threads: usize) -> ((Report, SimConfig), usize) {
     let grid = reverse_grid(base);
+    assert_eq!(
+        grid.len(),
+        SEARCH_ORDER.len(),
+        "search order covers the grid"
+    );
     let prepared = Prepared::new(trace, base);
     let reversed = prepared.reversed_oracle();
-    let log = ReplayLog::new(grid.len());
-    let reports = crate::sweep::run_indexed(grid.len(), threads, |i| {
-        let mut policy = ReverseAggressive::with_reversed(reversed, &grid[i]);
-        if log.repeats_earlier(i, policy.schedule(), grid[i].reverse_batch_size) {
-            return None;
+    let search = Search::new(grid.len());
+    let reports = crate::sweep::run_indexed(grid.len(), threads, |k| {
+        let g = SEARCH_ORDER[k];
+        let mut policy = ReverseAggressive::with_reversed(reversed, &grid[g]);
+        match search.claim(g, policy.schedule(), grid[g].reverse_batch_size) {
+            Claim::Skip => None,
+            Claim::Copy(report) => Some(*report),
+            Claim::Replay => {
+                let cutoff = Beaten {
+                    best: &search.best,
+                    index: g,
+                };
+                let outcome = prepared.run_until(&mut policy, &grid[g], &mut NoopProbe, &cutoff);
+                search.settle(g, outcome)
+            }
         }
-        Some(prepared.run(&mut policy, &grid[i], &mut NoopProbe))
     });
-    let mut best: Option<(usize, Report)> = None;
-    for (i, r) in reports.into_iter().enumerate() {
-        // A skipped configuration's report equals an earlier one's, so
-        // it can never be strictly better than the best so far.
-        let Some(r) = r else { continue };
-        if best.as_ref().is_none_or(|(_, cur)| r.elapsed < cur.elapsed) {
-            best = Some((i, r));
-        }
+    let (_, g, report) = SEARCH_ORDER
+        .iter()
+        .zip(reports)
+        .filter_map(|(&g, r)| r.map(|r| (pack(r.elapsed, g), g, r)))
+        .min_by_key(|&(packed, ..)| packed)
+        .expect("the best configuration is never skipped or abandoned");
+    ((report, grid[g].clone()), search.abandoned())
+}
+
+/// `(elapsed << 3) | grid index`: ordered first by elapsed time, then by
+/// grid index, as the first-wins fold ranks runs.
+fn pack(elapsed: Nanos, index: usize) -> u64 {
+    debug_assert!(index < 8, "grid index fits in three bits");
+    let ns = elapsed.as_nanos();
+    assert!(
+        ns < 1 << 61,
+        "elapsed {elapsed} does not fit the packed rank"
+    );
+    ns << 3 | index as u64
+}
+
+/// The tuned search's cutoff for the run of grid index `index`: abandon
+/// once the run provably ranks after the best finished run.
+struct Beaten<'a> {
+    best: &'a AtomicU64,
+    index: usize,
+}
+
+impl Cutoff for Beaten<'_> {
+    #[inline]
+    fn abandon(&self, lower_bound: Nanos) -> bool {
+        pack(lower_bound, self.index) > self.best.load(Ordering::Relaxed)
     }
-    let (i, report) = best.expect("non-empty parameter grid");
-    (report, grid[i].clone())
 }
 
 /// What decides a reverse-aggressive forward replay once the rest of the
@@ -208,30 +264,69 @@ struct ReplayKey {
     batch: usize,
 }
 
-/// The replay keys the search's configurations have produced so far.
-/// Debug builds also keep each schedule and check that a matching key
-/// really means an identical schedule.
-struct ReplayLog {
+/// The shared state of one tuned search: the best packed rank so far,
+/// and what became of each configuration's replay.
+struct Search {
+    /// The smallest [`pack`] of a finished run, `u64::MAX` before one.
+    /// Accessed `Relaxed`: it publishes no other data (reports travel
+    /// through `entries` and the worker results), and a stale read is
+    /// never below the true best, so it only prunes less.
+    best: AtomicU64,
+    /// Per grid index, once claimed. Debug builds also keep each
+    /// schedule and check that a matching key really means an identical
+    /// schedule.
     entries: Mutex<Vec<Option<Logged>>>,
 }
 
-/// One configuration's replay key, and its schedule in debug builds.
-#[derive(Clone)]
+/// One configuration's replay key and outcome, and its schedule in debug
+/// builds.
 struct Logged {
     key: ReplayKey,
+    state: State,
     schedule: Option<Vec<Pair>>,
 }
 
-impl ReplayLog {
-    fn new(configs: usize) -> ReplayLog {
-        ReplayLog {
-            entries: Mutex::new(vec![None; configs]),
+/// What became of a configuration's replay.
+enum State {
+    /// Running, or skipped: either way its report is not on hand.
+    Open,
+    /// Finished with this report.
+    Finished(Box<Report>),
+    /// Abandoned at this lower bound.
+    Abandoned(Nanos),
+}
+
+/// What a configuration should do about its replay.
+#[derive(Debug)]
+enum Claim {
+    /// Nothing: it cannot win.
+    Skip,
+    /// Take this report, an identical replay's.
+    Copy(Box<Report>),
+    /// Run its replay, under the cutoff.
+    Replay,
+}
+
+impl Search {
+    fn new(configs: usize) -> Search {
+        Search {
+            best: AtomicU64::new(u64::MAX),
+            entries: Mutex::new((0..configs).map(|_| None).collect()),
         }
     }
 
-    /// Records configuration `i`'s replay key and returns whether a
-    /// configuration earlier in the grid recorded the same key.
-    fn repeats_earlier(&self, i: usize, schedule: &[Pair], batch: usize) -> bool {
+    /// Records configuration `g`'s replay key and decides its claim from
+    /// the configurations with the same key. Such a twin's report would
+    /// be `g`'s own, so:
+    /// - a twin earlier in the grid ranks ahead of `g` on the same
+    ///   elapsed time, whether it finishes, is abandoned or was itself
+    ///   skipped, so `g` cannot win;
+    /// - a finished twin's report is `g`'s;
+    /// - a twin abandoned at bound `lb` means `g` takes at least `lb`, so
+    ///   `g` cannot win if `pack(lb, g)` already ranks after the best. A
+    ///   twin abandoned only on a tie (`lb` equal to the best elapsed,
+    ///   with a later grid index) leaves `g` to replay.
+    fn claim(&self, g: usize, schedule: &[Pair], batch: usize) -> Claim {
         let key = ReplayKey {
             fingerprint: fingerprint(schedule),
             pairs: schedule.len(),
@@ -243,16 +338,71 @@ impl ReplayLog {
             .entries
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let earlier = entries[..i].iter().flatten().find(|e| e.key == key);
-        if let Some(kept) = earlier.and_then(|e| e.schedule.as_deref()) {
-            assert_eq!(kept, schedule, "schedule fingerprint collision");
+        let best = self.best.load(Ordering::Relaxed);
+        let mut claim = Claim::Replay;
+        for (twin, e) in entries.iter().enumerate() {
+            let Some(e) = e.as_ref().filter(|e| e.key == key) else {
+                continue;
+            };
+            if let Some(kept) = &e.schedule {
+                assert_eq!(kept.as_slice(), schedule, "schedule fingerprint collision");
+            }
+            claim = match (claim, &e.state) {
+                _ if twin < g => Claim::Skip,
+                (Claim::Replay, State::Finished(report)) => Claim::Copy(report.clone()),
+                (Claim::Replay, &State::Abandoned(lb)) if pack(lb, g) > best => Claim::Skip,
+                (claim, _) => claim,
+            };
         }
-        let repeats = earlier.is_some();
-        entries[i] = Some(Logged {
+        let state = match &claim {
+            Claim::Copy(report) => {
+                self.best
+                    .fetch_min(pack(report.elapsed, g), Ordering::Relaxed);
+                State::Finished(report.clone())
+            }
+            Claim::Skip | Claim::Replay => State::Open,
+        };
+        entries[g] = Some(Logged {
             key,
+            state,
             schedule: cfg!(debug_assertions).then(|| schedule.to_vec()),
         });
-        repeats
+        claim
+    }
+
+    /// How many replays the cutoff abandoned.
+    fn abandoned(&self) -> usize {
+        let entries = self
+            .entries
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        entries
+            .iter()
+            .flatten()
+            .filter(|e| matches!(e.state, State::Abandoned(_)))
+            .count()
+    }
+
+    /// Records how configuration `g`'s replay ended; returns its report
+    /// if it finished.
+    fn settle(&self, g: usize, outcome: Result<Report, Abandoned>) -> Option<Report> {
+        let state = match &outcome {
+            Ok(report) => {
+                self.best
+                    .fetch_min(pack(report.elapsed, g), Ordering::Relaxed);
+                State::Finished(Box::new(report.clone()))
+            }
+            Err(abandoned) => State::Abandoned(abandoned.lower_bound),
+        };
+        let mut entries = self
+            .entries
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        entries[g]
+            .as_mut()
+            .expect("a settled run was claimed")
+            .state = state;
+        outcome.ok()
     }
 }
 
@@ -403,20 +553,161 @@ mod tests {
 
     #[test]
     fn duplicate_schedules_are_detected() {
-        // Equal schedules at equal batch sizes repeat; a different batch
-        // or a different schedule does not.
+        // Equal schedules at equal batch sizes are twins; a different
+        // batch or a different schedule is not. A twin later in the grid
+        // than a claimed one is skipped, and an earlier twin takes a
+        // finished twin's report.
         let t = parcache_trace::synth::synth_trace(3, 200, 7);
         let base = SimConfig::for_trace(2, &t);
         let a = ReverseAggressive::new(&t, &base.clone().with_reverse_params(4, 4));
         let b = ReverseAggressive::new(&t, &base.clone().with_reverse_params(64, 4));
-        let log = ReplayLog::new(4);
-        assert!(!log.repeats_earlier(0, a.schedule(), 4));
-        assert!(!log.repeats_earlier(1, a.schedule(), 40));
-        assert!(log.repeats_earlier(2, a.schedule(), 4));
+        let search = Search::new(8);
+        assert!(matches!(search.claim(2, a.schedule(), 4), Claim::Replay));
+        assert!(matches!(search.claim(3, a.schedule(), 40), Claim::Replay));
+        assert!(matches!(search.claim(4, a.schedule(), 4), Claim::Skip));
+        let report = simulate(
+            &t,
+            PolicyKind::ReverseAggressive,
+            &base.clone().with_reverse_params(4, 4),
+        );
+        assert_eq!(search.settle(2, Ok(report.clone())), Some(report.clone()));
+        match search.claim(0, a.schedule(), 4) {
+            Claim::Copy(copied) => assert_eq!(*copied, report),
+            other => panic!("an earlier twin of a finished run took {other:?}"),
+        }
         assert_eq!(
-            log.repeats_earlier(3, b.schedule(), 4),
+            matches!(search.claim(6, b.schedule(), 4), Claim::Skip),
             a.schedule() == b.schedule()
         );
         assert_ne!(fingerprint(&a.schedule()[1..]), fingerprint(a.schedule()));
+    }
+
+    #[test]
+    fn an_abandoned_twin_leaves_an_earlier_config_its_tie() {
+        // Grid index 6 finishes first at elapsed e. Index 7 is abandoned
+        // at bound e: it could only tie, and a tie goes to index 6. Its
+        // twin at index 5 shares its elapsed time but ranks ahead of 6
+        // on a tie, so it must still replay. A twin of a run abandoned
+        // strictly above the best cannot win at any index.
+        let t = parcache_trace::synth::synth_trace(3, 200, 7);
+        let base = SimConfig::for_trace(2, &t);
+        let tied = ReverseAggressive::new(&t, &base.clone().with_reverse_params(16, 40));
+        let worse = ReverseAggressive::new(&t, &base.clone().with_reverse_params(1, 4));
+        let winner = simulate(
+            &t,
+            PolicyKind::ReverseAggressive,
+            &base.clone().with_reverse_params(64, 4),
+        );
+        let e = winner.elapsed;
+        let search = Search::new(8);
+        assert!(matches!(search.claim(6, &[], 4), Claim::Replay));
+        search.settle(6, Ok(winner));
+        assert_eq!(search.best.load(Ordering::Relaxed), pack(e, 6));
+        assert!(matches!(
+            search.claim(7, tied.schedule(), 40),
+            Claim::Replay
+        ));
+        assert_eq!(search.settle(7, Err(Abandoned { lower_bound: e })), None);
+        assert!(matches!(
+            search.claim(5, tied.schedule(), 40),
+            Claim::Replay
+        ));
+        assert!(matches!(
+            search.claim(3, worse.schedule(), 4),
+            Claim::Replay
+        ));
+        let above = Abandoned {
+            lower_bound: e + Nanos(1),
+        };
+        search.settle(3, Err(above));
+        assert!(matches!(search.claim(1, worse.schedule(), 4), Claim::Skip));
+    }
+
+    /// Runs `base`'s tuned search at 1 and 4 threads, checks that each
+    /// picks what eight independent runs pick, and returns how many
+    /// replays the cutoff abandoned in all.
+    fn abandoned_matching_naive(t: &Trace, base: &SimConfig) -> usize {
+        let naive = crate::fuzz::naive_reverse_search(t, base);
+        [1, 4]
+            .into_iter()
+            .map(|threads| {
+                let (found, abandoned) = search_grid(t, base, threads);
+                assert_eq!(found, naive, "{} at {threads} threads", t.name);
+                abandoned
+            })
+            .sum()
+    }
+
+    #[test]
+    fn tied_paper_cells_keep_the_first_winner() {
+        // In these appendix-A cells several configurations tie on
+        // elapsed time but differ in their reports (`avg_fetch_time`),
+        // so the winner is decided by the grid-order tie-break alone.
+        for (name, disks) in [("glimpse", 6), ("postgres-select", 12)] {
+            let t = trace(name);
+            abandoned_matching_naive(&t, &SimConfig::for_trace(disks, &t));
+        }
+    }
+
+    #[test]
+    fn pruned_search_matches_eight_independent_runs() {
+        // Windows of paper traces under full, partial and predicted
+        // hints, on healthy and faulted arrays, with write-behind off and
+        // on: every pruned search must pick the naive search's winner,
+        // and the cutoff must actually abandon replays.
+        use parcache_core::hints::HintSpec;
+        use parcache_core::{HintMode, PredictorKind};
+        let mut rng = parcache_types::rng::Rng::seed_from_u64(19);
+        let mut abandoned = 0;
+        for hints in 0..3 {
+            for faulted in [false, true] {
+                for write_behind in [None, Some(3)] {
+                    let full = trace(["ld", "cscope1", "xds"][rng.gen_range(0usize..3)]);
+                    let len = rng.gen_range(300usize..=1000);
+                    let start = rng.gen_range(0..=full.requests.len() - len);
+                    let t = Trace::new(
+                        format!("{}-window-{start}", full.name),
+                        full.requests[start..start + len].to_vec(),
+                        (full.cache_blocks / rng.gen_range(1usize..=8)).max(2),
+                    );
+                    let mut base = SimConfig::for_trace(rng.gen_range(1usize..=4), &t);
+                    base = match hints {
+                        0 => base,
+                        1 => base.with_hints(HintSpec::Segments {
+                            fraction: 0.6,
+                            mean_run: 40,
+                            seed: rng.next_u64(),
+                        }),
+                        _ => {
+                            let kinds = [
+                                PredictorKind::Sequential,
+                                PredictorKind::Markov,
+                                PredictorKind::Mithril,
+                            ];
+                            base.with_hint_mode(HintMode::Predicted(
+                                kinds[rng.gen_range(0usize..3)],
+                            ))
+                        }
+                    };
+                    if faulted {
+                        let plan = format!("flaky:*:0.05,outage:0:20:80,seed:{}", rng.next_u64());
+                        base = base.with_faults(
+                            parcache_disk::FaultPlan::parse(&plan).expect("valid fault plan"),
+                        );
+                    }
+                    base.write_behind_period = write_behind;
+                    abandoned += abandoned_matching_naive(&t, &base);
+                }
+            }
+        }
+        assert!(abandoned > 0, "the cutoff never abandoned a replay");
+    }
+
+    #[test]
+    fn packed_ranks_order_by_elapsed_then_grid_index() {
+        let ms = Nanos::from_millis;
+        assert!(pack(ms(1), 7) < pack(ms(2), 0));
+        assert!(pack(ms(2), 3) < pack(ms(2), 4));
+        assert_eq!(pack(Nanos::ZERO, 5), 5);
     }
 }

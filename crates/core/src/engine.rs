@@ -35,10 +35,10 @@ use parcache_disk::model::DiskModel;
 use parcache_disk::uniform::UniformDisk;
 use parcache_disk::{DiskArray, Layout};
 use parcache_trace::Trace;
-use parcache_types::{BlockId, DiskId, Nanos};
+use parcache_types::{BitSet, BlockId, DiskId, FastMap, Nanos};
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// How many recent observations forestall's estimator keeps (§5: "the
 /// most recent 100 disk access times and the most recent 100
@@ -654,6 +654,9 @@ pub struct Prepared<'t> {
     /// indices are then the same array.
     ref_idx: Option<Vec<u32>>,
     reversed: std::sync::OnceLock<Oracle>,
+    /// What is left to run after each reference, built on the first
+    /// [`Prepared::run_until`] that can abandon.
+    ahead: std::sync::OnceLock<WorkAhead>,
 }
 
 impl<'t> Prepared<'t> {
@@ -711,6 +714,7 @@ impl<'t> Prepared<'t> {
             hint_stats,
             ref_idx,
             reversed: std::sync::OnceLock::new(),
+            ahead: std::sync::OnceLock::new(),
         }
     }
 
@@ -739,13 +743,47 @@ impl<'t> Prepared<'t> {
         config: &SimConfig,
         probe: &mut P,
     ) -> Report {
+        self.run_until(policy, config, probe, &NoCutoff)
+            .expect("a run without a cutoff is never abandoned")
+    }
+
+    /// [`Prepared::run`], abandoned as soon as `cutoff` rejects a lower
+    /// bound on the run's final elapsed time. The engine computes the
+    /// bound after every consumed reference (see [`Cutoff`]); with
+    /// [`NoCutoff`] it computes nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`Prepared::run`].
+    pub fn run_until<P: Probe, C: Cutoff>(
+        &self,
+        policy: &mut dyn Policy,
+        config: &SimConfig,
+        probe: &mut P,
+        cutoff: &C,
+    ) -> Result<Report, Abandoned> {
         assert!(
             config.disks == self.disks
                 && config.hint_mode == self.hint_mode
                 && config.hints == self.hints,
             "configuration does not match the prepared run state"
         );
-        Engine::new(self, config, self.knowledge(config), policy.indexes()).run(policy, probe)
+        let ahead = C::ENABLED.then(|| self.work_ahead());
+        Engine::new(self, config, self.knowledge(config), policy.indexes())
+            .run(policy, probe, cutoff, ahead)
+    }
+
+    /// The per-reference inputs of the remaining-time bound, built on
+    /// first use from the trace itself: under partial or predicted hints
+    /// the oracle is not the trace.
+    fn work_ahead(&self) -> &WorkAhead {
+        self.ahead.get_or_init(|| {
+            let ref_idx = self
+                .ref_idx
+                .as_deref()
+                .unwrap_or_else(|| self.oracle.seq_indices());
+            WorkAhead::new(self.trace, ref_idx, self.oracle.num_blocks())
+        })
     }
 
     /// What the run's policies know, which fixes its cache's Belady
@@ -779,7 +817,9 @@ impl<'t> Prepared<'t> {
             Knowledge::Exact => Knowledge::ExactHeap,
             k => k,
         };
-        Engine::new(self, config, knowledge, policy.indexes()).run(policy, probe)
+        Engine::new(self, config, knowledge, policy.indexes())
+            .run(policy, probe, &NoCutoff, None)
+            .expect("a run without a cutoff is never abandoned")
     }
 }
 
@@ -789,6 +829,134 @@ impl<'t> Prepared<'t> {
 fn fully_hinted(trace: &Trace, config: &SimConfig) -> bool {
     matches!(config.hint_mode, crate::predict::HintMode::Oracle)
         && config.hints.fully_disclosing(trace.requests.len())
+}
+
+/// A test the engine puts to a lower bound on a run's final elapsed time
+/// after every consumed reference; see [`Prepared::run_until`].
+///
+/// After reference `i` is consumed, with `K` the cache size, the run
+/// ends at or after
+///
+/// ```text
+/// lb(i) = max(now, cpu_done) + C(i) + driver_overhead × max(0, D(i) − K)
+/// ```
+///
+/// where `C(i)` is the compute of the references after `i` and `D(i)`
+/// the number of distinct blocks they reference. Proof: every later
+/// compute step and every later driver charge advances the CPU timeline
+/// one after another (`cpu_done = max(cpu_done, now) + x`), and the run
+/// ends only once the clock has reached the final `cpu_done`. Resident
+/// and in-flight blocks share the `K` frames, so at most `K` of the
+/// `D(i)` blocks are resident or in flight now, and each of the others
+/// must be fetched at least once more before its reference, each fetch
+/// charging `driver_overhead`. Retries, abandons, wrong guesses and
+/// write-behind flushes only add charges, so the bound holds under
+/// full, partial and predicted hints, on healthy and faulted arrays.
+/// Debug builds check it: a run that completes ends at or after every
+/// bound it computed.
+///
+/// The engine is generic over the cutoff, as over [`Probe`]: with
+/// [`NoCutoff`] it never computes the bound, and the check compiles
+/// away.
+pub trait Cutoff {
+    /// Whether the engine computes the bound at all.
+    const ENABLED: bool = true;
+
+    /// Whether to abandon a run whose final elapsed time is known to be
+    /// at least `lower_bound`.
+    fn abandon(&self, lower_bound: Nanos) -> bool;
+}
+
+/// The cutoff that never abandons a run. Zero-sized, `ENABLED = false`:
+/// an engine monomorphized over it contains no bound code at all.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoCutoff;
+
+impl Cutoff for NoCutoff {
+    const ENABLED: bool = false;
+
+    #[inline(always)]
+    fn abandon(&self, _lower_bound: Nanos) -> bool {
+        false
+    }
+}
+
+/// A run that [`Prepared::run_until`] abandoned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Abandoned {
+    /// The bound the cutoff rejected: the run would have taken at least
+    /// this long.
+    pub lower_bound: Nanos,
+}
+
+/// What is left of a trace after each reference: the inputs of the
+/// [`Cutoff`] bound. Built from the trace, not the oracle: under partial
+/// or predicted hints the oracle is not what the application references.
+/// It holds one bit per reference; a run keeps `C` and `D` as two
+/// counters ([`Remaining`]).
+#[derive(Debug)]
+struct WorkAhead {
+    /// Bit `i` is set when reference `i` is the last one to its block.
+    last_ref: Vec<u64>,
+    /// Compute of the whole trace.
+    compute: Nanos,
+    /// Distinct blocks of the whole trace.
+    distinct: usize,
+}
+
+impl WorkAhead {
+    /// Scans `trace` backwards; `ref_idx` holds each reference's compact
+    /// index, all below `universe`.
+    fn new(trace: &Trace, ref_idx: &[u32], universe: usize) -> WorkAhead {
+        let mut last_ref = vec![0u64; ref_idx.len().div_ceil(64)];
+        let mut seen = BitSet::with_capacity(universe);
+        for (i, &idx) in ref_idx.iter().enumerate().rev() {
+            if seen.insert(idx) {
+                last_ref[i / 64] |= 1 << (i % 64);
+            }
+        }
+        WorkAhead {
+            last_ref,
+            compute: trace.requests.iter().map(|r| r.compute).sum(),
+            distinct: seen.len(),
+        }
+    }
+}
+
+/// One run's position in its [`WorkAhead`]: the compute and distinct
+/// blocks still ahead of the cursor.
+struct Remaining<'a> {
+    last_ref: &'a [u64],
+    compute: Nanos,
+    distinct: usize,
+    /// The largest bound computed so far, kept in debug builds only: a
+    /// run that completes must end at or after it.
+    highest: Nanos,
+}
+
+impl<'a> Remaining<'a> {
+    fn new(ahead: &'a WorkAhead) -> Remaining<'a> {
+        Remaining {
+            last_ref: &ahead.last_ref,
+            compute: ahead.compute,
+            distinct: ahead.distinct,
+            highest: Nanos::ZERO,
+        }
+    }
+
+    /// Consumes reference `i`, whose compute step was `compute`, and
+    /// returns `lb(i)` given the run's `clock = max(now, cpu_done)`.
+    #[inline]
+    fn after(&mut self, i: usize, compute: Nanos, clock: Nanos, config: &SimConfig) -> Nanos {
+        self.compute -= compute;
+        self.distinct -= usize::from(self.last_ref[i / 64] & (1 << (i % 64)) != 0);
+        let fetches = self.distinct.saturating_sub(config.cache_blocks) as u64;
+        let lb = clock + self.compute + config.driver_overhead * fetches;
+        if cfg!(debug_assertions) {
+            self.highest = self.highest.max(lb);
+        }
+        lb
+    }
 }
 
 /// The engine's next event, as [`Engine::next_pending`] chooses it.
@@ -869,7 +1037,7 @@ struct Engine<'t> {
     retry_timers: BinaryHeap<Reverse<(Nanos, BlockId)>>,
     /// Retry progress per faulted in-flight fetch. Keyed by block, which
     /// is unique: the cache holds at most one in-flight fetch per block.
-    retrying: HashMap<BlockId, RetryState>,
+    retrying: FastMap<BlockId, RetryState>,
     /// Scratch buffer for enqueues rejected inside a policy call.
     rejected_buf: Vec<BlockId>,
     /// Upcoming degraded-window boundaries `(time, disk, entering)` from
@@ -950,7 +1118,7 @@ impl<'t> Engine<'t> {
             writes: 0,
             probe_buf: Vec::new(),
             retry_timers: BinaryHeap::new(),
-            retrying: HashMap::new(),
+            retrying: FastMap::default(),
             rejected_buf: Vec::new(),
             boundaries: boundaries.into(),
             faults_injected: 0,
@@ -1371,7 +1539,17 @@ impl<'t> Engine<'t> {
         self.now = self.cpu_done;
     }
 
-    fn run<P: Probe>(&mut self, policy: &mut dyn Policy, probe: &mut P) -> Report {
+    /// Runs the trace to its end, or until `cutoff` rejects the bound
+    /// that `ahead` gives after a reference (`ahead` is `Some` exactly
+    /// when `C::ENABLED`).
+    fn run<P: Probe, C: Cutoff>(
+        &mut self,
+        policy: &mut dyn Policy,
+        probe: &mut P,
+        cutoff: &C,
+        ahead: Option<&WorkAhead>,
+    ) -> Result<Report, Abandoned> {
+        let mut remaining = ahead.map(Remaining::new);
         // Degraded windows opening at time zero are announced before
         // anything else happens.
         self.flush_boundaries(Nanos::ZERO, probe);
@@ -1487,6 +1665,14 @@ impl<'t> Engine<'t> {
                 }
             }
             self.decide(policy, probe);
+            if C::ENABLED {
+                let remaining = remaining.as_mut().expect("a cutoff comes with its bound");
+                let clock = self.now.max(self.cpu_done);
+                let lower_bound = remaining.after(i, req.compute, clock, self.config);
+                if cutoff.abandon(lower_bound) {
+                    return Err(Abandoned { lower_bound });
+                }
+            }
         }
 
         // Driver overhead charged at or after the final reference
@@ -1508,6 +1694,13 @@ impl<'t> Engine<'t> {
         );
 
         let elapsed = self.now;
+        if let Some(remaining) = &remaining {
+            debug_assert!(
+                elapsed >= remaining.highest,
+                "elapsed {elapsed} below the remaining-time bound {}",
+                remaining.highest
+            );
+        }
         let compute: Nanos = self.trace.requests.iter().map(|r| r.compute).sum();
         // Checked, not saturating: a component exceeding the total is an
         // accounting bug and must fail loudly, not clamp stall to zero.
@@ -1550,7 +1743,7 @@ impl<'t> Engine<'t> {
                 availability,
             })
         };
-        Report {
+        Ok(Report {
             trace: self.trace.name.clone(),
             policy: policy.name().to_string(),
             disks: self.config.disks,
@@ -1568,7 +1761,7 @@ impl<'t> Engine<'t> {
             per_disk: self.array.stats_at(elapsed),
             fault,
             hints: self.hint_stats.clone(),
-        }
+        })
     }
 }
 

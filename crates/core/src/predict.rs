@@ -48,8 +48,7 @@
 use crate::oracle::Oracle;
 use parcache_disk::Layout;
 use parcache_trace::Trace;
-use parcache_types::BlockId;
-use std::collections::HashMap;
+use parcache_types::{BlockId, FastMap};
 
 /// A source of (possibly predicted) hints: observes the demand stream and
 /// emits expected future blocks.
@@ -185,7 +184,7 @@ type Successors = Vec<(u64, u32)>;
 /// successor, so predictions are a pure function of the history.
 #[derive(Debug, Default)]
 pub struct MarkovPredictor {
-    succ: HashMap<u64, Successors>,
+    succ: FastMap<u64, Successors>,
     last: Option<u64>,
 }
 
@@ -259,7 +258,7 @@ pub struct MithrilPredictor {
     /// Most recent `MITHRIL_SPAN` references, oldest first.
     recent: Vec<u64>,
     /// `assoc[a]` counts blocks seen 2..=SPAN references after `a`.
-    assoc: HashMap<u64, Successors>,
+    assoc: FastMap<u64, Successors>,
 }
 
 impl MithrilPredictor {
