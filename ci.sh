@@ -164,7 +164,10 @@ if ls "$killdir"/.*.tmp.* 2> /dev/null; then
 fi
 
 echo "== golden appendix-A sweep digest =="
-cargo test --release -q -p parcache-bench --test golden -- --ignored
+cargo test --release -q -p parcache-bench --test golden appendix_a_sweep -- --ignored
+
+echo "== every figure's output matches its committed digest =="
+cargo test --release -q -p parcache-bench --test golden figure_outputs -- --ignored
 
 echo "== golden digest via the CLI (default sweep CSV, hash pinned) =="
 # The default (oracle-hint) 332-cell sweep CSV must hash to the committed

@@ -3,7 +3,7 @@
 //! comparison tables.
 
 use crate::paper::paper_elapsed;
-use crate::runner::{best_reverse, trace};
+use crate::runner::best_reverse;
 use parcache_core::engine::Report;
 use parcache_core::policy::PolicyKind;
 use parcache_core::SimConfig;
@@ -34,20 +34,6 @@ impl Algo {
         Algo::TunedReverse,
         Algo::Forestall,
     ];
-
-    /// Figure 2's four algorithms (demand baseline + three prefetchers).
-    pub const FIGURE_2: [Algo; 4] = [
-        Algo::Demand,
-        Algo::FixedHorizon,
-        Algo::Aggressive,
-        Algo::TunedReverse,
-    ];
-
-    /// Figures 3-5's three algorithms.
-    pub const THREE: [Algo; 3] = [Algo::FixedHorizon, Algo::Aggressive, Algo::TunedReverse];
-
-    /// Figures 8-10's three practical algorithms.
-    pub const PRACTICAL: [Algo; 3] = [Algo::FixedHorizon, Algo::Aggressive, Algo::Forestall];
 
     /// Runs the algorithm.
     pub fn run(&self, t: &Trace, cfg: &SimConfig) -> Report {
@@ -97,38 +83,21 @@ impl Algo {
     }
 }
 
-/// Appends one comparison row: measured breakdown plus the paper's
-/// elapsed time for the same cell, when published and applicable.
-fn push_row(out: &mut String, r: &Report, with_paper: bool) {
-    let paper = if with_paper {
-        paper_elapsed(&r.trace, &r.policy, r.disks)
-    } else {
-        None
-    };
-    let (paper_s, delta) = match paper {
-        Some(p) => (
-            format!("{p:>10.3}"),
-            format!("{:>+7.1}%", (r.elapsed.as_secs_f64() - p) / p * 100.0),
-        ),
-        None => ("         -".to_string(), "       -".to_string()),
-    };
-    let _ = writeln!(
-        out,
-        "{:<6} {:<20} {:>8} {:>9.3} {:>9.3} {:>9.3} {:>10.3} {paper_s} {delta} {:>9.3} {:>6.2}",
-        r.disks,
-        r.policy,
-        r.fetches,
-        r.compute.as_secs_f64(),
-        r.driver.as_secs_f64(),
-        r.stall.as_secs_f64(),
-        r.elapsed.as_secs_f64(),
-        r.avg_fetch_time.as_millis_f64(),
-        r.avg_disk_utilization,
-    );
-}
-
-/// Header line matching [`push_row`].
-fn header(out: &mut String) {
+/// Runs `algos` on `t` for each array size and formats a breakdown
+/// table. `modify` adjusts the default configuration (identity for
+/// baseline experiments). With `with_paper` each row shows the paper's
+/// elapsed time for the same cell, when published; pass `false` when the
+/// configuration differs from the paper's baseline (appendix B-D), so
+/// baseline numbers are not shown against non-baseline runs.
+pub fn comparison(
+    title: &str,
+    t: &Trace,
+    algos: &[Algo],
+    disks: &[usize],
+    modify: impl Fn(SimConfig) -> SimConfig,
+    with_paper: bool,
+) -> String {
+    let mut out = format!("== {title} ==\ntrace: {}\n", t.name);
     let _ = writeln!(
         out,
         "{:<6} {:<20} {:>8} {:>9} {:>9} {:>9} {:>10} {:>10} {:>8} {:>9} {:>6}",
@@ -144,56 +113,31 @@ fn header(out: &mut String) {
         "fetch(ms)",
         "util"
     );
-}
-
-/// Runs `algos` on `trace_name` for each array size and formats a
-/// measured-vs-paper comparison table. `modify` adjusts the default
-/// configuration (identity for baseline experiments).
-pub fn comparison(
-    title: &str,
-    trace_name: &str,
-    algos: &[Algo],
-    disks: &[usize],
-    modify: impl Fn(SimConfig) -> SimConfig,
-) -> String {
-    comparison_with(title, trace_name, algos, disks, modify, true)
-}
-
-/// Like [`comparison`], with explicit control over the paper column —
-/// pass `false` when the configuration differs from the paper's baseline
-/// (appendix B-H sweeps), so baseline numbers are not shown against
-/// non-baseline runs.
-pub fn comparison_with(
-    title: &str,
-    trace_name: &str,
-    algos: &[Algo],
-    disks: &[usize],
-    modify: impl Fn(SimConfig) -> SimConfig,
-    with_paper: bool,
-) -> String {
-    let t = trace(trace_name);
-    comparison_on(title, &t, algos, disks, modify, with_paper)
-}
-
-/// Like [`comparison_with`], on an explicit trace (e.g. the double-speed
-/// CPU variant).
-pub fn comparison_on(
-    title: &str,
-    t: &Trace,
-    algos: &[Algo],
-    disks: &[usize],
-    modify: impl Fn(SimConfig) -> SimConfig,
-    with_paper: bool,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
-    let _ = writeln!(out, "trace: {}", t.name);
-    header(&mut out);
     for &d in disks {
         let cfg = modify(SimConfig::for_trace(d, t));
         for a in algos {
             let r = a.run(t, &cfg);
-            push_row(&mut out, &r, with_paper);
+            let paper = paper_elapsed(&r.trace, &r.policy, r.disks).filter(|_| with_paper);
+            let (paper_s, delta) = match paper {
+                Some(p) => (
+                    format!("{p:>10.3}"),
+                    format!("{:>+7.1}%", (r.elapsed.as_secs_f64() - p) / p * 100.0),
+                ),
+                None => ("         -".to_string(), "       -".to_string()),
+            };
+            let _ = writeln!(
+                out,
+                "{:<6} {:<20} {:>8} {:>9.3} {:>9.3} {:>9.3} {:>10.3} {paper_s} {delta} {:>9.3} {:>6.2}",
+                r.disks,
+                r.policy,
+                r.fetches,
+                r.compute.as_secs_f64(),
+                r.driver.as_secs_f64(),
+                r.stall.as_secs_f64(),
+                r.elapsed.as_secs_f64(),
+                r.avg_fetch_time.as_millis_f64(),
+                r.avg_disk_utilization,
+            );
         }
     }
     out
@@ -202,10 +146,12 @@ pub fn comparison_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::trace;
 
     #[test]
     fn comparison_prints_paper_columns() {
-        let s = comparison("t", "postgres-select", &[Algo::FixedHorizon], &[1], |c| c);
+        let t = trace("postgres-select");
+        let s = comparison("t", &t, &[Algo::FixedHorizon], &[1], |c| c, true);
         assert!(s.contains("fixed-horizon"));
         // The paper's 45.390 should appear in the paper column.
         assert!(s.contains("45.390"), "{s}");

@@ -32,11 +32,6 @@ pub const SEED: u64 = 1996;
 /// The paper's array sizes: 1-8, 10, 12, 16.
 pub const DISK_COUNTS: [usize; 11] = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16];
 
-/// The paper's array sizes (function form for iterator chains).
-pub fn paper_disk_counts() -> impl Iterator<Item = usize> {
-    DISK_COUNTS.into_iter()
-}
-
 /// Why a trace lookup failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
@@ -487,7 +482,6 @@ mod tests {
         assert_eq!(DISK_COUNTS.len(), 11);
         assert_eq!(DISK_COUNTS[0], 1);
         assert_eq!(DISK_COUNTS[10], 16);
-        assert_eq!(paper_disk_counts().count(), 11);
     }
 
     #[test]

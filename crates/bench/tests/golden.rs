@@ -19,12 +19,20 @@
 //!
 //! and replace the digest in `tests/fixtures/appendix_a_sweep.sha256`,
 //! noting the model change in the commit message.
+//!
+//! Every paper figure's output is pinned the same way, one
+//! `<id> <sha256>` line per entry of `figures::FIGURES` in
+//! `tests/fixtures/figures.sha256` (also `#[ignore]`d: rendering all of
+//! them takes about 20 s). The fixture update procedure is the same; see
+//! DESIGN.md "Golden outputs".
 
+use parcache_bench::figures::FIGURES;
 use parcache_bench::sweep::{self, FailSoft, SweepCell, SweepEntry, SweepSpec};
 use parcache_bench::{best_reverse_search, trace, Algo};
 use parcache_core::hints::HintSpec;
 use parcache_core::{simulate, HintMode, PolicyKind, Report, SimConfig};
 use parcache_disk::FaultPlan;
+use std::collections::HashMap;
 
 /// Committed digest of the appendix-A sweep CSV.
 const GOLDEN: &str = include_str!("fixtures/appendix_a_sweep.sha256");
@@ -46,6 +54,55 @@ fn appendix_a_sweep_csv_matches_committed_digest() {
              fixture update procedure in DESIGN.md (\"Golden outputs\")"
         );
     }
+}
+
+/// Committed `<id> <sha256>` digests of every figure's output, in table
+/// order.
+const FIGURE_DIGESTS: &str = include_str!("fixtures/figures.sha256");
+
+/// The fixture's `(id, digest)` pairs.
+fn figure_digests() -> Vec<(&'static str, &'static str)> {
+    FIGURE_DIGESTS
+        .lines()
+        .map(|line| {
+            line.split_once(' ')
+                .expect("fixture line is `<id> <sha256>`")
+        })
+        .collect()
+}
+
+#[test]
+fn figure_ids_are_unique_and_each_has_a_pinned_digest() {
+    let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
+    let mut unique = ids.clone();
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(unique.len(), ids.len(), "duplicate figure id in {ids:?}");
+    let pinned: Vec<&str> = figure_digests().into_iter().map(|(id, _)| id).collect();
+    assert_eq!(
+        ids, pinned,
+        "figure table and tests/fixtures/figures.sha256 disagree"
+    );
+}
+
+#[test]
+#[ignore = "renders every figure (about 20 s in release); run with -- --ignored (CI does)"]
+fn figure_outputs_match_committed_digests() {
+    let pinned: HashMap<&str, &str> = figure_digests().into_iter().collect();
+    let diverged: Vec<&str> = FIGURES
+        .iter()
+        .filter(|f| {
+            let digest = parcache_bench::sha256_hex((f.render)().as_bytes());
+            pinned.get(f.id) != Some(&digest.as_str())
+        })
+        .map(|f| f.id)
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "figure outputs diverged from tests/fixtures/figures.sha256: {diverged:?}; \
+         if this is an intentional model change, follow the fixture update \
+         procedure in DESIGN.md (\"Golden outputs\")"
+    );
 }
 
 /// The sweep CSV of `cells` run through the fail-soft executor on

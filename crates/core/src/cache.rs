@@ -601,21 +601,10 @@ impl MissingTracker {
         self.record_insert(d, pos);
     }
 
-    /// A fetch of `block` was issued: it is no longer missing.
-    pub fn on_fetch_issued(&mut self, block: BlockId, cursor: usize, oracle: &Oracle) {
-        let pos = oracle.next_occurrence(block, cursor);
-        if pos == NEVER {
-            return;
-        }
-        let d = oracle.disk_of(block).index();
-        self.global.remove(pos);
-        self.per_disk[d].remove(pos);
-        self.rem_epochs[d] += 1;
-    }
-
-    /// [`MissingTracker::on_fetch_issued`] by compact index (no hashing),
-    /// read from the tracker's run-local cursors: amortized O(1) while
-    /// `cursor` never moves backwards.
+    /// A fetch of block `idx` was issued at cursor position `cursor`: it
+    /// is no longer missing. Its next occurrence is read from the
+    /// tracker's run-local cursors: amortized O(1) while `cursor` never
+    /// moves backwards.
     pub fn on_fetch_issued_idx(&mut self, idx: u32, cursor: usize, oracle: &Oracle) {
         let pos = self.next_use.next(oracle, idx, cursor);
         if pos == NEVER {
@@ -627,15 +616,8 @@ impl MissingTracker {
         self.rem_epochs[d] += 1;
     }
 
-    /// `block` was evicted at cursor position `cursor`: it is missing
-    /// again from its next reference on.
-    pub fn on_evicted(&mut self, block: BlockId, cursor: usize, oracle: &Oracle) {
-        let pos = oracle.next_occurrence(block, cursor);
-        self.insert(block, pos, oracle);
-    }
-
-    /// [`MissingTracker::on_evicted`] by compact index (no hashing).
-    /// `next` is the block's next occurrence at or after `cursor` when
+    /// Block `idx` was evicted at cursor position `cursor`: it is missing
+    /// again from its next occurrence on. `next` is that occurrence when
     /// the caller already knows it (the exact-knowledge cache returns it
     /// from [`Cache::start_fetch`]); `None` reads it from the tracker's
     /// run-local cursors.
@@ -1143,33 +1125,12 @@ mod tests {
     fn tracker_fetch_and_evict_cycle() {
         let o = oracle_of(&[5, 6, 5, 7], 1);
         let mut t = MissingTracker::new(&o);
-        t.on_fetch_issued(BlockId(5), 0, &o);
+        t.on_fetch_issued_idx(idx(&o, 5), 0, &o);
         assert_eq!(t.first_missing(0), Some(1)); // block 6
                                                  // Evict 5 at cursor 1: re-registered at its next ref, position 2.
-        t.on_evicted(BlockId(5), 1, &o);
+        t.on_evicted_idx(idx(&o, 5), 1, None, &o);
         assert_eq!(t.first_missing(0), Some(1));
         assert_eq!(t.first_missing(2), Some(2));
-    }
-
-    #[test]
-    fn tracker_idx_variants_match_block_variants() {
-        let o = oracle_of(&[5, 6, 5, 7], 2);
-        let mut a = MissingTracker::new(&o);
-        let mut b = MissingTracker::new(&o);
-        a.on_fetch_issued(BlockId(5), 0, &o);
-        b.on_fetch_issued_idx(idx(&o, 5), 0, &o);
-        a.on_evicted(BlockId(5), 1, &o);
-        b.on_evicted_idx(idx(&o, 5), 1, None, &o);
-        for from in 0..4 {
-            assert_eq!(a.first_missing(from), b.first_missing(from));
-            for d in 0..2 {
-                assert_eq!(
-                    a.first_missing_on_disk(d, from),
-                    b.first_missing_on_disk(d, from)
-                );
-            }
-        }
-        assert_eq!(a.len(), b.len());
     }
 
     #[test]
@@ -1188,11 +1149,11 @@ mod tests {
     fn tracker_ignores_never_referenced_evictions() {
         let o = oracle_of(&[1, 2], 1);
         let mut t = MissingTracker::new(&o);
-        t.on_fetch_issued(BlockId(1), 0, &o);
-        t.on_fetch_issued(BlockId(2), 0, &o);
+        t.on_fetch_issued_idx(idx(&o, 1), 0, &o);
+        t.on_fetch_issued_idx(idx(&o, 2), 0, &o);
         assert!(t.is_empty());
         // Evicting block 1 at cursor 2 (past its last reference): no entry.
-        t.on_evicted(BlockId(1), 2, &o);
+        t.on_evicted_idx(idx(&o, 1), 2, None, &o);
         assert!(t.is_empty());
     }
 
@@ -1216,19 +1177,19 @@ mod tests {
         let _: Vec<usize> = t.missing_on_disk_in_window(1, 0, 5).collect();
         assert_eq!((t.ins_epoch(0), t.rem_epoch(0)), (i0, r0));
         // A fetch on disk 0 bumps only disk 0's removal epoch.
-        t.on_fetch_issued(BlockId(0), 0, &o);
+        t.on_fetch_issued_idx(idx(&o, 0), 0, &o);
         assert_eq!((t.ins_epoch(0), t.rem_epoch(0)), (i0, r0 + 1));
         assert_eq!((t.ins_epoch(1), t.rem_epoch(1)), (i1, r1));
         // An eviction re-registering block 0 at its next use (position 4)
         // bumps only disk 0's insertion epoch.
-        t.on_evicted(BlockId(0), 1, &o);
+        t.on_evicted_idx(idx(&o, 0), 1, None, &o);
         assert_eq!((t.ins_epoch(0), t.rem_epoch(0)), (i0 + 1, r0 + 1));
         assert_eq!((t.ins_epoch(1), t.rem_epoch(1)), (i1, r1));
         // A `NEVER`-position no-op (block 1 evicted past its last use)
         // leaves the set untouched and must not bump.
-        t.on_fetch_issued(BlockId(1), 0, &o);
+        t.on_fetch_issued_idx(idx(&o, 1), 0, &o);
         let (i1b, r1b) = (t.ins_epoch(1), t.rem_epoch(1));
-        t.on_evicted(BlockId(1), 2, &o);
+        t.on_evicted_idx(idx(&o, 1), 2, None, &o);
         assert_eq!((t.ins_epoch(1), t.rem_epoch(1)), (i1b, r1b));
     }
 
@@ -1248,11 +1209,11 @@ mod tests {
         let base2 = t2.ins_epoch(0);
         // Evicting block 3 at cursor 10 re-inserts position 43; block 7
         // re-inserts position 47.
-        t2.on_fetch_issued(BlockId(3), 0, &o);
-        t2.on_fetch_issued(BlockId(7), 0, &o);
+        t2.on_fetch_issued_idx(idx(&o, 3), 0, &o);
+        t2.on_fetch_issued_idx(idx(&o, 7), 0, &o);
         let since = t2.ins_epoch(0);
-        t2.on_evicted(BlockId(3), 10, &o);
-        t2.on_evicted(BlockId(7), 10, &o);
+        t2.on_evicted_idx(idx(&o, 3), 10, None, &o);
+        t2.on_evicted_idx(idx(&o, 7), 10, None, &o);
         assert_eq!(t2.ins_epoch(0), since + 2);
         // Both landed at or beyond 43.
         assert_eq!(t2.inserts_all_at_or_beyond(0, since, 43), Some(true));
@@ -1266,8 +1227,8 @@ mod tests {
         // Exhausting the ring reports None rather than guessing.
         for _ in 0..2 {
             for b in 0..40u64 {
-                t2.on_fetch_issued(BlockId(b), 0, &o);
-                t2.on_evicted(BlockId(b), 0, &o);
+                t2.on_fetch_issued_idx(idx(&o, b), 0, &o);
+                t2.on_evicted_idx(idx(&o, b), 0, None, &o);
             }
         }
         assert_eq!(t2.inserts_all_at_or_beyond(0, since, 0), None);
@@ -1296,10 +1257,10 @@ mod tests {
             // Mutate a little so the set is not just first occurrences.
             for _ in 0..rng.gen_range(0usize..4) {
                 let b = BlockId(rng.gen_range(0..universe));
-                if o.index_of(b).is_some() {
+                if let Some(i) = o.index_of(b) {
                     let at = rng.gen_range(0usize..=len);
-                    t.on_fetch_issued(b, at, &o);
-                    t.on_evicted(b, at, &o);
+                    t.on_fetch_issued_idx(i, at, &o);
+                    t.on_evicted_idx(i, at, None, &o);
                 }
             }
             // The full per-disk ground truth via an unbounded window.

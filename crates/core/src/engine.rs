@@ -197,29 +197,6 @@ pub struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// Issues a fetch of `block`, evicting `evict` (required when the
-    /// cache has no free frame). Convenience wrapper over
-    /// [`Ctx::issue_fetch_idx`] for callers holding `BlockId`s; costs one
-    /// hash lookup per id.
-    ///
-    /// # Panics
-    ///
-    /// Panics on cache-invariant violations (fetching a resident block,
-    /// evicting a non-resident block, overcommitting frames), or if a
-    /// block is outside the oracle's indexed universe.
-    pub fn issue_fetch(&mut self, block: BlockId, evict: Option<BlockId>) {
-        let idx = self
-            .oracle
-            .index_of(block)
-            .expect("fetched block outside the indexed universe");
-        let evict_idx = evict.map(|e| {
-            self.oracle
-                .index_of(e)
-                .expect("evicted block outside the indexed universe")
-        });
-        self.issue_fetch_idx(idx, evict_idx);
-    }
-
     /// Issues a fetch of block `idx`, evicting `evict` (required when the
     /// cache has no free frame). Charges driver overhead to the CPU
     /// timeline and enqueues the request on the block's disk. This is the
