@@ -169,6 +169,9 @@ cargo test --release -q -p parcache-bench --test golden appendix_a_sweep -- --ig
 echo "== every figure's output matches its committed digest =="
 cargo test --release -q -p parcache-bench --test golden figure_outputs -- --ignored
 
+echo "== every JSON document matches its committed digest =="
+cargo test --release -q -p parcache-bench --test json -- --ignored
+
 echo "== golden digest via the CLI (default sweep CSV, hash pinned) =="
 # The default (oracle-hint) 332-cell sweep CSV must hash to the committed
 # fixture even through the CLI path: the CSV is everything before the

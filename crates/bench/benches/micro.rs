@@ -58,17 +58,19 @@ fn bench_oracle() {
     let t = synth_trace(10, 2000, 3);
     let oracle = Oracle::new(&t, Layout::striped(4));
     let mut rng = Rng::seed_from_u64(2);
-    let queries: Vec<(BlockId, usize)> = (0..4096)
+    let queries: Vec<(u32, usize)> = (0..4096)
         .map(|_| {
             (
-                BlockId(rng.gen_range(0..2000u64)),
+                oracle
+                    .index_of(BlockId(rng.gen_range(0..2000u64)))
+                    .expect("every loop block is referenced"),
                 rng.gen_range(0..20_000usize),
             )
         })
         .collect();
-    bench("oracle_next_occurrence (4096 queries)", || {
-        for &(blk, at) in &queries {
-            black_box(oracle.next_occurrence(blk, at));
+    bench("oracle_next_occurrence_idx (4096 queries)", || {
+        for &(idx, at) in &queries {
+            black_box(oracle.next_occurrence_idx(idx, at));
         }
     });
 }

@@ -37,7 +37,7 @@ use crate::prof::{detect_parallelism, EffectiveParallelism};
 use crate::sweep::{self, FailSoft, SweepCell, SweepSpec, ThreadAllocSampler};
 use crate::Algo;
 use parcache_core::engine::simulate_probed;
-use parcache_core::metrics::json_escape;
+use parcache_core::json::{self, Fixed, Json, Obj, Raw};
 use parcache_core::policy::PolicyKind;
 use parcache_core::probe::{Event, Probe};
 use parcache_core::SimConfig;
@@ -377,71 +377,46 @@ fn median(xs: &[f64]) -> Option<f64> {
     v.get(v.len() / 2).copied()
 }
 
-fn stage_json(s: &Stage, unit: &str) -> String {
-    let allocs = match s.allocations {
-        Some(a) => a.to_string(),
-        None => "null".to_string(),
-    };
-    let harness = match s.harness_allocations {
-        Some(a) => a.to_string(),
-        None => "null".to_string(),
-    };
-    // `wall_secs` is rounded for display only; `{unit}_per_sec` comes
-    // from the unrounded nanoseconds via `Stage::per_sec`.
-    format!(
-        r#"{{"{unit}":{},"wall_secs":{:.3},"{unit}_per_sec":{:.3},"allocations":{allocs},"harness_allocations":{harness}}}"#,
-        s.units,
-        s.wall.as_secs_f64(),
-        s.per_sec(),
-    )
+/// Appends a stage's `{unit}`, `wall_secs`, `{unit}_per_sec` and
+/// `allocations` fields to `o`. `wall_secs` is rounded for display only;
+/// the rate comes from the unrounded nanoseconds via [`Stage::per_sec`].
+fn stage_json(o: Obj, s: &Stage, unit: &str) -> Obj {
+    o.field(unit, s.units)
+        .field("wall_secs", Fixed(s.wall.as_secs_f64(), 3))
+        .field(&format!("{unit}_per_sec"), Fixed(s.per_sec(), 3))
+        .field("allocations", s.allocations)
 }
 
-fn opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(e) => format!("{e:.3}"),
-        None => "null".to_string(),
-    }
+/// A sweep stage: its cell fields plus the harness's own allocations.
+fn sweep_stage_json(o: Obj, s: &Stage) -> Obj {
+    stage_json(o, s, "cells").field("harness_allocations", s.harness_allocations)
 }
 
 /// Serializes a [`SweepBench`] as the `BENCH_sweep.json` document.
 pub fn sweep_bench_json(b: &SweepBench) -> String {
-    let scaling: Vec<String> = b
+    let scaled = |threads: usize, efficiency: Option<f64>, s: &Stage| {
+        let o = json::object()
+            .field("threads", threads)
+            .field("efficiency", efficiency.map(|e| Fixed(e, 3)));
+        sweep_stage_json(o, s)
+    };
+    let smoke_scaling = b
+        .smoke_scaling
+        .as_ref()
+        .map(|s| scaled(SCALING_GATE_THREADS, b.smoke_efficiency(), s));
+    let scaling = b
         .scaling
         .iter()
-        .map(|(threads, s)| {
-            format!(
-                r#"{{"threads":{threads},"efficiency":{},{}"#,
-                opt_f64(b.scaling_efficiency(*threads)),
-                &stage_json(s, "cells")[1..]
-            )
-        })
-        .collect();
-    let smoke_scaling = match &b.smoke_scaling {
-        Some(s) => format!(
-            r#"{{"threads":{SCALING_GATE_THREADS},"efficiency":{},{}"#,
-            opt_f64(b.smoke_efficiency()),
-            &stage_json(s, "cells")[1..]
-        ),
-        None => "null".to_string(),
-    };
-    // `parallelism` sits before `smoke`: `baseline_smoke_cells_per_sec`
-    // is positional (split on the `"smoke"` key), so new fields must not
-    // appear after it. (`smoke_scaling` and `smoke_traces` are safe: the
-    // split pattern is the quoted key `"smoke":`, which matches neither.)
-    format!(
-        "{{\"schema\":\"parcache-bench-sweep-v2\",\"grid\":\"appendix-a\",\
-         \"parallelism\":{},\"smoke_traces\":[{}],\"smoke\":{},\
-         \"smoke_scaling\":{},\"scaling\":[{}]}}",
-        b.parallelism.to_json(),
-        SMOKE_TRACES
-            .iter()
-            .map(|t| format!("\"{}\"", json_escape(t)))
-            .collect::<Vec<_>>()
-            .join(","),
-        stage_json(&b.smoke, "cells"),
-        smoke_scaling,
-        scaling.join(",")
-    )
+        .map(|&(threads, ref s)| scaled(threads, b.scaling_efficiency(threads), s));
+    json::object()
+        .field("schema", "parcache-bench-sweep-v2")
+        .field("grid", "appendix-a")
+        .field("parallelism", Raw(b.parallelism.to_json()))
+        .array("smoke_traces", SMOKE_TRACES)
+        .field("smoke", sweep_stage_json(json::object(), &b.smoke))
+        .field("smoke_scaling", smoke_scaling)
+        .array("scaling", scaling)
+        .finish()
 }
 
 /// Serializes an [`EngineBench`] as the `BENCH_engine.json` document
@@ -452,48 +427,28 @@ pub fn sweep_bench_json(b: &SweepBench) -> String {
 /// simulate call, so there is no harness share to split out, and a
 /// permanently-null column invites a downstream parser to key on it.
 pub fn engine_bench_json(b: &EngineBench) -> String {
-    let runs: Vec<String> = b
+    let runs = b
         .runs
         .iter()
-        .map(|(name, s)| {
-            let allocs = match s.allocations {
-                Some(a) => a.to_string(),
-                None => "null".to_string(),
-            };
-            // Field order is a compatibility surface:
-            // `baseline_engine_events_per_sec` splits on `"policy":"…"`
-            // then takes the next `"events_per_sec":`, so the rate must
-            // stay inside its policy's row.
-            format!(
-                r#"{{"policy":"{}","events":{},"wall_secs":{:.3},"events_per_sec":{:.3},"allocations":{allocs}}}"#,
-                json_escape(name),
-                s.units,
-                s.wall.as_secs_f64(),
-                s.per_sec(),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"schema\":\"parcache-bench-engine-v2\",\"trace\":\"synth-stress\",\
-         \"passes\":{},\"loop_blocks\":{},\"disks\":{},\"requests\":{},\"runs\":[{}]}}",
-        STRESS_PASSES,
-        STRESS_LOOP_BLOCKS,
-        STRESS_DISKS,
-        b.requests,
-        runs.join(",")
-    )
+        .map(|(name, s)| stage_json(json::object().field("policy", *name), s, "events"));
+    json::object()
+        .field("schema", "parcache-bench-engine-v2")
+        .field("trace", "synth-stress")
+        .field("passes", STRESS_PASSES)
+        .field("loop_blocks", STRESS_LOOP_BLOCKS)
+        .field("disks", STRESS_DISKS)
+        .field("requests", b.requests)
+        .array("runs", runs)
+        .finish()
 }
 
-/// Pulls `"cells_per_sec":<number>` out of the `"smoke"` object of a
-/// `BENCH_sweep.json` document. Deliberately minimal: it parses only the
-/// documents this module writes.
-pub fn baseline_smoke_cells_per_sec(json: &str) -> Option<f64> {
-    let smoke = json.split("\"smoke\":").nth(1)?;
-    let field = smoke.split("\"cells_per_sec\":").nth(1)?;
-    let end = field
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(field.len());
-    field[..end].parse().ok()
+/// The `smoke` object's `cells_per_sec` in a `BENCH_sweep.json`
+/// document; `None` when the document does not parse or lacks it.
+pub fn baseline_smoke_cells_per_sec(doc: &str) -> Option<f64> {
+    json::parse(doc)
+        .ok()?
+        .get::<&Json>("smoke")?
+        .get("cells_per_sec")
 }
 
 /// Compares a fresh smoke measurement against a committed baseline
@@ -524,22 +479,15 @@ pub fn check_regression(current: &Stage, baseline_json: &str) -> Result<String, 
     }
 }
 
-/// Pulls `"events_per_sec":<number>` for one policy's row out of a
-/// `BENCH_engine.json` document (v1 or v2 — the row shape it relies on
-/// is shared). Positional, like [`baseline_smoke_cells_per_sec`]: it
-/// parses only the documents this module writes. The quoted
-/// `"policy":"name"` pattern cannot match inside another policy's name
-/// (`aggressive` never matches `reverse-aggressive`'s row: the leading
-/// quote anchors the full name).
-pub fn baseline_engine_events_per_sec(json: &str, policy: &str) -> Option<f64> {
-    let row = json
-        .split(&format!("\"policy\":\"{}\"", json_escape(policy)))
-        .nth(1)?;
-    let field = row.split("\"events_per_sec\":").nth(1)?;
-    let end = field
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(field.len());
-    field[..end].parse().ok()
+/// The `events_per_sec` of the `runs` row whose `policy` is `policy` in
+/// a `BENCH_engine.json` document (v1 or v2: both carry those fields);
+/// `None` when the document does not parse, or has no such row or rate.
+pub fn baseline_engine_events_per_sec(doc: &str, policy: &str) -> Option<f64> {
+    let doc = json::parse(doc).ok()?;
+    let runs: &[Json] = doc.get("runs")?;
+    runs.iter()
+        .find(|row| row.get::<&str>("policy") == Some(policy))?
+        .get("events_per_sec")
 }
 
 /// Applies the per-policy engine gates to a fresh engine bench against a
@@ -702,7 +650,7 @@ mod tests {
             harness_allocations: None,
         };
         assert_eq!(s.per_sec(), 25_000.0);
-        let json = stage_json(&s, "cells");
+        let json = stage_json(json::object(), &s, "cells").finish();
         assert!(json.contains("\"wall_secs\":0.000"), "{json}");
         assert!(json.contains("\"cells_per_sec\":25000.000"), "{json}");
     }
@@ -740,8 +688,6 @@ mod tests {
             scaling: vec![(1, stage(332, 10_000))],
         };
         let json = sweep_bench_json(&b);
-        // The positional smoke parser must survive the parallelism
-        // object and the smoke_scaling key around the "smoke" key.
         assert_eq!(baseline_smoke_cells_per_sec(&json), Some(84.0));
         assert!(
             json.contains("\"schema\":\"parcache-bench-sweep-v2\""),
@@ -772,8 +718,6 @@ mod tests {
             json.contains("\"smoke_scaling\":{\"threads\":2,\"efficiency\":0.800"),
             "{json}"
         );
-        // The smoke re-run must not confuse the positional baseline
-        // parser: the plain "smoke" object still wins.
         assert_eq!(baseline_smoke_cells_per_sec(&json), Some(100.0));
     }
 
@@ -855,6 +799,23 @@ mod tests {
         assert!(check_regression(&s, "not json at all").is_err());
     }
 
+    #[test]
+    fn smoke_baseline_without_its_rate_is_missing() {
+        // The smoke object lacks `cells_per_sec`; the full grid's scaling
+        // rate later in the document must not stand in for it.
+        let b = SweepBench {
+            parallelism: multi_core(),
+            smoke: stage(100, 1000),
+            smoke_scaling: None,
+            scaling: vec![(1, stage(332, 1000))],
+        };
+        let json = sweep_bench_json(&b).replacen("\"cells_per_sec\"", "\"rate\"", 1);
+        assert!(json.contains("\"cells_per_sec\":332.000"), "{json}");
+        assert_eq!(baseline_smoke_cells_per_sec(&json), None);
+        let err = check_regression(&stage(100, 1000), &json).unwrap_err();
+        assert!(err.contains("no smoke cells_per_sec"), "{err}");
+    }
+
     /// An engine bench with the given (policy, events, millis, allocs)
     /// rows, whose gap samples all read the rows' demand/forestall ratio.
     fn engine(rows: &[(&'static str, u64, u64, Option<u64>)]) -> EngineBench {
@@ -911,6 +872,27 @@ mod tests {
             Some(8000.0)
         );
         assert_eq!(baseline_engine_events_per_sec(&json, "aggressive"), None);
+    }
+
+    #[test]
+    fn engine_baseline_row_without_its_rate_is_missing() {
+        // Demand's row lacks `events_per_sec`; forestall's rate in the
+        // next row must not be read for it.
+        let b = engine(&[
+            ("demand", 16_000, 1000, None),
+            ("forestall", 8_000, 1000, None),
+        ]);
+        let json = engine_bench_json(&b).replacen("\"events_per_sec\"", "\"rate\"", 1);
+        assert_eq!(baseline_engine_events_per_sec(&json, "demand"), None);
+        assert_eq!(
+            baseline_engine_events_per_sec(&json, "forestall"),
+            Some(8000.0)
+        );
+        let err = check_engine(&b, &json).unwrap_err();
+        assert!(
+            err.contains("no positive events_per_sec for policy demand"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -141,6 +141,7 @@ use parcache_bench::sweep::{self, CellRow, SweepAggregate, SweepEntry, SweepSpec
 use parcache_bench::{breakdown_table, trace, Algo, BreakdownRow, DISK_COUNTS};
 use parcache_core::audit::{audit_rerun, AuditOutcome};
 use parcache_core::engine::{simulate, simulate_probed};
+use parcache_core::json::{self, Raw};
 use parcache_core::metrics::{MetricsProbe, RunMetrics, Unit};
 use parcache_core::policy::PolicyKind;
 use parcache_core::predict::HintMode;
@@ -1221,17 +1222,17 @@ fn dispatch<P: Prof>(opts: &Options, prof: &P, extras: &mut ProfileExtras) -> Re
 /// flamegraph-compatible folded stacks to `path.folded`.
 fn write_profile(path: &str, prof: &WallProf, extras: &ProfileExtras) -> Result<(), CliError> {
     let folded = prof.folded();
-    let workers: Vec<String> = extras.workers.iter().map(|w| w.to_json()).collect();
     let (hits, misses) = trace_cache_stats();
-    let json = format!(
-        r#"{{"wall_us":{},"parallelism":{},"trace_cache":{{"hits":{},"misses":{}}},"workers":[{}],"spans":{}}}"#,
-        prof.wall_us(),
-        detect_parallelism().to_json(),
-        hits,
-        misses,
-        workers.join(","),
-        prof.spans_json(),
-    );
+    let json = json::object()
+        .field("wall_us", prof.wall_us())
+        .field("parallelism", Raw(detect_parallelism().to_json()))
+        .field(
+            "trace_cache",
+            json::object().field("hits", hits).field("misses", misses),
+        )
+        .array("workers", extras.workers.iter().map(|w| Raw(w.to_json())))
+        .field("spans", Raw(prof.spans_json()))
+        .finish();
     write_atomic(path, json + "\n")
         .map_err(|e| CliError::Io(format!("failed to write {path}: {e}")))?;
     let folded_path = format!("{path}.folded");
@@ -1341,25 +1342,15 @@ fn single_main<P: Prof>(opts: &Options, prof: &P) -> Result<(), CliError> {
 
     let _render = prof.span("render");
     if opts.json {
-        let runs: Vec<String> = results
-            .iter()
-            .map(|(report, metrics)| match metrics {
-                Some(m) => format!(
-                    r#"{{"report":{},"metrics":{}}}"#,
-                    report.to_json(),
-                    m.to_json()
-                ),
-                None => format!(r#"{{"report":{}}}"#, report.to_json()),
-            })
-            .collect();
-        println!(
-            r#"{{"trace":"{}","reads":{},"distinct_blocks":{},"cache_blocks":{},"runs":[{}]}}"#,
-            parcache_core::metrics::json_escape(trace_name),
-            stats.reads,
-            stats.distinct_blocks,
-            t.cache_blocks,
-            runs.join(",")
-        );
+        let runs = results.iter().map(|(r, m)| sweep::run_json(r, m.as_ref()));
+        let doc = json::object()
+            .field("trace", trace_name)
+            .field("reads", stats.reads)
+            .field("distinct_blocks", stats.distinct_blocks)
+            .field("cache_blocks", t.cache_blocks)
+            .array("runs", runs)
+            .finish();
+        println!("{doc}");
     } else {
         let rows: Vec<BreakdownRow> = results
             .iter()

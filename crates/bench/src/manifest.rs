@@ -10,15 +10,14 @@
 //! [`CsvGates`]), the spliced document is byte-identical to an
 //! uninterrupted run.
 //!
-//! The manifest is parsed by a hand-rolled, std-only JSON reader (the
-//! workspace is hermetic — no serde), which reports malformed input with
-//! a line number and stale input (wrong grid hash, unknown cell index)
-//! with a field-level diagnostic. Neither ever panics: the CLI maps both
-//! onto its typed usage errors.
+//! The manifest is written and read through [`parcache_core::json`],
+//! whose reader reports malformed input with a line number; stale input
+//! (wrong grid hash, unknown cell index) gets a field-level diagnostic.
+//! Neither ever panics: the CLI maps both onto its typed usage errors.
 
 use crate::sha256::sha256_hex;
 use crate::sweep::{CellExecution, CellOutcome, CsvGates, SweepCell};
-use parcache_core::metrics::json_escape;
+use parcache_core::json::{self, Json, ParseError, SchemaError};
 use parcache_disk::FaultPlan;
 use std::collections::HashMap;
 use std::fmt;
@@ -45,6 +44,21 @@ pub enum ManifestError {
     /// cell count mismatch, unknown or duplicate cell index, or gates
     /// that disagree with the requested output flavor.
     Stale(String),
+}
+
+impl From<ParseError> for ManifestError {
+    fn from(e: ParseError) -> ManifestError {
+        ManifestError::Parse {
+            line: e.line,
+            msg: e.msg,
+        }
+    }
+}
+
+impl From<SchemaError> for ManifestError {
+    fn from(e: SchemaError) -> ManifestError {
+        ManifestError::Schema(e.0)
+    }
 }
 
 impl fmt::Display for ManifestError {
@@ -151,50 +165,38 @@ impl SweepManifest {
             .count()
     }
 
-    /// The manifest as its on-disk JSON document.
+    /// The manifest as its on-disk JSON document: one line per outcome.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.outcomes.len() * 160 + 256);
-        let _ = write!(
-            out,
-            r#"{{"schema":"{}","grid_hash":"{}","cells":{},"explain":{},"faulted":{},"hinted":{},"audited":{},"completed":{},"outcomes":["#,
-            MANIFEST_SCHEMA,
-            self.grid_hash,
-            self.cells,
-            self.gates.explain,
-            self.gates.faulted,
-            self.gates.hinted,
-            self.audited,
-            self.completed(),
-        );
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            let _ = write!(out, r#"{{"index":{},"attempts":{},"#, o.index, o.attempts);
+        let outcomes = self.outcomes.iter().map(|o| {
+            let entry = json::object()
+                .field("index", o.index)
+                .field("attempts", o.attempts);
             match &o.status {
-                ManifestStatus::Ok { row, audit_clean } => {
-                    let _ = write!(out, r#""status":"ok","row":"{}""#, json_escape(row));
-                    if let Some(clean) = audit_clean {
-                        let _ = write!(out, r#","audit_clean":{clean}"#);
-                    }
-                }
+                ManifestStatus::Ok { row, audit_clean } => entry
+                    .field("status", "ok")
+                    .field("row", row)
+                    .opt("audit_clean", *audit_clean),
                 ManifestStatus::Panicked { panic } => {
-                    let _ = write!(
-                        out,
-                        r#""status":"panicked","panic":"{}""#,
-                        json_escape(panic)
-                    );
+                    entry.field("status", "panicked").field("panic", panic)
                 }
-                ManifestStatus::TimedOut { timeout_ms } => {
-                    let _ = write!(out, r#""status":"timed_out","timeout_ms":{timeout_ms}"#);
-                }
-                ManifestStatus::Skipped => out.push_str(r#""status":"skipped""#),
+                ManifestStatus::TimedOut { timeout_ms } => entry
+                    .field("status", "timed_out")
+                    .field("timeout_ms", *timeout_ms),
+                ManifestStatus::Skipped => entry.field("status", "skipped"),
             }
-            out.push('}');
-        }
-        out.push_str("\n]}\n");
-        out
+        });
+        json::object()
+            .field("schema", MANIFEST_SCHEMA)
+            .field("grid_hash", &self.grid_hash)
+            .field("cells", self.cells)
+            .field("explain", self.gates.explain)
+            .field("faulted", self.gates.faulted)
+            .field("hinted", self.gates.hinted)
+            .field("audited", self.audited)
+            .field("completed", self.completed())
+            .lines("outcomes", outcomes)
+            .finish()
+            + "\n"
     }
 
     /// Parses a manifest document. Malformed JSON is a
@@ -202,50 +204,49 @@ impl SweepManifest {
     /// well-formed JSON missing the contract is a
     /// [`ManifestError::Schema`] naming the field.
     pub fn parse(text: &str) -> Result<SweepManifest, ManifestError> {
-        let value = JsonParser::new(text).document()?;
-        let doc = value.as_object("manifest root")?;
-        let schema = get(doc, "schema")?.as_str("schema")?;
+        let value = json::parse(text)?;
+        let doc: &Json = value.expect("manifest root")?;
+        let schema: &str = doc.field("schema")?;
         if schema != MANIFEST_SCHEMA {
             return Err(ManifestError::Schema(format!(
                 "schema is {schema:?}, expected {MANIFEST_SCHEMA:?}"
             )));
         }
-        let manifest = SweepManifest {
-            grid_hash: get(doc, "grid_hash")?.as_str("grid_hash")?.to_string(),
-            cells: get(doc, "cells")?.as_usize("cells")?,
+        Ok(SweepManifest {
+            grid_hash: doc.field::<&str>("grid_hash")?.to_string(),
+            cells: doc.field("cells")?,
             gates: CsvGates {
-                explain: get(doc, "explain")?.as_bool("explain")?,
-                faulted: get(doc, "faulted")?.as_bool("faulted")?,
-                hinted: get(doc, "hinted")?.as_bool("hinted")?,
+                explain: doc.field("explain")?,
+                faulted: doc.field("faulted")?,
+                hinted: doc.field("hinted")?,
             },
-            audited: get(doc, "audited")?.as_bool("audited")?,
-            outcomes: get(doc, "outcomes")?
-                .as_array("outcomes")?
+            audited: doc.field("audited")?,
+            outcomes: doc
+                .field::<&[Json]>("outcomes")?
                 .iter()
                 .map(parse_outcome)
                 .collect::<Result<_, _>>()?,
-        };
-        Ok(manifest)
+        })
     }
 }
 
 fn parse_outcome(value: &Json) -> Result<ManifestCell, ManifestError> {
-    let obj = value.as_object("outcomes[] entry")?;
-    let index = get(obj, "index")?.as_usize("index")?;
-    let attempts = get(obj, "attempts")?.as_usize("attempts")? as u32;
-    let status = match get(obj, "status")?.as_str("status")? {
+    let obj: &Json = value.expect("outcomes[] entry")?;
+    let index = obj.field("index")?;
+    let attempts = obj.field("attempts")?;
+    let status = match obj.field("status")? {
         "ok" => ManifestStatus::Ok {
-            row: get(obj, "row")?.as_str("row")?.to_string(),
-            audit_clean: match find(obj, "audit_clean") {
-                Some(v) => Some(v.as_bool("audit_clean")?),
-                None => None,
-            },
+            row: obj.field::<&str>("row")?.to_string(),
+            audit_clean: obj
+                .member("audit_clean")
+                .map(|v| v.expect("audit_clean"))
+                .transpose()?,
         },
         "panicked" => ManifestStatus::Panicked {
-            panic: get(obj, "panic")?.as_str("panic")?.to_string(),
+            panic: obj.field::<&str>("panic")?.to_string(),
         },
         "timed_out" => ManifestStatus::TimedOut {
-            timeout_ms: get(obj, "timeout_ms")?.as_usize("timeout_ms")? as u64,
+            timeout_ms: obj.field("timeout_ms")?,
         },
         "skipped" => ManifestStatus::Skipped,
         other => {
@@ -430,295 +431,6 @@ fn trace_digest(t: &parcache_trace::Trace) -> String {
     sha256_hex(&bytes)
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Objects keep insertion order; numbers stay `f64`
-/// (manifest integers are far below 2^53, checked on conversion).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "a boolean",
-            Json::Num(_) => "a number",
-            Json::Str(_) => "a string",
-            Json::Arr(_) => "an array",
-            Json::Obj(_) => "an object",
-        }
-    }
-
-    fn as_object(&self, field: &str) -> Result<&[(String, Json)], ManifestError> {
-        match self {
-            Json::Obj(fields) => Ok(fields),
-            v => Err(schema_mismatch(field, "an object", v)),
-        }
-    }
-
-    fn as_array(&self, field: &str) -> Result<&[Json], ManifestError> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            v => Err(schema_mismatch(field, "an array", v)),
-        }
-    }
-
-    fn as_str(&self, field: &str) -> Result<&str, ManifestError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            v => Err(schema_mismatch(field, "a string", v)),
-        }
-    }
-
-    fn as_bool(&self, field: &str) -> Result<bool, ManifestError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            v => Err(schema_mismatch(field, "a boolean", v)),
-        }
-    }
-
-    fn as_usize(&self, field: &str) -> Result<usize, ManifestError> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) => Ok(*n as usize),
-            v => Err(schema_mismatch(field, "a non-negative integer", v)),
-        }
-    }
-}
-
-fn schema_mismatch(field: &str, wanted: &str, got: &Json) -> ManifestError {
-    ManifestError::Schema(format!(
-        "{field}: expected {wanted}, got {}",
-        got.type_name()
-    ))
-}
-
-fn find<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, ManifestError> {
-    find(obj, key).ok_or_else(|| ManifestError::Schema(format!("{key}: missing field")))
-}
-
-/// Recursive-descent JSON reader over raw bytes, tracking the current
-/// line for diagnostics. Handles exactly standard JSON; escapes cover
-/// everything [`json_escape`] emits plus the remaining standard ones.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            line: 1,
-        }
-    }
-
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, ManifestError> {
-        Err(ManifestError::Parse {
-            line: self.line,
-            msg: msg.into(),
-        })
-    }
-
-    /// Parses the whole input as one value (trailing garbage rejected).
-    fn document(mut self) -> Result<Json, ManifestError> {
-        let value = self.value()?;
-        self.skip_ws();
-        if self.pos < self.bytes.len() {
-            return self.err("trailing characters after the document");
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'\n' => {
-                    self.line += 1;
-                    self.pos += 1;
-                }
-                b' ' | b'\t' | b'\r' => self.pos += 1,
-                _ => break,
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8, what: &str) -> Result<(), ManifestError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected {what}"))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, ManifestError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            self.err(format!("expected {text:?}"))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ManifestError> {
-        self.skip_ws();
-        match self.peek() {
-            None => self.err("unexpected end of input"),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => self.err(format!("unexpected character {:?}", c as char)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ManifestError> {
-        self.eat(b'{', "'{'")?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':', "':' after object key")?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return self.err("expected ',' or '}' in object"),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ManifestError> {
-        self.eat(b'[', "'['")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']' in array"),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ManifestError> {
-        self.eat(b'"', "'\"'")?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            match hex.and_then(char::from_u32) {
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                // Surrogate pairs never appear: the
-                                // writer only \u-escapes control bytes.
-                                None => return self.err("bad \\u escape"),
-                            }
-                        }
-                        _ => return self.err("bad escape sequence"),
-                    }
-                    self.pos += 1;
-                }
-                Some(b'\n') => return self.err("unterminated string"),
-                Some(_) => {
-                    // Copy the full UTF-8 scalar, not just one byte.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| ManifestError::Parse {
-                        line: self.line,
-                        msg: "invalid UTF-8 in string".to_string(),
-                    })?;
-                    let c = s.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ManifestError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        match text.parse::<f64>() {
-            Ok(n) => Ok(Json::Num(n)),
-            Err(_) => self.err(format!("bad number {text:?}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -792,23 +504,5 @@ mod tests {
         );
         let err = SweepManifest::parse("[1,2,3]").unwrap_err();
         assert!(matches!(err, ManifestError::Schema(_)), "{err:?}");
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_rejects_garbage() {
-        let m = sample();
-        let parsed = SweepManifest::parse(&m.to_json()).unwrap();
-        match &parsed.outcomes[1].status {
-            ManifestStatus::Panicked { panic } => {
-                assert_eq!(panic, "index out of bounds: \"quoted\"\nsecond line");
-            }
-            other => panic!("{other:?}"),
-        }
-        for bad in ["", "{", "nul", r#"{"a" 1}"#, "{}trailing"] {
-            assert!(
-                matches!(SweepManifest::parse(bad), Err(ManifestError::Parse { .. })),
-                "{bad:?}"
-            );
-        }
     }
 }

@@ -24,6 +24,7 @@
 //!   quota when readable, so a single-core container reports "scaling
 //!   not measurable" instead of committing negative-scaling numbers.
 
+use parcache_core::json::{self, Fixed};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -210,17 +211,12 @@ impl WallProf {
 
     /// The span table as a JSON array.
     pub fn spans_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows()
-            .iter()
-            .map(|(path, self_us, allocs)| {
-                format!(
-                    r#"{{"path":"{}","self_us":{},"allocs":{}}}"#,
-                    path, self_us, allocs
-                )
-            })
-            .collect();
-        format!("[{}]", rows.join(","))
+        json::array(self.rows().into_iter().map(|(path, self_us, allocs)| {
+            json::object()
+                .field("path", path)
+                .field("self_us", self_us)
+                .field("allocs", allocs)
+        }))
     }
 }
 
@@ -286,17 +282,16 @@ impl WorkerStats {
 
     /// These stats as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"items":{},"busy_us":{},"idle_us":{},"wall_us":{},"work_allocs":{},"failed":{},"skipped":{},"retries":{}}}"#,
-            self.items,
-            self.busy_us,
-            self.idle_us(),
-            self.wall_us,
-            self.work_allocs,
-            self.failed,
-            self.skipped,
-            self.retries
-        )
+        json::object()
+            .field("items", self.items)
+            .field("busy_us", self.busy_us)
+            .field("idle_us", self.idle_us())
+            .field("wall_us", self.wall_us)
+            .field("work_allocs", self.work_allocs)
+            .field("failed", self.failed)
+            .field("skipped", self.skipped)
+            .field("retries", self.retries)
+            .finish()
     }
 }
 
@@ -325,17 +320,12 @@ impl EffectiveParallelism {
 
     /// This detection as a JSON object.
     pub fn to_json(&self) -> String {
-        let quota = match self.cgroup_quota {
-            Some(q) => format!("{q:.2}"),
-            None => "null".to_string(),
-        };
-        format!(
-            r#"{{"available":{},"cgroup_quota":{},"effective":{:.2},"scaling_measurable":{}}}"#,
-            self.available,
-            quota,
-            self.effective,
-            self.scaling_measurable()
-        )
+        json::object()
+            .field("available", self.available)
+            .field("cgroup_quota", self.cgroup_quota.map(|q| Fixed(q, 2)))
+            .field("effective", Fixed(self.effective, 2))
+            .field("scaling_measurable", self.scaling_measurable())
+            .finish()
     }
 }
 

@@ -19,6 +19,7 @@ use crate::prof::WorkerStats;
 use crate::runner::{best_reverse_search, panic_message, try_trace, TraceError};
 use parcache_core::audit::{audit_rerun, AuditOutcome};
 use parcache_core::engine::{simulate_probed, Report};
+use parcache_core::json::{self, Obj, Raw};
 use parcache_core::metrics::{Counters, Histogram, MetricsProbe, RunMetrics, Unit};
 use parcache_core::policy::PolicyKind;
 use parcache_core::predict::HintMode;
@@ -782,14 +783,13 @@ impl SweepAggregate {
 
     /// The aggregate as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"counters":{},"fetch_service_ns":{},"fetch_response_ns":{},"stall_ns":{},"queue_depth":{}}}"#,
-            self.counters.to_json(),
-            self.fetch_service.to_json(),
-            self.fetch_response.to_json(),
-            self.stall_duration.to_json(),
-            self.queue_depth.to_json(),
-        )
+        json::object()
+            .field("counters", Raw(self.counters.to_json()))
+            .field("fetch_service_ns", Raw(self.fetch_service.to_json()))
+            .field("fetch_response_ns", Raw(self.fetch_response.to_json()))
+            .field("stall_ns", Raw(self.stall_duration.to_json()))
+            .field("queue_depth", Raw(self.queue_depth.to_json()))
+            .finish()
     }
 }
 
@@ -906,29 +906,29 @@ pub fn sweep_csv(outcomes: &[CellRow]) -> String {
     CsvGates::for_rows(outcomes, false).document(outcomes)
 }
 
+/// One run as `{"report":…,"metrics":…}`, metrics only when the run
+/// was probed: an item of the sweep document's `cells` and of the
+/// single-run document's `runs`.
+pub fn run_json(report: &Report, metrics: Option<&RunMetrics>) -> Obj {
+    json::object()
+        .field("report", Raw(report.to_json()))
+        .opt("metrics", metrics.map(|m| Raw(m.to_json())))
+}
+
 /// The outcomes as one JSON document: `{"cells":[...]}`, each cell's
-/// report (and metrics, when probed) in cell order, plus the aggregate
-/// over probed cells when present.
+/// [`run_json`] in cell order, plus the aggregate over probed cells when
+/// present.
 pub fn sweep_json(outcomes: &[CellRow]) -> String {
-    let cells: Vec<String> = outcomes
+    let cells = outcomes
         .iter()
-        .map(|o| match &o.metrics {
-            Some(m) => format!(
-                r#"{{"report":{},"metrics":{}}}"#,
-                o.report.to_json(),
-                m.to_json()
-            ),
-            None => format!(r#"{{"report":{}}}"#, o.report.to_json()),
-        })
-        .collect();
-    match SweepAggregate::fold(outcomes) {
-        Some(agg) => format!(
-            r#"{{"cells":[{}],"aggregate":{}}}"#,
-            cells.join(","),
-            agg.to_json()
-        ),
-        None => format!(r#"{{"cells":[{}]}}"#, cells.join(",")),
-    }
+        .map(|o| run_json(&o.report, o.metrics.as_ref()));
+    json::object()
+        .array("cells", cells)
+        .opt(
+            "aggregate",
+            SweepAggregate::fold(outcomes).map(|a| Raw(a.to_json())),
+        )
+        .finish()
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 
 use crate::cache::{Cache, Knowledge, MissingTracker};
 use crate::config::{DiskModelKind, SimConfig};
-use crate::metrics::json_escape;
+use crate::json::{self, Fixed, Raw};
 use crate::oracle::Oracle;
 use crate::policy::{Indexes, Policy, PolicyKind};
 use crate::predict::HintStats;
@@ -354,19 +354,16 @@ pub struct FaultSummary {
 impl FaultSummary {
     /// This summary as a JSON object.
     pub fn to_json(&self) -> String {
-        let degraded: Vec<String> = self
-            .per_disk_degraded
-            .iter()
-            .map(|d| d.as_nanos().to_string())
-            .collect();
-        format!(
-            r#"{{"faults_injected":{},"retries":{},"abandoned":{},"per_disk_degraded_ns":[{}],"availability":{:.6}}}"#,
-            self.faults_injected,
-            self.retries,
-            self.abandoned,
-            degraded.join(","),
-            self.availability,
-        )
+        json::object()
+            .field("faults_injected", self.faults_injected)
+            .field("retries", self.retries)
+            .field("abandoned", self.abandoned)
+            .array(
+                "per_disk_degraded_ns",
+                self.per_disk_degraded.iter().map(|d| d.as_nanos()),
+            )
+            .field("availability", Fixed(self.availability, 6))
+            .finish()
     }
 
     /// Total declared degraded time across the array.
@@ -437,11 +434,12 @@ impl StallBreakdown {
     /// This breakdown as a JSON object keyed by cause name, in
     /// nanoseconds.
     pub fn to_json(&self) -> String {
-        let fields: Vec<String> = StallCause::ALL
+        StallCause::ALL
             .iter()
-            .map(|&c| format!(r#""{}":{}"#, c.name(), self.get(c).as_nanos()))
-            .collect();
-        format!("{{{}}}", fields.join(","))
+            .fold(json::object(), |o, &c| {
+                o.field(c.name(), self.get(c).as_nanos())
+            })
+            .finish()
     }
 }
 
@@ -495,61 +493,41 @@ impl Report {
         row
     }
 
-    /// This report as a JSON object (hand-rolled; the workspace has no
-    /// serialization dependency).
+    /// This report as a JSON object. The `failed`, `fault` and `hints`
+    /// fields appear only on faulted or predicted-hint runs, so a healthy
+    /// oracle-hint report keeps the shape it had before either existed.
     pub fn to_json(&self) -> String {
-        let per_disk: Vec<String> = self
-            .per_disk
-            .iter()
-            .map(|d| {
-                let mut s = format!(
-                    r#"{{"served":{},"busy_ns":{},"avg_service_ms":{:.4},"avg_response_ms":{:.4}"#,
-                    d.served,
-                    d.busy.as_nanos(),
-                    d.avg_service().as_millis_f64(),
-                    d.avg_response().as_millis_f64(),
-                );
-                // Only faulted drives report failures, so healthy-run
-                // JSON keeps its pre-fault-support shape byte for byte.
-                if d.failed > 0 {
-                    s.push_str(&format!(r#","failed":{}"#, d.failed));
-                }
-                s.push('}');
-                s
-            })
-            .collect();
-        let fault = match &self.fault {
-            None => String::new(),
-            Some(f) => format!(r#","fault":{}"#, f.to_json()),
-        };
-        let hints = match &self.hints {
-            None => String::new(),
-            Some(h) => format!(r#","hints":{}"#, h.to_json()),
-        };
-        format!(
-            concat!(
-                r#"{{"trace":"{}","policy":"{}","disks":{},"#,
-                r#""elapsed_s":{:.6},"compute_s":{:.6},"driver_s":{:.6},"stall_s":{:.6},"#,
-                r#""stall_by_cause":{},"#,
-                r#""fetches":{},"writes":{},"avg_fetch_ms":{:.4},"avg_disk_utilization":{:.4},"#,
-                r#""per_disk":[{}]{}{}}}"#
-            ),
-            json_escape(&self.trace),
-            json_escape(&self.policy),
-            self.disks,
-            self.elapsed.as_secs_f64(),
-            self.compute.as_secs_f64(),
-            self.driver.as_secs_f64(),
-            self.stall.as_secs_f64(),
-            self.stall_by_cause.to_json(),
-            self.fetches,
-            self.writes,
-            self.avg_fetch_time.as_millis_f64(),
-            self.avg_disk_utilization,
-            per_disk.join(","),
-            fault,
-            hints,
-        )
+        let per_disk = self.per_disk.iter().map(|d| {
+            json::object()
+                .field("served", d.served)
+                .field("busy_ns", d.busy.as_nanos())
+                .field("avg_service_ms", Fixed(d.avg_service().as_millis_f64(), 4))
+                .field(
+                    "avg_response_ms",
+                    Fixed(d.avg_response().as_millis_f64(), 4),
+                )
+                .opt("failed", json::nonzero(d.failed))
+        });
+        json::object()
+            .field("trace", &self.trace)
+            .field("policy", &self.policy)
+            .field("disks", self.disks)
+            .field("elapsed_s", Fixed(self.elapsed.as_secs_f64(), 6))
+            .field("compute_s", Fixed(self.compute.as_secs_f64(), 6))
+            .field("driver_s", Fixed(self.driver.as_secs_f64(), 6))
+            .field("stall_s", Fixed(self.stall.as_secs_f64(), 6))
+            .field("stall_by_cause", Raw(self.stall_by_cause.to_json()))
+            .field("fetches", self.fetches)
+            .field("writes", self.writes)
+            .field(
+                "avg_fetch_ms",
+                Fixed(self.avg_fetch_time.as_millis_f64(), 4),
+            )
+            .field("avg_disk_utilization", Fixed(self.avg_disk_utilization, 4))
+            .array("per_disk", per_disk)
+            .opt("fault", self.fault.as_ref().map(|f| Raw(f.to_json())))
+            .opt("hints", self.hints.as_ref().map(|h| Raw(h.to_json())))
+            .finish()
     }
 }
 

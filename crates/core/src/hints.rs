@@ -168,7 +168,7 @@ impl SplitMix {
 
 /// Builds the policy-visible oracle for a trace under a hint mask: only
 /// hinted references are indexed. Positions keep their original indices,
-/// so cursor arithmetic is unchanged; `next_occurrence` means "next
+/// so cursor arithmetic is unchanged; `next_occurrence_idx` means "next
 /// *disclosed* occurrence". Every trace block — disclosed or not — is
 /// given a compact index (undisclosed ones with empty occurrence lists),
 /// so the engine can resolve demand misses on unhinted references without
@@ -359,10 +359,12 @@ mod tests {
         let o = hinted_oracle(&t, Layout::striped(1), &mask);
         assert_eq!(o.len(), 5); // positions keep original indices
                                 // Block 2's only hinted occurrence is position 3.
-        assert_eq!(o.next_occurrence(BlockId(2), 0), 3);
-        assert_eq!(o.next_occurrence(BlockId(2), 4), NEVER);
+        let two = o.index_of(BlockId(2)).unwrap();
+        assert_eq!(o.next_occurrence_idx(two, 0), 3);
+        assert_eq!(o.next_occurrence_idx(two, 4), NEVER);
         // Block 1 hinted at 0 and 4; position 2 is undisclosed.
-        assert_eq!(o.next_occurrence(BlockId(1), 1), 4);
+        let one = o.index_of(BlockId(1)).unwrap();
+        assert_eq!(o.next_occurrence_idx(one, 1), 4);
     }
 
     #[test]

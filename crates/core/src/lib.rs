@@ -30,6 +30,8 @@
 //!   stream emitted at every decision point, and counters, latency
 //!   histograms, and per-disk timelines folded from it. The default
 //!   probe is a zero-sized no-op, so uninstrumented runs pay nothing.
+//! * [`json`] — the one JSON writer and reader every report, event log,
+//!   manifest and benchmark document goes through.
 //! * [`audit`] — a probe that enforces conservation invariants over the
 //!   event stream (frame conservation, fetch/stall balance, monotone
 //!   time, queue-depth accounting, fault/retry/abandonment balance) and
@@ -44,6 +46,7 @@ pub mod cache;
 pub mod config;
 pub mod engine;
 pub mod hints;
+pub mod json;
 pub mod metrics;
 pub mod oracle;
 pub mod policy;

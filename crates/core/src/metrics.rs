@@ -3,9 +3,10 @@
 //! utilization/queue-depth timeline.
 //!
 //! [`MetricsProbe`] is a [`Probe`] that folds the stream into a
-//! [`RunMetrics`]; everything renders to hand-rolled JSON (no external
-//! dependencies) and to plain ASCII tables.
+//! [`RunMetrics`]; everything renders to JSON (through [`crate::json`])
+//! and to plain ASCII tables.
 
+use crate::json::{self, Fixed, Raw};
 use crate::probe::{Event, Probe};
 use parcache_types::Nanos;
 
@@ -188,22 +189,22 @@ impl Histogram {
     /// callers name the field so units are clear (`*_ns` for times).
     pub fn to_json(&self) -> String {
         let (p50, p90, p99) = self.summary();
-        let buckets: Vec<String> = self
-            .occupied_buckets()
-            .iter()
-            .map(|(lo, hi, n)| format!(r#"{{"lo":{lo},"hi":{hi},"count":{n}}}"#))
-            .collect();
-        format!(
-            r#"{{"count":{},"mean":{:.1},"min":{},"max":{},"p50":{},"p90":{},"p99":{},"buckets":[{}]}}"#,
-            self.count,
-            self.mean(),
-            self.min(),
-            self.max(),
-            p50,
-            p90,
-            p99,
-            buckets.join(",")
-        )
+        let buckets = self.occupied_buckets().into_iter().map(|(lo, hi, n)| {
+            json::object()
+                .field("lo", lo)
+                .field("hi", hi)
+                .field("count", n)
+        });
+        json::object()
+            .field("count", self.count)
+            .field("mean", Fixed(self.mean(), 1))
+            .field("min", self.min())
+            .field("max", self.max())
+            .field("p50", p50)
+            .field("p90", p90)
+            .field("p99", p99)
+            .array("buckets", buckets)
+            .finish()
     }
 
     /// An ASCII rendering: one row per occupied bucket with a proportional
@@ -310,34 +311,22 @@ impl Counters {
     /// when nonzero, so healthy-run output is byte-identical to output
     /// from before fault support existed.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            r#"{{"decisions":{},"cache_hits":{},"cache_misses":{},"evictions":{},"fetches_issued":{},"demand_fetches":{},"writes_issued":{},"services_started":{},"services_completed":{},"stalls_begun":{},"stalls_ended":{}"#,
-            self.decisions,
-            self.cache_hits,
-            self.cache_misses,
-            self.evictions,
-            self.fetches_issued,
-            self.demand_fetches,
-            self.writes_issued,
-            self.services_started,
-            self.services_completed,
-            self.stalls_begun,
-            self.stalls_ended,
-        );
-        if self.faults_injected > 0 {
-            s.push_str(&format!(r#","faults_injected":{}"#, self.faults_injected));
-        }
-        if self.retries > 0 {
-            s.push_str(&format!(r#","retries":{}"#, self.retries));
-        }
-        if self.requests_abandoned > 0 {
-            s.push_str(&format!(
-                r#","requests_abandoned":{}"#,
-                self.requests_abandoned
-            ));
-        }
-        s.push('}');
-        s
+        json::object()
+            .field("decisions", self.decisions)
+            .field("cache_hits", self.cache_hits)
+            .field("cache_misses", self.cache_misses)
+            .field("evictions", self.evictions)
+            .field("fetches_issued", self.fetches_issued)
+            .field("demand_fetches", self.demand_fetches)
+            .field("writes_issued", self.writes_issued)
+            .field("services_started", self.services_started)
+            .field("services_completed", self.services_completed)
+            .field("stalls_begun", self.stalls_begun)
+            .field("stalls_ended", self.stalls_ended)
+            .opt("faults_injected", json::nonzero(self.faults_injected))
+            .opt("retries", json::nonzero(self.retries))
+            .opt("requests_abandoned", json::nonzero(self.requests_abandoned))
+            .finish()
     }
 }
 
@@ -470,25 +459,16 @@ impl Timeline {
 
     /// This timeline as a JSON object.
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows()
-            .iter()
-            .map(|(start, util, depth)| {
-                let u: Vec<String> = util.iter().map(|x| format!("{x:.4}")).collect();
-                let d: Vec<String> = depth.iter().map(|x| x.to_string()).collect();
-                format!(
-                    r#"{{"start_ns":{},"utilization":[{}],"max_depth":[{}]}}"#,
-                    start.as_nanos(),
-                    u.join(","),
-                    d.join(",")
-                )
-            })
-            .collect();
-        format!(
-            r#"{{"slice_ns":{},"slices":[{}]}}"#,
-            self.slice.as_nanos(),
-            rows.join(",")
-        )
+        let slices = self.rows().into_iter().map(|(start, util, depth)| {
+            json::object()
+                .field("start_ns", start.as_nanos())
+                .array("utilization", util.into_iter().map(|u| Fixed(u, 4)))
+                .array("max_depth", depth)
+        });
+        json::object()
+            .field("slice_ns", self.slice.as_nanos())
+            .array("slices", slices)
+            .finish()
     }
 }
 
@@ -552,28 +532,21 @@ impl RunMetrics {
 
     /// These metrics as a JSON object.
     pub fn to_json(&self) -> String {
-        let per_disk: Vec<String> = self
-            .per_disk
-            .iter()
-            .map(|d| {
-                format!(
-                    r#"{{"service_ns":{},"response_ns":{},"queue_depth":{}}}"#,
-                    d.service.to_json(),
-                    d.response.to_json(),
-                    d.queue_depth.to_json()
-                )
-            })
-            .collect();
-        format!(
-            r#"{{"counters":{},"fetch_service_ns":{},"fetch_response_ns":{},"stall_ns":{},"queue_depth":{},"per_disk":[{}],"timeline":{}}}"#,
-            self.counters.to_json(),
-            self.fetch_service.to_json(),
-            self.fetch_response.to_json(),
-            self.stall_duration.to_json(),
-            self.queue_depth.to_json(),
-            per_disk.join(","),
-            self.timeline.to_json()
-        )
+        let per_disk = self.per_disk.iter().map(|d| {
+            json::object()
+                .field("service_ns", Raw(d.service.to_json()))
+                .field("response_ns", Raw(d.response.to_json()))
+                .field("queue_depth", Raw(d.queue_depth.to_json()))
+        });
+        json::object()
+            .field("counters", Raw(self.counters.to_json()))
+            .field("fetch_service_ns", Raw(self.fetch_service.to_json()))
+            .field("fetch_response_ns", Raw(self.fetch_response.to_json()))
+            .field("stall_ns", Raw(self.stall_duration.to_json()))
+            .field("queue_depth", Raw(self.queue_depth.to_json()))
+            .array("per_disk", per_disk)
+            .field("timeline", Raw(self.timeline.to_json()))
+            .finish()
     }
 }
 
@@ -664,23 +637,6 @@ impl Probe for MetricsProbe {
             Event::DiskDegraded { .. } | Event::DiskRecovered { .. } => {}
         }
     }
-}
-
-/// Escapes a string for inclusion in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1002,12 +958,5 @@ mod tests {
         assert!(s.starts_with("service: n=4"), "{s}");
         assert!(s.contains('#'), "{s}");
         assert!(s.contains("ms"), "{s}");
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("x\ny"), r#"x\ny"#);
-        assert_eq!(json_escape("plain"), "plain");
     }
 }

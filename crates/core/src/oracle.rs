@@ -295,20 +295,11 @@ impl Oracle {
         self.layout.disk_of(block)
     }
 
-    /// The first position `>= at` referencing `block`, or [`NEVER`].
-    ///
-    /// Blocks that never appear in the trace return [`NEVER`].
-    pub fn next_occurrence(&self, block: BlockId, at: usize) -> usize {
-        match self.index_of(block) {
-            None => NEVER,
-            Some(idx) => self.next_occurrence_idx(idx, at),
-        }
-    }
-
-    /// [`Oracle::next_occurrence`] by compact index: binary search over
-    /// the block's dense occurrence list, no hashing. A caller whose
-    /// queries never move backwards reads the same answers from a
-    /// [`NextUseCursors`] in amortized O(1).
+    /// The first position `>= at` referencing the block with compact
+    /// index `idx`, or [`NEVER`]: binary search over the block's dense
+    /// occurrence list, no hashing. A caller whose queries never move
+    /// backwards reads the same answers from a [`NextUseCursors`] in
+    /// amortized O(1).
     pub fn next_occurrence_idx(&self, idx: u32, at: usize) -> usize {
         let occ = self.occurrences.row(idx as usize);
         let i = occ.partition_point(|&p| (p as usize) < at);
@@ -463,12 +454,16 @@ mod tests {
     fn next_occurrence_binary_search() {
         let t = trace_of(&[1, 2, 1, 3, 1]);
         let o = Oracle::new(&t, Layout::striped(1));
-        assert_eq!(o.next_occurrence(BlockId(1), 0), 0);
-        assert_eq!(o.next_occurrence(BlockId(1), 1), 2);
-        assert_eq!(o.next_occurrence(BlockId(1), 3), 4);
-        assert_eq!(o.next_occurrence(BlockId(1), 5), NEVER);
-        assert_eq!(o.next_occurrence(BlockId(3), 0), 3);
-        assert_eq!(o.next_occurrence(BlockId(99), 0), NEVER);
+        let (one, three) = (
+            o.index_of(BlockId(1)).unwrap(),
+            o.index_of(BlockId(3)).unwrap(),
+        );
+        assert_eq!(o.next_occurrence_idx(one, 0), 0);
+        assert_eq!(o.next_occurrence_idx(one, 1), 2);
+        assert_eq!(o.next_occurrence_idx(one, 3), 4);
+        assert_eq!(o.next_occurrence_idx(one, 5), NEVER);
+        assert_eq!(o.next_occurrence_idx(three, 0), 3);
+        assert_eq!(o.index_of(BlockId(99)), None);
     }
 
     #[test]
@@ -609,10 +604,10 @@ mod tests {
     fn unsorted_entries_are_normalized() {
         let entries = vec![(3, BlockId(1)), (0, BlockId(1)), (2, BlockId(5))];
         let o = Oracle::from_positions(4, entries, Layout::striped(1));
-        assert_eq!(o.next_occurrence(BlockId(1), 0), 0);
-        assert_eq!(o.next_occurrence(BlockId(1), 1), 3);
-        assert_eq!(o.distinct_blocks(), vec![BlockId(1), BlockId(5)]);
         let idx = o.index_of(BlockId(1)).unwrap();
+        assert_eq!(o.next_occurrence_idx(idx, 0), 0);
+        assert_eq!(o.next_occurrence_idx(idx, 1), 3);
+        assert_eq!(o.distinct_blocks(), vec![BlockId(1), BlockId(5)]);
         assert_eq!(o.next_after_idx(idx, 0), 3);
     }
 

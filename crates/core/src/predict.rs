@@ -45,6 +45,7 @@
 //! the predictions, drives the reference stream), so progress never
 //! depends on prediction accuracy.
 
+use crate::json::{self, Fixed};
 use crate::oracle::Oracle;
 use parcache_disk::Layout;
 use parcache_trace::Trace;
@@ -441,15 +442,14 @@ impl HintStats {
 
     /// These statistics as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"source":"{}","predicted":{},"correct":{},"references":{},"precision":{:.6},"recall":{:.6}}}"#,
-            self.source,
-            self.predicted,
-            self.correct,
-            self.references,
-            self.precision(),
-            self.recall(),
-        )
+        json::object()
+            .field("source", self.source)
+            .field("predicted", self.predicted)
+            .field("correct", self.correct)
+            .field("references", self.references)
+            .field("precision", Fixed(self.precision(), 6))
+            .field("recall", Fixed(self.recall(), 6))
+            .finish()
     }
 }
 
@@ -511,6 +511,7 @@ pub fn predicted_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::NEVER;
     use parcache_trace::Request;
     use parcache_types::Nanos;
 
@@ -569,11 +570,17 @@ mod tests {
             for pos in 0..t.requests.len() {
                 assert_eq!(pred.block_at(pos), full.block_at(pos), "pos {pos}");
             }
+            // The two oracles number blocks differently, so each query
+            // goes through that oracle's own compact index.
+            let next = |o: &Oracle, b: u64, pos| {
+                o.index_of(BlockId(b))
+                    .map_or(NEVER, |i| o.next_occurrence_idx(i, pos))
+            };
             for b in 0..8u64 {
                 for pos in 0..=t.requests.len() {
                     assert_eq!(
-                        pred.next_occurrence(BlockId(b), pos),
-                        full.next_occurrence(BlockId(b), pos),
+                        next(&pred, b, pos),
+                        next(&full, b, pos),
                         "block {b} from {pos}"
                     );
                 }

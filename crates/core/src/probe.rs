@@ -10,6 +10,7 @@
 //! with the no-op every instrumentation site is statically dead and the
 //! optimizer removes it: the uninstrumented hot path costs nothing.
 
+use crate::json::{self, Json, Obj};
 use parcache_disk::disk::ReqKind;
 use parcache_disk::model::ServiceOutcome;
 use parcache_disk::probe::DiskEvent;
@@ -331,329 +332,144 @@ impl Event {
             },
         }
     }
+}
 
-    /// A short machine-readable tag naming the event variant.
-    pub fn kind(&self) -> &'static str {
+/// How one event field is written to a log line and read back from one.
+trait LogField: Sized {
+    fn put(self, o: Obj, key: &str) -> Obj;
+    fn take(v: &Json, key: &str) -> Option<Self>;
+}
+
+/// Each row: a field type, the JSON type it travels as, and the two
+/// conversions between them.
+macro_rules! log_fields {
+    ($($t:ty as $wire:ty: $put:expr, $take:expr;)*) => {$(
+        impl LogField for $t {
+            fn put(self, o: Obj, key: &str) -> Obj {
+                o.field(key, ($put)(self))
+            }
+            fn take(v: &Json, key: &str) -> Option<Self> {
+                v.get::<$wire>(key).and_then($take)
+            }
+        }
+    )*};
+}
+
+log_fields! {
+    usize as usize: |n| n, Some;
+    u32 as u32: |n| n, Some;
+    u64 as u64: |n| n, Some;
+    bool as bool: |b| b, Some;
+    BlockId as u64: BlockId::raw, |n| Some(BlockId(n));
+    DiskId as usize: DiskId::index, |n| Some(DiskId(n));
+    Nanos as u64: Nanos::as_nanos, |n| Some(Nanos(n));
+    StallCause as &str: |c: StallCause| c.name(), StallCause::from_name;
+    FaultCause as &str: |c: FaultCause| c.name(), FaultCause::from_name;
+}
+
+impl<T: LogField> LogField for Option<T> {
+    fn put(self, o: Obj, key: &str) -> Obj {
         match self {
-            Event::PolicyDecision { .. } => "policy_decision",
-            Event::CacheHit { .. } => "cache_hit",
-            Event::CacheMiss { .. } => "cache_miss",
-            Event::Eviction { .. } => "eviction",
-            Event::FetchIssued { .. } => "fetch_issued",
-            Event::WriteIssued { .. } => "write_issued",
-            Event::QueueDepth { .. } => "queue_depth",
-            Event::FetchStarted { .. } => "fetch_started",
-            Event::FetchCompleted { .. } => "fetch_completed",
-            Event::StallBegin { .. } => "stall_begin",
-            Event::StallEnd { .. } => "stall_end",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::RetryIssued { .. } => "retry_issued",
-            Event::RequestAbandoned { .. } => "request_abandoned",
-            Event::DiskDegraded { .. } => "disk_degraded",
-            Event::DiskRecovered { .. } => "disk_recovered",
+            Some(x) => x.put(o, key),
+            None => o,
         }
     }
-
-    /// The simulated time the event carries.
-    pub fn time(&self) -> Nanos {
-        match *self {
-            Event::PolicyDecision { now, .. }
-            | Event::CacheHit { now, .. }
-            | Event::CacheMiss { now, .. }
-            | Event::Eviction { now, .. }
-            | Event::FetchIssued { now, .. }
-            | Event::WriteIssued { now, .. }
-            | Event::QueueDepth { now, .. }
-            | Event::FetchStarted { now, .. }
-            | Event::FetchCompleted { now, .. }
-            | Event::StallBegin { now, .. }
-            | Event::StallEnd { now, .. }
-            | Event::FaultInjected { now, .. }
-            | Event::RetryIssued { now, .. }
-            | Event::RequestAbandoned { now, .. }
-            | Event::DiskDegraded { now, .. }
-            | Event::DiskRecovered { now, .. } => now,
-        }
+    fn take(v: &Json, key: &str) -> Option<Self> {
+        Some(T::take(v, key))
     }
+}
 
-    /// This event as one line of JSON (no trailing newline), suitable for
-    /// a JSONL event log.
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            r#"{{"event":"{}","t_ns":{}"#,
-            self.kind(),
-            self.time().as_nanos()
-        );
-        match *self {
-            Event::PolicyDecision { cursor, .. } => {
-                s.push_str(&format!(r#","cursor":{cursor}"#));
-            }
-            Event::CacheHit { block, .. }
-            | Event::CacheMiss { block, .. }
-            | Event::Eviction { block, .. }
-            | Event::StallBegin { block, .. } => {
-                s.push_str(&format!(r#","block":{}"#, block.raw()));
-            }
-            Event::FetchIssued {
-                block,
-                disk,
-                demand,
-                evicted,
-                ..
-            } => {
-                s.push_str(&format!(
-                    r#","block":{},"disk":{},"demand":{demand}"#,
-                    block.raw(),
-                    disk.index()
-                ));
-                if let Some(e) = evicted {
-                    s.push_str(&format!(r#","evicted":{}"#, e.raw()));
+/// The JSONL event log format, one row per variant: its `event` tag,
+/// then its fields in log order with the key each is written under.
+/// Every line starts with `event` and `t_ns` (the variant's `now`). A
+/// field after `;` is left out while it holds its default and reads as
+/// the default when absent, so fault-free logs carry no `faulted` key.
+/// [`Event::kind`], [`Event::time`], [`Event::to_json`] and
+/// [`Event::from_json`] all come from this one table.
+macro_rules! event_log_format {
+    ($($variant:ident $tag:literal {
+        $($field:ident: $key:literal),* $(; $opt:ident: $opt_key:literal)?
+    })*) => {
+        impl Event {
+            /// A short machine-readable tag naming the event variant.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $tag,)*
                 }
             }
-            Event::WriteIssued { block, disk, .. } => {
-                s.push_str(&format!(
-                    r#","block":{},"disk":{}"#,
-                    block.raw(),
-                    disk.index()
-                ));
-            }
-            Event::QueueDepth { disk, depth, .. } => {
-                s.push_str(&format!(r#","disk":{},"depth":{depth}"#, disk.index()));
-            }
-            Event::FetchStarted {
-                block,
-                disk,
-                write,
-                head_cylinder,
-                completes,
-                ..
-            } => {
-                s.push_str(&format!(
-                    r#","block":{},"disk":{},"write":{write},"head_cylinder":{head_cylinder},"completes_ns":{}"#,
-                    block.raw(),
-                    disk.index(),
-                    completes.as_nanos()
-                ));
-            }
-            Event::FetchCompleted {
-                block,
-                disk,
-                write,
-                service,
-                response,
-                head_cylinder,
-                depth,
-                faulted,
-                ..
-            } => {
-                s.push_str(&format!(
-                    r#","block":{},"disk":{},"write":{write},"service_ns":{},"response_ns":{},"head_cylinder":{head_cylinder},"depth":{depth}"#,
-                    block.raw(),
-                    disk.index(),
-                    service.as_nanos(),
-                    response.as_nanos()
-                ));
-                // Emitted only when set, so fault-free event logs stay
-                // byte-identical to logs from before fault support.
-                if faulted {
-                    s.push_str(r#","faulted":true"#);
+
+            /// The simulated time the event carries.
+            pub fn time(&self) -> Nanos {
+                match *self {
+                    $(Event::$variant { now, .. })|* => now,
                 }
             }
-            Event::StallEnd {
-                block,
-                stalled,
-                cause,
-                charged,
-                ..
-            } => {
-                s.push_str(&format!(
-                    r#","block":{},"stalled_ns":{},"cause":"{}","charged_ns":{}"#,
-                    block.raw(),
-                    stalled.as_nanos(),
-                    cause.name(),
-                    charged.as_nanos()
-                ));
+
+            /// This event as one line of JSON (no trailing newline),
+            /// suitable for a JSONL event log.
+            pub fn to_json(&self) -> String {
+                let o = json::object()
+                    .field("event", self.kind())
+                    .field("t_ns", self.time().as_nanos());
+                match *self {
+                    $(Event::$variant { $($field,)* $($opt,)? .. } => {
+                        $(let o = $field.put(o, $key);)*
+                        $(let o = if $opt == Default::default() { o } else { $opt.put(o, $opt_key) };)?
+                        o
+                    })*
+                }
+                .finish()
             }
-            Event::FaultInjected {
-                block,
-                disk,
-                write,
-                cause,
-                attempt,
-                ..
-            } => {
-                s.push_str(&format!(
-                    r#","block":{},"disk":{},"write":{write},"cause":"{}","attempt":{attempt}"#,
-                    block.raw(),
-                    disk.index(),
-                    cause.name()
-                ));
-            }
-            Event::RetryIssued {
-                block,
-                disk,
-                attempt,
-                ..
-            } => {
-                s.push_str(&format!(
-                    r#","block":{},"disk":{},"attempt":{attempt}"#,
-                    block.raw(),
-                    disk.index()
-                ));
-            }
-            Event::RequestAbandoned {
-                block,
-                disk,
-                write,
-                attempts,
-                ..
-            } => {
-                s.push_str(&format!(
-                    r#","block":{},"disk":{},"write":{write},"attempts":{attempts}"#,
-                    block.raw(),
-                    disk.index()
-                ));
-            }
-            Event::DiskDegraded { disk, .. } | Event::DiskRecovered { disk, .. } => {
-                s.push_str(&format!(r#","disk":{}"#, disk.index()));
+
+            /// Parses one [`Event::to_json`] line back into an [`Event`]:
+            /// the exact inverse over every variant, so a JSONL event log
+            /// round-trips losslessly. Returns `None` on anything that is
+            /// not one complete event object.
+            pub fn from_json(line: &str) -> Option<Event> {
+                let v = json::parse(line).ok()?;
+                let now = Nanos(v.get("t_ns")?);
+                Some(match v.get::<&str>("event")? {
+                    $($tag => Event::$variant {
+                        now,
+                        $($field: LogField::take(&v, $key)?,)*
+                        $($opt: LogField::take(&v, $opt_key).unwrap_or_default(),)?
+                    },)*
+                    _ => return None,
+                })
             }
         }
-        s.push('}');
-        s
+    };
+}
+
+event_log_format! {
+    PolicyDecision "policy_decision" { cursor: "cursor" }
+    CacheHit "cache_hit" { block: "block" }
+    CacheMiss "cache_miss" { block: "block" }
+    Eviction "eviction" { block: "block" }
+    FetchIssued "fetch_issued" { block: "block", disk: "disk", demand: "demand"; evicted: "evicted" }
+    WriteIssued "write_issued" { block: "block", disk: "disk" }
+    QueueDepth "queue_depth" { disk: "disk", depth: "depth" }
+    FetchStarted "fetch_started" {
+        block: "block", disk: "disk", write: "write", head_cylinder: "head_cylinder",
+        completes: "completes_ns"
     }
-
-    /// Parses one [`Event::to_json`] line back into an [`Event`]: the
-    /// exact inverse over every variant, so a JSONL event log round-trips
-    /// losslessly. Returns `None` on anything `to_json` cannot emit.
-    pub fn from_json(line: &str) -> Option<Event> {
-        let kind = json_field_str(line, "event")?;
-        let now = Nanos(json_field_u64(line, "t_ns")?);
-        let block = |k: &str| json_field_u64(line, k).map(BlockId);
-        let disk = || json_field_u64(line, "disk").map(|d| DiskId(d as usize));
-        Some(match kind {
-            "policy_decision" => Event::PolicyDecision {
-                now,
-                cursor: json_field_u64(line, "cursor")? as usize,
-            },
-            "cache_hit" => Event::CacheHit {
-                now,
-                block: block("block")?,
-            },
-            "cache_miss" => Event::CacheMiss {
-                now,
-                block: block("block")?,
-            },
-            "eviction" => Event::Eviction {
-                now,
-                block: block("block")?,
-            },
-            "fetch_issued" => Event::FetchIssued {
-                now,
-                block: block("block")?,
-                disk: disk()?,
-                demand: json_field_bool(line, "demand")?,
-                evicted: block("evicted"),
-            },
-            "write_issued" => Event::WriteIssued {
-                now,
-                block: block("block")?,
-                disk: disk()?,
-            },
-            "queue_depth" => Event::QueueDepth {
-                now,
-                disk: disk()?,
-                depth: json_field_u64(line, "depth")? as usize,
-            },
-            "fetch_started" => Event::FetchStarted {
-                now,
-                block: block("block")?,
-                disk: disk()?,
-                write: json_field_bool(line, "write")?,
-                head_cylinder: json_field_u64(line, "head_cylinder")?,
-                completes: Nanos(json_field_u64(line, "completes_ns")?),
-            },
-            "fetch_completed" => Event::FetchCompleted {
-                now,
-                block: block("block")?,
-                disk: disk()?,
-                write: json_field_bool(line, "write")?,
-                service: Nanos(json_field_u64(line, "service_ns")?),
-                response: Nanos(json_field_u64(line, "response_ns")?),
-                head_cylinder: json_field_u64(line, "head_cylinder")?,
-                depth: json_field_u64(line, "depth")? as usize,
-                // Omitted from healthy-run logs, so absent means false.
-                faulted: json_field_bool(line, "faulted").unwrap_or(false),
-            },
-            "stall_begin" => Event::StallBegin {
-                now,
-                block: block("block")?,
-            },
-            "stall_end" => Event::StallEnd {
-                now,
-                block: block("block")?,
-                stalled: Nanos(json_field_u64(line, "stalled_ns")?),
-                cause: StallCause::from_name(json_field_str(line, "cause")?)?,
-                charged: Nanos(json_field_u64(line, "charged_ns")?),
-            },
-            "fault_injected" => Event::FaultInjected {
-                now,
-                block: block("block")?,
-                disk: disk()?,
-                write: json_field_bool(line, "write")?,
-                cause: FaultCause::from_name(json_field_str(line, "cause")?)?,
-                attempt: json_field_u64(line, "attempt")? as u32,
-            },
-            "retry_issued" => Event::RetryIssued {
-                now,
-                block: block("block")?,
-                disk: disk()?,
-                attempt: json_field_u64(line, "attempt")? as u32,
-            },
-            "request_abandoned" => Event::RequestAbandoned {
-                now,
-                block: block("block")?,
-                disk: disk()?,
-                write: json_field_bool(line, "write")?,
-                attempts: json_field_u64(line, "attempts")? as u32,
-            },
-            "disk_degraded" => Event::DiskDegraded { now, disk: disk()? },
-            "disk_recovered" => Event::DiskRecovered { now, disk: disk()? },
-            _ => return None,
-        })
+    FetchCompleted "fetch_completed" {
+        block: "block", disk: "disk", write: "write", service: "service_ns",
+        response: "response_ns", head_cylinder: "head_cylinder", depth: "depth"; faulted: "faulted"
     }
-}
-
-/// Extracts the raw text after `"key":` in a flat one-line JSON object.
-/// Event lines never nest objects or escape strings, so a plain scan is
-/// an exact parse for them.
-fn json_field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)?;
-    Some(&line[at + pat.len()..])
-}
-
-fn json_field_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = json_field_raw(line, key)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_field_bool(line: &str, key: &str) -> Option<bool> {
-    let rest = json_field_raw(line, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
+    StallBegin "stall_begin" { block: "block" }
+    StallEnd "stall_end" {
+        block: "block", stalled: "stalled_ns", cause: "cause", charged: "charged_ns"
     }
-}
-
-fn json_field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = json_field_raw(line, key)?;
-    rest.strip_prefix('"')?.split('"').next()
+    FaultInjected "fault_injected" {
+        block: "block", disk: "disk", write: "write", cause: "cause", attempt: "attempt"
+    }
+    RetryIssued "retry_issued" { block: "block", disk: "disk", attempt: "attempt" }
+    RequestAbandoned "request_abandoned" {
+        block: "block", disk: "disk", write: "write", attempts: "attempts"
+    }
+    DiskDegraded "disk_degraded" { disk: "disk" }
+    DiskRecovered "disk_recovered" { disk: "disk" }
 }
 
 /// An observer of the engine's event stream.
@@ -731,11 +547,9 @@ mod tests {
         assert!(j.ends_with('}'), "{j}");
     }
 
-    #[test]
-    fn fault_events_round_trip_through_json() {
-        // The five fault events must survive JSONL serialization exactly:
-        // a degraded-run event log is only useful if it parses back.
-        let events = [
+    /// One event of each fault variant.
+    fn fault_events() -> [Event; 5] {
+        [
             Event::FaultInjected {
                 now: Nanos::from_millis(3),
                 block: BlockId(9),
@@ -765,16 +579,13 @@ mod tests {
                 now: Nanos::from_millis(7),
                 disk: DiskId(0),
             },
-        ];
-        for e in events {
-            let parsed = Event::from_json(&e.to_json());
-            assert_eq!(parsed, Some(e), "{}", e.to_json());
-        }
+        ]
     }
 
-    #[test]
-    fn every_variant_round_trips_through_json() {
-        let events = [
+    /// One event of each healthy-run variant (both shapes of the
+    /// optional fields).
+    fn core_events() -> [Event; 13] {
+        [
             Event::PolicyDecision {
                 now: Nanos(17),
                 cursor: 5,
@@ -856,13 +667,52 @@ mod tests {
                 cause: StallCause::LatePrefetch,
                 charged: Nanos(500),
             },
-        ];
-        for e in events {
+        ]
+    }
+
+    #[test]
+    fn fault_events_round_trip_through_json() {
+        // The five fault events must survive JSONL serialization exactly:
+        // a degraded-run event log is only useful if it parses back.
+        for e in fault_events() {
+            let parsed = Event::from_json(&e.to_json());
+            assert_eq!(parsed, Some(e), "{}", e.to_json());
+        }
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_json() {
+        for e in core_events() {
             let parsed = Event::from_json(&e.to_json());
             assert_eq!(parsed, Some(e), "{}", e.to_json());
         }
         assert_eq!(Event::from_json("not json"), None);
         assert_eq!(Event::from_json(r#"{"event":"nope","t_ns":1}"#), None);
+    }
+
+    #[test]
+    fn truncated_or_trailing_lines_are_rejected() {
+        for e in core_events().into_iter().chain(fault_events()) {
+            let line = e.to_json();
+            let cut = line.strip_suffix('}').unwrap();
+            assert_eq!(Event::from_json(cut), None, "{cut}");
+            let trailing = format!("{line}garbage");
+            assert_eq!(Event::from_json(&trailing), None, "{trailing}");
+        }
+    }
+
+    #[test]
+    fn times_past_two_to_the_53_round_trip_exactly() {
+        // An f64 holds u64 nanoseconds exactly only up to 2^53 (about
+        // 104 days); the reader must not go through one.
+        let e = Event::StallEnd {
+            now: Nanos((1 << 53) + 1),
+            block: BlockId(1),
+            stalled: Nanos((1 << 53) + 3),
+            cause: StallCause::NoPrefetch,
+            charged: Nanos(u64::MAX),
+        };
+        assert_eq!(Event::from_json(&e.to_json()), Some(e), "{}", e.to_json());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! row must line up column-for-column with the header, and the JSON
 //! document must carry the same numbers the report does.
 
+use parcache::core::json::{self, Json};
 use parcache::prelude::*;
 use parcache::trace::synth::synth_trace;
 
@@ -58,22 +59,24 @@ fn csv_row_round_trips_against_header() {
     assert!((elapsed - parts).abs() < 1e-5);
 }
 
-/// The JSON report carries the header's fields under the same names and
-/// one per-disk object per drive.
+/// The JSON report parses, carries every header field with the CSV
+/// row's value (same name, same printed precision), and has one per-disk
+/// object per drive.
 #[test]
 fn json_report_mirrors_csv_fields() {
     let r = sample_report();
-    let json = r.to_json();
-    for name in Report::csv_header().split(',') {
-        assert!(
-            json.contains(&format!(r#""{name}":"#)),
-            "missing {name} in {json}"
-        );
+    let doc = json::parse(&r.to_json()).expect("report JSON parses");
+    let row = r.to_csv_row();
+    for (name, csv) in Report::csv_header().split(',').zip(row.split(',')) {
+        let value = match doc.member(name) {
+            Some(Json::Str(s) | Json::Num(s)) => s,
+            other => panic!("{name}: expected a string or number, got {other:?}"),
+        };
+        assert_eq!(value, csv, "{name}");
     }
-    assert_eq!(json.matches(r#""served":"#).count(), r.disks);
-    assert!(json.starts_with('{') && json.ends_with('}'));
-    // Balanced braces and quotes: a cheap structural sanity check that
-    // catches broken hand-rolled JSON.
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert_eq!(json.matches('"').count() % 2, 0);
+    let per_disk: &[Json] = doc.get("per_disk").expect("per_disk array");
+    assert_eq!(per_disk.len(), r.disks);
+    for d in per_disk {
+        assert!(d.get::<u64>("served").is_some(), "{d:?}");
+    }
 }
