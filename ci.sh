@@ -77,7 +77,9 @@ diff "$tmp1" "$tmp2"
 # The `checked` profile is release code with every debug assertion and
 # overflow check on. Predicted hints on the paper traces reach states
 # the small fuzz traces do not (a wrong guess left behind the cursor),
-# so the whole predicted grid runs under it. A panicking cell fails the
+# and oracle hints drive forestall's no-stall certificates through the
+# paper traces' churn, so the whole grid runs under it at all four hint
+# sources. A panicking cell fails the
 # run's exit status, and a panic caught inside a run that still exits 0
 # fails the grep; either way the panic messages are printed.
 checked_run() {
@@ -85,9 +87,9 @@ checked_run() {
         || { grep panicked "$tmp2" || cat "$tmp2"; exit 1; }
     if grep panicked "$tmp2"; then exit 1; fi
 }
-echo "== checked build: predicted-hint sweep (996 cells) and differential fuzz, zero panics =="
+echo "== checked build: oracle and predicted-hint sweep (1,328 cells) and differential fuzz, zero panics =="
 cargo build --profile checked -q -p parcache-bench --bin parcache-run
-checked_run --sweep all all --hints seq,markov,mithril --threads 2
+checked_run --sweep all all --hints oracle,seq,markov,mithril --threads 2
 checked_run --fuzz 100 --differential --seed 1996 --threads 2
 
 echo "== explain sweep smoke (per-cause stall columns, audited) =="
@@ -143,12 +145,14 @@ if [ "$status" != "2" ]; then
 fi
 
 echo "== SIGKILL mid-sweep leaves no truncated artifacts =="
-# The full-grid sweep runs for tens of seconds; killing it two seconds
-# in lands long before anything is published. Invoke the binary
+# The full grid at all four hint sources (1,328 cells) runs for about
+# 17 s on a 2-vCPU host; killing it two seconds in lands long before
+# anything is published. (The oracle grid alone finishes in about 2 s,
+# too soon to be killed mid-run reliably.) Invoke the binary
 # directly (cargo run would leave the child alive when the wrapper
 # dies).
-./target/release/parcache-run --sweep --threads 2 --out "$killdir/kill.csv" \
-    > /dev/null 2>&1 &
+./target/release/parcache-run --sweep all all --hints oracle,seq,markov,mithril \
+    --threads 2 --out "$killdir/kill.csv" > /dev/null 2>&1 &
 victim=$!
 sleep 2
 kill -9 "$victim" 2> /dev/null || true

@@ -137,12 +137,12 @@ use parcache_bench::manifest::{self, SweepManifest};
 use parcache_bench::prof::{detect_parallelism, NoopProf, Prof, WallProf, WorkerStats};
 use parcache_bench::report::{explain_table, failsoft_summary};
 use parcache_bench::runner::{trace_cache_stats, TraceError};
-use parcache_bench::sweep::{self, CellRow, SweepAggregate, SweepEntry, SweepSpec};
+use parcache_bench::sweep::{self, CellRow, SweepEntry, SweepSpec};
 use parcache_bench::{breakdown_table, trace, Algo, BreakdownRow, DISK_COUNTS};
 use parcache_core::audit::{audit_rerun, AuditOutcome};
 use parcache_core::engine::{simulate, simulate_probed};
 use parcache_core::json::{self, Raw};
-use parcache_core::metrics::{MetricsProbe, RunMetrics, Unit};
+use parcache_core::metrics::{MetricsProbe, RunMetrics};
 use parcache_core::policy::PolicyKind;
 use parcache_core::predict::HintMode;
 use parcache_core::probe::{Event, Probe};
@@ -873,7 +873,7 @@ fn sweep_main<P: Prof>(
     };
     let aggregate = if !opts.json && opts.hist {
         let rows: Vec<CellRow> = run.rows().cloned().collect();
-        SweepAggregate::fold(&rows).map(|agg| agg.render_ascii())
+        sweep::aggregate(&rows).map(|agg| agg.render_ascii())
     } else {
         None
     };
@@ -1149,26 +1149,7 @@ fn bench_main<P: Prof>(opts: &Options, prof: &P) -> Result<(), CliError> {
 
 fn print_histograms(policy: &str, disks: usize, m: &RunMetrics) {
     println!("--- {policy} on {disks} disk(s) ---");
-    print!(
-        "{}",
-        m.fetch_service
-            .render_ascii("fetch service time", Unit::Millis)
-    );
-    print!(
-        "{}",
-        m.fetch_response
-            .render_ascii("fetch response time", Unit::Millis)
-    );
-    print!(
-        "{}",
-        m.stall_duration
-            .render_ascii("stall duration", Unit::Millis)
-    );
-    print!(
-        "{}",
-        m.queue_depth
-            .render_ascii("queue depth at enqueue", Unit::Count)
-    );
+    print!("{}", m.totals.render_ascii());
     println!();
 }
 

@@ -20,7 +20,7 @@ use crate::runner::{best_reverse_search, panic_message, try_trace, TraceError};
 use parcache_core::audit::{audit_rerun, AuditOutcome};
 use parcache_core::engine::{simulate_probed, Report};
 use parcache_core::json::{self, Obj, Raw};
-use parcache_core::metrics::{Counters, Histogram, MetricsProbe, RunMetrics, Unit};
+use parcache_core::metrics::{MetricsProbe, RunMetrics, RunTotals};
 use parcache_core::policy::PolicyKind;
 use parcache_core::predict::HintMode;
 use parcache_core::probe::StallCause;
@@ -571,7 +571,7 @@ impl FailSoftRun {
 ///
 /// This is the one way to run sweep cells. `probed` attaches a metrics
 /// probe to every cell, so rows carry [`RunMetrics`] (and fold into a
-/// [`SweepAggregate`]); `audited` gives every finished cell an audit
+/// sweep [`aggregate`]); `audited` gives every finished cell an audit
 /// verdict; a non-empty `faults` plan applies to every cell (its own
 /// seed stream keeps the sweep deterministic at any thread count); a
 /// `sampler` attributes each cell's allocations to its worker (see
@@ -721,76 +721,17 @@ fn cell_body(
     run_cell(cell, probed, audited, faults)
 }
 
-/// Shape-independent metrics folded across every probed cell of a sweep
-/// (cells with different array sizes cannot merge their per-disk vectors,
-/// so the aggregate keeps the global distributions and counters).
-#[derive(Debug, Clone, Default)]
-pub struct SweepAggregate {
-    /// Event counters summed over all cells.
-    pub counters: Counters,
-    /// Service times across all cells and drives (ns).
-    pub fetch_service: Histogram,
-    /// Response times across all cells and drives (ns).
-    pub fetch_response: Histogram,
-    /// Stall durations across all cells (ns).
-    pub stall_duration: Histogram,
-    /// Queue depths at enqueue across all cells and drives.
-    pub queue_depth: Histogram,
-}
-
-impl SweepAggregate {
-    /// Folds the probed outcomes (in the order given — callers pass
-    /// cell-index order for deterministic output). Returns `None` when no
-    /// outcome carries metrics.
-    pub fn fold(outcomes: &[CellRow]) -> Option<SweepAggregate> {
-        let mut agg: Option<SweepAggregate> = None;
-        for m in outcomes.iter().filter_map(|o| o.metrics.as_ref()) {
-            let a = agg.get_or_insert_with(SweepAggregate::default);
-            a.counters.merge(&m.counters);
-            a.fetch_service.merge(&m.fetch_service);
-            a.fetch_response.merge(&m.fetch_response);
-            a.stall_duration.merge(&m.stall_duration);
-            a.queue_depth.merge(&m.queue_depth);
-        }
-        agg
+/// The run-wide totals folded over the probed outcomes (in the order
+/// given — callers pass cell-index order for deterministic output), or
+/// `None` when no outcome carries metrics. Cells with different array
+/// sizes cannot merge their per-disk vectors, so a sweep aggregates the
+/// counters and the array-wide distributions only.
+pub fn aggregate(outcomes: &[CellRow]) -> Option<RunTotals> {
+    let mut agg: Option<RunTotals> = None;
+    for m in outcomes.iter().filter_map(|o| o.metrics.as_ref()) {
+        agg.get_or_insert_with(RunTotals::default).merge(&m.totals);
     }
-
-    /// ASCII rendering of the aggregate distributions.
-    pub fn render_ascii(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .fetch_service
-                .render_ascii("fetch service time", Unit::Millis),
-        );
-        out.push_str(
-            &self
-                .fetch_response
-                .render_ascii("fetch response time", Unit::Millis),
-        );
-        out.push_str(
-            &self
-                .stall_duration
-                .render_ascii("stall duration", Unit::Millis),
-        );
-        out.push_str(
-            &self
-                .queue_depth
-                .render_ascii("queue depth at enqueue", Unit::Count),
-        );
-        out
-    }
-
-    /// The aggregate as a JSON object.
-    pub fn to_json(&self) -> String {
-        json::object()
-            .field("counters", Raw(self.counters.to_json()))
-            .field("fetch_service_ns", Raw(self.fetch_service.to_json()))
-            .field("fetch_response_ns", Raw(self.fetch_response.to_json()))
-            .field("stall_ns", Raw(self.stall_duration.to_json()))
-            .field("queue_depth", Raw(self.queue_depth.to_json()))
-            .finish()
-    }
+    agg
 }
 
 /// The column gates of a sweep CSV document: which optional column
@@ -924,10 +865,7 @@ pub fn sweep_json(outcomes: &[CellRow]) -> String {
         .map(|o| run_json(&o.report, o.metrics.as_ref()));
     json::object()
         .array("cells", cells)
-        .opt(
-            "aggregate",
-            SweepAggregate::fold(outcomes).map(|a| Raw(a.to_json())),
-        )
+        .opt("aggregate", aggregate(outcomes).map(|a| Raw(a.to_json())))
         .finish()
 }
 

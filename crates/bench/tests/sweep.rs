@@ -107,7 +107,7 @@ fn probed_sweep_reports_match_unprobed_and_carry_metrics() {
         assert_eq!(a.report, b.report);
         assert!(a.metrics.is_none());
         let m = b.metrics.as_ref().expect("probed cells carry metrics");
-        assert_eq!(m.counters.fetches_issued, b.report.fetches);
+        assert_eq!(m.totals.counters.fetches_issued, b.report.fetches);
         assert_eq!(m.per_disk.len(), b.cell.disks);
     }
 }

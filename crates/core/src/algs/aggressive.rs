@@ -99,10 +99,9 @@ pub(crate) fn fill_free_disk_batches(
                 Some((victim, key)) if key > pos => {
                     ctx.issue_fetch_idx(idx, Some(victim));
                 }
-                // The rule disallows any further fetch: every remaining
-                // candidate's position is even later... no — later
-                // candidates have *larger* pos, making the rule strictly
-                // harder to satisfy. Stop entirely.
+                // The rule forbids this fetch. Every remaining candidate
+                // has a larger `pos`, so the furthest resident, which did
+                // not beat this one, cannot beat them either. Stop.
                 _ => return,
             }
         }

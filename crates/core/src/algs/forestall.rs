@@ -44,147 +44,301 @@ const DEFAULT_FETCH: Nanos = Nanos::from_millis(15);
 /// a disk with no fetch history at all).
 const COLD_COMPUTE_FLOOR: Nanos = Nanos::from_millis(1);
 
-/// A cached stall-prediction verdict for one disk, carrying the
-/// certificate that re-validates it against everything that can move
-/// between decisions: the cursor, F', and the disk's missing set.
-///
-/// The two variants are invalidated by *opposite* halves of the missing
-/// set's churn, which is what makes the cache survive the steady state:
+/// Most insertions below the scan's window edge one FALSE certificate
+/// absorbs before the scan is redone. Each adds a point checked on its
+/// own and one rank to every later entry, so the certificate weakens
+/// with each; a handful covers the evictions of a fetch batch.
+const INSIDE_CAP: usize = 4;
+
+/// A cached stall-prediction verdict for one disk. The two verdicts are
+/// invalidated by *opposite* halves of the missing set's churn, which is
+/// what makes the cache survive the steady state:
 ///
 /// * A TRUE verdict is insensitive to insertions — more missing blocks
 ///   only strengthen a stall (the trigger entry's rank can only grow,
 ///   and `rank * F' >= d` holds a fortiori). It is keyed on the disk's
 ///   *removal* epoch alone.
-/// * A FALSE verdict is insensitive to removals — for any subset of the
-///   scanned entries every rank can only shrink, so `rank * F' < d`
-///   keeps holding, and both tail arguments (the position-count bound
-///   and the first-entry-past-the-window bound) are monotone the right
-///   way. It is keyed on the disk's *insertion* epoch, and even then an
-///   insertion at or beyond `guard` (past every window the certificate
-///   covers) is provably harmless — the tracker's recent-insert ring
-///   lets the verdict survive those too.
+/// * A FALSE verdict is insensitive to removals — every rank can only
+///   shrink, so `rank * F' < d` keeps holding. Its certificate
+///   ([`NoStall`]) absorbs insertions too, one by one from the tracker's
+///   recent-insert ring, and turns removals at the window's front into
+///   more slack.
 #[derive(Debug, Clone, Copy)]
 enum Verdict {
     /// The scan found a trigger: the `index`-th missing entry in the
-    /// window sits at position `pos`. With no removals since, no entry
-    /// at or below `pos` was consumed, so `pos >= cursor`, the entry's
-    /// rank is at least `index`, and the exact trigger test re-runs in
-    /// O(1) against the current cursor and F'.
-    True { index: u64, pos: usize },
-    /// The scan proved no trigger exists (see [`NoStall`]).
-    False(NoStall),
+    /// window sits at position `pos`, with the disk's removal epoch at
+    /// `epoch`. With no removals since, no entry at or below `pos` was
+    /// consumed, so the entry's rank is at least `index`, and the exact
+    /// trigger test re-runs in O(1) against the current cursor and F'.
+    Stall { epoch: u64, index: u64, pos: usize },
+    /// The scan proved no trigger exists; the disk's [`NoStall`] holds
+    /// the certificate, which has absorbed every insertion up to
+    /// insertion epoch `ins_epoch`.
+    NoStall { ins_epoch: u64 },
 }
 
-/// The certificate of a FALSE scan at cursor `cursor` under F' =
-/// `f_scan`. It covers every cursor advance `delta <= delta_scan`:
+/// The certificate of a FALSE scan at cursor `c0 = cursor` under F' =
+/// `f_scan`, with the state it keeps to absorb the missing set's churn.
 ///
-/// * for any `F' <= f_scan` outright, the predicate being monotone in F';
-/// * for any larger F' after two exact checks ([`NoStall::covers`]): the
-///   scanned prefix against the lower convex hull of its `(rank,
-///   distance)` points, which the policy keeps per disk, and the tail
-///   against its count bound.
+/// The scan left `R` entries in its window `[c0, window_end)`, the
+/// `j`-th (1-based) at distance `d_j = dist[j - 1]` from `c0`, and `p*`,
+/// the first missing position at or past `window_end`. Since then, at
+/// cursor `c = c0 + delta`:
 ///
-/// Insertions at or beyond `guard = cursor + window + delta_scan` cannot
-/// reach any covered window and leave the certificate intact.
-#[derive(Debug, Clone, Copy)]
+/// * the first `k = dropped` scanned entries have left the window (the
+///   first missing position at or past `c` lies beyond them);
+/// * `m = inside.len()` insertions landed in `[c, window_end)`;
+/// * every insertion at or past `window_end` was folded into `tail`,
+///   which stays the least missing position there.
+///
+/// Every missing position in the current window is then a surviving
+/// scanned entry, an inside insertion or a tail entry, so with ranks
+/// counted from `c` (positions are distinct):
+///
+/// * a surviving entry `j > k` has rank at most `j - k + m`;
+/// * an inside insertion `x` with `b` scanned entries below it has rank
+///   at most `max(b - k, 0) + m`;
+/// * a tail entry at window distance `e` has rank at most
+///   `(R - k + m + 1) + (e + delta - (p* - c0))`, whose no-trigger
+///   slack is worst at the far edge `e = far`: the whole tail is clear
+///   while `(a* + delta) * F' < far` with
+///   `a* = (R - k + m + 1) - ((p* - c0) - far)` clamped at zero, and no
+///   tail entry is even in the window while `delta <= p* - window_end`.
+///
+/// [`NoStall::max_advance`] turns these bounds into the largest covered
+/// `delta` at a given F'. `fast` caches it at `f_scan`, which covers
+/// every `F' <= f_scan` (the predicate is monotone in F') in O(1).
+#[derive(Debug, Default)]
 struct NoStall {
+    /// The scan's cursor `c0`.
     cursor: usize,
-    f_scan: f64,
-    delta_scan: u64,
-    guard: usize,
+    /// `c0 + window`: the scan's window edge.
+    window_end: usize,
     /// The window's far edge, `window - 1`.
     far: u64,
-    /// The missing entries past the scanned prefix; `None` when there
-    /// are none on the disk.
-    tail: Option<Tail>,
-}
-
-/// The tail past a FALSE scan's prefix, anchored at `p*`, the first
-/// missing position at or past the scan's window edge. It is
-/// trigger-free at advance `delta` and factor F' while `delta <= enter`
-/// (nothing has entered the window yet) or `(anchor + delta) * F' < far`
-/// (the count bound; see [`scan_certified`]).
-#[derive(Debug, Clone, Copy)]
-struct Tail {
-    /// `p* - window_end`.
-    enter: u64,
-    /// `a* = (R + 1) - ((p* - cursor) - far)`, clamped at zero.
-    anchor: u64,
+    /// The F' the scan ran under.
+    f_scan: f64,
+    /// The largest covered advance at any `F' <= f_scan` for the current
+    /// state; `None` when not even the scan's cursor is covered.
+    fast: Option<u64>,
+    /// The scanned entries' distances from `c0`, by rank.
+    dist: Vec<u64>,
+    /// `k`: how many leading scanned entries have left the window.
+    dropped: usize,
+    /// Insertions in `[c, window_end)` since the scan, each with the
+    /// number of scanned entries below it.
+    inside: Vec<(usize, usize)>,
+    /// `p*`: the least missing position at or past `window_end`, over
+    /// the scan's tail and every insertion there since.
+    tail: Option<usize>,
+    /// The lower hull of the surviving scanned entries.
+    hull: SuffixHull,
 }
 
 impl NoStall {
-    /// Whether the certificate proves that no missing entry of the
-    /// current window triggers at `cursor` under `f_prime`, given
-    /// `hull`, the lower hull the scan left, and a missing set changed
-    /// since only by removals and by insertions at or beyond `guard`.
-    fn covers(&self, hull: &[(u64, u64)], cursor: usize, f_prime: f64) -> bool {
+    /// Whether the certificate still proves that no missing entry of the
+    /// current window triggers at `cursor` under `f`, after absorbing
+    /// `inserted` (every position inserted on the disk since the last
+    /// call). `first_missing(c)` is the disk's first missing position at
+    /// or past `c`. A `false` leaves the certificate unusable.
+    fn covers(
+        &mut self,
+        inserted: impl IntoIterator<Item = usize>,
+        first_missing: impl FnOnce(usize) -> Option<usize>,
+        cursor: usize,
+        f: f64,
+    ) -> bool {
         debug_assert!(cursor >= self.cursor, "cursor moved backwards");
         let delta = (cursor - self.cursor) as u64;
-        if delta > self.delta_scan {
-            return false;
+        // An insertion at or past `guard` cannot lower `fast`: its own
+        // tail bound `x - window_end` already reaches past it.
+        let guard = self
+            .fast
+            .map_or(0, |d| usize::try_from(d).unwrap_or(usize::MAX))
+            .saturating_add(self.window_end);
+        let mut stale = false;
+        for x in inserted {
+            if x >= self.window_end {
+                stale |= x < guard;
+                self.tail = Some(self.tail.map_or(x, |p| p.min(x)));
+            } else if x >= cursor {
+                if self.inside.len() == INSIDE_CAP {
+                    return false;
+                }
+                let below = self.entries_below(x);
+                self.inside.push((x, below));
+                stale = true;
+            }
         }
-        if f_prime <= self.f_scan {
+        if stale {
+            self.fast = self.max_advance(self.f_scan);
+        }
+        if self.advance_covered(delta, f) {
             return true;
         }
-        let tail_clear = self.tail.is_none_or(|t| {
-            delta <= t.enter
-                || scaled_cmp(u128::from(t.anchor) + u128::from(delta), f_prime, self.far)
-                    == Ordering::Less
-        });
-        tail_clear && prefix_clear(hull, delta, f_prime)
+        // Front removals: the scanned entries below the first missing
+        // position at or past the cursor have left the window, and so
+        // have inside insertions the cursor has passed. Either only
+        // adds slack.
+        let k = first_missing(cursor).map_or(self.dist.len(), |q| self.entries_below(q));
+        let live = self.inside.len();
+        self.inside.retain(|&(x, _)| x >= cursor);
+        if k <= self.dropped && self.inside.len() == live {
+            return false;
+        }
+        if k > self.dropped {
+            self.hull.drop_front(self.dropped, k);
+            self.dropped = k;
+        }
+        self.fast = self.max_advance(self.f_scan);
+        self.advance_covered(delta, f)
     }
-}
 
-/// Whether every scanned prefix entry `(i, d_i)` still satisfies
-/// `delta + i * f < d_i`. The region of `(delta, f)` where that holds is
-/// fixed by the lower convex hull of the points: `min_i (d_i - i * f)`
-/// is attained at the hull vertex whose incoming edge is no steeper than
-/// `f` and whose outgoing edge is steeper. Edge slopes increase along
-/// the hull, so a binary search finds that vertex; both the slope
-/// comparisons and the final check are exact (`scaled_cmp`). An empty
-/// hull (no entry in the window) is trivially clear.
-fn prefix_clear(hull: &[(u64, u64)], delta: u64, f: f64) -> bool {
-    // The number of edges whose slope `dd / di` is at most `f`.
-    let (mut lo, mut hi) = (0, hull.len().saturating_sub(1));
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        let ((i0, d0), (i1, d1)) = (hull[mid], hull[mid + 1]);
-        if scaled_cmp(u128::from(i1 - i0), f, d1 - d0) != Ordering::Less {
-            lo = mid + 1;
+    /// Whether advance `delta` is covered at `f` in the current state.
+    fn advance_covered(&mut self, delta: u64, f: f64) -> bool {
+        let reach = if f <= self.f_scan {
+            self.fast
         } else {
-            hi = mid;
-        }
+            self.max_advance(f)
+        };
+        reach.is_some_and(|r| delta <= r)
     }
-    hull.get(lo).is_none_or(|&(i, d)| {
-        d.checked_sub(delta)
-            .is_some_and(|room| scaled_cmp(u128::from(i), f, room) == Ordering::Less)
-    })
+
+    /// The number of scanned entries at positions below `pos >= c0`.
+    fn entries_below(&self, pos: usize) -> usize {
+        let distance = (pos - self.cursor) as u64;
+        self.dist.partition_point(|&d| d < distance)
+    }
+
+    /// The largest advance `delta` for which every bound in [`NoStall`]
+    /// stays clear under `f`, or `None` when even `delta = 0` fails.
+    /// Exact for the bounds: the prefix's minimum of `d_j - rank_j * f`
+    /// sits at a vertex of its lower hull, and for integers `delta + x <
+    /// d` holds iff `delta <= d - 1 - floor(x)`.
+    fn max_advance(&mut self, f: f64) -> Option<u64> {
+        let m = self.inside.len() as u64;
+        let k = self.dropped;
+        let mut reach = u64::MAX;
+        if k < self.dist.len() {
+            if !self.hull.built {
+                self.hull.build(&self.dist, k);
+            }
+            let j = self.hull.min_vertex(&self.dist, f);
+            reach = slack((j - k) as u64 + 1 + m, f, self.dist[j])?;
+        }
+        for &(x, below) in &self.inside {
+            let rank = below.saturating_sub(k) as u64 + m;
+            reach = reach.min(slack(rank, f, (x - self.cursor) as u64)?);
+        }
+        Some(reach.min(self.tail_reach(f)))
+    }
+
+    /// The tail's covered advance under `f` (see [`NoStall`]).
+    fn tail_reach(&self, f: f64) -> u64 {
+        self.tail.map_or(u64::MAX, |p| {
+            let enter = (p - self.window_end) as u64;
+            let live = (self.dist.len() - self.dropped + self.inside.len()) as u64;
+            let anchor = (live + 1).saturating_sub((p - self.cursor) as u64 - self.far);
+            // With `anchor > quota` the count bound never holds, and
+            // `enter >= 0` dominates the saturated zero.
+            scaled_quota(f, self.far).saturating_sub(anchor).max(enter)
+        })
+    }
 }
 
-/// Appends `(rank, distance)` to the lower convex hull of the points
-/// before it. Ranks and distances both ascend, so every difference is
-/// positive; the middle of the last three points is dropped unless its
-/// incoming edge is strictly shallower than the new outgoing one.
+/// The largest `delta` with `delta + rank * f < d`, or `None` when
+/// `rank * f >= d` already.
 #[inline]
-fn push_lower_hull(hull: &mut Vec<(u64, u64)>, p: (u64, u64)) {
-    while let [.., (ia, da), (ib, db)] = hull[..] {
-        let left = u128::from(db - da) * u128::from(p.0 - ib);
-        let right = u128::from(p.1 - db) * u128::from(ib - ia);
-        if left < right {
-            break;
-        }
-        hull.pop();
-    }
-    hull.push(p);
+fn slack(rank: u64, f: f64, d: u64) -> Option<u64> {
+    let floor = scaled_floor(u128::from(rank), f)?;
+    (floor < u128::from(d)).then(|| d - 1 - floor as u64)
 }
 
-/// A [`Verdict`] tied to the missing-set epoch it was derived from:
-/// the disk's removal epoch for TRUE, insertion epoch for FALSE (see
-/// [`Verdict`] for why each direction is the harmless one).
-#[derive(Debug, Clone, Copy)]
-struct CachedPrediction {
-    epoch: u64,
-    verdict: Verdict,
+/// The lower convex hull of `(rank, distance)` points `dist[from..]`
+/// (rank `j + 1` at index `j`), built right to left so that dropping the
+/// leftmost point is an undo: each push logs the points it popped, and
+/// dropping the point restores them. Every point is popped and restored
+/// at most once, so all drops together cost O(n).
+#[derive(Debug, Default)]
+struct SuffixHull {
+    /// Whether `stack` holds the hull of the certificate's points.
+    built: bool,
+    /// Hull vertices as indexes into `dist`, rightmost first: the top is
+    /// the leftmost surviving point.
+    stack: Vec<usize>,
+    /// The points popped by each push, in popping order.
+    undo: Vec<usize>,
+    /// `marks[j]`: the length of `undo` before `j` was pushed.
+    marks: Vec<usize>,
+}
+
+impl SuffixHull {
+    fn build(&mut self, dist: &[u64], from: usize) {
+        self.stack.clear();
+        self.undo.clear();
+        self.marks.resize(dist.len(), 0);
+        for j in (from..dist.len()).rev() {
+            self.marks[j] = self.undo.len();
+            // Distances ascend with rank, so every difference is
+            // positive. The top `a` stays only if its edge from `j` is
+            // strictly shallower than its edge to `b`.
+            while let [.., b, a] = self.stack[..] {
+                let left = u128::from(dist[a] - dist[j]) * (b - a) as u128;
+                let right = u128::from(dist[b] - dist[a]) * (a - j) as u128;
+                if left < right {
+                    break;
+                }
+                self.undo.push(a);
+                self.stack.pop();
+            }
+            self.stack.push(j);
+        }
+        self.built = true;
+    }
+
+    /// Drops the points `from..to` (the leftmost surviving ones): undoes
+    /// their pushes, last pushed first.
+    fn drop_front(&mut self, from: usize, to: usize) {
+        if !self.built {
+            return;
+        }
+        for j in from..to {
+            let top = self.stack.pop();
+            debug_assert_eq!(top, Some(j), "the leftmost point is the top");
+            let mark = self.marks[j];
+            while self.undo.len() > mark {
+                let a = self.undo.pop().expect("undo entries past the mark");
+                self.stack.push(a);
+            }
+        }
+    }
+
+    /// The vertex minimizing `d_j - j * f`: edge slopes increase along
+    /// the hull, so it follows the last edge whose slope `dd / dj` is at
+    /// most `f`, found by binary search with exact comparisons.
+    fn min_vertex(&self, dist: &[u64], f: f64) -> usize {
+        let n = self.stack.len();
+        let at = |i: usize| self.stack[n - 1 - i];
+        let (mut lo, mut hi) = (0, n - 1);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let (j0, j1) = (at(mid), at(mid + 1));
+            if scaled_cmp((j1 - j0) as u128, f, dist[j1] - dist[j0]) != Ordering::Less {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        at(lo)
+    }
+}
+
+/// One disk's incremental predictor: the cached verdict and the FALSE
+/// certificate's state, whose buffers every scan reuses.
+#[derive(Debug, Default)]
+struct DiskPredictor {
+    verdict: Option<Verdict>,
+    cert: NoStall,
 }
 
 /// The forestall policy.
@@ -196,10 +350,7 @@ pub struct Forestall {
     static_multiplier: Option<f64>,
     scratch: BatchScratch,
     /// Per-disk cached stall verdicts (the incremental predictor).
-    preds: Vec<Option<CachedPrediction>>,
-    /// Per-disk lower hull of the last FALSE scan's prefix (see
-    /// [`NoStall`]), a buffer each scan reuses.
-    hulls: Vec<Vec<(u64, u64)>>,
+    preds: Vec<DiskPredictor>,
     /// Force the naive full-rescan predictor (differential fuzzing).
     naive: bool,
 }
@@ -212,8 +363,9 @@ impl Forestall {
             horizon_rule: FixedHorizon::new(config.horizon),
             static_multiplier: config.forestall_static_f,
             scratch: BatchScratch::default(),
-            preds: vec![None; config.disks],
-            hulls: vec![Vec::new(); config.disks],
+            preds: (0..config.disks)
+                .map(|_| DiskPredictor::default())
+                .collect(),
             naive: config.forestall_naive_scan,
         }
     }
@@ -239,15 +391,14 @@ impl Forestall {
     /// stall on some missing block of `disk`: exists i with `i * F' >= d_i`.
     ///
     /// Incremental: the verdict of the last full scan is cached per disk
-    /// with a certificate ([`Verdict`]) and an epoch of the disk's
-    /// missing set. A call first tries to re-validate the cached verdict
-    /// (O(1), or O(log n) in the hull for a FALSE verdict under a larger
-    /// F'); only when the certificate no longer covers the current
-    /// (cursor, F') — or the missing set mutated — does the full
-    /// [`scan_certified`] rescan run. Byte-identity with the naive scan
-    /// holds by construction (each certificate implies the naive scan's
-    /// answer exactly) and is re-checked here by a `debug_assert!`
-    /// oracle on every verdict.
+    /// ([`Verdict`]). A call first tries to re-validate it — O(1) for a
+    /// TRUE verdict or a FALSE one at `F' <= f_scan`, O(log n) in the
+    /// hull otherwise, after absorbing the insertions since the last
+    /// call — and only when that fails does the full [`scan_certified`]
+    /// rescan run. Byte-identity with the naive scan holds by
+    /// construction (each certificate implies the naive scan's answer)
+    /// and is re-checked here by a `debug_assert!` oracle on every
+    /// verdict.
     fn stall_predicted(&mut self, ctx: &Ctx<'_>, disk: usize) -> bool {
         let f_prime = self.f_prime(ctx, disk);
         if self.naive {
@@ -255,60 +406,67 @@ impl Forestall {
         }
         let cursor = ctx.cursor;
         let missing = ctx.missing();
-        if let Some(p) = self.preds[disk].as_mut() {
-            match p.verdict {
-                Verdict::True { index, pos } => {
-                    // No removal means the entry was not consumed, and
-                    // insertions since can only have grown its rank past
-                    // `index`. Under exact hints the cursor reaching the
-                    // entry would have fetched it, so `pos >= cursor`.
-                    // A predicted hint can be a wrong guess the cursor
-                    // passes without fetching, which leaves the entry
-                    // behind the cursor: the certificate then fails and
-                    // the scan decides.
-                    if missing.rem_epoch(disk) == p.epoch
-                        && pos >= cursor
-                        && scaled_cmp(u128::from(index), f_prime, (pos - cursor) as u64)
-                            != Ordering::Less
-                    {
-                        debug_assert!(naive_scan(ctx, disk, f_prime));
-                        return true;
-                    }
-                }
-                Verdict::False(cert) => {
-                    if cert.covers(&self.hulls[disk], cursor, f_prime) {
-                        let ins_now = missing.ins_epoch(disk);
-                        if ins_now == p.epoch
-                            || missing.inserts_all_at_or_beyond(disk, p.epoch, cert.guard)
-                                == Some(true)
-                        {
-                            // Every insertion since the scan landed past
-                            // all covered windows; re-arm the epoch so
-                            // the ring only ever needs to cover the
-                            // insertions since the *previous* call.
-                            p.epoch = ins_now;
-                            debug_assert!(!naive_scan(ctx, disk, f_prime));
-                            return false;
-                        }
-                    }
+        let p = &mut self.preds[disk];
+        match p.verdict {
+            // No removal means the entry was not consumed, and
+            // insertions since can only have grown its rank past `index`.
+            // Under exact hints the cursor reaching the entry would have
+            // fetched it, so `pos >= cursor`. A predicted hint can be a
+            // wrong guess the cursor passes without fetching, which
+            // leaves the entry behind the cursor: the certificate then
+            // fails and the scan decides.
+            Some(Verdict::Stall { epoch, index, pos })
+                if missing.rem_epoch(disk) == epoch
+                    && pos >= cursor
+                    && scaled_cmp(u128::from(index), f_prime, (pos - cursor) as u64)
+                        != Ordering::Less =>
+            {
+                debug_assert!(naive_scan(ctx, disk, f_prime));
+                return true;
+            }
+            Some(Verdict::NoStall { ins_epoch }) => {
+                let covered = missing
+                    .inserts_since(disk, ins_epoch)
+                    .is_some_and(|inserted| {
+                        p.cert.covers(
+                            inserted,
+                            |from| missing.first_missing_on_disk(disk, from),
+                            cursor,
+                            f_prime,
+                        )
+                    });
+                if covered {
+                    // Every insertion so far is absorbed; the ring only
+                    // ever needs to hold those since the previous call.
+                    p.verdict = Some(Verdict::NoStall {
+                        ins_epoch: missing.ins_epoch(disk),
+                    });
+                    debug_assert!(!naive_scan(ctx, disk, f_prime));
+                    return false;
                 }
             }
+            _ => {}
         }
         let window = LOOKAHEAD_CACHES * ctx.cache.capacity();
-        let verdict = scan_certified(
+        let trigger = scan_certified(
             missing.missing_on_disk_from(disk, cursor),
             cursor,
             window,
             f_prime,
-            &mut self.hulls[disk],
+            &mut p.cert,
         );
-        let (predicted, epoch) = match verdict {
-            Verdict::True { .. } => (true, missing.rem_epoch(disk)),
-            Verdict::False(_) => (false, missing.ins_epoch(disk)),
-        };
-        debug_assert_eq!(predicted, naive_scan(ctx, disk, f_prime));
-        self.preds[disk] = Some(CachedPrediction { epoch, verdict });
-        predicted
+        p.verdict = Some(match trigger {
+            Some((index, pos)) => Verdict::Stall {
+                epoch: missing.rem_epoch(disk),
+                index,
+                pos,
+            },
+            None => Verdict::NoStall {
+                ins_epoch: missing.ins_epoch(disk),
+            },
+        });
+        debug_assert_eq!(trigger.is_some(), naive_scan(ctx, disk, f_prime));
+        trigger.is_some()
     }
 }
 
@@ -368,65 +526,44 @@ fn naive_verdict(
 }
 
 /// The full scan over `positions` (the disk's missing positions from
-/// `cursor` on, ascending), deriving the [`Verdict`] certificate the
-/// incremental cache stores and leaving the prefix's lower hull in
-/// `hull`. Its answer is byte-identical to [`naive_scan`]'s: the trigger
-/// tests decide exactly as `scaled_cmp` on the same entries in the same
-/// order, and the one place the control flow differs — naive's early
-/// exit — is itself a proof that no later entry can trigger, so scanning
-/// past it can never flip the verdict. Scanning the whole window is
-/// deliberate: anchoring the tail bound at the *last* real entry instead
-/// of the early-exit entry is what gives the FALSE certificate a useful
-/// advance slack (the early-exit anchor assumes a densely packed tail
-/// and its slack degenerates to ~0).
+/// `cursor` on, ascending). Returns the trigger's `(rank, position)`, or
+/// `None` after resetting `cert` to the FALSE certificate of this scan
+/// (see [`NoStall`]). Its answer is byte-identical to [`naive_scan`]'s:
+/// the trigger tests decide exactly as `scaled_cmp` on the same entries
+/// in the same order, and the one place the control flow differs —
+/// naive's early exit — is itself a proof that no later entry can
+/// trigger, so scanning past it can never flip the verdict. Scanning
+/// the whole window is deliberate: anchoring the tail bound at the
+/// *last* real entry instead of the early-exit entry is what gives the
+/// FALSE certificate a useful advance slack (the early-exit anchor
+/// assumes a densely packed tail and its slack degenerates to ~0).
 ///
 /// The trigger `rank * F' >= distance` is decided by two fixed-point
 /// accumulators that bracket `rank * F' * 2^32` (see
 /// [`fixed_point_bracket`]), one step added per entry; only when the
 /// bracket straddles `distance * 2^32` does the exact `scaled_cmp` run.
-///
-/// Certificate soundness, with the disk's missing set fixed (enforced by
-/// the epoch) and `delta` the cursor advance since the scan:
-///
-/// * Positions only leave the window by being consumed, which mutates
-///   the set — so the scanned entries keep both their positions and
-///   their 1-based indexes, and new entries appear only past the old
-///   window's far edge.
-/// * *Prefix*: for a scanned entry `i` at distance `d_i`, the no-trigger
-///   condition at the advanced cursor is `delta + i * F' < d_i`. Since
-///   `floor(x) <= N - 1  <=>  x < N` for integer `N`, this holds at
-///   `F' = f_scan` while `delta <= d_i - 1 - floor(i * f_scan)`; the
-///   upper accumulator bounds the floor from above, so the slack is
-///   conservative. For a larger F' the lower hull decides exactly
-///   ([`prefix_clear`]).
-/// * *Tail*: entries past the scanned prefix all sit at or beyond `p*`,
-///   the first missing position at or past the old window edge. One at
-///   advanced-window distance `d` has rank `j <= (R + 1) + (d + delta -
-///   (p* - cursor))` with `R` the scanned count (positions are
-///   distinct), and the no-trigger slack of that claim is worst at the
-///   edge `d = far`, so the whole tail is trigger-free while
-///   `(a* + delta) * F' < far`, with `a* = (R + 1) - ((p* - cursor) -
-///   far)` (clamped at zero — a negative anchor only adds slack).
-///   Independently, no tail entry even enters the window while
-///   `delta <= p* - window_end`; both arguments are valid, so the tail
-///   slack at `f_scan` is their max. With no `p*` the tail is empty.
+/// The scan only records each entry's distance and the running minimum
+/// of its advance slack at `F' = f_scan`: entry `i` stays clear while
+/// `delta + i * f_scan < d_i`, that is `delta <= d_i - 1 - floor(i *
+/// f_scan)`, and the upper accumulator bounds the floor from above, so
+/// the slack is conservative. The hull a larger F' or a churned set
+/// needs is built only when a check first asks for it.
 fn scan_certified(
     positions: impl IntoIterator<Item = usize>,
     cursor: usize,
     window: usize,
     f_prime: f64,
-    hull: &mut Vec<(u64, u64)>,
-) -> Verdict {
+    cert: &mut NoStall,
+) -> Option<(u64, usize)> {
     let window_end = cursor.saturating_add(window);
-    let far = (window - 1) as u64;
     let (lo_step, hi_step) = fixed_point_bracket(f_prime);
     let (mut lo, mut hi) = (0u128, 0u128);
     // Running minimum of the per-entry advance slacks under `f_prime`.
-    let mut delta_scan = u64::MAX;
+    let mut reach = u64::MAX;
     let mut rank = 0u64;
     // First missing position at or past the window edge: the tail anchor.
     let mut p_star = None;
-    hull.clear();
+    cert.dist.clear();
     for pos in positions {
         if pos >= window_end {
             p_star = Some(pos);
@@ -438,29 +575,25 @@ fn scan_certified(
         let distance = (pos - cursor) as u64;
         // The paper's trigger, byte-identical to [`naive_scan`]'s.
         if fixed_point_trigger(lo, hi, rank, f_prime, distance) {
-            return Verdict::True { index: rank, pos };
+            return Some((rank, pos));
         }
         // No trigger, so `distance >= 1`, and the slack saturates at
         // zero rather than wrapping.
         let floor_ub = u64::try_from(hi >> 32).unwrap_or(u64::MAX);
-        delta_scan = delta_scan.min((distance - 1).saturating_sub(floor_ub));
-        push_lower_hull(hull, (rank, distance));
+        reach = reach.min((distance - 1).saturating_sub(floor_ub));
+        cert.dist.push(distance);
     }
-    let tail = p_star.map(|p| {
-        let enter = (p - window_end) as u64;
-        let anchor = (rank + 1).saturating_sub((p - cursor) as u64 - far);
-        delta_scan = delta_scan.min(scaled_quota(f_prime, far).saturating_sub(anchor).max(enter));
-        Tail { enter, anchor }
-    });
-    let guard = window_end.saturating_add(usize::try_from(delta_scan).unwrap_or(usize::MAX));
-    Verdict::False(NoStall {
-        cursor,
-        f_scan: f_prime,
-        delta_scan,
-        guard,
-        far,
-        tail,
-    })
+    cert.cursor = cursor;
+    cert.window_end = window_end;
+    // `window >= 2`: the cache holds at least one block.
+    cert.far = (window - 1) as u64;
+    cert.f_scan = f_prime;
+    cert.dropped = 0;
+    cert.inside.clear();
+    cert.tail = p_star;
+    cert.hull.built = false;
+    cert.fast = Some(reach.min(cert.tail_reach(f_prime)));
+    None
 }
 
 /// Whether `rank * f >= distance`, exactly, given `lo <= rank * f * 2^32
@@ -538,13 +671,12 @@ fn scaled_cmp(a: u128, f: f64, b: u64) -> Ordering {
 }
 
 /// Exact `floor(a * f)` for finite `f >= 1.0`, or `None` when the
-/// product exceeds `u128`: the spec the scan's upper accumulator bounds
-/// from above.
+/// product exceeds `u128`: the slack of a certificate's bounds, and the
+/// spec the scan's upper accumulator bounds from above.
 ///
 /// Same IEEE-754 decomposition as [`scaled_cmp`]: `f = m * 2^e` with
 /// `2^52 <= m < 2^53`, so `a * f = (a * m) * 2^e` and the floor is a
 /// single shift of the exact `u128` product.
-#[cfg(test)]
 fn scaled_floor(a: u128, f: f64) -> Option<u128> {
     let (m, exp) = decompose(f);
     let prod = a.checked_mul(m)?;
@@ -864,18 +996,24 @@ mod tests {
     fn cached_no_stall_certificates_imply_the_naive_verdict() {
         // The FALSE certificate's spec: whenever it re-validates at an
         // advanced cursor and a new F', the naive scan there must find
-        // no trigger. Between scan and check the missing set loses
-        // random entries and gains entries at or beyond `guard` only
-        // (the two changes the predictor lets through), and F' moves up
-        // and down, including the dynamic rule's 4x jump.
+        // no trigger. Each certificate is re-checked over a run of
+        // advances, as the predictor re-checks it, until it fails.
+        // Between checks the missing set churns the ways a run churns
+        // it: the first entries at the cursor go (as fetches take them)
+        // and random others too; positions are inserted inside the
+        // scanned window, between its edge and the scan-time guard
+        // `window_end + fast`, and past that guard, some of them
+        // re-inserting a removed entry. F' moves up and down, including
+        // the dynamic rule's 4x jump.
         use std::collections::BTreeSet;
         let mut rng = parcache_types::rng::Rng::seed_from_u64(0xce57_1f1e);
-        let (mut covered, mut above, mut tail_only, mut empty, mut inserted) = (0, 0, 0, 0, 0);
-        let mut hull = Vec::new();
+        let (mut covered, mut above, mut tail_only, mut empty) = (0, 0, 0, 0);
+        let (mut front, mut below_guard, mut inside, mut past_guard) = (0, 0, 0, 0);
+        let mut cert = NoStall::default();
         for case in 0..20_000 {
             let window = rng.gen_range(2usize..=64);
             let cursor = rng.gen_range(0usize..=40);
-            let n = cursor + 3 * window + 40;
+            let n = cursor + 4 * window + 40;
             // Sparse to dense sets; some leave the window empty.
             let density = [0.02, 0.1, 0.3, 0.6][case % 4];
             let mut set: BTreeSet<usize> = (0..n).filter(|_| rng.gen_bool(density)).collect();
@@ -883,53 +1021,92 @@ mod tests {
                 set.retain(|&p| p >= cursor + window);
             }
             let f_scan = 1.0 + rng.next_f64() * [0.5, 3.0, 12.0][case % 3];
-            let Verdict::False(cert) =
-                scan_certified(span(&set, cursor, n), cursor, window, f_scan, &mut hull)
-            else {
+            if scan_certified(span(&set, cursor, n), cursor, window, f_scan, &mut cert).is_some() {
                 continue;
-            };
+            }
             assert!(!naive_verdict(
                 span(&set, cursor, cursor + window),
                 cursor,
                 window,
                 f_scan
             ));
-            for _ in 0..8 {
-                let mut now = set.clone();
-                now.retain(|_| !rng.gen_bool(0.2));
-                let guard = cert.guard.min(n + window);
-                for _ in 0..rng.gen_range(0usize..=3) {
-                    now.insert(rng.gen_range(guard..=guard + window));
+            let window_end = cursor + window;
+            let reach = cert.fast.expect("a FALSE scan covers its own cursor");
+            let guard = window_end + reach.min(2 * window as u64) as usize;
+            let (mut now, mut at) = (set.clone(), cursor);
+            let mut churn = [false; 3];
+            for _ in 0..12 {
+                at += rng.gen_range(0usize..=window / 4 + 1);
+                if rng.gen_bool(0.6) {
+                    let gone: Vec<usize> = now
+                        .range(at..)
+                        .take(rng.gen_range(1usize..=3))
+                        .copied()
+                        .collect();
+                    for p in gone {
+                        now.remove(&p);
+                    }
                 }
-                let reach = cert.delta_scan.min(2 * window as u64) as usize;
-                let advanced = cursor + rng.gen_range(0usize..=reach + 2);
+                now.retain(|_| !rng.gen_bool(0.03));
+                let mut inserted = Vec::new();
+                for _ in 0..rng.gen_range(0usize..=2) {
+                    let region = rng.gen_range(0usize..3);
+                    let (lo, hi) = [
+                        (at, window_end),
+                        (window_end, guard),
+                        (guard, guard + window),
+                    ][region];
+                    if lo >= hi {
+                        continue;
+                    }
+                    let x = rng.gen_range(lo..hi);
+                    if now.insert(x) {
+                        inserted.push(x);
+                        churn[region] = true;
+                    }
+                }
                 let f = match rng.gen_range(0usize..4) {
                     0 => f_scan * 4.0,
                     1 => f_scan * (1.0 + rng.next_f64() * 0.3),
                     2 => (f_scan * (0.5 + rng.next_f64())).max(1.0),
                     _ => f_scan + rng.next_f64() * 8.0,
                 };
-                if !cert.covers(&hull, advanced, f) {
-                    continue;
+                let first = |from: usize| now.range(from..).next().copied();
+                if !cert.covers(inserted, first, at, f) {
+                    break;
                 }
-                let in_window = span(&now, advanced, advanced + window);
+                let in_window = span(&now, at, at + window);
                 assert!(
-                    !naive_verdict(in_window, advanced, window, f),
+                    !naive_verdict(in_window, at, window, f),
                     "case {case}: certificate at cursor {cursor}, F' {f_scan} covered \
-                     cursor {advanced}, F' {f}, but the naive scan triggers"
+                     cursor {at}, F' {f}, but the naive scan triggers"
                 );
                 covered += 1;
                 above += usize::from(f > f_scan);
-                tail_only += usize::from(hull.is_empty() && cert.tail.is_some());
-                empty += usize::from(hull.is_empty() && cert.tail.is_none());
-                inserted += usize::from(now.range(guard..).count() > set.range(guard..).count());
+                tail_only += usize::from(cert.dist.is_empty() && cert.tail.is_some());
+                empty += usize::from(cert.dist.is_empty() && cert.tail.is_none());
+                // Advances past the scan's own reach are covered only
+                // because front entries left the window.
+                front += usize::from((at - cursor) as u64 > reach);
+                inside += usize::from(churn[0] && !cert.inside.is_empty());
+                below_guard += usize::from(churn[1]);
+                past_guard += usize::from(churn[2]);
             }
         }
         assert!(covered > 10_000, "{covered}");
-        assert!(above > 1_000, "F' above the scan's: {above}");
+        assert!(above > 5_000, "F' above the scan's: {above}");
         assert!(tail_only > 100, "tail-only windows: {tail_only}");
         assert!(empty > 100, "empty windows: {empty}");
-        assert!(inserted > 1_000, "insertions beyond guard: {inserted}");
+        assert!(front > 1_000, "advances past the scan's reach: {front}");
+        assert!(inside > 2_000, "insertions inside the window: {inside}");
+        assert!(
+            below_guard > 2_000,
+            "insertions below the guard: {below_guard}"
+        );
+        assert!(
+            past_guard > 2_000,
+            "insertions past the guard: {past_guard}"
+        );
     }
 
     #[test]

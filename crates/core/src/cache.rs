@@ -503,10 +503,9 @@ pub struct MissingTracker {
     rem_epochs: Vec<u64>,
     /// Per-disk ring of the last [`RECENT_INS`] inserted positions, slot
     /// `epoch % RECENT_INS` holding the insert that bumped `ins_epochs`
-    /// to `epoch`. Lets [`MissingTracker::inserts_all_at_or_beyond`]
-    /// re-validate a cached verdict across a few insertions when they
-    /// all landed beyond the verdict's horizon (the common case:
-    /// evicted blocks re-enter at far-future next occurrences).
+    /// to `epoch`. [`MissingTracker::inserts_since`] hands a cached
+    /// verdict the few insertions since its last check, so the verdict
+    /// can absorb them instead of being thrown away.
     recent_ins: Vec<[usize; RECENT_INS]>,
     /// Next-use lookups of the compact-index updates, which ask from the
     /// run's cursor.
@@ -549,26 +548,23 @@ impl MissingTracker {
         self.rem_epochs[disk]
     }
 
-    /// Whether every position inserted on `disk` since insertion epoch
-    /// `since` landed at or beyond `guard`. Returns `None` when more
-    /// than `RECENT_INS` insertions happened since and the ring no
-    /// longer remembers them all.
+    /// The positions inserted on `disk` since insertion epoch `since`,
+    /// oldest first. Returns `None` when more than `RECENT_INS`
+    /// insertions happened since and the ring no longer remembers them
+    /// all.
     #[inline]
-    pub fn inserts_all_at_or_beyond(&self, disk: usize, since: u64, guard: usize) -> Option<bool> {
+    pub fn inserts_since(
+        &self,
+        disk: usize,
+        since: u64,
+    ) -> Option<impl Iterator<Item = usize> + '_> {
         let now = self.ins_epochs[disk];
         debug_assert!(since <= now, "insertion epochs only grow");
         if now - since > RECENT_INS as u64 {
             return None;
         }
         let ring = &self.recent_ins[disk];
-        let mut e = since;
-        while e < now {
-            e += 1;
-            if ring[(e % RECENT_INS as u64) as usize] < guard {
-                return Some(false);
-            }
-        }
-        Some(true)
+        Some((since + 1..=now).map(move |e| ring[(e % RECENT_INS as u64) as usize]))
     }
 
     #[inline]
@@ -1196,7 +1192,7 @@ mod tests {
     #[test]
     fn insert_ring_answers_guard_queries() {
         // Disk 0 owns every block (1-disk layout); the ring remembers
-        // the positions of recent insertions for guard re-validation.
+        // the positions of recent insertions for a cached verdict.
         let blocks: Vec<u64> = (0..80).collect();
         let o = oracle_of(&blocks, 1);
         let t = MissingTracker::new(&o);
@@ -1215,15 +1211,13 @@ mod tests {
         t2.on_evicted_idx(idx(&o, 3), 10, None, &o);
         t2.on_evicted_idx(idx(&o, 7), 10, None, &o);
         assert_eq!(t2.ins_epoch(0), since + 2);
-        // Both landed at or beyond 43.
-        assert_eq!(t2.inserts_all_at_or_beyond(0, since, 43), Some(true));
-        // ...but not beyond 44 (position 43 is below that guard).
-        assert_eq!(t2.inserts_all_at_or_beyond(0, since, 44), Some(false));
-        // An unchanged epoch passes any guard vacuously.
-        assert_eq!(
-            t2.inserts_all_at_or_beyond(0, t2.ins_epoch(0), usize::MAX),
-            Some(true)
-        );
+        // The ring hands back both positions, oldest first.
+        let since_list =
+            |t: &MissingTracker, since| t.inserts_since(0, since).map(|it| it.collect::<Vec<_>>());
+        assert_eq!(since_list(&t2, since), Some(vec![43, 47]));
+        assert_eq!(since_list(&t2, since + 1), Some(vec![47]));
+        // An unchanged epoch has nothing to report.
+        assert_eq!(since_list(&t2, t2.ins_epoch(0)), Some(vec![]));
         // Exhausting the ring reports None rather than guessing.
         for _ in 0..2 {
             for b in 0..40u64 {
@@ -1231,11 +1225,11 @@ mod tests {
                 t2.on_evicted_idx(idx(&o, b), 0, None, &o);
             }
         }
-        assert_eq!(t2.inserts_all_at_or_beyond(0, since, 0), None);
+        assert_eq!(since_list(&t2, since), None);
         // Quiet tracker: the cold-start epoch still answers.
         assert_eq!(t.ins_epoch(0), base);
         let _ = base2;
-        assert_eq!(t.inserts_all_at_or_beyond(0, base, usize::MAX), Some(true));
+        assert_eq!(since_list(&t, base), Some(vec![]));
     }
 
     #[test]

@@ -472,9 +472,12 @@ impl Timeline {
     }
 }
 
-/// Everything [`MetricsProbe`] accumulates over one run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunMetrics {
+/// The run-wide half of [`RunMetrics`]: the event counters and the four
+/// array-wide distributions. A sweep's aggregate is one of these folded
+/// over its cells, so the fold, the JSON fields and the ASCII rendering
+/// of the five are written once, here.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunTotals {
     /// Event counters.
     pub counters: Counters,
     /// Service times across all drives (ns).
@@ -485,6 +488,51 @@ pub struct RunMetrics {
     pub stall_duration: Histogram,
     /// Queue depth at enqueue, across all drives.
     pub queue_depth: Histogram,
+}
+
+impl RunTotals {
+    /// Folds `other` into `self`.
+    pub fn merge(&mut self, other: &RunTotals) {
+        self.counters.merge(&other.counters);
+        self.fetch_service.merge(&other.fetch_service);
+        self.fetch_response.merge(&other.fetch_response);
+        self.stall_duration.merge(&other.stall_duration);
+        self.queue_depth.merge(&other.queue_depth);
+    }
+
+    /// `obj` with the five fields appended, in their document order.
+    pub fn json_fields(&self, obj: json::Obj) -> json::Obj {
+        obj.field("counters", Raw(self.counters.to_json()))
+            .field("fetch_service_ns", Raw(self.fetch_service.to_json()))
+            .field("fetch_response_ns", Raw(self.fetch_response.to_json()))
+            .field("stall_ns", Raw(self.stall_duration.to_json()))
+            .field("queue_depth", Raw(self.queue_depth.to_json()))
+    }
+
+    /// These totals as a JSON object.
+    pub fn to_json(&self) -> String {
+        self.json_fields(json::object()).finish()
+    }
+
+    /// ASCII rendering of the four distributions.
+    pub fn render_ascii(&self) -> String {
+        [
+            (&self.fetch_service, "fetch service time", Unit::Millis),
+            (&self.fetch_response, "fetch response time", Unit::Millis),
+            (&self.stall_duration, "stall duration", Unit::Millis),
+            (&self.queue_depth, "queue depth at enqueue", Unit::Count),
+        ]
+        .into_iter()
+        .map(|(h, title, unit)| h.render_ascii(title, unit))
+        .collect()
+    }
+}
+
+/// Everything [`MetricsProbe`] accumulates over one run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunMetrics {
+    /// The counters and array-wide distributions.
+    pub totals: RunTotals,
     /// Per-drive distributions.
     pub per_disk: Vec<DiskMetrics>,
     /// Time-sliced per-disk activity.
@@ -496,11 +544,7 @@ impl RunMetrics {
     /// timeline slice width — the identity for [`RunMetrics::merge`].
     pub fn new(disks: usize, slice: Nanos) -> RunMetrics {
         RunMetrics {
-            counters: Counters::default(),
-            fetch_service: Histogram::new(),
-            fetch_response: Histogram::new(),
-            stall_duration: Histogram::new(),
-            queue_depth: Histogram::new(),
+            totals: RunTotals::default(),
             per_disk: vec![DiskMetrics::default(); disks],
             timeline: Timeline::new(disks, slice),
         }
@@ -519,11 +563,7 @@ impl RunMetrics {
             other.per_disk.len(),
             "cannot merge metrics for arrays of different sizes"
         );
-        self.counters.merge(&other.counters);
-        self.fetch_service.merge(&other.fetch_service);
-        self.fetch_response.merge(&other.fetch_response);
-        self.stall_duration.merge(&other.stall_duration);
-        self.queue_depth.merge(&other.queue_depth);
+        self.totals.merge(&other.totals);
         for (mine, theirs) in self.per_disk.iter_mut().zip(&other.per_disk) {
             mine.merge(theirs);
         }
@@ -538,12 +578,8 @@ impl RunMetrics {
                 .field("response_ns", Raw(d.response.to_json()))
                 .field("queue_depth", Raw(d.queue_depth.to_json()))
         });
-        json::object()
-            .field("counters", Raw(self.counters.to_json()))
-            .field("fetch_service_ns", Raw(self.fetch_service.to_json()))
-            .field("fetch_response_ns", Raw(self.fetch_response.to_json()))
-            .field("stall_ns", Raw(self.stall_duration.to_json()))
-            .field("queue_depth", Raw(self.queue_depth.to_json()))
+        self.totals
+            .json_fields(json::object())
             .array("per_disk", per_disk)
             .field("timeline", Raw(self.timeline.to_json()))
             .finish()
@@ -585,19 +621,19 @@ impl Probe for MetricsProbe {
     fn on_event(&mut self, event: &Event) {
         let m = &mut self.metrics;
         match *event {
-            Event::PolicyDecision { .. } => m.counters.decisions += 1,
-            Event::CacheHit { .. } => m.counters.cache_hits += 1,
-            Event::CacheMiss { .. } => m.counters.cache_misses += 1,
-            Event::Eviction { .. } => m.counters.evictions += 1,
+            Event::PolicyDecision { .. } => m.totals.counters.decisions += 1,
+            Event::CacheHit { .. } => m.totals.counters.cache_hits += 1,
+            Event::CacheMiss { .. } => m.totals.counters.cache_misses += 1,
+            Event::Eviction { .. } => m.totals.counters.evictions += 1,
             Event::FetchIssued { demand, .. } => {
-                m.counters.fetches_issued += 1;
+                m.totals.counters.fetches_issued += 1;
                 if demand {
-                    m.counters.demand_fetches += 1;
+                    m.totals.counters.demand_fetches += 1;
                 }
             }
-            Event::WriteIssued { .. } => m.counters.writes_issued += 1,
+            Event::WriteIssued { .. } => m.totals.counters.writes_issued += 1,
             Event::QueueDepth { now, disk, depth } => {
-                m.queue_depth.record(depth as u64);
+                m.totals.queue_depth.record(depth as u64);
                 m.per_disk[disk.index()].queue_depth.record(depth as u64);
                 m.timeline.sample_depth(disk.index(), now, depth);
             }
@@ -607,7 +643,7 @@ impl Probe for MetricsProbe {
                 completes,
                 ..
             } => {
-                m.counters.services_started += 1;
+                m.totals.counters.services_started += 1;
                 m.timeline.add_busy(disk.index(), now, completes);
             }
             Event::FetchCompleted {
@@ -616,21 +652,21 @@ impl Probe for MetricsProbe {
                 response,
                 ..
             } => {
-                m.counters.services_completed += 1;
-                m.fetch_service.record_nanos(service);
-                m.fetch_response.record_nanos(response);
+                m.totals.counters.services_completed += 1;
+                m.totals.fetch_service.record_nanos(service);
+                m.totals.fetch_response.record_nanos(response);
                 let d = &mut m.per_disk[disk.index()];
                 d.service.record_nanos(service);
                 d.response.record_nanos(response);
             }
-            Event::StallBegin { .. } => m.counters.stalls_begun += 1,
+            Event::StallBegin { .. } => m.totals.counters.stalls_begun += 1,
             Event::StallEnd { stalled, .. } => {
-                m.counters.stalls_ended += 1;
-                m.stall_duration.record_nanos(stalled);
+                m.totals.counters.stalls_ended += 1;
+                m.totals.stall_duration.record_nanos(stalled);
             }
-            Event::FaultInjected { .. } => m.counters.faults_injected += 1,
-            Event::RetryIssued { .. } => m.counters.retries += 1,
-            Event::RequestAbandoned { .. } => m.counters.requests_abandoned += 1,
+            Event::FaultInjected { .. } => m.totals.counters.faults_injected += 1,
+            Event::RetryIssued { .. } => m.totals.counters.retries += 1,
+            Event::RequestAbandoned { .. } => m.totals.counters.requests_abandoned += 1,
             // Degraded-window boundaries shape the latency distributions
             // already folded above; the boundaries themselves are audited
             // in `crate::audit`, not counted here.
@@ -765,10 +801,10 @@ mod tests {
     fn run_metrics_merge_folds_counters_and_timelines() {
         let mut a = RunMetrics::new(2, Nanos::from_millis(10));
         let mut b = RunMetrics::new(2, Nanos::from_millis(10));
-        a.counters.fetches_issued = 3;
-        b.counters.fetches_issued = 4;
-        a.fetch_service.record(100);
-        b.fetch_service.record(300);
+        a.totals.counters.fetches_issued = 3;
+        b.totals.counters.fetches_issued = 4;
+        a.totals.fetch_service.record(100);
+        b.totals.fetch_service.record(300);
         a.per_disk[0].service.record(100);
         b.per_disk[1].service.record(300);
         a.timeline.add_busy(0, Nanos::ZERO, Nanos::from_millis(5));
@@ -776,9 +812,9 @@ mod tests {
             .add_busy(0, Nanos::from_millis(5), Nanos::from_millis(10));
         b.timeline.sample_depth(1, Nanos::ZERO, 7);
         a.merge(&b);
-        assert_eq!(a.counters.fetches_issued, 7);
-        assert_eq!(a.fetch_service.count(), 2);
-        assert_eq!(a.fetch_service.max(), 300);
+        assert_eq!(a.totals.counters.fetches_issued, 7);
+        assert_eq!(a.totals.fetch_service.count(), 2);
+        assert_eq!(a.totals.fetch_service.max(), 300);
         assert_eq!(a.per_disk[0].service.count(), 1);
         assert_eq!(a.per_disk[1].service.count(), 1);
         let rows = a.timeline.rows();
@@ -875,17 +911,20 @@ mod tests {
             charged: Nanos::from_millis(5),
         });
         let m = p.finish();
-        assert_eq!(m.counters.decisions, 1);
-        assert_eq!(m.counters.cache_misses, 1);
-        assert_eq!(m.counters.fetches_issued, 1);
-        assert_eq!(m.counters.demand_fetches, 1);
-        assert_eq!(m.counters.evictions, 1);
-        assert_eq!(m.counters.stalls_begun, m.counters.stalls_ended);
-        assert_eq!(m.fetch_service.count(), 1);
+        assert_eq!(m.totals.counters.decisions, 1);
+        assert_eq!(m.totals.counters.cache_misses, 1);
+        assert_eq!(m.totals.counters.fetches_issued, 1);
+        assert_eq!(m.totals.counters.demand_fetches, 1);
+        assert_eq!(m.totals.counters.evictions, 1);
+        assert_eq!(
+            m.totals.counters.stalls_begun,
+            m.totals.counters.stalls_ended
+        );
+        assert_eq!(m.totals.fetch_service.count(), 1);
         assert_eq!(m.per_disk[1].service.count(), 1);
         assert_eq!(m.per_disk[0].service.count(), 0);
-        assert_eq!(m.queue_depth.count(), 1);
-        assert_eq!(m.stall_duration.count(), 1);
+        assert_eq!(m.totals.queue_depth.count(), 1);
+        assert_eq!(m.totals.stall_duration.count(), 1);
         // Busy 1ms..6ms lands half in slice 0, half in slice 1... actually
         // 9ms of slice 0 covers 1..10: all 5ms of busy is in slice 0.
         let rows = m.timeline.rows();
@@ -938,11 +977,11 @@ mod tests {
             retries: 2,
             ..Default::default()
         };
-        m.counters.merge(&other);
-        assert_eq!(m.counters.faults_injected, 1);
-        assert_eq!(m.counters.retries, 3);
-        assert_eq!(m.counters.requests_abandoned, 1);
-        let json = m.counters.to_json();
+        m.totals.counters.merge(&other);
+        assert_eq!(m.totals.counters.faults_injected, 1);
+        assert_eq!(m.totals.counters.retries, 3);
+        assert_eq!(m.totals.counters.requests_abandoned, 1);
+        let json = m.totals.counters.to_json();
         assert!(json.contains(r#""faults_injected":1"#), "{json}");
         assert!(json.contains(r#""retries":3"#), "{json}");
         assert!(json.contains(r#""requests_abandoned":1"#), "{json}");

@@ -64,16 +64,22 @@ fn metrics_probe_populates_histograms() {
     let report = simulate_probed(&trace, PolicyKind::Demand, &config, &mut probe);
     let m = probe.finish();
 
-    assert_eq!(m.counters.fetches_issued, report.fetches);
+    assert_eq!(m.totals.counters.fetches_issued, report.fetches);
     assert_eq!(
-        m.counters.demand_fetches, report.fetches,
+        m.totals.counters.demand_fetches, report.fetches,
         "demand never prefetches"
     );
-    assert_eq!(m.counters.services_completed, report.fetches);
-    assert_eq!(m.fetch_service.count(), report.fetches);
-    assert_eq!(m.counters.stalls_begun, m.counters.stalls_ended);
-    assert!(m.counters.stalls_begun > 0, "demand fetching must stall");
-    assert!(m.stall_duration.quantile(0.5) > 0);
+    assert_eq!(m.totals.counters.services_completed, report.fetches);
+    assert_eq!(m.totals.fetch_service.count(), report.fetches);
+    assert_eq!(
+        m.totals.counters.stalls_begun,
+        m.totals.counters.stalls_ended
+    );
+    assert!(
+        m.totals.counters.stalls_begun > 0,
+        "demand fetching must stall"
+    );
+    assert!(m.totals.stall_duration.quantile(0.5) > 0);
     let per_disk_served: u64 = m.per_disk.iter().map(|d| d.service.count()).sum();
     assert_eq!(per_disk_served, report.fetches);
     for (i, d) in m.per_disk.iter().enumerate() {
