@@ -144,6 +144,20 @@ if [ "$status" != "2" ]; then
     echo "stale --resume manifest should exit 2, got $status"; exit 1
 fi
 
+echo "== bad command lines exit 2 and print the usage text =="
+# The unit tests stop at parsing and validation; this covers main's own
+# exit path. The argument lists are word-split on purpose.
+for args in "--verbose" "--bench --sweep" "--seed 7"; do
+    status=0
+    ./target/release/parcache-run $args > /dev/null 2> "$tmp1" || status=$?
+    if [ "$status" != "2" ]; then
+        echo "parcache-run $args should exit 2, got $status"; exit 1
+    fi
+    if ! grep -q '^usage: parcache-run' "$tmp1"; then
+        echo "parcache-run $args printed no usage text:"; cat "$tmp1"; exit 1
+    fi
+done
+
 echo "== SIGKILL mid-sweep leaves no truncated artifacts =="
 # The full grid at all four hint sources (1,328 cells) runs for about
 # 17 s on a 2-vCPU host; killing it two seconds in lands long before
