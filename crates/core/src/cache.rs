@@ -282,11 +282,6 @@ impl Cache {
         self.resident.len()
     }
 
-    /// Number of in-flight fetches.
-    pub fn inflight_count(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// True when a fetch can be issued without evicting anything.
     pub fn has_free_frame(&self) -> bool {
         self.resident.len() + self.inflight.len() < self.capacity
@@ -647,11 +642,6 @@ impl MissingTracker {
         self.per_disk[disk].next_at_or_after(from)
     }
 
-    /// Positions of missing blocks in `[from, to)`, globally, ascending.
-    pub fn missing_in_window(&self, from: usize, to: usize) -> impl Iterator<Item = usize> + '_ {
-        self.global.iter_from(from).take_while(move |&p| p < to)
-    }
-
     /// Positions of missing blocks at or after `from` on `disk`,
     /// ascending, as the concrete [`PosSet`] iterator. Unlike
     /// [`MissingTracker::missing_on_disk_in_window`] the window bound is
@@ -763,7 +753,11 @@ mod tests {
         // the victim's next use.
         assert_eq!(c.start_fetch(b3, Some(b1)), Some(0));
         assert!(!c.resident(b1));
-        assert_eq!(c.resident_count() + c.inflight_count(), 2);
+        // The freed frame went to the fetch of block 3: one resident
+        // block, one in flight, no frame to spare.
+        assert!(c.resident(b2) && c.inflight(b3));
+        assert_eq!(c.resident_count(), 1);
+        assert!(!c.has_free_frame());
     }
 
     #[test]
@@ -1157,7 +1151,10 @@ mod tests {
     fn window_queries() {
         let o = oracle_of(&[0, 1, 2, 3, 4], 1);
         let t = MissingTracker::new(&o);
-        let w: Vec<usize> = t.missing_in_window(1, 4).collect();
+        assert_eq!(t.first_missing(1), Some(1));
+        assert_eq!(t.first_missing(5), None);
+        // One disk holds every block, so its window is the global one.
+        let w: Vec<usize> = t.missing_on_disk_in_window(0, 1, 4).collect();
         assert_eq!(w, vec![1, 2, 3]);
     }
 

@@ -252,11 +252,6 @@ impl Ctx<'_> {
         }
     }
 
-    /// Total references in the trace.
-    pub fn sequence_len(&self) -> usize {
-        self.oracle.len()
-    }
-
     /// The index of missing blocks' next occurrences.
     ///
     /// # Panics

@@ -104,23 +104,6 @@ impl HintSpec {
         }
     }
 
-    /// The fraction of references disclosed (1.0 for `Full`).
-    ///
-    /// `Prefix` reports 0.0 regardless of its length: the fraction is
-    /// length-relative and this method has no access to the trace, so it
-    /// stays conservative. Use [`HintSpec::fully_disclosing`] — which
-    /// *does* know the trace length — for "is everything disclosed?"
-    /// decisions.
-    pub fn nominal_fraction(&self) -> f64 {
-        match *self {
-            HintSpec::Full => 1.0,
-            HintSpec::None => 0.0,
-            HintSpec::Prefix { .. } => 0.0,
-            HintSpec::Fraction { fraction, .. } => fraction,
-            HintSpec::Segments { fraction, .. } => fraction,
-        }
-    }
-
     /// Whether a trace of `n` references is disclosed in its entirety.
     ///
     /// This is the engine's gate for trusting the oracle as complete
@@ -211,8 +194,6 @@ mod tests {
     fn full_and_none_masks() {
         assert_eq!(HintSpec::Full.mask(3), vec![true, true, true]);
         assert_eq!(HintSpec::None.mask(2), vec![false, false]);
-        assert_eq!(HintSpec::Full.nominal_fraction(), 1.0);
-        assert_eq!(HintSpec::None.nominal_fraction(), 0.0);
     }
 
     #[test]
@@ -227,7 +208,6 @@ mod tests {
         );
         // A prefix longer than the trace is just full disclosure.
         assert_eq!(HintSpec::Prefix { disclosed: 9 }.mask(3), vec![true; 3]);
-        assert_eq!(HintSpec::Prefix { disclosed: 5 }.nominal_fraction(), 0.0);
     }
 
     #[test]
@@ -287,7 +267,6 @@ mod tests {
         assert_eq!(a, b);
         let hinted = a.iter().filter(|&&h| h).count();
         assert!((4_500..5_500).contains(&hinted), "{hinted} of 10000");
-        assert_eq!(spec.nominal_fraction(), 0.5);
     }
 
     #[test]
@@ -338,7 +317,6 @@ mod tests {
         // Runs, not confetti: far fewer transitions than a Bernoulli mask.
         let transitions = mask.windows(2).filter(|w| w[0] != w[1]).count();
         assert!(transitions < 2_000, "{transitions} transitions");
-        assert_eq!(spec.nominal_fraction(), 0.5);
     }
 
     #[test]
