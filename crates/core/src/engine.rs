@@ -28,7 +28,7 @@ use crate::policy::{Indexes, Policy, PolicyKind};
 use crate::predict::HintStats;
 use crate::probe::{Event, FaultCause, NoopProbe, Probe, StallCause};
 use parcache_disk::coarse::CoarseDisk;
-use parcache_disk::disk::DiskStats;
+use parcache_disk::disk::{DiskStats, EnqueueOutcome, ReqKind};
 use parcache_disk::fault::FaultyDisk;
 use parcache_disk::hp97560::Hp97560;
 use parcache_disk::model::DiskModel;
@@ -175,13 +175,10 @@ pub struct Ctx<'a> {
     cpu_done: &'a mut Nanos,
     driver_time: &'a mut Nanos,
     fetches: &'a mut u64,
-    /// Events generated inside policy calls, drained to the engine's
-    /// probe afterwards (Ctx must stay non-generic: [`Policy`] is a trait
-    /// object).
-    probe_buf: &'a mut Vec<Event>,
-    /// False when the engine's probe is [`NoopProbe`]; buffering is then
-    /// skipped entirely.
-    probe_on: bool,
+    /// The engine's probe, for events raised inside policy calls; `None`
+    /// when it is [`NoopProbe`], and then no event is built (Ctx must
+    /// stay non-generic: [`Policy`] is a trait object).
+    emit: Option<&'a mut dyn FnMut(&Event)>,
     /// True inside [`Policy::on_miss`], so issued fetches are tagged
     /// demand rather than prefetch.
     demand: bool,
@@ -193,7 +190,7 @@ pub struct Ctx<'a> {
     /// uses it to tell a re-miss on a once-resident block
     /// ([`StallCause::EvictionRefetch`]) from a plain
     /// [`StallCause::NoPrefetch`] miss.
-    evicted_ever: &'a mut Vec<u64>,
+    evicted_ever: &'a mut BitSet,
 }
 
 impl Ctx<'_> {
@@ -221,29 +218,32 @@ impl Ctx<'_> {
             // Every eviction of a resident block flows through here
             // (abandoning an in-flight fetch is not an eviction: the
             // block was never resident).
-            self.evicted_ever[e as usize / 64] |= 1 << (e % 64);
+            self.evicted_ever.insert(e);
         }
         *self.driver_time += self.config.driver_overhead;
         *self.cpu_done = (*self.cpu_done).max(self.now) + self.config.driver_overhead;
         *self.fetches += 1;
-        let outcome = if self.probe_on {
-            let now = self.now;
+        let now = self.now;
+        if let Some(emit) = &mut self.emit {
             if let Some(e) = evict {
-                self.probe_buf.push(Event::Eviction { now, block: e });
+                emit(&Event::Eviction { now, block: e });
             }
-            self.probe_buf.push(Event::FetchIssued {
+            emit(&Event::FetchIssued {
                 now,
                 block,
                 disk: self.array.disk_of(block),
                 demand: self.demand,
                 evicted: evict,
             });
-            let buf = &mut *self.probe_buf;
-            self.array
-                .enqueue_observed(now, block, |d, e| buf.push(Event::from_disk(now, d, e)))
-        } else {
-            self.array.enqueue(self.now, block)
-        };
+        }
+        let emit = &mut self.emit;
+        let outcome = self
+            .array
+            .enqueue_observed(now, block, ReqKind::Read, |d, e| {
+                if let Some(emit) = emit {
+                    emit(&Event::from_disk(now, d, e));
+                }
+            });
         if outcome.is_rejected() {
             // The drive is mid-outage: the request never reached its
             // queue. The frame stays reserved; the driver retries (or
@@ -981,7 +981,6 @@ struct Engine<'t> {
     driver_time: Nanos,
     fetches: u64,
     writes: u64,
-    probe_buf: Vec<Event>,
     /// Pending driver retries as `(fire time, block)` in a min-heap;
     /// the tuple order makes ties deterministic.
     retry_timers: BinaryHeap<Reverse<(Nanos, BlockId)>>,
@@ -1010,7 +1009,7 @@ struct Engine<'t> {
     degraded_windows: Vec<Vec<(Nanos, Nanos)>>,
     /// One bit per compact block index, set when the block is evicted
     /// after real residency (see [`Ctx::issue_fetch_idx`]).
-    evicted_ever: Vec<u64>,
+    evicted_ever: BitSet,
     /// Prediction accounting from the hint-source pre-pass; `Some`
     /// exactly when the run uses a predicted hint mode.
     hint_stats: Option<HintStats>,
@@ -1049,7 +1048,7 @@ impl<'t> Engine<'t> {
             }
         }
         boundaries.sort_by_key(|&(t, d, entering)| (t, d.index(), entering));
-        let evicted_ever = vec![0u64; oracle.num_blocks().div_ceil(64)];
+        let evicted_ever = BitSet::with_capacity(oracle.num_blocks());
         let cache = Cache::new(config.cache_blocks, oracle, knowledge);
         Engine {
             trace,
@@ -1066,7 +1065,6 @@ impl<'t> Engine<'t> {
             driver_time: Nanos::ZERO,
             fetches: 0,
             writes: 0,
-            probe_buf: Vec::new(),
             retry_timers: BinaryHeap::new(),
             retrying: FastMap::default(),
             rejected_buf: Vec::new(),
@@ -1093,7 +1091,7 @@ impl<'t> Engine<'t> {
 
     /// Whether block `idx` has ever been evicted after real residency.
     fn was_evicted(&self, idx: u32) -> bool {
-        self.evicted_ever[idx as usize / 64] & (1 << (idx % 64)) != 0
+        self.evicted_ever.contains(idx)
     }
 
     /// Opens the stall window for a reference to missing block `idx`,
@@ -1180,31 +1178,18 @@ impl<'t> Engine<'t> {
                 cursor: self.cursor,
             });
         }
-        let mut ctx = Ctx {
-            now: self.now,
-            cursor: self.cursor,
-            oracle: self.oracle,
-            cache: &mut self.cache,
-            array: &mut self.array,
-            config: self.config,
-            missing: self.missing.as_mut(),
-            history: self.history.as_ref(),
-            cpu_done: &mut self.cpu_done,
-            driver_time: &mut self.driver_time,
-            fetches: &mut self.fetches,
-            probe_buf: &mut self.probe_buf,
-            probe_on: P::ENABLED,
-            demand: false,
-            rejected: &mut self.rejected_buf,
-            evicted_ever: &mut self.evicted_ever,
-        };
-        policy.decide(&mut ctx);
-        self.drain_probe_buf(probe);
-        self.settle_rejections(probe);
+        self.call_policy(probe, false, |ctx| policy.decide(ctx));
     }
 
     /// Asks the policy to handle a demand miss.
     fn miss<P: Probe>(&mut self, policy: &mut dyn Policy, probe: &mut P, block: BlockId) {
+        self.call_policy(probe, true, |ctx| policy.on_miss(ctx, block));
+    }
+
+    /// Runs one policy call on the engine's [`Ctx`], its fetches tagged
+    /// demand when `demand`, then settles the enqueues it had rejected.
+    fn call_policy<P: Probe>(&mut self, probe: &mut P, demand: bool, call: impl FnOnce(&mut Ctx)) {
+        let mut emit = |e: &Event| probe.on_event(e);
         let mut ctx = Ctx {
             now: self.now,
             cursor: self.cursor,
@@ -1217,24 +1202,13 @@ impl<'t> Engine<'t> {
             cpu_done: &mut self.cpu_done,
             driver_time: &mut self.driver_time,
             fetches: &mut self.fetches,
-            probe_buf: &mut self.probe_buf,
-            probe_on: P::ENABLED,
-            demand: true,
+            emit: P::ENABLED.then_some(&mut emit as &mut dyn FnMut(&Event)),
+            demand,
             rejected: &mut self.rejected_buf,
             evicted_ever: &mut self.evicted_ever,
         };
-        policy.on_miss(&mut ctx, block);
-        self.drain_probe_buf(probe);
+        call(&mut ctx);
         self.settle_rejections(probe);
-    }
-
-    /// Forwards events buffered during a policy call to the probe.
-    fn drain_probe_buf<P: Probe>(&mut self, probe: &mut P) {
-        if P::ENABLED {
-            for e in self.probe_buf.drain(..) {
-                probe.on_event(&e);
-            }
-        }
     }
 
     /// Converts enqueues an out-of-service drive rejected during the last
@@ -1394,18 +1368,13 @@ impl<'t> Engine<'t> {
         debug_assert!(t >= self.now);
         self.flush_boundaries(t, probe);
         self.now = t;
-        let done = if P::ENABLED {
-            let buf = &mut self.probe_buf;
-            let done = self
-                .array
-                .complete_observed(t, d, |disk, e| buf.push(Event::from_disk(t, disk, e)));
-            self.drain_probe_buf(probe);
-            done
-        } else {
-            self.array.complete(t, d)
-        };
+        let done = self.array.complete_observed(t, d, |disk, e| {
+            if P::ENABLED {
+                probe.on_event(&Event::from_disk(t, disk, e));
+            }
+        });
         match done.kind {
-            parcache_disk::disk::ReqKind::Read => {
+            ReqKind::Read => {
                 if done.outcome.is_ok() {
                     if !self.retrying.is_empty() {
                         self.retrying.remove(&done.block);
@@ -1428,7 +1397,7 @@ impl<'t> Engine<'t> {
             }
             // A finished write frees disk bandwidth but changes nothing
             // in the cache: the block stayed available throughout.
-            parcache_disk::disk::ReqKind::Write => {
+            ReqKind::Write => {
                 if !done.outcome.is_ok() {
                     self.write_fault(done.block, d, FaultCause::MediaError, probe);
                 }
@@ -1453,26 +1422,55 @@ impl<'t> Engine<'t> {
         self.driver_time += self.config.driver_overhead;
         self.cpu_done = self.cpu_done.max(self.now) + self.config.driver_overhead;
         self.retries += 1;
-        let outcome = if P::ENABLED {
+        if P::ENABLED {
             probe.on_event(&Event::RetryIssued {
-                now: self.now,
+                now: t,
                 block,
                 disk,
                 attempt,
             });
-            let now = self.now;
-            let buf = &mut self.probe_buf;
-            let outcome = self
-                .array
-                .enqueue_observed(now, block, |d, e| buf.push(Event::from_disk(now, d, e)));
-            self.drain_probe_buf(probe);
-            outcome
-        } else {
-            self.array.enqueue(self.now, block)
-        };
-        if outcome.is_rejected() {
+        }
+        if self.enqueue(block, ReqKind::Read, probe).is_rejected() {
             self.read_fault(block, disk, FaultCause::Rejected, probe);
         }
+    }
+
+    /// Write-behind extension: flushes `block`, which the application
+    /// just updated. The application does not wait for the flush, but it
+    /// consumes disk bandwidth and driver CPU.
+    fn write_behind<P: Probe>(&mut self, block: BlockId, probe: &mut P) {
+        self.writes += 1;
+        self.driver_time += self.config.driver_overhead;
+        self.cpu_done = self.cpu_done.max(self.now) + self.config.driver_overhead;
+        let disk = self.array.disk_of(block);
+        if P::ENABLED {
+            probe.on_event(&Event::WriteIssued {
+                now: self.now,
+                block,
+                disk,
+            });
+        }
+        if self.enqueue(block, ReqKind::Write, probe).is_rejected() {
+            // Best-effort write to an out-of-service drive: dropped,
+            // never retried.
+            self.write_fault(block, disk, FaultCause::Rejected, probe);
+        }
+    }
+
+    /// Enqueues a `kind` request for `block` at the current instant,
+    /// passing the drive's events to `probe`.
+    fn enqueue<P: Probe>(
+        &mut self,
+        block: BlockId,
+        kind: ReqKind,
+        probe: &mut P,
+    ) -> EnqueueOutcome {
+        let now = self.now;
+        self.array.enqueue_observed(now, block, kind, |d, e| {
+            if P::ENABLED {
+                probe.on_event(&Event::from_disk(now, d, e));
+            }
+        })
     }
 
     /// Advances to `cpu_done`, processing any completions (and retry
@@ -1582,37 +1580,12 @@ impl<'t> Engine<'t> {
             self.cache.pin(None);
             self.cache.on_reference(req_idx, i, self.oracle);
             self.cursor = i + 1;
-            // Write-behind extension: periodically flush the block the
-            // application just updated. The app does not wait for it, but
-            // it consumes disk bandwidth and driver CPU.
-            if let Some(period) = self.config.write_behind_period {
-                if (i + 1) % period == 0 {
-                    self.writes += 1;
-                    self.driver_time += self.config.driver_overhead;
-                    self.cpu_done = self.cpu_done.max(self.now) + self.config.driver_overhead;
-                    let outcome = if P::ENABLED {
-                        let now = self.now;
-                        probe.on_event(&Event::WriteIssued {
-                            now,
-                            block: req.block,
-                            disk: self.array.disk_of(req.block),
-                        });
-                        let buf = &mut self.probe_buf;
-                        let outcome = self.array.enqueue_write_observed(now, req.block, |d, e| {
-                            buf.push(Event::from_disk(now, d, e))
-                        });
-                        self.drain_probe_buf(probe);
-                        outcome
-                    } else {
-                        self.array.enqueue_write(self.now, req.block)
-                    };
-                    if outcome.is_rejected() {
-                        // Best-effort write to an out-of-service drive:
-                        // dropped, never retried.
-                        let disk = self.array.disk_of(req.block);
-                        self.write_fault(req.block, disk, FaultCause::Rejected, probe);
-                    }
-                }
+            if self
+                .config
+                .write_behind_period
+                .is_some_and(|period| (i + 1) % period == 0)
+            {
+                self.write_behind(req.block, probe);
             }
             self.decide(policy, probe);
             if C::ENABLED {
@@ -2253,16 +2226,45 @@ mod tests {
     #[test]
     fn faulted_runs_are_identical_probed_and_unprobed() {
         // The probe layer must observe, never perturb — including the
-        // retry machine and degraded-boundary flushing.
+        // retry machine, degraded-boundary flushing and write-behind.
         let blocks: Vec<u64> = (0..24).map(|i| i % 12).collect();
         let t = unit_trace(&blocks, 1);
         let cfg = theory_config(2, 6, 5)
             .with_faults(faults("flaky:*:0.2,slow:0:5:40:3,outage:1:10:30,seed:7"));
-        for kind in PolicyKind::ALL {
-            let plain = simulate(&t, kind, &cfg);
-            let mut metrics = crate::metrics::MetricsProbe::new(cfg.disks, Nanos::from_millis(1));
-            let probed = simulate_probed(&t, kind, &cfg, &mut metrics);
-            assert_eq!(plain, probed, "{kind}: probing changed a faulted run");
+        let mut flushing = cfg.clone();
+        flushing.write_behind_period = Some(3);
+        for cfg in [cfg, flushing] {
+            for kind in PolicyKind::ALL {
+                let plain = simulate(&t, kind, &cfg);
+                let mut events = Vec::new();
+                let probed = simulate_probed(&t, kind, &cfg, &mut |e: &Event| events.push(*e));
+                assert_eq!(plain, probed, "{kind}: probing changed a faulted run");
+                let flushes = events.iter().enumerate().filter_map(|(i, e)| match *e {
+                    Event::WriteIssued { now, disk, .. } => Some((now, disk, events.get(i + 1))),
+                    _ => None,
+                });
+                let mut issued = 0;
+                for (now, disk, next) in flushes {
+                    // The flush reaches its drive's queue at the instant it
+                    // is issued, unless the drive is out and turns it away.
+                    let queued = matches!(next, Some(&Event::QueueDepth { now: t, disk: d, .. })
+                        if (t, d) == (now, disk));
+                    let turned_away = matches!(next, Some(&Event::FaultInjected {
+                        now: t, disk: d, write: true, cause: FaultCause::Rejected, ..
+                    }) if (t, d) == (now, disk));
+                    assert!(
+                        queued || turned_away,
+                        "{kind}: flush at {now} then {next:?}"
+                    );
+                    issued += 1;
+                }
+                assert_eq!(issued, plain.writes, "{kind}");
+                assert_eq!(
+                    plain.writes > 0,
+                    cfg.write_behind_period.is_some(),
+                    "{kind}"
+                );
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! disk are serialized (§2.1). The array owns the striping layout and
 //! routes each logical block to its drive.
 
-use crate::disk::{Completed, Disk, DiskStats, EnqueueOutcome};
+use crate::disk::{Completed, Disk, DiskStats, EnqueueOutcome, ReqKind};
 use crate::layout::Layout;
 use crate::model::DiskModel;
 use crate::probe::DiskEvent;
@@ -107,45 +107,27 @@ impl DiskArray {
             .map(|(i, _)| DiskId(i))
     }
 
-    /// Enqueues a fetch of `block` on its drive at time `now`. Rejected
-    /// (with no state change) when that drive is inside an outage window.
+    /// Enqueues a fetch of `block` on its drive at time `now`, observing
+    /// nothing: [`DiskArray::enqueue_observed`] for a read.
     pub fn enqueue(&mut self, now: Nanos, block: BlockId) -> EnqueueOutcome {
-        self.enqueue_observed(now, block, |_, _| {})
+        self.enqueue_observed(now, block, ReqKind::Read, |_, _| {})
     }
 
-    /// [`DiskArray::enqueue`], reporting each [`DiskEvent`] (tagged with
-    /// the drive it happened on) to `observe`.
+    /// Enqueues a `kind` request for `block` on its drive at time `now`,
+    /// reporting each [`DiskEvent`] (tagged with the drive it happened on)
+    /// to `observe`. Rejected (with no state change) when that drive is
+    /// inside an outage window.
     pub fn enqueue_observed(
         &mut self,
         now: Nanos,
         block: BlockId,
+        kind: ReqKind,
         mut observe: impl FnMut(DiskId, DiskEvent),
     ) -> EnqueueOutcome {
         let disk = self.disk_of(block);
         let span = self.layout.span_of(block);
         let outcome =
-            self.disks[disk.index()].enqueue_observed(now, block, span, |e| observe(disk, e));
-        self.refresh(disk.index());
-        outcome
-    }
-
-    /// Enqueues a write-behind flush of `block` on its drive.
-    pub fn enqueue_write(&mut self, now: Nanos, block: BlockId) -> EnqueueOutcome {
-        self.enqueue_write_observed(now, block, |_, _| {})
-    }
-
-    /// [`DiskArray::enqueue_write`], reporting each [`DiskEvent`] to
-    /// `observe`.
-    pub fn enqueue_write_observed(
-        &mut self,
-        now: Nanos,
-        block: BlockId,
-        mut observe: impl FnMut(DiskId, DiskEvent),
-    ) -> EnqueueOutcome {
-        let disk = self.disk_of(block);
-        let span = self.layout.span_of(block);
-        let outcome =
-            self.disks[disk.index()].enqueue_write_observed(now, block, span, |e| observe(disk, e));
+            self.disks[disk.index()].enqueue(now, block, span, kind, |e| observe(disk, e));
         self.refresh(disk.index());
         outcome
     }
@@ -164,7 +146,7 @@ impl DiskArray {
     }
 
     /// Completes the in-service request on `disk` (which must complete at
-    /// exactly `now`); returns the finished fetch.
+    /// exactly `now`), observing nothing; returns the finished request.
     pub fn complete(&mut self, now: Nanos, disk: DiskId) -> Completed {
         self.complete_observed(now, disk, |_, _| {})
     }
@@ -176,7 +158,7 @@ impl DiskArray {
         disk: DiskId,
         mut observe: impl FnMut(DiskId, DiskEvent),
     ) -> Completed {
-        let done = self.disks[disk.index()].complete_observed(now, |e| observe(disk, e));
+        let done = self.disks[disk.index()].complete(now, |e| observe(disk, e));
         self.refresh(disk.index());
         done
     }
@@ -442,7 +424,12 @@ mod tests {
                 let block = BlockId(rng.gen_range(0u64..64));
                 match rng.gen_range(0u64..20) {
                     0..=8 => rejected += usize::from(a.enqueue(now, block).is_rejected()),
-                    9 | 10 => rejected += usize::from(a.enqueue_write(now, block).is_rejected()),
+                    9 | 10 => {
+                        rejected += usize::from(
+                            a.enqueue_observed(now, block, ReqKind::Write, |_, _| {})
+                                .is_rejected(),
+                        )
+                    }
                     11..=18 => {
                         if let Some((t, d)) = a.next_event() {
                             now = t;

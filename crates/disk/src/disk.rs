@@ -158,52 +158,17 @@ impl Disk {
         self.queue.len() + usize::from(self.in_service.is_some())
     }
 
-    /// Enqueues a read of `span` for logical `block` at time `now`, then
-    /// starts it immediately if the drive is idle. Rejected (with no
-    /// state change) when the drive is inside a hard outage window.
-    pub fn enqueue(&mut self, now: Nanos, block: BlockId, span: SectorSpan) -> EnqueueOutcome {
-        self.enqueue_observed(now, block, span, |_| {})
-    }
-
-    /// Enqueues a write-behind flush of `span` for logical `block`.
-    pub fn enqueue_write(
-        &mut self,
-        now: Nanos,
-        block: BlockId,
-        span: SectorSpan,
-    ) -> EnqueueOutcome {
-        self.enqueue_write_observed(now, block, span, |_| {})
-    }
-
-    /// [`Disk::enqueue`], reporting [`DiskEvent`]s to `observe`.
-    pub fn enqueue_observed(
-        &mut self,
-        now: Nanos,
-        block: BlockId,
-        span: SectorSpan,
-        mut observe: impl FnMut(DiskEvent),
-    ) -> EnqueueOutcome {
-        self.enqueue_kind(now, block, span, ReqKind::Read, &mut observe)
-    }
-
-    /// [`Disk::enqueue_write`], reporting [`DiskEvent`]s to `observe`.
-    pub fn enqueue_write_observed(
-        &mut self,
-        now: Nanos,
-        block: BlockId,
-        span: SectorSpan,
-        mut observe: impl FnMut(DiskEvent),
-    ) -> EnqueueOutcome {
-        self.enqueue_kind(now, block, span, ReqKind::Write, &mut observe)
-    }
-
-    fn enqueue_kind(
+    /// Enqueues a `kind` request of `span` for logical `block` at time
+    /// `now`, then starts it immediately if the drive is idle, reporting
+    /// each [`DiskEvent`] to `observe`. Rejected (with no state change and
+    /// no event) when the drive is inside a hard outage window.
+    pub fn enqueue(
         &mut self,
         now: Nanos,
         block: BlockId,
         span: SectorSpan,
         kind: ReqKind,
-        observe: &mut impl FnMut(DiskEvent),
+        mut observe: impl FnMut(DiskEvent),
     ) -> EnqueueOutcome {
         if self.model.outage_until(now).is_some() {
             // Out of service: the arrival is turned away before it touches
@@ -225,17 +190,13 @@ impl Disk {
             kind,
             depth: self.load(),
         });
-        self.maybe_start_observed(now, observe);
+        self.maybe_start(now, &mut observe);
         EnqueueOutcome::Accepted
     }
 
     /// If idle and work is queued, picks the next request per the
     /// discipline and begins servicing it.
-    pub fn maybe_start(&mut self, now: Nanos) {
-        self.maybe_start_observed(now, &mut |_| {});
-    }
-
-    fn maybe_start_observed(&mut self, now: Nanos, observe: &mut impl FnMut(DiskEvent)) {
+    fn maybe_start(&mut self, now: Nanos, observe: &mut impl FnMut(DiskEvent)) {
         if self.in_service.is_some() || self.queue.is_empty() {
             return;
         }
@@ -276,24 +237,15 @@ impl Disk {
 
     /// Completes the in-service request (which must complete at exactly
     /// `now`), records statistics, starts the next queued request, and
-    /// returns the finished fetch.
+    /// returns the finished request, reporting each [`DiskEvent`] (the
+    /// completion itself, plus the start of the next queued request, if
+    /// any) to `observe`.
     ///
     /// # Panics
     ///
     /// Panics if no request is in service or if `now` is not its
     /// completion time — either indicates a broken event loop.
-    pub fn complete(&mut self, now: Nanos) -> Completed {
-        self.complete_observed(now, |_| {})
-    }
-
-    /// [`Disk::complete`], reporting [`DiskEvent`]s to `observe` (the
-    /// completion itself, plus the start of the next queued request, if
-    /// any).
-    pub fn complete_observed(
-        &mut self,
-        now: Nanos,
-        mut observe: impl FnMut(DiskEvent),
-    ) -> Completed {
+    pub fn complete(&mut self, now: Nanos, mut observe: impl FnMut(DiskEvent)) -> Completed {
         let s = self
             .in_service
             .take()
@@ -328,7 +280,7 @@ impl Disk {
             depth: self.queue.len(),
             outcome: s.outcome,
         });
-        self.maybe_start_observed(now, &mut observe);
+        self.maybe_start(now, &mut observe);
         done
     }
 
@@ -440,6 +392,27 @@ mod tests {
         }
     }
 
+    /// The drive's calls without an observer, as the tests make them.
+    trait Unobserved {
+        fn read(&mut self, now: Nanos, block: BlockId, span: SectorSpan) -> EnqueueOutcome;
+        fn write(&mut self, now: Nanos, block: BlockId, span: SectorSpan) -> EnqueueOutcome;
+        fn done(&mut self, now: Nanos) -> Completed;
+    }
+
+    impl Unobserved for Disk {
+        fn read(&mut self, now: Nanos, block: BlockId, span: SectorSpan) -> EnqueueOutcome {
+            self.enqueue(now, block, span, ReqKind::Read, |_| {})
+        }
+
+        fn write(&mut self, now: Nanos, block: BlockId, span: SectorSpan) -> EnqueueOutcome {
+            self.enqueue(now, block, span, ReqKind::Write, |_| {})
+        }
+
+        fn done(&mut self, now: Nanos) -> Completed {
+            self.complete(now, |_| {})
+        }
+    }
+
     fn uniform_disk(ms: u64) -> Disk {
         Disk::new(
             Box::new(UniformDisk::new(Nanos::from_millis(ms))),
@@ -450,17 +423,17 @@ mod tests {
     #[test]
     fn serializes_requests() {
         let mut d = uniform_disk(10);
-        d.enqueue(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
+        d.read(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
             .accepted();
-        d.enqueue(Nanos::ZERO, BlockId(2), SectorSpan { start: 16, len: 16 })
+        d.read(Nanos::ZERO, BlockId(2), SectorSpan { start: 16, len: 16 })
             .accepted();
         assert_eq!(d.next_completion(), Some(Nanos::from_millis(10)));
-        let first = d.complete(Nanos::from_millis(10));
+        let first = d.done(Nanos::from_millis(10));
         assert_eq!(first.block, BlockId(1));
         assert_eq!(first.service, Nanos::from_millis(10));
         // Second request starts only after the first completes.
         assert_eq!(d.next_completion(), Some(Nanos::from_millis(20)));
-        let second = d.complete(Nanos::from_millis(20));
+        let second = d.done(Nanos::from_millis(20));
         assert_eq!(second.block, BlockId(2));
         // It waited 10ms in queue: response is 20ms.
         assert_eq!(second.response, Nanos::from_millis(20));
@@ -470,12 +443,12 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut d = uniform_disk(5);
-        d.enqueue(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
+        d.read(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
             .accepted();
-        d.enqueue(Nanos::ZERO, BlockId(2), SectorSpan { start: 16, len: 16 })
+        d.read(Nanos::ZERO, BlockId(2), SectorSpan { start: 16, len: 16 })
             .accepted();
-        d.complete(Nanos::from_millis(5));
-        d.complete(Nanos::from_millis(10));
+        d.done(Nanos::from_millis(5));
+        d.done(Nanos::from_millis(10));
         let s = d.stats();
         assert_eq!(s.served, 2);
         assert_eq!(s.busy, Nanos::from_millis(10));
@@ -488,9 +461,9 @@ mod tests {
     fn load_and_outstanding() {
         let mut d = uniform_disk(5);
         assert_eq!(d.load(), 0);
-        d.enqueue(Nanos::ZERO, BlockId(9), SectorSpan { start: 0, len: 16 })
+        d.read(Nanos::ZERO, BlockId(9), SectorSpan { start: 0, len: 16 })
             .accepted();
-        d.enqueue(Nanos::ZERO, BlockId(8), SectorSpan { start: 16, len: 16 })
+        d.read(Nanos::ZERO, BlockId(8), SectorSpan { start: 16, len: 16 })
             .accepted();
         assert_eq!(d.load(), 2);
         let out: Vec<BlockId> = d.outstanding().collect();
@@ -503,21 +476,21 @@ mod tests {
     #[should_panic(expected = "wrong time")]
     fn completing_at_wrong_time_panics() {
         let mut d = uniform_disk(5);
-        d.enqueue(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
+        d.read(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
             .accepted();
-        d.complete(Nanos::from_millis(99));
+        d.done(Nanos::from_millis(99));
     }
 
     #[test]
     fn writes_share_the_queue_and_report_their_kind() {
         let mut d = uniform_disk(5);
-        d.enqueue(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
+        d.read(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
             .accepted();
-        d.enqueue_write(Nanos::ZERO, BlockId(2), SectorSpan { start: 16, len: 16 })
+        d.write(Nanos::ZERO, BlockId(2), SectorSpan { start: 16, len: 16 })
             .accepted();
-        let first = d.complete(Nanos::from_millis(5));
+        let first = d.done(Nanos::from_millis(5));
         assert_eq!((first.block, first.kind), (BlockId(1), ReqKind::Read));
-        let second = d.complete(Nanos::from_millis(10));
+        let second = d.done(Nanos::from_millis(10));
         assert_eq!((second.block, second.kind), (BlockId(2), ReqKind::Write));
         assert_eq!(d.stats().served, 2);
     }
@@ -525,7 +498,7 @@ mod tests {
     #[test]
     fn stats_at_credits_partial_in_service_time() {
         let mut d = uniform_disk(10);
-        d.enqueue(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
+        d.read(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
             .accepted();
         // Completed stats see nothing mid-service...
         assert_eq!(d.stats().busy, Nanos::ZERO);
@@ -542,7 +515,7 @@ mod tests {
         // and completion-only fields are untouched.
         assert_eq!(d.stats_at(Nanos::from_millis(4)).served, 0);
         // After completion the two views agree.
-        d.complete(Nanos::from_millis(10));
+        d.done(Nanos::from_millis(10));
         assert_eq!(d.stats_at(Nanos::from_millis(10)), d.stats());
         assert_eq!(d.stats().busy, Nanos::from_millis(10));
     }
@@ -550,7 +523,7 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut d = uniform_disk(5);
-        d.enqueue(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
+        d.read(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
             .accepted();
         d.reset();
         assert!(d.is_free());
@@ -575,12 +548,12 @@ mod tests {
         );
         // Serve cylinder 500, then a request behind the head: SCAN finds
         // nothing ahead and reverses, leaving the discipline descending.
-        d.enqueue(Nanos::ZERO, BlockId(1), span_at_cylinder(500))
+        d.read(Nanos::ZERO, BlockId(1), span_at_cylinder(500))
             .accepted();
-        d.enqueue(Nanos::ZERO, BlockId(2), span_at_cylinder(10))
+        d.read(Nanos::ZERO, BlockId(2), span_at_cylinder(10))
             .accepted();
         let t = d.next_completion().unwrap();
-        d.complete(t);
+        d.done(t);
         assert_eq!(d.discipline(), Discipline::Scan { ascending: false });
 
         // A reset mid-sweep must restore the constructed direction, or
@@ -591,16 +564,16 @@ mod tests {
         // Behavioral check: head back at 500 with candidates on both
         // sides, an ascending sweep picks 900 next; a stale descending
         // sweep would have picked 10.
-        d.enqueue(Nanos::ZERO, BlockId(1), span_at_cylinder(500))
+        d.read(Nanos::ZERO, BlockId(1), span_at_cylinder(500))
             .accepted();
-        d.enqueue(Nanos::ZERO, BlockId(2), span_at_cylinder(10))
+        d.read(Nanos::ZERO, BlockId(2), span_at_cylinder(10))
             .accepted();
-        d.enqueue(Nanos::ZERO, BlockId(3), span_at_cylinder(900))
+        d.read(Nanos::ZERO, BlockId(3), span_at_cylinder(900))
             .accepted();
         let t = d.next_completion().unwrap();
-        assert_eq!(d.complete(t).block, BlockId(1));
+        assert_eq!(d.done(t).block, BlockId(1));
         let t = d.next_completion().unwrap();
-        assert_eq!(d.complete(t).block, BlockId(3));
+        assert_eq!(d.done(t).block, BlockId(3));
     }
 
     use crate::fault::{FaultPlan, FaultyDisk};
@@ -623,14 +596,13 @@ mod tests {
         let mut d = faulty_disk("outage:0:10:20");
         let span = SectorSpan { start: 0, len: 16 };
         assert!(d
-            .enqueue(Nanos::from_millis(15), BlockId(1), span)
+            .read(Nanos::from_millis(15), BlockId(1), span)
             .is_rejected());
         assert!(d.is_free());
         assert_eq!(d.load(), 0);
         assert_eq!(d.stats(), DiskStats::default());
         // After the window the same request is accepted.
-        d.enqueue(Nanos::from_millis(20), BlockId(1), span)
-            .accepted();
+        d.read(Nanos::from_millis(20), BlockId(1), span).accepted();
         assert_eq!(d.next_completion(), Some(Nanos::from_millis(25)));
     }
 
@@ -641,15 +613,14 @@ mod tests {
         // Enqueued before the outage with a request ahead of it: when the
         // first completes at t=12 (mid-outage), the second's start defers
         // to t=20 and it completes at t=25.
-        d.enqueue(Nanos::from_millis(7), BlockId(1), span)
-            .accepted();
-        d.enqueue(
+        d.read(Nanos::from_millis(7), BlockId(1), span).accepted();
+        d.read(
             Nanos::from_millis(7),
             BlockId(2),
             SectorSpan { start: 16, len: 16 },
         )
         .accepted();
-        let first = d.complete(Nanos::from_millis(12));
+        let first = d.done(Nanos::from_millis(12));
         assert_eq!(first.block, BlockId(1));
         assert_eq!(d.next_completion(), Some(Nanos::from_millis(25)));
         // Waiting out the outage is not busy time...
@@ -657,7 +628,7 @@ mod tests {
             d.stats_at(Nanos::from_millis(15)).busy,
             Nanos::from_millis(5)
         );
-        let second = d.complete(Nanos::from_millis(25));
+        let second = d.done(Nanos::from_millis(25));
         // ...and the deferred wait shows up in response, not service.
         assert_eq!(second.service, Nanos::from_millis(5));
         assert_eq!(second.response, Nanos::from_millis(18));
@@ -672,9 +643,9 @@ mod tests {
         let span = SectorSpan { start: 0, len: 16 };
         let mut t = Nanos::ZERO;
         for i in 0..32u64 {
-            d.enqueue(t, BlockId(i), span).accepted();
+            d.read(t, BlockId(i), span).accepted();
             t = d.next_completion().unwrap();
-            let done = d.complete(t);
+            let done = d.done(t);
             assert_eq!(done.service, Nanos::from_millis(5));
         }
         let s = d.stats();
@@ -696,9 +667,9 @@ mod tests {
             let mut outcomes = Vec::new();
             let mut t = Nanos::ZERO;
             for i in 0..32u64 {
-                d.enqueue(t, BlockId(i), span).accepted();
+                d.read(t, BlockId(i), span).accepted();
                 t = d.next_completion().unwrap();
-                outcomes.push(d.complete(t).outcome);
+                outcomes.push(d.done(t).outcome);
             }
             (outcomes, d.stats())
         };

@@ -15,8 +15,8 @@
 //!   array of independently accessible drives.
 //! * [`layout`] — one-block striping across the array and the paper's
 //!   100-cylinder file-clustering groups.
-//! * [`probe`] — low-level drive events for observers; the `*_observed`
-//!   method variants report them to a caller-supplied closure.
+//! * [`probe`] — low-level drive events for observers; enqueue and
+//!   completion report them to a caller-supplied closure.
 //! * [`fault`] — deterministic fault injection: a seed-driven
 //!   [`FaultPlan`] (transient media errors, fail-slow windows, hard
 //!   outages) and the [`FaultyDisk`] model wrapper that applies it.

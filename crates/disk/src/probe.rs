@@ -3,9 +3,10 @@
 //! The drive layer cannot depend on the simulator core, so it exposes its
 //! own small event vocabulary. The core's probe layer wraps these into its
 //! richer simulation-event stream. Observers are plain `FnMut` closures
-//! passed into the `*_observed` variants of [`crate::Disk`] and
-//! [`crate::DiskArray`]; the plain methods pass a no-op closure, which
-//! monomorphizes away entirely, so uninstrumented callers pay nothing.
+//! passed to [`crate::Disk`]'s `enqueue` and `complete` and to
+//! [`crate::DiskArray`]'s `enqueue_observed` and `complete_observed`; a
+//! caller that observes nothing passes a no-op closure (as the array's
+//! plain `enqueue` and `complete` do), which monomorphizes away entirely.
 
 use crate::disk::ReqKind;
 use crate::model::ServiceOutcome;

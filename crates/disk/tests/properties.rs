@@ -103,12 +103,14 @@ fn disk_serves_every_request_once() {
                 Nanos::from_micros(i as u64),
                 BlockId(b),
                 SectorSpan::for_block(b),
+                ReqKind::Read,
+                |_| {},
             );
             assert!(!outcome.is_rejected(), "case {case}: healthy drive");
         }
         let mut served = Vec::new();
         while let Some(t) = disk.next_completion() {
-            served.push(disk.complete(t).block);
+            served.push(disk.complete(t, |_| {}).block);
         }
         assert!(disk.is_free(), "case {case}");
         served.sort_unstable();
@@ -190,13 +192,15 @@ fn uniform_queueing_is_exact() {
                 Nanos::ZERO,
                 BlockId(i as u64),
                 SectorSpan::for_block(i as u64),
+                ReqKind::Read,
+                |_| {},
             );
             assert!(!outcome.is_rejected(), "case {case}: healthy drive");
         }
         for k in 1..=n {
             let t = d.next_completion().expect("queued work");
             assert_eq!(t, Nanos::from_millis(f_ms * k as u64), "case {case}");
-            d.complete(t);
+            d.complete(t, |_| {});
         }
     }
 }
@@ -233,6 +237,8 @@ fn faulty_drive_conserves_requests() {
                 Nanos::from_micros(i as u64),
                 BlockId(b),
                 SectorSpan::for_block(b),
+                ReqKind::Read,
+                |_| {},
             );
             assert!(!outcome.is_rejected(), "case {case}: no outage declared");
         }
@@ -241,7 +247,7 @@ fn faulty_drive_conserves_requests() {
         while let Some(t) = disk.next_completion() {
             assert!(t >= last, "case {case}");
             last = t;
-            disk.complete(t);
+            disk.complete(t, |_| {});
             completions += 1;
         }
         assert!(disk.is_free(), "case {case}");
