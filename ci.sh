@@ -147,7 +147,7 @@ fi
 echo "== bad command lines exit 2 and print the usage text =="
 # The unit tests stop at parsing and validation; this covers main's own
 # exit path. The argument lists are word-split on purpose.
-for args in "--verbose" "--bench --sweep" "--seed 7"; do
+for args in "--verbose" "--bench --sweep" "--seed 7" "--fuzz 5 --faults seed:7"; do
     status=0
     ./target/release/parcache-run $args > /dev/null 2> "$tmp1" || status=$?
     if [ "$status" != "2" ]; then

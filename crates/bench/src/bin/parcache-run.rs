@@ -400,23 +400,10 @@ struct Options {
     /// `--fail-fast`: stop dispatching cells after the first failure.
     fail_fast: bool,
     positional: Vec<String>,
-}
-
-/// Whether an [`Options`] field holds a value, the test behind each
-/// "only applies to" rule: anything but its default, except that a
-/// fault plan of only a seed injects nothing and is accepted anywhere.
-trait Given: Default + PartialEq {
-    fn given(&self) -> bool {
-        *self != Self::default()
-    }
-}
-impl Given for bool {}
-impl Given for u32 {}
-impl<T: PartialEq> Given for Option<T> {}
-impl Given for FaultPlan {
-    fn given(&self) -> bool {
-        !self.is_empty()
-    }
+    /// Every flag on the command line, as its [`FLAGS`] name: a flag
+    /// applies to its modes whatever its value, so the "only applies to"
+    /// rules ask this, not the parsed field.
+    given: Vec<&'static str>,
 }
 
 /// A flag's parsed value. `Err(None)` is a malformed value, reported
@@ -488,10 +475,10 @@ macro_rules! flags {
             Ok(())
         }
 
-        /// The message for the first flag that `opts` holds in a mode
-        /// the flag does not apply to.
+        /// The message for the first flag given in a mode it does not
+        /// apply to.
         fn misplaced(opts: &Options) -> Option<&'static str> {
-            $($(if opts.$field.given() && !matches!(opts.mode, $(Mode::$mode $(($any))?)|+) {
+            $($(if opts.given.contains(&$name) && !matches!(opts.mode, $(Mode::$mode $(($any))?)|+) {
                 return Some($only);
             })?)*
             None
@@ -589,6 +576,7 @@ fn parse_args(args: Vec<String>) -> Result<Options, CliError> {
         set_flag(&mut opts, flag.name, &value)
             .map_err(|e| e.map_or_else(requires, CliError::Usage))?;
         mode_clash(mode, opts.mode)?;
+        opts.given.push(flag.name);
     }
     Ok(opts)
 }
@@ -972,16 +960,11 @@ fn bench_main<P: Prof>(opts: &Options, prof: &P) -> Result<(), CliError> {
     let _span = prof.span("bench");
     if opts.mode == Mode::BenchEngine {
         let engine_bench = engine_stress(prof);
-        if let Some(path) = opts.baseline.as_deref() {
-            let baseline = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Io(format!("failed to read baseline {path}: {e}")))?;
-            match bench::check_engine(&engine_bench, &baseline) {
-                Ok(verdict) => eprintln!("{verdict}"),
-                Err(verdict) => {
-                    eprintln!("BENCH ENGINE: {verdict}");
-                    std::process::exit(1);
-                }
-            }
+        if let Some(baseline) = read_baseline(opts)? {
+            gate(
+                "BENCH ENGINE",
+                bench::check_engine(&engine_bench, &baseline),
+            );
         }
         println!("{}", bench::engine_bench_json(&engine_bench));
         return Ok(());
@@ -1034,25 +1017,13 @@ fn bench_main<P: Prof>(opts: &Options, prof: &P) -> Result<(), CliError> {
         );
     }
 
-    if let Some(path) = opts.baseline.as_deref() {
-        let baseline = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Io(format!("failed to read baseline {path}: {e}")))?;
-        match bench::check_regression(&sweep_bench.smoke, &baseline) {
-            Ok(verdict) => eprintln!("{verdict}"),
-            Err(verdict) => {
-                eprintln!("BENCH REGRESSION: {verdict}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(baseline) = read_baseline(opts)? {
+        gate(
+            "BENCH REGRESSION",
+            bench::check_regression(&sweep_bench.smoke, &baseline),
+        );
     }
-
-    match bench::check_scaling(&sweep_bench) {
-        Ok(verdict) => eprintln!("{verdict}"),
-        Err(verdict) => {
-            eprintln!("BENCH SCALING: {verdict}");
-            std::process::exit(1);
-        }
-    }
+    gate("BENCH SCALING", bench::check_scaling(&sweep_bench));
 
     if !full {
         println!("{}", bench::sweep_bench_json(&sweep_bench));
@@ -1070,6 +1041,28 @@ fn bench_main<P: Prof>(opts: &Options, prof: &P) -> Result<(), CliError> {
         println!("wrote {path}");
     }
     Ok(())
+}
+
+/// The committed bench document `--baseline` names, if given.
+fn read_baseline(opts: &Options) -> Result<Option<String>, CliError> {
+    let Some(path) = opts.baseline.as_deref() else {
+        return Ok(None);
+    };
+    std::fs::read_to_string(path)
+        .map(Some)
+        .map_err(|e| CliError::Io(format!("failed to read baseline {path}: {e}")))
+}
+
+/// Prints a bench gate's verdict; a failed gate prints it after `label`
+/// and exits 1.
+fn gate(label: &str, verdict: Result<String, String>) {
+    match verdict {
+        Ok(verdict) => eprintln!("{verdict}"),
+        Err(verdict) => {
+            eprintln!("{label}: {verdict}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// The engine stress bench, each policy's rate reported on stderr.
@@ -1404,6 +1397,8 @@ mod tests {
         const HINTS: &str = "--hints only applies to single runs and --sweep; \
                              --fuzz cycles hint sources on its own";
         const POSITIONAL: &str = "--fuzz/--bench take no trace/policy/disks arguments";
+        const FAULTS: &str = "--faults only applies to single runs and --sweep; \
+                              --fuzz draws its own fault plans";
         const OUT: &str = "--out only applies to --sweep; single runs print to stdout";
         const FAILSOFT: &str =
             "--cell-timeout/--max-cell-retries/--fail-fast only apply to --sweep";
@@ -1457,10 +1452,15 @@ mod tests {
             &["--fuzz", "10", "--json"],
             "--json only applies to single runs and --sweep",
         );
-        assert_usage(
-            &["--fuzz", "10", "--faults", "flaky:*:0.01"],
-            "--faults only applies to single runs and --sweep; --fuzz draws its own fault plans",
-        );
+        // A flag counts as given whatever its value: a seed-only plan
+        // injects nothing, but is still not for --fuzz or --bench.
+        for args in [
+            &["--fuzz", "10", "--faults", "flaky:*:0.01"][..],
+            &["--fuzz", "5", "--faults", "seed:7"],
+            &["--bench", "--faults", "seed:7"],
+        ] {
+            assert_usage(args, FAULTS);
+        }
         assert_usage(&["--fuzz", "10", "--hints", "seq"], HINTS);
         assert_usage(&["--bench", "--hints", "seq"], HINTS);
         assert_usage(&["--fuzz", "10", "synth"], POSITIONAL);
@@ -1476,6 +1476,7 @@ mod tests {
         assert_usage(&["synth", "all", "4", "--cell-timeout", "1000"], FAILSOFT);
         assert_usage(&["--fuzz", "10", "--cell-timeout", "1000"], FAILSOFT);
         assert_usage(&["synth", "all", "4", "--max-cell-retries", "2"], FAILSOFT);
+        assert_usage(&["synth", "all", "4", "--max-cell-retries", "0"], FAILSOFT);
         assert_usage(&["synth", "all", "4", "--fail-fast"], FAILSOFT);
         assert_usage(&["--bench", "--fail-fast"], FAILSOFT);
         assert_usage(
