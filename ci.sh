@@ -82,14 +82,23 @@ diff "$tmp1" "$tmp2"
 # sources. A panicking cell fails the
 # run's exit status, and a panic caught inside a run that still exits 0
 # fails the grep; either way the panic messages are printed.
+# The grid's output is kept and its SHA-256 compared with the committed
+# fixture: that pins forestall and every hint source, which the
+# 16-cell predicted digest does not.
 checked_run() {
-    ./target/checked/parcache-run "$@" > /dev/null 2> "$tmp2" \
+    ./target/checked/parcache-run "$@" > "$tmp1" 2> "$tmp2" \
         || { grep panicked "$tmp2" || cat "$tmp2"; exit 1; }
     if grep panicked "$tmp2"; then exit 1; fi
 }
-echo "== checked build: oracle and predicted-hint sweep (1,328 cells) and differential fuzz, zero panics =="
+echo "== checked build: oracle and predicted-hint sweep (1,328 cells, digest pinned) and differential fuzz, zero panics =="
 cargo build --profile checked -q -p parcache-bench --bin parcache-run
 checked_run --sweep all all --hints oracle,seq,markov,mithril --threads 2
+hints_digest=$(sha256sum < "$tmp1" | cut -d' ' -f1)
+pinned=$(cat crates/bench/tests/fixtures/all_hints_sweep.sha256)
+if [ "$hints_digest" != "$pinned" ]; then
+    echo "all-hints sweep digest $hints_digest != committed $pinned"
+    exit 1
+fi
 checked_run --fuzz 100 --differential --seed 1996 --threads 2
 
 echo "== explain sweep smoke (per-cause stall columns, audited) =="

@@ -147,12 +147,12 @@ fn bench_cache() {
         oracle.num_blocks() >= 1024,
         "need at least 1024 distinct blocks"
     );
-    // One case per Belady structure: the exact next-use index, and the
-    // lazy heap as it runs under incomplete hints.
+    // One case per key regime on the next-use index: exact keys, and
+    // LRU estimates as under incomplete hints.
     for (name, knowledge) in [
         ("cache_evict_cycle/exact (512 evictions)", Knowledge::Exact),
         (
-            "cache_evict_cycle/lru-heap (512 evictions)",
+            "cache_evict_cycle/lru-estimate (512 evictions)",
             Knowledge::LruEstimate,
         ),
     ] {

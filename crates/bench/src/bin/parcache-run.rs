@@ -648,6 +648,24 @@ struct ProfileExtras {
     workers: Vec<WorkerStats>,
 }
 
+/// The sweep's algorithm list: `all` for appendix A's four, or
+/// comma-separated names.
+fn parse_algos(arg: &str) -> Result<Vec<Algo>, CliError> {
+    if arg == "all" {
+        return Ok(Algo::APPENDIX_A.to_vec());
+    }
+    arg.split(',')
+        .map(|n| {
+            Algo::by_name(n).ok_or_else(|| {
+                CliError::Usage(format!(
+                    "unknown algorithm {n}; choose from: all {}",
+                    Algo::LISTED.map(|(listed, _)| listed).join(" ")
+                ))
+            })
+        })
+        .collect()
+}
+
 /// `--sweep` mode: expand the grid, run it on the worker pool, print CSV
 /// or JSON. The output is byte-identical for every thread count.
 fn sweep_main<P: Prof>(
@@ -664,21 +682,7 @@ fn sweep_main<P: Prof>(
         None => None,
     };
 
-    let algos: Vec<Algo> = if algo_arg == "all" {
-        Algo::APPENDIX_A.to_vec()
-    } else {
-        algo_arg
-            .split(',')
-            .map(|n| {
-                Algo::by_name(n).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "unknown algorithm {n}; choose from: all demand fixed-horizon \
-                         aggressive tuned-reverse forestall"
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?
-    };
+    let algos = parse_algos(algo_arg)?;
 
     let names: Vec<&str> = if trace_arg == "all" {
         parcache_trace::TRACE_NAMES.to_vec()
@@ -1352,6 +1356,22 @@ mod tests {
 
     fn assert_usage(args: &[&str], message: &str) {
         assert_eq!(usage_error(args), message, "{args:?}");
+    }
+
+    #[test]
+    fn sweep_algorithms_parse_and_list_every_accepted_name() {
+        assert_eq!(parse_algos("all").unwrap(), Algo::APPENDIX_A.to_vec());
+        assert_eq!(
+            parse_algos("demand,tuned-reverse,reverse-aggressive").unwrap(),
+            [Algo::Demand, Algo::TunedReverse, Algo::TunedReverse]
+        );
+        let e = parse_algos("aggressive,lru").unwrap_err();
+        assert_eq!(e.exit_code(), 2);
+        assert_eq!(
+            e.to_string(),
+            "unknown algorithm lru; choose from: all demand fixed-horizon \
+             aggressive tuned-reverse forestall"
+        );
     }
 
     #[test]

@@ -57,18 +57,24 @@ impl Algo {
         }
     }
 
-    /// Looks an algorithm up by its display name (`"tuned-reverse"` is
-    /// accepted as an alias distinguishing the tuned search from plain
-    /// reverse aggressive).
+    /// Every algorithm the command line accepts, in the order it lists
+    /// them, each under the name it is listed by: the display name,
+    /// except `tuned-reverse`, which tells the tuned search from plain
+    /// reverse aggressive.
+    pub const LISTED: [(&'static str, Algo); 5] = [
+        ("demand", Algo::Demand),
+        ("fixed-horizon", Algo::FixedHorizon),
+        ("aggressive", Algo::Aggressive),
+        ("tuned-reverse", Algo::TunedReverse),
+        ("forestall", Algo::Forestall),
+    ];
+
+    /// Looks an algorithm up by its listed name or its display name.
     pub fn by_name(name: &str) -> Option<Algo> {
-        match name {
-            "demand" => Some(Algo::Demand),
-            "fixed-horizon" => Some(Algo::FixedHorizon),
-            "aggressive" => Some(Algo::Aggressive),
-            "reverse-aggressive" | "tuned-reverse" => Some(Algo::TunedReverse),
-            "forestall" => Some(Algo::Forestall),
-            _ => None,
-        }
+        Algo::LISTED
+            .iter()
+            .find(|&&(listed, a)| listed == name || a.name() == name)
+            .map(|&(_, a)| a)
     }
 
     /// Display name (matches the policies' own names).
@@ -168,13 +174,8 @@ mod tests {
 
     #[test]
     fn algo_name_round_trips_through_by_name() {
-        for a in [
-            Algo::Demand,
-            Algo::FixedHorizon,
-            Algo::Aggressive,
-            Algo::TunedReverse,
-            Algo::Forestall,
-        ] {
+        for (listed, a) in Algo::LISTED {
+            assert_eq!(Algo::by_name(listed), Some(a));
             assert_eq!(Algo::by_name(a.name()), Some(a));
         }
         assert_eq!(Algo::by_name("tuned-reverse"), Some(Algo::TunedReverse));

@@ -132,9 +132,10 @@ const PREDICTED_GOLDEN: &str = "6fd9913202bbddb9ee628cf5071103853551e2a44d79f91b
 #[test]
 fn predicted_hint_sweep_csv_matches_committed_digest() {
     // Predicted oracles guess wrong, which moves Belady keys without a
-    // reference to the block; the cache's lazy heap then answers by the
-    // entries it holds, so this pins the heap behaviour (and the tuned
-    // search) on that path as well as on the exact-oracle path.
+    // reference to the block; the cache then answers by the keys it last
+    // gave, re-keying the stale ones it meets at the top, so this pins
+    // that rule (and the tuned search) on that path as well as on the
+    // exact-oracle path.
     let spec = SweepSpec {
         entries: ["dinero", "cscope1"]
             .into_iter()
@@ -160,9 +161,9 @@ fn predicted_hint_sweep_csv_matches_committed_digest() {
 /// three incomplete oracle-hint specs (per-reference, segment and prefix
 /// disclosure), for all five policies at their default parameters plus
 /// the tuned reverse-aggressive search. Under partial hints the forward
-/// engine's cache keeps the lazy heap with the LRU estimate while the
-/// reverse pass plans over the exact disclosed sequence, so this pins
-/// both Belady paths of one run.
+/// engine's cache keys blocks with the LRU estimate while the reverse
+/// pass plans over the exact disclosed sequence, so this pins both key
+/// regimes of one run.
 const PARTIAL_GOLDEN: &str = "3a4acaeb15a21740a935a023dbccc4f07a8b48c6fd26c5d7c6b0b656db79d617";
 
 #[test]

@@ -105,7 +105,6 @@ impl ReverseAggressive {
                 config.cache_blocks,
                 config.reverse_fetch_estimate,
                 config.reverse_batch_size,
-                Knowledge::Exact,
             ),
             planned_blocks: (0..reversed.num_blocks() as u32)
                 .map(|i| reversed.block_of(i))
@@ -417,15 +416,13 @@ impl Positions {
 }
 
 /// Runs the reverse pass over `reversed` and transforms it into the
-/// forward schedule. The pass knows exactly the disclosed sequence it
-/// plans over, so `knowledge` is [`Knowledge::Exact`] outside tests, and
-/// its completions wait in `Q`, [`DiskFifos`] outside tests.
+/// forward schedule. Its completions wait in `Q`, [`DiskFifos`] outside
+/// tests.
 fn build_schedule<Q: Completions>(
     reversed: &Oracle,
     cache_blocks: usize,
     fetch_estimate: u64,
     batch_size: usize,
-    knowledge: Knowledge,
 ) -> Vec<Pair> {
     let n = reversed.len();
     if n == 0 {
@@ -435,13 +432,7 @@ fn build_schedule<Q: Completions>(
         n < u32::MAX as usize,
         "trace too long for u32 schedule positions"
     );
-    let mut pass = ReversePass::<Q>::new(
-        reversed,
-        cache_blocks,
-        fetch_estimate,
-        batch_size,
-        knowledge,
-    );
+    let mut pass = ReversePass::<Q>::new(reversed, cache_blocks, fetch_estimate, batch_size);
     pass.run();
     let ReversePass {
         cache,
@@ -606,13 +597,7 @@ struct ReversePass<'o, Q> {
 }
 
 impl<'o, Q: Completions> ReversePass<'o, Q> {
-    fn new(
-        oracle: &'o Oracle,
-        cache_blocks: usize,
-        fetch_time: u64,
-        batch_size: usize,
-        knowledge: Knowledge,
-    ) -> Self {
+    fn new(oracle: &'o Oracle, cache_blocks: usize, fetch_time: u64, batch_size: usize) -> Self {
         // Configs built by struct literal bypass `with_reverse_params`;
         // per-disk completion order needs every fetch to take time.
         assert!(fetch_time >= 1, "reverse fetch estimate must be at least 1");
@@ -620,7 +605,8 @@ impl<'o, Q: Completions> ReversePass<'o, Q> {
         let blocks = oracle.num_blocks();
         ReversePass {
             oracle,
-            cache: Cache::new(cache_blocks, oracle, knowledge),
+            // The pass knows exactly the disclosed sequence it plans over.
+            cache: Cache::new(cache_blocks, oracle, Knowledge::Exact),
             missing: MissingTracker::new(oracle),
             fetch_time,
             batch_size,
@@ -1112,59 +1098,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_pass_on_the_next_use_index_matches_the_lazy_heap() {
-        // The reverse pass knows exactly the disclosed sequence it plans
-        // over, under full and partial hints alike, so its cache takes
-        // the next-use index. Forced onto the lazy heap, its executable
-        // spec, every grid configuration must plan the same schedule.
-        let mut rng = parcache_types::rng::Rng::seed_from_u64(0x2e7e_25ed);
-        for case in 0..24u64 {
-            let disks = 1 + case as usize % 4;
-            let len = rng.gen_range(40usize..=240);
-            let universe = rng.gen_range(4u64..=40);
-            let blocks: Vec<u64> = (0..len).map(|_| rng.gen_range(0..universe)).collect();
-            let cache = rng.gen_range(2usize..=10);
-            let trace = trace_of(&blocks, cache);
-            let specs = [
-                HintSpec::Full,
-                HintSpec::Fraction {
-                    fraction: 0.6,
-                    seed: case,
-                },
-                HintSpec::Segments {
-                    fraction: 0.5,
-                    mean_run: 12,
-                    seed: case,
-                },
-                HintSpec::Prefix { disclosed: len / 2 },
-            ];
-            for hints in specs {
-                let reversed = reversed_oracle(&trace, Layout::striped(disks), &hints);
-                for f in [1u64, 4, 16, 64] {
-                    for batch in [4usize, 40] {
-                        let cfg = SimConfig::new(disks, cache)
-                            .with_hints(hints.clone())
-                            .with_reverse_params(f, batch);
-                        let index = ReverseAggressive::with_reversed(&reversed, &cfg);
-                        let heap = build_schedule::<DiskFifos>(
-                            &reversed,
-                            cache,
-                            f,
-                            batch,
-                            Knowledge::ExactHeap,
-                        );
-                        assert_eq!(
-                            index.schedule(),
-                            heap,
-                            "case {case}, {disks} disks, {hints:?}, F̂ {f}, batch {batch}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn reverse_pass_on_disk_fifos_matches_the_completion_heap() {
         // Every grid configuration under full, fraction, segment and
         // prefix hints on 1-4 disks: the per-disk completion FIFOs must
@@ -1195,20 +1128,8 @@ mod tests {
                 let reversed = reversed_oracle(&trace, Layout::striped(disks), &hints);
                 for f in [1u64, 4, 16, 64] {
                     for batch in [4usize, 40] {
-                        let fifos = build_schedule::<DiskFifos>(
-                            &reversed,
-                            cache,
-                            f,
-                            batch,
-                            Knowledge::Exact,
-                        );
-                        let heap = build_schedule::<HeapOrder>(
-                            &reversed,
-                            cache,
-                            f,
-                            batch,
-                            Knowledge::Exact,
-                        );
+                        let fifos = build_schedule::<DiskFifos>(&reversed, cache, f, batch);
+                        let heap = build_schedule::<HeapOrder>(&reversed, cache, f, batch);
                         assert_eq!(
                             fifos, heap,
                             "case {case}, {disks} disks, {hints:?}, F̂ {f}, batch {batch}"

@@ -152,6 +152,13 @@ impl FetchHistory {
     }
 }
 
+/// Charges one I/O's driver overhead at `now`: the driver's own time,
+/// and the CPU, which runs it after whatever it is already busy with.
+fn charge_driver(driver_time: &mut Nanos, cpu_done: &mut Nanos, now: Nanos, overhead: Nanos) {
+    *driver_time += overhead;
+    *cpu_done = (*cpu_done).max(now) + overhead;
+}
+
 /// The mutable view a policy gets at a decision point.
 pub struct Ctx<'a> {
     /// Current simulated time.
@@ -220,8 +227,12 @@ impl Ctx<'_> {
             // block was never resident).
             self.evicted_ever.insert(e);
         }
-        *self.driver_time += self.config.driver_overhead;
-        *self.cpu_done = (*self.cpu_done).max(self.now) + self.config.driver_overhead;
+        charge_driver(
+            self.driver_time,
+            self.cpu_done,
+            self.now,
+            self.config.driver_overhead,
+        );
         *self.fetches += 1;
         let now = self.now;
         if let Some(emit) = &mut self.emit {
@@ -752,24 +763,6 @@ impl<'t> Prepared<'t> {
         } else {
             Knowledge::LruEstimate
         }
-    }
-
-    /// [`Prepared::run`] with the cache on the lazy heap even when the
-    /// knowledge is exact: the next-use index's executable spec.
-    #[cfg(test)]
-    pub(crate) fn run_on_heap<P: Probe>(
-        &self,
-        policy: &mut dyn Policy,
-        config: &SimConfig,
-        probe: &mut P,
-    ) -> Report {
-        let knowledge = match self.knowledge(config) {
-            Knowledge::Exact => Knowledge::ExactHeap,
-            k => k,
-        };
-        Engine::new(self, config, knowledge, policy.indexes())
-            .run(policy, probe, &NoCutoff, None)
-            .expect("a run without a cutoff is never abandoned")
     }
 }
 
@@ -1419,8 +1412,12 @@ impl<'t> Engine<'t> {
             .expect("retry timer for an untracked request")
             .attempts;
         let disk = self.array.disk_of(block);
-        self.driver_time += self.config.driver_overhead;
-        self.cpu_done = self.cpu_done.max(self.now) + self.config.driver_overhead;
+        charge_driver(
+            &mut self.driver_time,
+            &mut self.cpu_done,
+            self.now,
+            self.config.driver_overhead,
+        );
         self.retries += 1;
         if P::ENABLED {
             probe.on_event(&Event::RetryIssued {
@@ -1440,8 +1437,12 @@ impl<'t> Engine<'t> {
     /// consumes disk bandwidth and driver CPU.
     fn write_behind<P: Probe>(&mut self, block: BlockId, probe: &mut P) {
         self.writes += 1;
-        self.driver_time += self.config.driver_overhead;
-        self.cpu_done = self.cpu_done.max(self.now) + self.config.driver_overhead;
+        charge_driver(
+            &mut self.driver_time,
+            &mut self.cpu_done,
+            self.now,
+            self.config.driver_overhead,
+        );
         let disk = self.array.disk_of(block);
         if P::ENABLED {
             probe.on_event(&Event::WriteIssued {
@@ -1761,61 +1762,6 @@ mod tests {
                     let mut p = kind.build(&t, &cfg);
                     let shared = prepared.run(p.as_mut(), &cfg, &mut NoopProbe);
                     assert_eq!(shared, simulate(&t, kind, &cfg), "{kind}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn exact_runs_on_the_next_use_index_match_the_lazy_heap() {
-        // Fully hinted runs find Belady victims with the exact next-use
-        // index. The same runs forced onto the lazy heap, its executable
-        // spec, must give equal reports and event streams for every
-        // policy, on 1-4 disks, healthy and under read faults plus an
-        // outage. (Reverse aggressive's own reverse pass is checked
-        // against the heap in `algs::reverse`.)
-        use parcache_disk::FaultPlan;
-        let mut rng = parcache_types::rng::Rng::seed_from_u64(0x1dec_2026);
-        for case in 0..16u64 {
-            let disks = 1 + case as usize % 4;
-            let len = rng.gen_range(60usize..=200);
-            let universe = rng.gen_range(4u64..=40);
-            // Loops with random jumps, so runs, reuse and misses all occur.
-            let mut b = 0u64;
-            let requests: Vec<Request> = (0..len)
-                .map(|_| {
-                    b = if rng.gen_bool(0.2) {
-                        rng.gen_range(0..universe)
-                    } else {
-                        (b + 1) % universe
-                    };
-                    Request {
-                        block: BlockId(b),
-                        compute: Nanos::from_micros(rng.gen_range(200u64..=3000)),
-                    }
-                })
-                .collect();
-            let cache = rng.gen_range(2usize..=10);
-            let trace = Trace::new("spec", requests, cache);
-            let healthy = SimConfig::new(disks, cache);
-            let faulty = healthy.clone().with_faults(
-                FaultPlan::parse(&format!("flaky:*:0.05,outage:0:20:300,seed:{case}"))
-                    .expect("valid fault plan"),
-            );
-            for cfg in [healthy, faulty] {
-                let prepared = Prepared::new(&trace, &cfg);
-                assert_eq!(prepared.knowledge(&cfg), Knowledge::Exact);
-                for kind in PolicyKind::ALL {
-                    let (mut index_events, mut heap_events) = (Vec::new(), Vec::new());
-                    let mut p = kind.build(&trace, &cfg);
-                    let index =
-                        prepared.run(p.as_mut(), &cfg, &mut |e: &Event| index_events.push(*e));
-                    let mut p = kind.build(&trace, &cfg);
-                    let heap = prepared
-                        .run_on_heap(p.as_mut(), &cfg, &mut |e: &Event| heap_events.push(*e));
-                    let what = format!("case {case}, {kind}, {cfg:?}");
-                    assert_eq!(index, heap, "{what}");
-                    assert!(index_events == heap_events, "event streams differ: {what}");
                 }
             }
         }
