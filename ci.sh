@@ -21,6 +21,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== cargo build --release =="
 cargo build --release
 
+# The benchmark is a workspace of its own that imports the library crates
+# by path, so no other step compiles it. Building it here makes an API
+# change that breaks its imports fail CI, not the next benchmark run.
+echo "== perfbench builds against this tree =="
+CARGO_TARGET_DIR=target/perfbench \
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # `default-members` in the root manifest lists every crate, so this is
 # the whole workspace suite.
 echo "== cargo test -q =="

@@ -21,14 +21,14 @@
 //! library itself stays `forbid(unsafe_code)`.
 //!
 //! Regression checking is intentionally tolerant: CI fails only when the
-//! smoke grid's cells/sec drops by more than [`REGRESSION_TOLERANCE`]
+//! smoke grid's cells/sec drops by more than `REGRESSION_TOLERANCE`
 //! (25%) against the committed baseline. Single-core runners, noisy
 //! neighbours, and debug-adjacent codegen differences produce swings in
 //! the 10–20% range; a genuine hot-path regression shows up far larger.
 //!
 //! A second gate watches *scaling*: on machines with at least two
 //! effective cores, cells/sec at [`SCALING_GATE_THREADS`] threads must
-//! reach [`SCALING_EFFICIENCY_FLOOR`] of perfect linear scaling over the
+//! reach `SCALING_EFFICIENCY_FLOOR` of perfect linear scaling over the
 //! 1-thread rate ([`check_scaling`]). Effectively single-core
 //! environments skip with an explicit note instead of timing the
 //! scheduler.
@@ -45,7 +45,7 @@ use parcache_disk::FaultPlan;
 use std::time::{Duration, Instant};
 
 /// Thread counts the full sweep bench records scaling for.
-pub const SCALING_THREADS: [usize; 3] = [1, 2, 4];
+pub(crate) const SCALING_THREADS: [usize; 3] = [1, 2, 4];
 
 /// The thread count the scaling-efficiency gate measures at.
 pub const SCALING_GATE_THREADS: usize = 2;
@@ -53,7 +53,7 @@ pub const SCALING_GATE_THREADS: usize = 2;
 /// Relative cells/sec drop versus the baseline that fails the CI gate.
 /// 25%: big enough to ignore scheduler noise on shared single-core
 /// runners, small enough to catch any real hot-path regression.
-pub const REGRESSION_TOLERANCE: f64 = 0.25;
+pub(crate) const REGRESSION_TOLERANCE: f64 = 0.25;
 
 /// Minimum acceptable scaling efficiency at [`SCALING_GATE_THREADS`]
 /// threads — cells/sec at N threads ÷ (N × cells/sec at 1 thread) — on
@@ -62,7 +62,7 @@ pub const REGRESSION_TOLERANCE: f64 = 0.25;
 /// scored *negative* scaling (0.39 at 2 threads), so the floor sits
 /// well above any contention regression while leaving room for shared
 /// runners.
-pub const SCALING_EFFICIENCY_FLOOR: f64 = 0.75;
+pub(crate) const SCALING_EFFICIENCY_FLOOR: f64 = 0.75;
 
 /// Traces of the smoke subset: small, fast, and together exercising
 /// every algorithm including the 8-configuration tuned-reverse search.
@@ -73,23 +73,23 @@ pub const SMOKE_TRACES: [&str; 3] = ["dinero", "cscope1", "ld"];
 /// carried ~19k from a heap-allocated queue per scheduled block. The
 /// ceiling is machine-independent (allocation counts are deterministic),
 /// so it is enforced whenever a counting allocator is installed.
-pub const ENGINE_ALLOC_CEILING: u64 = 1_000;
+pub(crate) const ENGINE_ALLOC_CEILING: u64 = 1_000;
 
 /// Ceiling on how many times slower than demand paging the forestall
 /// policy may simulate. Wall-clock rates vary machine to machine, but
 /// the *gap between policies on the same machine* is a property of the
 /// code: forestall's stall predictor was a full window rescan per
 /// decision (10.9x slower than demand) before it became incremental.
-pub const ENGINE_FORESTALL_DEMAND_RATIO: f64 = 4.0;
+pub(crate) const ENGINE_FORESTALL_DEMAND_RATIO: f64 = 4.0;
 
 /// Alternating demand/forestall timing pairs the gap is the median of.
 /// One timing per policy put the gap at the mercy of a single noisy
 /// window: demand's run takes well under 0.1 s.
-pub const GAP_PAIRS: usize = 5;
+pub(crate) const GAP_PAIRS: usize = 5;
 
 /// The least wall time one gap timing spans (whole runs are repeated
 /// until it is reached).
-pub const GAP_WINDOW: Duration = Duration::from_secs(1);
+pub(crate) const GAP_WINDOW: Duration = Duration::from_secs(1);
 
 /// Stress-trace shape for the engine bench: passes over a sequential
 /// loop, sized well past any trace in the paper's suite.
@@ -165,7 +165,7 @@ impl SweepBench {
 
     /// Scaling efficiency of the smoke grid at [`SCALING_GATE_THREADS`],
     /// when the re-run was recorded.
-    pub fn smoke_efficiency(&self) -> Option<f64> {
+    pub(crate) fn smoke_efficiency(&self) -> Option<f64> {
         let s = self.smoke_scaling.as_ref()?;
         efficiency(&self.smoke, SCALING_GATE_THREADS, s)
     }
@@ -185,13 +185,13 @@ pub struct EngineBench {
     /// Per-policy stages, in [`PolicyKind::ALL`] order.
     pub runs: Vec<(&'static str, Stage)>,
     /// Demand's rate over forestall's, one sample per alternating pair
-    /// of timings (see [`GAP_PAIRS`]); the gap gate reads their median.
+    /// of timings (see `GAP_PAIRS`); the gap gate reads their median.
     pub gap: Vec<f64>,
 }
 
 /// Reads the current allocation count, when a counting allocator is
 /// installed by the embedding binary.
-pub type AllocReader<'a> = Option<&'a dyn Fn() -> u64>;
+pub(crate) type AllocReader<'a> = Option<&'a dyn Fn() -> u64>;
 
 fn timed<R>(alloc: AllocReader<'_>, f: impl FnOnce() -> R) -> (R, Duration, Option<u64>) {
     let before = alloc.map(|a| a());
@@ -207,12 +207,12 @@ fn timed<R>(alloc: AllocReader<'_>, f: impl FnOnce() -> R) -> (R, Duration, Opti
 
 /// The smoke subset: [`SMOKE_TRACES`] × every appendix-A algorithm at
 /// each trace's published disk counts.
-pub fn smoke_spec(threads: usize) -> SweepSpec {
+pub(crate) fn smoke_spec(threads: usize) -> SweepSpec {
     SweepSpec::named(&SMOKE_TRACES, &Algo::APPENDIX_A, None, threads)
 }
 
 /// Runs the sweep bench. With `full`, also replays the complete
-/// appendix-A grid at every [`SCALING_THREADS`] count.
+/// appendix-A grid at every `SCALING_THREADS` count.
 ///
 /// `thread_alloc` reads the *calling thread's* allocation count (the
 /// thread-local counter of the embedding binary's counting allocator);
@@ -444,7 +444,7 @@ pub fn engine_bench_json(b: &EngineBench) -> String {
 
 /// The `smoke` object's `cells_per_sec` in a `BENCH_sweep.json`
 /// document; `None` when the document does not parse or lacks it.
-pub fn baseline_smoke_cells_per_sec(doc: &str) -> Option<f64> {
+pub(crate) fn baseline_smoke_cells_per_sec(doc: &str) -> Option<f64> {
     json::parse(doc)
         .ok()?
         .get::<&Json>("smoke")?
@@ -453,7 +453,7 @@ pub fn baseline_smoke_cells_per_sec(doc: &str) -> Option<f64> {
 
 /// Compares a fresh smoke measurement against a committed baseline
 /// document. `Ok` carries a human-readable verdict; `Err` means the
-/// measurement regressed beyond [`REGRESSION_TOLERANCE`].
+/// measurement regressed beyond `REGRESSION_TOLERANCE`.
 pub fn check_regression(current: &Stage, baseline_json: &str) -> Result<String, String> {
     let Some(base) = baseline_smoke_cells_per_sec(baseline_json) else {
         return Err("baseline JSON has no smoke cells_per_sec field".to_string());
@@ -482,7 +482,7 @@ pub fn check_regression(current: &Stage, baseline_json: &str) -> Result<String, 
 /// The `events_per_sec` of the `runs` row whose `policy` is `policy` in
 /// a `BENCH_engine.json` document (v1 or v2: both carry those fields);
 /// `None` when the document does not parse, or has no such row or rate.
-pub fn baseline_engine_events_per_sec(doc: &str, policy: &str) -> Option<f64> {
+pub(crate) fn baseline_engine_events_per_sec(doc: &str, policy: &str) -> Option<f64> {
     let doc = json::parse(doc).ok()?;
     let runs: &[Json] = doc.get("runs")?;
     runs.iter()
@@ -496,14 +496,14 @@ pub fn baseline_engine_events_per_sec(doc: &str, policy: &str) -> Option<f64> {
 /// Three gates, `Err` on any violation (all violations are reported):
 ///
 /// * **Throughput floor** — each policy's events/sec must stay within
-///   [`REGRESSION_TOLERANCE`] of its own baseline row. A policy missing
+///   `REGRESSION_TOLERANCE` of its own baseline row. A policy missing
 ///   from the baseline is an error: a silently unguarded policy is how
 ///   the forestall gap went unnoticed.
 /// * **Allocation ceiling** — each policy's allocation count (when a
 ///   counting allocator is installed) must stay under
-///   [`ENGINE_ALLOC_CEILING`]. Deterministic, so no tolerance.
+///   `ENGINE_ALLOC_CEILING`. Deterministic, so no tolerance.
 /// * **Relative gap** — forestall's rate must stay within
-///   [`ENGINE_FORESTALL_DEMAND_RATIO`] of demand's *on the same
+///   `ENGINE_FORESTALL_DEMAND_RATIO` of demand's *on the same
 ///   machine*, which holds even when the machine differs from the
 ///   baseline's. The gap is the median of [`EngineBench::gap`]'s
 ///   alternating pairs, so one noisy timing cannot decide it.
@@ -565,7 +565,7 @@ pub fn check_engine(b: &EngineBench, baseline_json: &str) -> Result<String, Stri
 /// skip-with-note on machines whose effective parallelism is below 2,
 /// where a multi-thread run would time the scheduler, not the harness.
 /// `Err` means efficiency at [`SCALING_GATE_THREADS`] threads fell
-/// below [`SCALING_EFFICIENCY_FLOOR`]. The full grid's measurement is
+/// below `SCALING_EFFICIENCY_FLOOR`. The full grid's measurement is
 /// preferred; the smoke re-run is the fallback in smoke-only mode.
 pub fn check_scaling(b: &SweepBench) -> Result<String, String> {
     if !b.parallelism.scaling_measurable() {

@@ -95,7 +95,7 @@ impl Algo {
 /// elapsed time for the same cell, when published; pass `false` when the
 /// configuration differs from the paper's baseline (appendix B-D), so
 /// baseline numbers are not shown against non-baseline runs.
-pub fn comparison(
+pub(crate) fn comparison(
     title: &str,
     t: &Trace,
     algos: &[Algo],

@@ -7,7 +7,7 @@
 //! `tests/fixtures/figures.sha256`. Each renderer's doc comment carries
 //! the paper's narrative for what it reproduces.
 //!
-//! Two shapes serve most entries: [`comparison`] (measured breakdown
+//! Two shapes serve most entries: `comparison` (measured breakdown
 //! against the paper's elapsed time) and `grid` (row × column →
 //! elapsed seconds). Tables with a layout of their own stay plain
 //! functions.

@@ -4,7 +4,7 @@
 //! the whole feature matrix — every policy, every head-scheduling
 //! discipline, every disk model, write-behind, partial hints — then runs
 //! each combination twice: once plain and once under the
-//! [`AuditProbe`](parcache_core::audit::AuditProbe). A case fails when
+//! `AuditProbe`. A case fails when
 //! the audit finds an invariant violation, or when the audited rerun's
 //! [`Report`] differs from the plain run's (the audit must be a pure
 //! observer). On top of the per-case differential check, a fold of every
@@ -36,7 +36,7 @@ use parcache_types::{BlockId, Nanos};
 /// One generated case: a trace plus the configuration to run it under.
 /// Every [`PolicyKind`] is exercised against each case.
 #[derive(Debug, Clone)]
-pub struct FuzzCase {
+pub(crate) struct FuzzCase {
     /// Case number within the run (also the trace name suffix).
     pub index: usize,
     /// The generated reference string.
@@ -48,7 +48,7 @@ pub struct FuzzCase {
 /// One failed policy-run within a case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzFailure {
-    /// Index of the failing [`FuzzCase`].
+    /// Index of the failing `FuzzCase`.
     pub case: usize,
     /// The policy that failed on it.
     pub policy: PolicyKind,
@@ -262,7 +262,7 @@ fn gen_case(rng: &mut Rng, windows: &mut Rng, index: usize) -> FuzzCase {
 }
 
 /// Generates the full deterministic case list for a seed.
-pub fn gen_cases(seed: u64, cases: usize) -> Vec<FuzzCase> {
+pub(crate) fn gen_cases(seed: u64, cases: usize) -> Vec<FuzzCase> {
     let mut rng = Rng::seed_from_u64(seed);
     let mut windows = Rng::seed_from_u64(seed ^ 0x7061_7065_7277_696e);
     (0..cases)

@@ -12,16 +12,16 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod experiments;
+mod experiments;
 pub mod figures;
 pub mod fsio;
 pub mod fuzz;
 pub mod manifest;
-pub mod paper;
+mod paper;
 pub mod prof;
 pub mod report;
 pub mod runner;
-pub mod sha256;
+mod sha256;
 pub mod sweep;
 
 pub use experiments::Algo;

@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Schema tag of the manifest format this module reads and writes.
-pub const MANIFEST_SCHEMA: &str = "parcache-sweep-manifest-v1";
+pub(crate) const MANIFEST_SCHEMA: &str = "parcache-sweep-manifest-v1";
 
 /// Why a manifest was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,7 +98,7 @@ pub enum ManifestStatus {
 
 impl ManifestStatus {
     /// The stored row, for finished cells.
-    pub fn row(&self) -> Option<&str> {
+    pub(crate) fn row(&self) -> Option<&str> {
         match self {
             ManifestStatus::Ok { row, .. } => Some(row),
             _ => None,
@@ -137,7 +137,7 @@ pub struct SweepManifest {
 impl ManifestCell {
     /// The manifest entry of one fail-soft execution; a finished cell
     /// stores its gate-rendered row (without the trailing newline).
-    pub fn from_execution(e: &CellExecution, gates: CsvGates) -> ManifestCell {
+    pub(crate) fn from_execution(e: &CellExecution, gates: CsvGates) -> ManifestCell {
         ManifestCell {
             index: e.index,
             attempts: e.attempts,

@@ -155,7 +155,7 @@ pub struct WallProf {
 
 impl WallProf {
     /// A profiler with no allocation sampling.
-    pub fn new() -> WallProf {
+    pub(crate) fn new() -> WallProf {
         WallProf::with_alloc_sampler_opt(None)
     }
 
@@ -187,7 +187,7 @@ impl WallProf {
 
     /// The accumulated `(path, self_us, allocs)` rows, insertion order.
     /// Open spans are not charged until they exit.
-    pub fn rows(&self) -> Vec<(String, u64, u64)> {
+    pub(crate) fn rows(&self) -> Vec<(String, u64, u64)> {
         let inner = self.inner.lock().expect("profiler mutex poisoned");
         inner
             .paths
@@ -276,7 +276,7 @@ pub struct WorkerStats {
 impl WorkerStats {
     /// Microseconds the worker was not executing items: queue waits,
     /// scheduling, and the tail after the queue drained.
-    pub fn idle_us(&self) -> u64 {
+    pub(crate) fn idle_us(&self) -> u64 {
         self.wall_us.saturating_sub(self.busy_us)
     }
 

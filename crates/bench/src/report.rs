@@ -27,7 +27,7 @@ impl BreakdownRow {
 }
 
 /// Percentage difference of `a` relative to `b`: `(a - b) / b * 100`.
-pub fn percent(a: Nanos, b: Nanos) -> f64 {
+pub(crate) fn percent(a: Nanos, b: Nanos) -> f64 {
     if b == Nanos::ZERO {
         return 0.0;
     }

@@ -76,7 +76,7 @@ impl std::error::Error for TraceError {}
 /// is stored as a typed [`TraceError`], so later lookups of the same
 /// name see the same error instead of hanging on a lock the failed
 /// initialization poisoned.
-pub fn try_trace(name: &str) -> Result<Arc<Trace>, TraceError> {
+pub(crate) fn try_trace(name: &str) -> Result<Arc<Trace>, TraceError> {
     type Slot = Arc<OnceLock<Result<Arc<Trace>, TraceError>>>;
     static CACHE: OnceLock<Mutex<HashMap<String, Slot>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
@@ -124,7 +124,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`try_trace`], panicking on failure — the convenience entry point for
+/// `try_trace`, panicking on failure — the convenience entry point for
 /// experiment code where every name is a registry constant.
 pub fn trace(name: &str) -> Arc<Trace> {
     try_trace(name).unwrap_or_else(|e| panic!("{e}"))
@@ -134,7 +134,7 @@ pub fn trace(name: &str) -> Arc<Trace> {
 /// "reverse aggressive's fetch time estimate F̂ and batch size are chosen
 /// to minimize its elapsed time" (appendix A). Searches a small grid and
 /// returns the best run.
-pub fn best_reverse(trace: &Trace, base: &SimConfig) -> Report {
+pub(crate) fn best_reverse(trace: &Trace, base: &SimConfig) -> Report {
     best_reverse_search(trace, base, crate::sweep::default_threads()).0
 }
 
@@ -159,7 +159,7 @@ pub(crate) fn reverse_grid(base: &SimConfig) -> Vec<SimConfig> {
 /// 50 of the 83 appendix-A cells.
 const SEARCH_ORDER: [usize; 8] = [6, 7, 4, 5, 2, 3, 0, 1];
 
-/// [`best_reverse`], returning the winning configuration as well and
+/// `best_reverse`, returning the winning configuration as well and
 /// running the grid's eight simulations on up to `threads` workers via
 /// [`run_indexed`](crate::sweep::run_indexed).
 ///
@@ -209,7 +209,7 @@ fn search_grid(trace: &Trace, base: &SimConfig, threads: usize) -> ((Report, Sim
                     best: &search.best,
                     index: g,
                 };
-                let outcome = prepared.run_until(&mut policy, &grid[g], &mut NoopProbe, &cutoff);
+                let outcome = prepared.run_until(&mut policy, &mut NoopProbe, &cutoff);
                 search.settle(g, outcome)
             }
         }

@@ -24,7 +24,7 @@ const K: [u32; 64] = [
 ];
 
 /// Computes the SHA-256 digest of `data`.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
+pub(crate) fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = H0;
 
     // Message + 0x80 + zero pad + 64-bit big-endian bit length.

@@ -10,7 +10,7 @@
 //!
 //! The same work-queue core ([`run_indexed`]) drives reverse aggressive's
 //! per-configuration parameter search
-//! ([`best_reverse`](crate::runner::best_reverse)), so every independent
+//! (`best_reverse`), so every independent
 //! simulation in the harness scales with cores. Everything here is
 //! std-only, consistent with the workspace's hermetic-build rule.
 
@@ -414,7 +414,7 @@ pub enum InjectionKind {
 impl Injection {
     /// Parses an injection spec: `panic:<cell>[:<times>]` or
     /// `hang:<cell>:<ms>[:<times>]`.
-    pub fn parse(spec: &str) -> Result<Injection, String> {
+    pub(crate) fn parse(spec: &str) -> Result<Injection, String> {
         let int = |s: &str, what: &str| {
             s.parse::<u64>()
                 .map_err(|_| format!("bad {what} {s:?} in injection spec {spec:?}"))
@@ -497,7 +497,7 @@ impl CellOutcome {
 
     /// Whether a resumed run must re-execute this cell (anything that
     /// did not produce a row).
-    pub fn needs_rerun(&self) -> bool {
+    pub(crate) fn needs_rerun(&self) -> bool {
         self.row().is_none()
     }
 }
@@ -779,7 +779,7 @@ impl CsvGates {
 
     /// The header line (with trailing newline): the report columns, then
     /// each gated group in the order rows append them.
-    pub fn header(&self) -> String {
+    pub(crate) fn header(&self) -> String {
         let mut out = String::from(Report::csv_header());
         if self.faulted {
             out.push_str(",faults_injected,retries,abandoned,degraded_s,availability");

@@ -15,7 +15,7 @@ use crate::policy::{Indexes, Policy};
 
 /// The aggressive policy.
 #[derive(Debug)]
-pub struct Aggressive {
+pub(crate) struct Aggressive {
     batch_size: usize,
     scratch: BatchScratch,
 }
@@ -23,7 +23,7 @@ pub struct Aggressive {
 impl Aggressive {
     /// Creates the policy with the given per-disk batch size (Table 6
     /// gives the paper's defaults by array size).
-    pub fn new(batch_size: usize) -> Aggressive {
+    pub(crate) fn new(batch_size: usize) -> Aggressive {
         assert!(batch_size > 0, "the batch size must be positive");
         Aggressive {
             batch_size,
@@ -32,7 +32,8 @@ impl Aggressive {
     }
 
     /// The configured batch size.
-    pub fn batch_size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn batch_size(&self) -> usize {
         self.batch_size
     }
 }

@@ -11,7 +11,7 @@ use crate::policy::{Indexes, Policy};
 
 /// The optimal-replacement demand-fetching baseline.
 #[derive(Debug, Default)]
-pub struct Demand;
+pub(crate) struct Demand;
 
 impl Policy for Demand {
     fn name(&self) -> &'static str {

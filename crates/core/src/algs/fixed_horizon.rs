@@ -13,20 +13,21 @@ use crate::policy::{Indexes, Policy};
 
 /// The fixed horizon policy.
 #[derive(Debug)]
-pub struct FixedHorizon {
+pub(crate) struct FixedHorizon {
     horizon: usize,
 }
 
 impl FixedHorizon {
     /// Creates the policy with prefetch horizon `horizon` (the paper uses
     /// H = 62 by default).
-    pub fn new(horizon: usize) -> FixedHorizon {
+    pub(crate) fn new(horizon: usize) -> FixedHorizon {
         assert!(horizon > 0, "the horizon must be positive");
         FixedHorizon { horizon }
     }
 
     /// The configured horizon.
-    pub fn horizon(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn horizon(&self) -> usize {
         self.horizon
     }
 }

@@ -343,7 +343,7 @@ struct DiskPredictor {
 
 /// The forestall policy.
 #[derive(Debug)]
-pub struct Forestall {
+pub(crate) struct Forestall {
     batch_size: usize,
     horizon_rule: FixedHorizon,
     /// Static F' multiplier; `None` selects the dynamic 1x/4x rule.
@@ -357,7 +357,7 @@ pub struct Forestall {
 
 impl Forestall {
     /// Creates the policy from the run configuration.
-    pub fn new(config: &crate::config::SimConfig) -> Forestall {
+    pub(crate) fn new(config: &crate::config::SimConfig) -> Forestall {
         Forestall {
             batch_size: config.batch_size,
             horizon_rule: FixedHorizon::new(config.horizon),

@@ -46,14 +46,14 @@ pub struct Pair {
     pub block: u32,
     /// Forward position of the fetched block's next use (ordering key).
     pub key: u32,
-    /// Compact index of the block to evict, or [`NO_EVICT`].
+    /// Compact index of the block to evict, or `NO_EVICT`.
     pub evict: u32,
     /// Earliest cursor position at which the eviction may happen.
     pub release: u32,
 }
 
 /// [`Pair::evict`] of a pair whose schedule calls for no eviction.
-pub const NO_EVICT: u32 = u32::MAX;
+pub(crate) const NO_EVICT: u32 = u32::MAX;
 
 /// Outcome of attempting to issue a scheduled pair.
 enum IssueOutcome {

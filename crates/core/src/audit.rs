@@ -2,7 +2,7 @@
 //!
 //! The paper's argument rests on the simulator's accounting being exact:
 //! §2.1's elapsed = compute + driver + stall identity and §3's disk-model
-//! validation. [`AuditProbe`] rides the [`Probe`] event stream and checks
+//! validation. `AuditProbe` rides the [`Probe`] event stream and checks
 //! conservation laws *while the simulation runs* — monotone event time,
 //! every fetch issue matched by exactly one completion (or, under
 //! predicted hints, left in flight as a wrong guess nothing waited on),
@@ -14,8 +14,7 @@
 //! saturating) arithmetic.
 //!
 //! Violations are collected, not panicked on, so a differential fuzzer
-//! can run thousands of configurations and report every broken law; use
-//! [`AuditOutcome::assert_clean`] where a panic is the right response.
+//! can run thousands of configurations and report every broken law.
 
 use crate::config::{DiskModelKind, SimConfig};
 use crate::engine::Report;
@@ -77,7 +76,8 @@ impl AuditOutcome {
     }
 
     /// Panics with every recorded violation unless the run was clean.
-    pub fn assert_clean(&self) {
+    #[cfg(test)]
+    pub(crate) fn assert_clean(&self) {
         assert!(
             self.is_clean(),
             "audit failed: {} violation(s) over {} events\n  {}",
@@ -100,7 +100,7 @@ struct InService {
 /// docs). Construct per run, feed to [`crate::engine::simulate_probed`],
 /// then call [`AuditProbe::finish`].
 #[derive(Debug)]
-pub struct AuditProbe {
+pub(crate) struct AuditProbe {
     capacity: usize,
     disk_model: DiskModelKind,
     faulted_plan: bool,
@@ -142,7 +142,7 @@ pub struct AuditProbe {
 
 impl AuditProbe {
     /// An audit for one run under `config`.
-    pub fn new(config: &SimConfig) -> AuditProbe {
+    pub(crate) fn new(config: &SimConfig) -> AuditProbe {
         AuditProbe {
             capacity: config.cache_blocks,
             disk_model: config.disk_model,
@@ -176,13 +176,9 @@ impl AuditProbe {
         }
     }
 
-    /// Events observed so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
     /// Violations recorded so far.
-    pub fn violations(&self) -> &[AuditViolation] {
+    #[cfg(test)]
+    pub(crate) fn violations(&self) -> &[AuditViolation] {
         &self.violations
     }
 
@@ -196,7 +192,7 @@ impl AuditProbe {
 
     /// Consumes the audit, reconciling the engine's [`Report`] against
     /// the independently folded event totals.
-    pub fn finish(mut self, report: &Report) -> AuditOutcome {
+    pub(crate) fn finish(mut self, report: &Report) -> AuditOutcome {
         let t = report.elapsed;
 
         // Every read the application waited on must have completed: a

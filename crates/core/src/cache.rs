@@ -16,7 +16,7 @@
 //! and whether a query checks them.
 
 use crate::oracle::{NextUseCursors, Oracle, NEVER};
-use parcache_types::{BitSet, BlockId, FastMap, PosSet};
+use parcache_types::{BitSet, FastMap, PosSet};
 use std::collections::hash_map::Entry;
 
 /// Sentinel in the `last_use` slot array for "never used".
@@ -311,17 +311,17 @@ impl Cache {
 
     /// Pins block `idx` against eviction (the engine pins the current
     /// reference); `None` unpins.
-    pub fn pin(&mut self, idx: Option<u32>) {
+    pub(crate) fn pin(&mut self, idx: Option<u32>) {
         self.pinned = idx;
     }
 
     /// The currently pinned block, if any.
-    pub fn pinned(&self) -> Option<u32> {
+    pub(crate) fn pinned(&self) -> Option<u32> {
         self.pinned
     }
 
     /// Frame count.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -349,8 +349,8 @@ impl Cache {
 
     /// Begins a fetch of block `idx`, evicting `evict` if given. Under
     /// [`Knowledge::Exact`] an eviction returns the victim's next
-    /// occurrence at or after the cursor ([`NEVER`] if none), which the
-    /// caller can hand to [`MissingTracker::on_evicted_idx`] instead of
+    /// occurrence at or after the cursor (`NEVER` if none), which the
+    /// caller can hand to `MissingTracker::on_evicted_idx` instead of
     /// searching for it; otherwise it returns `None`.
     ///
     /// # Panics
@@ -409,7 +409,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if no fetch of block `idx` was in flight.
-    pub fn cancel_fetch(&mut self, idx: u32) {
+    pub(crate) fn cancel_fetch(&mut self, idx: u32) {
         assert!(
             self.inflight.remove(idx),
             "cancelling unfetched block index {idx}"
@@ -420,7 +420,7 @@ impl Cache {
     /// `pos`: refreshes its Belady key to the next occurrence after `pos`
     /// (an O(1) next-pointer walk when `pos` references `idx`, which it
     /// always does on this path).
-    pub fn on_reference(&mut self, idx: u32, pos: usize, oracle: &Oracle) {
+    pub(crate) fn on_reference(&mut self, idx: u32, pos: usize, oracle: &Oracle) {
         debug_assert!(
             self.resident(idx),
             "consumed non-resident block index {idx}"
@@ -437,7 +437,7 @@ impl Cache {
     }
 
     /// The evictable resident block whose key is largest, with that key
-    /// ([`NEVER`] if it is never referenced again). `None` when nothing
+    /// (`NEVER` if it is never referenced again). `None` when nothing
     /// evictable is resident. The pinned block is never returned. Ties on
     /// the key go to the larger `BlockId`.
     ///
@@ -476,7 +476,7 @@ impl Cache {
     }
 
     /// Iterates over resident block indices, ascending.
-    pub fn resident_indices(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn resident_indices(&self) -> impl Iterator<Item = u32> + '_ {
         self.resident.ones()
     }
 }
@@ -489,7 +489,7 @@ impl Cache {
 /// policy find "the first missing block (on disk D)" in near-constant
 /// time instead of scanning the future.
 #[derive(Debug, Clone)]
-pub struct MissingTracker {
+pub(crate) struct MissingTracker {
     /// Next-occurrence positions of missing blocks, global.
     global: PosSet,
     /// The same positions partitioned by disk.
@@ -525,7 +525,7 @@ const RECENT_INS: usize = 32;
 impl MissingTracker {
     /// Builds the tracker for a cold cache: every distinct block is
     /// missing at its first occurrence.
-    pub fn new(oracle: &Oracle) -> MissingTracker {
+    pub(crate) fn new(oracle: &Oracle) -> MissingTracker {
         let disks = oracle.layout().disks();
         let mut t = MissingTracker {
             global: PosSet::new(oracle.len()),
@@ -535,21 +535,21 @@ impl MissingTracker {
             recent_ins: vec![[0; RECENT_INS]; disks],
             next_use: NextUseCursors::new(oracle),
         };
-        for (block, pos) in oracle.first_occurrences() {
-            t.insert(block, pos, oracle);
+        for idx in 0..oracle.num_blocks() as u32 {
+            t.insert_idx(idx, oracle.next_occurrence_idx(idx, 0), oracle);
         }
         t
     }
 
     /// The insertion epoch of `disk`'s position set.
     #[inline]
-    pub fn ins_epoch(&self, disk: usize) -> u64 {
+    pub(crate) fn ins_epoch(&self, disk: usize) -> u64 {
         self.ins_epochs[disk]
     }
 
     /// The removal epoch of `disk`'s position set.
     #[inline]
-    pub fn rem_epoch(&self, disk: usize) -> u64 {
+    pub(crate) fn rem_epoch(&self, disk: usize) -> u64 {
         self.rem_epochs[disk]
     }
 
@@ -558,7 +558,7 @@ impl MissingTracker {
     /// insertions happened since and the ring no longer remembers them
     /// all.
     #[inline]
-    pub fn inserts_since(
+    pub(crate) fn inserts_since(
         &self,
         disk: usize,
         since: u64,
@@ -579,18 +579,8 @@ impl MissingTracker {
         self.recent_ins[disk][(e % RECENT_INS as u64) as usize] = pos;
     }
 
-    fn insert(&mut self, block: BlockId, pos: usize, oracle: &Oracle) {
-        if pos == NEVER {
-            return;
-        }
-        debug_assert_eq!(oracle.block_at(pos), block);
-        let d = oracle.disk_of(block).index();
-        self.global.insert(pos);
-        self.per_disk[d].insert(pos);
-        self.record_insert(d, pos);
-    }
-
-    /// [`MissingTracker::insert`] by compact index (no hashing).
+    /// Registers block `idx` as missing at position `pos`; `NEVER` is a
+    /// no-op.
     fn insert_idx(&mut self, idx: u32, pos: usize, oracle: &Oracle) {
         if pos == NEVER {
             return;
@@ -606,7 +596,7 @@ impl MissingTracker {
     /// is no longer missing. Its next occurrence is read from the
     /// tracker's run-local cursors: amortized O(1) while `cursor` never
     /// moves backwards.
-    pub fn on_fetch_issued_idx(&mut self, idx: u32, cursor: usize, oracle: &Oracle) {
+    pub(crate) fn on_fetch_issued_idx(&mut self, idx: u32, cursor: usize, oracle: &Oracle) {
         let pos = self.next_use.next(oracle, idx, cursor);
         if pos == NEVER {
             return;
@@ -622,7 +612,7 @@ impl MissingTracker {
     /// the caller already knows it (the exact-knowledge cache returns it
     /// from [`Cache::start_fetch`]); `None` reads it from the tracker's
     /// run-local cursors.
-    pub fn on_evicted_idx(
+    pub(crate) fn on_evicted_idx(
         &mut self,
         idx: u32,
         cursor: usize,
@@ -641,14 +631,14 @@ impl MissingTracker {
 
     /// The first position `>= from` whose block is missing, globally.
     #[inline]
-    pub fn first_missing(&self, from: usize) -> Option<usize> {
+    pub(crate) fn first_missing(&self, from: usize) -> Option<usize> {
         self.global.next_at_or_after(from)
     }
 
     /// The first position `>= from` whose block is missing and lives on
     /// `disk`.
     #[inline]
-    pub fn first_missing_on_disk(&self, disk: usize, from: usize) -> Option<usize> {
+    pub(crate) fn first_missing_on_disk(&self, disk: usize, from: usize) -> Option<usize> {
         self.per_disk[disk].next_at_or_after(from)
     }
 
@@ -659,7 +649,7 @@ impl MissingTracker {
     /// `nth` stays reachable (an adapter like `take_while` would hide it
     /// behind the one-step default).
     #[inline]
-    pub fn missing_on_disk_from(
+    pub(crate) fn missing_on_disk_from(
         &self,
         disk: usize,
         from: usize,
@@ -668,7 +658,7 @@ impl MissingTracker {
     }
 
     /// Positions of missing blocks in `[from, to)` on `disk`, ascending.
-    pub fn missing_on_disk_in_window(
+    pub(crate) fn missing_on_disk_in_window(
         &self,
         disk: usize,
         from: usize,
@@ -680,12 +670,14 @@ impl MissingTracker {
     }
 
     /// Total missing-block entries (diagnostics).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.global.len()
     }
 
     /// True when nothing is missing.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.global.is_empty()
     }
 }
@@ -695,7 +687,7 @@ mod tests {
     use super::*;
     use parcache_disk::layout::Layout;
     use parcache_trace::{Request, Trace};
-    use parcache_types::Nanos;
+    use parcache_types::{BlockId, Nanos};
     use std::collections::BinaryHeap;
 
     /// Oracle over `blocks`, with `extras` given compact indices despite

@@ -28,7 +28,7 @@ pub enum DiskModelKind {
 /// has no layout to stripe over. A typed error lets embedders surface the
 /// problem to their own users instead of catching a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigError {
+pub(crate) enum ConfigError {
     /// `disks == 0`: an array needs at least one disk.
     ZeroDisks,
     /// `cache_blocks == 0`: the cache must hold at least one block.
@@ -48,7 +48,7 @@ impl std::error::Error for ConfigError {}
 
 /// The paper's default aggressive/forestall batch sizes by array size
 /// (Table 6): 80, 40, 40, 16, 16, 8, 8, then 4 beyond seven disks.
-pub fn default_batch_size(disks: usize) -> usize {
+pub(crate) fn default_batch_size(disks: usize) -> usize {
     match disks {
         0 => panic!("an array needs at least one disk"),
         1 => 80,
@@ -152,7 +152,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The backoff before retry number `attempt` (1-based): exponential
     /// doubling from `backoff`, saturating at `backoff_cap`.
-    pub fn backoff_for(&self, attempt: u32) -> Nanos {
+    pub(crate) fn backoff_for(&self, attempt: u32) -> Nanos {
         let doublings = attempt.saturating_sub(1).min(63);
         match self.backoff.checked_mul(1u64 << doublings) {
             Some(b) => b.min(self.backoff_cap),
@@ -163,7 +163,7 @@ impl RetryPolicy {
     /// Panics on parameters that could stall the simulation (a
     /// non-positive backoff or a zero retry budget allows zero-time
     /// retry loops during an outage).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.backoff > Nanos::ZERO, "retry backoff must be positive");
         assert!(
             self.backoff_cap >= self.backoff,
@@ -182,15 +182,15 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a structurally invalid size; use [`SimConfig::try_new`]
-    /// to get a [`ConfigError`] instead.
+    /// Panics on a structurally invalid size; use `SimConfig::try_new`
+    /// to get a `ConfigError` instead.
     pub fn new(disks: usize, cache_blocks: usize) -> SimConfig {
         SimConfig::try_new(disks, cache_blocks).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible constructor: rejects zero disks and a zero-block cache
     /// with a typed [`ConfigError`] rather than a panic.
-    pub fn try_new(disks: usize, cache_blocks: usize) -> Result<SimConfig, ConfigError> {
+    pub(crate) fn try_new(disks: usize, cache_blocks: usize) -> Result<SimConfig, ConfigError> {
         if disks == 0 {
             return Err(ConfigError::ZeroDisks);
         }

@@ -56,7 +56,7 @@ const HISTORY: usize = 100;
 /// until the next one: forestall may read them several times between
 /// pushes, or not at all.
 #[derive(Debug)]
-pub struct FetchHistory {
+pub(crate) struct FetchHistory {
     per_disk_fetch: Vec<VecDeque<Nanos>>,
     per_disk_sum: Vec<Nanos>,
     /// Each disk's window mean, rounded to the nearest nanosecond and as
@@ -125,7 +125,7 @@ impl FetchHistory {
 
     /// Mean of the recent fetch times on `disk`, rounded to the nearest
     /// nanosecond, or `None` with no history.
-    pub fn avg_fetch(&self, disk: usize) -> Option<Nanos> {
+    pub(crate) fn avg_fetch(&self, disk: usize) -> Option<Nanos> {
         if self.per_disk_fetch[disk].is_empty() {
             return None;
         }
@@ -134,7 +134,7 @@ impl FetchHistory {
 
     /// Mean of the recent inter-reference compute times, rounded to the
     /// nearest nanosecond, or `None`.
-    pub fn avg_compute(&self) -> Option<Nanos> {
+    pub(crate) fn avg_compute(&self) -> Option<Nanos> {
         if self.compute.is_empty() {
             return None;
         }
@@ -143,7 +143,7 @@ impl FetchHistory {
 
     /// The ratio of recent fetch-time sum to recent compute-time sum on
     /// `disk` — forestall's dynamic F — or `None` without history.
-    pub fn fetch_compute_ratio(&self, disk: usize) -> Option<f64> {
+    pub(crate) fn fetch_compute_ratio(&self, disk: usize) -> Option<f64> {
         if self.per_disk_fetch[disk].is_empty() || self.compute_sum == Nanos::ZERO {
             return None;
         }
@@ -270,7 +270,7 @@ impl Ctx<'_> {
     /// Panics unless the policy declared it in [`Policy::indexes`]: the
     /// engine does not maintain an undeclared index, so a read would be
     /// stale.
-    pub fn missing(&self) -> &MissingTracker {
+    pub(crate) fn missing(&self) -> &MissingTracker {
         self.missing
             .as_deref()
             .expect("the policy reads the missing-block index without declaring it")
@@ -282,7 +282,7 @@ impl Ctx<'_> {
     /// # Panics
     ///
     /// Panics unless the policy declared them in [`Policy::indexes`].
-    pub fn history(&self) -> &FetchHistory {
+    pub(crate) fn history(&self) -> &FetchHistory {
         self.history
             .expect("the policy reads the fetch history without declaring it")
     }
@@ -359,7 +359,7 @@ pub struct FaultSummary {
 
 impl FaultSummary {
     /// This summary as a JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         json::object()
             .field("faults_injected", self.faults_injected)
             .field("retries", self.retries)
@@ -373,7 +373,7 @@ impl FaultSummary {
     }
 
     /// Total declared degraded time across the array.
-    pub fn total_degraded(&self) -> Nanos {
+    pub(crate) fn total_degraded(&self) -> Nanos {
         self.per_disk_degraded.iter().copied().sum()
     }
 }
@@ -402,7 +402,7 @@ pub struct StallBreakdown {
 
 impl StallBreakdown {
     /// All-zero breakdown (the state before any stall is charged).
-    pub const ZERO: StallBreakdown = StallBreakdown {
+    pub(crate) const ZERO: StallBreakdown = StallBreakdown {
         late_prefetch: Nanos::ZERO,
         no_prefetch: Nanos::ZERO,
         congestion: Nanos::ZERO,
@@ -422,7 +422,7 @@ impl StallBreakdown {
     }
 
     /// Charges `t` to `cause`.
-    pub fn add(&mut self, cause: StallCause, t: Nanos) {
+    pub(crate) fn add(&mut self, cause: StallCause, t: Nanos) {
         match cause {
             StallCause::LatePrefetch => self.late_prefetch += t,
             StallCause::NoPrefetch => self.no_prefetch += t,
@@ -439,7 +439,7 @@ impl StallBreakdown {
 
     /// This breakdown as a JSON object keyed by cause name, in
     /// nanoseconds.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         StallCause::ALL
             .iter()
             .fold(json::object(), |o, &c| {
@@ -587,24 +587,24 @@ pub fn simulate_with_probed<P: Probe>(
     config: &SimConfig,
     probe: &mut P,
 ) -> Report {
-    Prepared::new(trace, config).run(policy, config, probe)
+    Prepared::new(trace, config).run(policy, probe)
 }
 
-/// The set-up every run over one trace shares, for one setting of the
-/// knowledge-defining parts of a [`SimConfig`]: the array size, the hint
-/// mode and the hint spec. It holds the policies' oracle (for a predicted
-/// mode, the output of the deterministic predictor pre-pass), the compact
-/// index of every reference, and, built on first use, the reversed oracle
-/// reverse aggressive plans over.
+/// The set-up every run of one trace under one [`SimConfig`] shares: the
+/// configuration itself, the policies' oracle (for a predicted mode, the
+/// output of the deterministic predictor pre-pass), the compact index of
+/// every reference, and, built on first use, the reversed oracle reverse
+/// aggressive plans over.
 ///
 /// Runs borrow it and never change it, so repeated runs of one trace —
-/// the tuned reverse-aggressive search runs eight — build it once.
+/// the tuned reverse-aggressive search runs eight — build it once. The
+/// engine reads neither reverse-aggressive parameter, so the search runs
+/// each of its policies, built from its own grid configuration, on the
+/// one value built from the base configuration.
 /// [`simulate_with_probed`] builds a one-shot value per call.
 pub struct Prepared<'t> {
     trace: &'t Trace,
-    disks: usize,
-    hint_mode: crate::predict::HintMode,
-    hints: crate::hints::HintSpec,
+    config: SimConfig,
     oracle: Oracle,
     /// Prediction accounting from the hint-source pre-pass; `Some`
     /// exactly when the hint mode is predicted.
@@ -621,8 +621,7 @@ pub struct Prepared<'t> {
 }
 
 impl<'t> Prepared<'t> {
-    /// Builds the shared state of runs of `trace` under `config`'s array
-    /// size, hint mode and hint spec.
+    /// Builds the shared state of runs of `trace` under `config`.
     pub fn new(trace: &'t Trace, config: &SimConfig) -> Prepared<'t> {
         let layout = Layout::striped(config.disks);
         // Policies only know what the hint source told them. Under the
@@ -668,9 +667,7 @@ impl<'t> Prepared<'t> {
         });
         Prepared {
             trace,
-            disks: config.disks,
-            hint_mode: config.hint_mode,
-            hints: config.hints.clone(),
+            config: config.clone(),
             oracle,
             hint_stats,
             ref_idx,
@@ -685,53 +682,32 @@ impl<'t> Prepared<'t> {
         self.reversed.get_or_init(|| {
             crate::algs::reverse::reversed_oracle(
                 self.trace,
-                Layout::striped(self.disks),
-                &self.hints,
+                Layout::striped(self.config.disks),
+                &self.config.hints,
             )
         })
     }
 
-    /// Runs the trace under `policy` and `config`, reporting every
-    /// simulation [`Event`] to `probe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` differs from the configuration this value was
-    /// built for in array size, hint mode or hint spec.
-    pub fn run<P: Probe>(
-        &self,
-        policy: &mut dyn Policy,
-        config: &SimConfig,
-        probe: &mut P,
-    ) -> Report {
-        self.run_until(policy, config, probe, &NoCutoff)
+    /// Runs the trace under `policy` and this value's configuration,
+    /// reporting every simulation [`Event`] to `probe`.
+    pub(crate) fn run<P: Probe>(&self, policy: &mut dyn Policy, probe: &mut P) -> Report {
+        self.run_until(policy, probe, &NoCutoff)
             .expect("a run without a cutoff is never abandoned")
     }
 
-    /// [`Prepared::run`], abandoned as soon as `cutoff` rejects a lower
-    /// bound on the run's final elapsed time. The engine computes the
-    /// bound after every consumed reference (see [`Cutoff`]); with
-    /// [`NoCutoff`] it computes nothing.
-    ///
-    /// # Panics
-    ///
-    /// As [`Prepared::run`].
+    /// Runs the trace under `policy` and this value's configuration,
+    /// reporting every simulation [`Event`] to `probe`, abandoned as soon
+    /// as `cutoff` rejects a lower bound on the run's final elapsed time.
+    /// The engine computes the bound after every consumed reference (see
+    /// [`Cutoff`]); with `NoCutoff` it computes nothing.
     pub fn run_until<P: Probe, C: Cutoff>(
         &self,
         policy: &mut dyn Policy,
-        config: &SimConfig,
         probe: &mut P,
         cutoff: &C,
     ) -> Result<Report, Abandoned> {
-        assert!(
-            config.disks == self.disks
-                && config.hint_mode == self.hint_mode
-                && config.hints == self.hints,
-            "configuration does not match the prepared run state"
-        );
         let ahead = C::ENABLED.then(|| self.work_ahead());
-        Engine::new(self, config, self.knowledge(config), policy.indexes())
-            .run(policy, probe, cutoff, ahead)
+        Engine::new(self, self.knowledge(), policy.indexes()).run(policy, probe, cutoff, ahead)
     }
 
     /// The per-reference inputs of the remaining-time bound, built on
@@ -755,10 +731,13 @@ impl<'t> Prepared<'t> {
     /// hints are never complete knowledge — the predictor can go silent
     /// or guess wrong — and wrong guesses move keys with no reference to
     /// push them (see [`Knowledge::Predicted`]).
-    fn knowledge(&self, config: &SimConfig) -> Knowledge {
-        if matches!(config.hint_mode, crate::predict::HintMode::Predicted(_)) {
+    fn knowledge(&self) -> Knowledge {
+        if matches!(
+            self.config.hint_mode,
+            crate::predict::HintMode::Predicted(_)
+        ) {
             Knowledge::Predicted
-        } else if fully_hinted(self.trace, config) {
+        } else if fully_hinted(self.trace, &self.config) {
             Knowledge::Exact
         } else {
             Knowledge::LruEstimate
@@ -799,7 +778,7 @@ fn fully_hinted(trace: &Trace, config: &SimConfig) -> bool {
 /// bound it computed.
 ///
 /// The engine is generic over the cutoff, as over [`Probe`]: with
-/// [`NoCutoff`] it never computes the bound, and the check compiles
+/// `NoCutoff` it never computes the bound, and the check compiles
 /// away.
 pub trait Cutoff {
     /// Whether the engine computes the bound at all.
@@ -813,7 +792,7 @@ pub trait Cutoff {
 /// The cutoff that never abandons a run. Zero-sized, `ENABLED = false`:
 /// an engine monomorphized over it contains no bound code at all.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoCutoff;
+pub(crate) struct NoCutoff;
 
 impl Cutoff for NoCutoff {
     const ENABLED: bool = false;
@@ -1009,12 +988,8 @@ struct Engine<'t> {
 }
 
 impl<'t> Engine<'t> {
-    fn new(
-        prepared: &'t Prepared<'_>,
-        config: &'t SimConfig,
-        knowledge: Knowledge,
-        indexes: Indexes,
-    ) -> Engine<'t> {
+    fn new(prepared: &'t Prepared<'_>, knowledge: Knowledge, indexes: Indexes) -> Engine<'t> {
+        let config = &prepared.config;
         if !config.faults.is_empty() {
             // Guard configs built by struct literal rather than through
             // the validating builders: a bad plan or retry policy must
@@ -1742,7 +1717,9 @@ mod tests {
     fn one_prepared_value_serves_every_policy() {
         // Reusing one Prepared across policies and runs must give exactly
         // the reports of independent one-shot simulations, under full,
-        // partial and predicted hints.
+        // partial and predicted hints. The engine reads neither reverse
+        // parameter, so a policy built from any (F̂, batch) runs on the
+        // value prepared for the base configuration.
         let blocks: Vec<u64> = (0..40).map(|i| (i * 7) % 13).collect();
         let t = unit_trace(&blocks, 1);
         let full = theory_config(2, 4, 3);
@@ -1757,24 +1734,15 @@ mod tests {
             ));
         for cfg in [full, partial, predicted] {
             let prepared = Prepared::new(&t, &cfg);
-            for _ in 0..2 {
+            for (f, batch) in [(16, 1), (1, 4), (64, 40)] {
+                let tuned = cfg.clone().with_reverse_params(f, batch);
                 for kind in PolicyKind::ALL {
-                    let mut p = kind.build(&t, &cfg);
-                    let shared = prepared.run(p.as_mut(), &cfg, &mut NoopProbe);
-                    assert_eq!(shared, simulate(&t, kind, &cfg), "{kind}");
+                    let mut p = kind.build(&t, &tuned);
+                    let shared = prepared.run(p.as_mut(), &mut NoopProbe);
+                    assert_eq!(shared, simulate(&t, kind, &tuned), "{kind} {f} {batch}");
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match the prepared run state")]
-    fn prepared_rejects_a_different_array() {
-        let t = unit_trace(&[0, 1, 2, 3], 1);
-        let prepared = Prepared::new(&t, &theory_config(2, 4, 3));
-        let other = theory_config(3, 4, 3);
-        let mut p = PolicyKind::Demand.build(&t, &other);
-        prepared.run(p.as_mut(), &other, &mut NoopProbe);
     }
 
     #[test]

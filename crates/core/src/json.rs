@@ -185,7 +185,7 @@ fn write_array<V: Value>(out: &mut String, items: impl IntoIterator<Item = V>, s
 
 /// `Some(n)` unless `n` is zero: for [`Obj::opt`] counters that appear
 /// only once something happened.
-pub fn nonzero(n: u64) -> Option<u64> {
+pub(crate) fn nonzero(n: u64) -> Option<u64> {
     (n > 0).then_some(n)
 }
 

@@ -54,12 +54,8 @@ pub mod predict;
 pub mod probe;
 pub mod theory;
 
-pub use audit::{simulate_audited, AuditOutcome, AuditProbe, AuditViolation};
-pub use config::{RetryPolicy, SimConfig};
-pub use engine::{
-    simulate, simulate_probed, simulate_with, simulate_with_probed, FaultSummary, Prepared, Report,
-};
-pub use metrics::{Histogram, MetricsProbe, RunMetrics};
+pub use config::SimConfig;
+pub use engine::{simulate, Report};
 pub use policy::{Policy, PolicyKind};
-pub use predict::{HintMode, HintSource, HintStats, PredictorKind};
-pub use probe::{Event, FaultCause, NoopProbe, Probe};
+pub use predict::{HintMode, PredictorKind};
+pub use probe::{Event, NoopProbe, Probe};

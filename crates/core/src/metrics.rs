@@ -33,7 +33,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Histogram {
+    pub(crate) fn new() -> Histogram {
         Histogram {
             buckets: vec![0; 65],
             count: 0,
@@ -72,7 +72,7 @@ impl Histogram {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_of(value)] += 1;
         self.count += 1;
         self.sum += value as u128;
@@ -81,7 +81,7 @@ impl Histogram {
     }
 
     /// Records a [`Nanos`] sample.
-    pub fn record_nanos(&mut self, value: Nanos) {
+    pub(crate) fn record_nanos(&mut self, value: Nanos) {
         self.record(value.as_nanos());
     }
 
@@ -91,7 +91,7 @@ impl Histogram {
     }
 
     /// Mean of the samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -100,7 +100,7 @@ impl Histogram {
     }
 
     /// Smallest sample (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -109,7 +109,7 @@ impl Histogram {
     }
 
     /// Largest sample (0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
@@ -154,7 +154,7 @@ impl Histogram {
     /// had been recorded here. Associative and commutative, so per-thread
     /// histograms can be merged in any grouping (the sweep runner merges
     /// them in cell-index order for deterministic output).
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += theirs;
         }
@@ -167,7 +167,7 @@ impl Histogram {
     }
 
     /// p50, p90, and p99 in one call.
-    pub fn summary(&self) -> (u64, u64, u64) {
+    pub(crate) fn summary(&self) -> (u64, u64, u64) {
         (
             self.quantile(0.50),
             self.quantile(0.90),
@@ -176,7 +176,7 @@ impl Histogram {
     }
 
     /// Occupied buckets as `(lo, hi, count)` triples, low to high.
-    pub fn occupied_buckets(&self) -> Vec<(u64, u64, u64)> {
+    pub(crate) fn occupied_buckets(&self) -> Vec<(u64, u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -187,7 +187,7 @@ impl Histogram {
 
     /// This histogram as a JSON object. Samples are dimensionless here;
     /// callers name the field so units are clear (`*_ns` for times).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let (p50, p90, p99) = self.summary();
         let buckets = self.occupied_buckets().into_iter().map(|(lo, hi, n)| {
             json::object()
@@ -210,7 +210,7 @@ impl Histogram {
     /// An ASCII rendering: one row per occupied bucket with a proportional
     /// bar, preceded by a one-line summary. `unit` scales and labels the
     /// values (e.g. [`Unit::Millis`] for nanosecond samples).
-    pub fn render_ascii(&self, title: &str, unit: Unit) -> String {
+    pub(crate) fn render_ascii(&self, title: &str, unit: Unit) -> String {
         let mut out = String::new();
         let (p50, p90, p99) = self.summary();
         out.push_str(&format!(
@@ -239,7 +239,7 @@ impl Histogram {
 
 /// How to print a histogram's raw `u64` samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
+pub(crate) enum Unit {
     /// Samples are nanoseconds; print as milliseconds.
     Millis,
     /// Samples are plain counts; print bare.
@@ -290,7 +290,7 @@ pub struct Counters {
 
 impl Counters {
     /// Adds `other`'s counts into `self`.
-    pub fn merge(&mut self, other: &Counters) {
+    pub(crate) fn merge(&mut self, other: &Counters) {
         self.decisions += other.decisions;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -310,7 +310,7 @@ impl Counters {
     /// These counters as a JSON object. The fault counters appear only
     /// when nonzero, so healthy-run output is byte-identical to output
     /// from before fault support existed.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         json::object()
             .field("decisions", self.decisions)
             .field("cache_hits", self.cache_hits)
@@ -343,7 +343,8 @@ pub struct DiskMetrics {
 
 impl DiskMetrics {
     /// Folds `other`'s distributions into `self`.
-    pub fn merge(&mut self, other: &DiskMetrics) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &DiskMetrics) {
         self.service.merge(&other.service);
         self.response.merge(&other.response);
         self.queue_depth.merge(&other.queue_depth);
@@ -371,11 +372,6 @@ impl Timeline {
     /// The slice width.
     pub fn slice_width(&self) -> Nanos {
         self.slice
-    }
-
-    /// Number of slices touched so far.
-    pub fn len(&self) -> usize {
-        self.slices.len()
     }
 
     /// True when no activity has been recorded.
@@ -419,7 +415,8 @@ impl Timeline {
     ///
     /// Panics when the slice widths or disk counts differ — merging
     /// timelines of different geometry is meaningless.
-    pub fn merge(&mut self, other: &Timeline) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &Timeline) {
         assert_eq!(
             self.slice, other.slice,
             "cannot merge timelines with different slice widths"
@@ -458,7 +455,7 @@ impl Timeline {
     }
 
     /// This timeline as a JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let slices = self.rows().into_iter().map(|(start, util, depth)| {
             json::object()
                 .field("start_ns", start.as_nanos())
@@ -501,7 +498,7 @@ impl RunTotals {
     }
 
     /// `obj` with the five fields appended, in their document order.
-    pub fn json_fields(&self, obj: json::Obj) -> json::Obj {
+    pub(crate) fn json_fields(&self, obj: json::Obj) -> json::Obj {
         obj.field("counters", Raw(self.counters.to_json()))
             .field("fetch_service_ns", Raw(self.fetch_service.to_json()))
             .field("fetch_response_ns", Raw(self.fetch_response.to_json()))
@@ -542,7 +539,7 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Empty metrics for an array of `disks` drives with the given
     /// timeline slice width — the identity for [`RunMetrics::merge`].
-    pub fn new(disks: usize, slice: Nanos) -> RunMetrics {
+    pub(crate) fn new(disks: usize, slice: Nanos) -> RunMetrics {
         RunMetrics {
             totals: RunTotals::default(),
             per_disk: vec![DiskMetrics::default(); disks],
@@ -557,7 +554,8 @@ impl RunMetrics {
     /// # Panics
     ///
     /// Panics when the per-disk arities or timeline geometries differ.
-    pub fn merge(&mut self, other: &RunMetrics) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &RunMetrics) {
         assert_eq!(
             self.per_disk.len(),
             other.per_disk.len(),
@@ -595,7 +593,7 @@ pub struct MetricsProbe {
 impl MetricsProbe {
     /// A metrics probe for an array of `disks` drives, slicing the
     /// timeline into `slice`-wide windows.
-    pub fn new(disks: usize, slice: Nanos) -> MetricsProbe {
+    pub(crate) fn new(disks: usize, slice: Nanos) -> MetricsProbe {
         MetricsProbe {
             metrics: RunMetrics::new(disks, slice),
         }
@@ -609,11 +607,6 @@ impl MetricsProbe {
     /// The accumulated metrics.
     pub fn finish(self) -> RunMetrics {
         self.metrics
-    }
-
-    /// Borrows the accumulated metrics.
-    pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
     }
 }
 

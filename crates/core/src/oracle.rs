@@ -21,11 +21,11 @@ use std::sync::OnceLock;
 
 /// Sentinel position for "never referenced again" — compares greater than
 /// every real position, which is exactly what Belady comparisons want.
-pub const NEVER: usize = usize::MAX;
+pub(crate) const NEVER: usize = usize::MAX;
 
 /// Reserved block id returned by [`Oracle::block_at`] for undisclosed
 /// positions (see [`Oracle::from_positions`]). Never equals a real block.
-pub const UNKNOWN_BLOCK: BlockId = BlockId(u64::MAX);
+pub(crate) const UNKNOWN_BLOCK: BlockId = BlockId(u64::MAX);
 
 /// Internal sentinel for "no compact index" / "no next occurrence" in the
 /// `u32`-packed arrays.
@@ -87,9 +87,6 @@ pub struct Oracle {
     index: FastMap<BlockId, u32>,
     /// Inverse of `index`.
     blocks: Vec<BlockId>,
-    /// Number of leading entries of `blocks` that actually occur in the
-    /// disclosed sequence.
-    disclosed: usize,
     /// Every position at which each block is referenced, ascending, by
     /// compact index. Universe-only blocks have empty rows.
     occurrences: Rows<u32>,
@@ -132,7 +129,11 @@ impl Oracle {
     /// Panics if a position is out of range or appears twice.
     ///
     /// [`block_at`]: Oracle::block_at
-    pub fn from_positions(len: usize, entries: Vec<(usize, BlockId)>, layout: Layout) -> Oracle {
+    pub(crate) fn from_positions(
+        len: usize,
+        entries: Vec<(usize, BlockId)>,
+        layout: Layout,
+    ) -> Oracle {
         Oracle::from_positions_with_universe(len, entries, &[], layout)
     }
 
@@ -143,7 +144,7 @@ impl Oracle {
     /// cache state can then be tracked by bitset like any other block,
     /// while their (empty) occurrence lists keep them invisible to
     /// policies.
-    pub fn from_positions_with_universe(
+    pub(crate) fn from_positions_with_universe(
         len: usize,
         mut entries: Vec<(usize, BlockId)>,
         universe: &[BlockId],
@@ -178,7 +179,6 @@ impl Oracle {
             seq_idx[pos] = idx;
             counts[idx as usize] += 1;
         }
-        let disclosed = blocks.len();
         for &block in universe {
             index.entry(block).or_insert_with(|| {
                 blocks.push(block);
@@ -207,7 +207,6 @@ impl Oracle {
             next_same,
             index,
             blocks,
-            disclosed,
             occurrences,
             layout,
             ranks: OnceLock::new(),
@@ -245,7 +244,7 @@ impl Oracle {
         self.blocks.len()
     }
 
-    /// The block referenced at `pos`, or [`UNKNOWN_BLOCK`] for an
+    /// The block referenced at `pos`, or `UNKNOWN_BLOCK` for an
     /// undisclosed position.
     ///
     /// # Panics
@@ -281,22 +280,22 @@ impl Oracle {
 
     /// The block holding compact index `idx`. O(1).
     #[inline]
-    pub fn block_of(&self, idx: u32) -> BlockId {
+    pub(crate) fn block_of(&self, idx: u32) -> BlockId {
         self.blocks[idx as usize]
     }
 
     /// The layout used to build this oracle.
-    pub fn layout(&self) -> Layout {
+    pub(crate) fn layout(&self) -> Layout {
         self.layout
     }
 
     /// The disk holding `block`.
-    pub fn disk_of(&self, block: BlockId) -> DiskId {
+    pub(crate) fn disk_of(&self, block: BlockId) -> DiskId {
         self.layout.disk_of(block)
     }
 
     /// The first position `>= at` referencing the block with compact
-    /// index `idx`, or [`NEVER`]: binary search over the block's dense
+    /// index `idx`, or `NEVER`: binary search over the block's dense
     /// occurrence list, no hashing. A caller whose queries never move
     /// backwards reads the same answers from a [`NextUseCursors`] in
     /// amortized O(1).
@@ -309,7 +308,7 @@ impl Oracle {
     /// Whether block `idx` is referenced at or after position `at`: its
     /// last occurrence is at least `at`. O(1).
     #[inline]
-    pub fn occurs_at_or_after(&self, idx: u32, at: usize) -> bool {
+    pub(crate) fn occurs_at_or_after(&self, idx: u32, at: usize) -> bool {
         self.occurrences
             .row(idx as usize)
             .last()
@@ -322,7 +321,7 @@ impl Oracle {
     /// pattern: the application just consumed the block at `pos` — the
     /// answer comes from the precomputed next-pointer array in O(1).
     #[inline]
-    pub fn next_after_idx(&self, idx: u32, pos: usize) -> usize {
+    pub(crate) fn next_after_idx(&self, idx: u32, pos: usize) -> usize {
         if pos < self.seq_idx.len() && self.seq_idx[pos] == idx {
             let n = self.next_same[pos];
             if n == NONE32 {
@@ -337,7 +336,7 @@ impl Oracle {
 
     /// The last position `< before` referencing `block`, or `None` —
     /// binary search over the block's sorted occurrence list.
-    pub fn last_occurrence_before(&self, block: BlockId, before: usize) -> Option<usize> {
+    pub(crate) fn last_occurrence_before(&self, block: BlockId, before: usize) -> Option<usize> {
         let idx = self.index_of(block)?;
         let occ = self.occurrences.row(idx as usize);
         let i = occ.partition_point(|&p| (p as usize) < before);
@@ -345,16 +344,12 @@ impl Oracle {
     }
 
     /// The distinct *disclosed* blocks of the sequence, in
-    /// first-appearance order. Undisclosed positions are skipped.
-    pub fn distinct_blocks(&self) -> Vec<BlockId> {
-        self.blocks[..self.disclosed].to_vec()
-    }
-
-    /// First occurrence position of every distinct block.
-    pub fn first_occurrences(&self) -> Vec<(BlockId, usize)> {
-        (0..self.disclosed)
-            .map(|i| (self.blocks[i], self.occurrences.row(i)[0] as usize))
-            .collect()
+    /// first-appearance order: the blocks with occurrences, which hold
+    /// the leading compact indices.
+    #[cfg(test)]
+    pub(crate) fn distinct_blocks(&self) -> Vec<BlockId> {
+        let disclosed = (0..self.blocks.len()).take_while(|&i| !self.occurrences.row(i).is_empty());
+        disclosed.map(|i| self.blocks[i]).collect()
     }
 }
 
@@ -385,7 +380,7 @@ impl NextUseCursors {
         }
     }
 
-    /// The first position `>= at` referencing block `idx`, or [`NEVER`]:
+    /// The first position `>= at` referencing block `idx`, or `NEVER`:
     /// [`Oracle::next_occurrence_idx`], read from the block's cursor.
     #[inline]
     pub fn next(&mut self, oracle: &Oracle, idx: u32, at: usize) -> usize {
@@ -474,10 +469,8 @@ mod tests {
             o.distinct_blocks(),
             vec![BlockId(5), BlockId(3), BlockId(7)]
         );
-        assert_eq!(
-            o.first_occurrences(),
-            vec![(BlockId(5), 0), (BlockId(3), 1), (BlockId(7), 3)]
-        );
+        let firsts: Vec<usize> = (0..3).map(|i| o.next_occurrence_idx(i, 0)).collect();
+        assert_eq!(firsts, vec![0, 1, 3]);
     }
 
     #[test]

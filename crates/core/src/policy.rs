@@ -40,28 +40,28 @@ pub trait Policy {
 /// not anything reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Indexes {
-    /// The missing-block index, [`Ctx::missing`]: updated on every issue,
+    /// The missing-block index, `Ctx::missing`: updated on every issue,
     /// eviction and abandonment.
     pub missing: bool,
-    /// The recent fetch and compute times, [`Ctx::history`]: pushed on
+    /// The recent fetch and compute times, `Ctx::history`: pushed on
     /// every completion and every reference.
     pub history: bool,
 }
 
 impl Indexes {
     /// Every index.
-    pub const ALL: Indexes = Indexes {
+    pub(crate) const ALL: Indexes = Indexes {
         missing: true,
         history: true,
     };
     /// No index: the policy reads only the cache, the oracle and the
     /// array.
-    pub const NONE: Indexes = Indexes {
+    pub(crate) const NONE: Indexes = Indexes {
         missing: false,
         history: false,
     };
     /// The missing-block index alone.
-    pub const MISSING: Indexes = Indexes {
+    pub(crate) const MISSING: Indexes = Indexes {
         missing: true,
         history: false,
     };

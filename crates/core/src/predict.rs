@@ -12,12 +12,12 @@
 //!
 //! Three predictors are provided, in rough order of model power:
 //!
-//! * [`SequentialPredictor`] — stride run detection, the classic
+//! * `SequentialPredictor` — stride run detection, the classic
 //!   readahead heuristic: after seeing the same inter-block delta twice,
 //!   extrapolate it forward.
-//! * [`MarkovPredictor`] — a first-order next-block model: count
+//! * `MarkovPredictor` — a first-order next-block model: count
 //!   successors per block and walk the argmax chain forward.
-//! * [`MithrilPredictor`] — a MITHRIL-style sporadic-association miner:
+//! * `MithrilPredictor` — a MITHRIL-style sporadic-association miner:
 //!   count co-occurrences at distances *beyond* the immediate successor,
 //!   catching recurring patterns the Markov chain's one-step view misses.
 //!
@@ -77,15 +77,17 @@ pub trait HintSource {
 /// reproduces the full-knowledge oracle exactly (pinned by test), which
 /// is what makes the trait a refactoring of the existing path rather
 /// than a parallel implementation.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct OracleHints {
+pub(crate) struct OracleHints {
     future: Vec<BlockId>,
     cursor: usize,
 }
 
+#[cfg(test)]
 impl OracleHints {
     /// Wraps a trace's disclosed access sequence.
-    pub fn new(trace: &Trace) -> OracleHints {
+    pub(crate) fn new(trace: &Trace) -> OracleHints {
         OracleHints {
             future: trace.requests.iter().map(|r| r.block).collect(),
             cursor: 0,
@@ -93,6 +95,7 @@ impl OracleHints {
     }
 }
 
+#[cfg(test)]
 impl HintSource for OracleHints {
     fn name(&self) -> &'static str {
         "oracle"
@@ -123,7 +126,7 @@ const SEQ_MIN_RUN: u32 = 2;
 /// extrapolates it forward. Exactly the shape of classic file-system
 /// readahead, generalized to arbitrary strides.
 #[derive(Debug, Default)]
-pub struct SequentialPredictor {
+pub(crate) struct SequentialPredictor {
     last: Option<u64>,
     /// Current inter-block delta (i128: a u64 difference always fits).
     stride: i128,
@@ -133,7 +136,7 @@ pub struct SequentialPredictor {
 
 impl SequentialPredictor {
     /// A fresh model with no observations.
-    pub fn new() -> SequentialPredictor {
+    pub(crate) fn new() -> SequentialPredictor {
         SequentialPredictor::default()
     }
 }
@@ -184,14 +187,14 @@ type Successors = Vec<(u64, u32)>;
 /// forward from the last reference. Ties break toward the first-seen
 /// successor, so predictions are a pure function of the history.
 #[derive(Debug, Default)]
-pub struct MarkovPredictor {
+pub(crate) struct MarkovPredictor {
     succ: FastMap<u64, Successors>,
     last: Option<u64>,
 }
 
 impl MarkovPredictor {
     /// A fresh model with no observations.
-    pub fn new() -> MarkovPredictor {
+    pub(crate) fn new() -> MarkovPredictor {
         MarkovPredictor::default()
     }
 }
@@ -255,7 +258,7 @@ const MITHRIL_MIN_SUPPORT: u32 = 2;
 /// recurring loose patterns (metadata-then-data, header-then-footer)
 /// that stride and one-step-chain models both miss.
 #[derive(Debug, Default)]
-pub struct MithrilPredictor {
+pub(crate) struct MithrilPredictor {
     /// Most recent `MITHRIL_SPAN` references, oldest first.
     recent: Vec<u64>,
     /// `assoc[a]` counts blocks seen 2..=SPAN references after `a`.
@@ -264,7 +267,7 @@ pub struct MithrilPredictor {
 
 impl MithrilPredictor {
     /// A fresh model with no observations.
-    pub fn new() -> MithrilPredictor {
+    pub(crate) fn new() -> MithrilPredictor {
         MithrilPredictor::default()
     }
 }
@@ -331,11 +334,11 @@ impl HintSource for MithrilPredictor {
 /// The online predictor families, for configuration and CLI selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorKind {
-    /// Stride run detection ([`SequentialPredictor`]).
+    /// Stride run detection (`SequentialPredictor`).
     Sequential,
-    /// First-order Markov chain ([`MarkovPredictor`]).
+    /// First-order Markov chain (`MarkovPredictor`).
     Markov,
-    /// Sporadic-association mining ([`MithrilPredictor`]).
+    /// Sporadic-association mining (`MithrilPredictor`).
     Mithril,
 }
 
@@ -358,7 +361,8 @@ impl PredictorKind {
     }
 
     /// Parses a [`name`](PredictorKind::name).
-    pub fn by_name(name: &str) -> Option<PredictorKind> {
+    #[cfg(test)]
+    pub(crate) fn by_name(name: &str) -> Option<PredictorKind> {
         PredictorKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
@@ -441,7 +445,7 @@ impl HintStats {
     }
 
     /// These statistics as a JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         json::object()
             .field("source", self.source)
             .field("predicted", self.predicted)

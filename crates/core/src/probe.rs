@@ -10,7 +10,9 @@
 //! with the no-op every instrumentation site is statically dead and the
 //! optimizer removes it: the uninstrumented hot path costs nothing.
 
-use crate::json::{self, Json, Obj};
+#[cfg(test)]
+use crate::json::Json;
+use crate::json::{self, Obj};
 use parcache_disk::disk::ReqKind;
 use parcache_disk::model::ServiceOutcome;
 use parcache_disk::probe::DiskEvent;
@@ -27,7 +29,7 @@ pub enum FaultCause {
 
 impl FaultCause {
     /// A short machine-readable tag.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultCause::MediaError => "media_error",
             FaultCause::Rejected => "rejected",
@@ -35,7 +37,8 @@ impl FaultCause {
     }
 
     /// The cause whose [`FaultCause::name`] is `name`, if any.
-    pub fn from_name(name: &str) -> Option<FaultCause> {
+    #[cfg(test)]
+    pub(crate) fn from_name(name: &str) -> Option<FaultCause> {
         match name {
             "media_error" => Some(FaultCause::MediaError),
             "rejected" => Some(FaultCause::Rejected),
@@ -96,7 +99,7 @@ impl StallCause {
     }
 
     /// Index into [`StallCause::ALL`]-ordered accounting arrays.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             StallCause::LatePrefetch => 0,
             StallCause::NoPrefetch => 1,
@@ -107,7 +110,8 @@ impl StallCause {
     }
 
     /// The cause whose [`StallCause::name`] is `name`, if any.
-    pub fn from_name(name: &str) -> Option<StallCause> {
+    #[cfg(test)]
+    pub(crate) fn from_name(name: &str) -> Option<StallCause> {
         StallCause::ALL.into_iter().find(|c| c.name() == name)
     }
 }
@@ -295,7 +299,7 @@ pub enum Event {
 
 impl Event {
     /// Wraps a drive-layer event into the simulation event stream.
-    pub fn from_disk(now: Nanos, disk: DiskId, e: DiskEvent) -> Event {
+    pub(crate) fn from_disk(now: Nanos, disk: DiskId, e: DiskEvent) -> Event {
         match e {
             DiskEvent::Enqueued { depth, .. } => Event::QueueDepth { now, disk, depth },
             DiskEvent::ServiceStarted {
@@ -337,6 +341,7 @@ impl Event {
 /// How one event field is written to a log line and read back from one.
 trait LogField: Sized {
     fn put(self, o: Obj, key: &str) -> Obj;
+    #[cfg(test)]
     fn take(v: &Json, key: &str) -> Option<Self>;
 }
 
@@ -348,6 +353,7 @@ macro_rules! log_fields {
             fn put(self, o: Obj, key: &str) -> Obj {
                 o.field(key, ($put)(self))
             }
+            #[cfg(test)]
             fn take(v: &Json, key: &str) -> Option<Self> {
                 v.get::<$wire>(key).and_then($take)
             }
@@ -374,6 +380,7 @@ impl<T: LogField> LogField for Option<T> {
             None => o,
         }
     }
+    #[cfg(test)]
     fn take(v: &Json, key: &str) -> Option<Self> {
         Some(T::take(v, key))
     }
@@ -392,14 +399,14 @@ macro_rules! event_log_format {
     })*) => {
         impl Event {
             /// A short machine-readable tag naming the event variant.
-            pub fn kind(&self) -> &'static str {
+            pub(crate) fn kind(&self) -> &'static str {
                 match self {
                     $(Event::$variant { .. } => $tag,)*
                 }
             }
 
             /// The simulated time the event carries.
-            pub fn time(&self) -> Nanos {
+            pub(crate) fn time(&self) -> Nanos {
                 match *self {
                     $(Event::$variant { now, .. })|* => now,
                 }
@@ -425,7 +432,8 @@ macro_rules! event_log_format {
             /// the exact inverse over every variant, so a JSONL event log
             /// round-trips losslessly. Returns `None` on anything that is
             /// not one complete event object.
-            pub fn from_json(line: &str) -> Option<Event> {
+            #[cfg(test)]
+            pub(crate) fn from_json(line: &str) -> Option<Event> {
                 let v = json::parse(line).ok()?;
                 let now = Nanos(v.get("t_ns")?);
                 Some(match v.get::<&str>("event")? {

@@ -13,7 +13,7 @@ use parcache_trace::{Request, Trace};
 use parcache_types::{BlockId, Nanos};
 
 /// One "time unit" of the theoretical model, as simulated time.
-pub const UNIT: Nanos = Nanos::from_millis(1);
+pub(crate) const UNIT: Nanos = Nanos::from_millis(1);
 
 /// Builds a theoretical-model trace: unit compute time per reference.
 pub fn unit_trace(blocks: &[u64], cache_blocks: usize) -> Trace {
@@ -57,7 +57,7 @@ pub fn elapsed_units(report: &crate::engine::Report) -> u64 {
 /// finish before the run does, and each drive serializes its requests
 /// at `f` apiece. Reporting less than this is impossible physics, so
 /// the audit layer treats it as an accounting violation.
-pub fn uniform_elapsed_lower_bound(report: &crate::engine::Report, f: Nanos) -> Nanos {
+pub(crate) fn uniform_elapsed_lower_bound(report: &crate::engine::Report, f: Nanos) -> Nanos {
     let mut bound = report.compute + report.driver;
     if report.fetches > 0 {
         bound = bound.max(f);

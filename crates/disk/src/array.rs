@@ -65,20 +65,17 @@ impl DiskArray {
     }
 
     /// Number of drives.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.disks.len()
     }
 
     /// False for every constructible array (the constructor rejects zero
     /// drives); delegated to the drive list rather than hardcoded so the
     /// answer can never drift from [`DiskArray::len`].
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.disks.is_empty()
-    }
-
-    /// The striping layout.
-    pub fn layout(&self) -> Layout {
-        self.layout
     }
 
     /// The drive holding `block`.
@@ -93,13 +90,15 @@ impl DiskArray {
     }
 
     /// Queue length plus in-service count for the given drive.
-    pub fn load(&self, disk: DiskId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn load(&self, disk: DiskId) -> usize {
         self.disks[disk.index()].load()
     }
 
     /// Drives that are currently free, in index order. Borrows rather
     /// than allocating: policies call this at every decision point.
-    pub fn free_disks(&self) -> impl Iterator<Item = DiskId> + '_ {
+    #[cfg(test)]
+    pub(crate) fn free_disks(&self) -> impl Iterator<Item = DiskId> + '_ {
         self.free
             .iter()
             .enumerate()
@@ -163,11 +162,6 @@ impl DiskArray {
         done
     }
 
-    /// Current head position (cylinder) of the given drive.
-    pub fn head_cylinder(&self, disk: DiskId) -> u64 {
-        self.disks[disk.index()].head_cylinder()
-    }
-
     /// Per-drive statistics over completed requests only (see
     /// [`Disk::stats`]).
     pub fn stats(&self) -> Vec<DiskStats> {
@@ -175,7 +169,7 @@ impl DiskArray {
     }
 
     /// Per-drive statistics as of `now`, including partial in-service
-    /// busy time (see [`Disk::stats_at`]).
+    /// busy time (see `Disk::stats_at`).
     pub fn stats_at(&self, now: Nanos) -> Vec<DiskStats> {
         self.disks.iter().map(|d| d.stats_at(now)).collect()
     }
@@ -213,7 +207,8 @@ impl DiskArray {
 
     /// The block the given drive is servicing right now, if any (see
     /// [`Disk::in_service_block`]).
-    pub fn in_service_block(&self, disk: DiskId) -> Option<BlockId> {
+    #[cfg(test)]
+    pub(crate) fn in_service_block(&self, disk: DiskId) -> Option<BlockId> {
         self.disks[disk.index()].in_service_block()
     }
 
@@ -226,12 +221,14 @@ impl DiskArray {
     }
 
     /// Blocks outstanding (queued or in service) on any drive.
-    pub fn outstanding(&self) -> Vec<BlockId> {
+    #[cfg(test)]
+    pub(crate) fn outstanding(&self) -> Vec<BlockId> {
         self.disks.iter().flat_map(|d| d.outstanding()).collect()
     }
 
     /// Resets all drives (queues, stats, and model state).
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         for d in 0..self.disks.len() {
             self.disks[d].reset();
             self.refresh(d);

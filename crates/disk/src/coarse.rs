@@ -59,11 +59,6 @@ impl CoarseDisk {
         }
     }
 
-    /// The drive geometry.
-    pub fn geometry(&self) -> &DiskGeometry {
-        &GEOMETRY
-    }
-
     fn seek_time(&self, distance: u64) -> Nanos {
         if distance == 0 {
             Nanos::ZERO

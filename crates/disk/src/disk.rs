@@ -121,6 +121,7 @@ pub struct Disk {
     discipline: Discipline,
     /// The discipline as constructed, so [`Disk::reset`] can restore
     /// scheduler state (SCAN's sweep direction) and not just clear queues.
+    #[cfg(test)]
     initial_discipline: Discipline,
     queue: Vec<Pending>,
     in_service: Option<InService>,
@@ -134,6 +135,7 @@ impl Disk {
         Disk {
             model,
             discipline,
+            #[cfg(test)]
             initial_discipline: discipline,
             queue: Vec::new(),
             in_service: None,
@@ -149,12 +151,13 @@ impl Disk {
     }
 
     /// True when the drive is neither serving nor holding any request.
-    pub fn is_idle(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_idle(&self) -> bool {
         self.in_service.is_none()
     }
 
     /// Number of requests waiting or in service.
-    pub fn load(&self) -> usize {
+    pub(crate) fn load(&self) -> usize {
         self.queue.len() + usize::from(self.in_service.is_some())
     }
 
@@ -284,15 +287,10 @@ impl Disk {
         done
     }
 
-    /// Current head position (cylinder) of the drive model.
-    pub fn head_cylinder(&self) -> u64 {
-        self.model.head_cylinder()
-    }
-
     /// Accumulated statistics over *completed* requests only.
     ///
     /// A request still in service contributes nothing here; use
-    /// [`Disk::stats_at`] for end-of-run accounting so partial in-service
+    /// `Disk::stats_at` for end-of-run accounting so partial in-service
     /// time is not lost.
     pub fn stats(&self) -> DiskStats {
         self.stats
@@ -304,7 +302,7 @@ impl Disk {
     /// Without this, a run that ends while a request is in service
     /// undercounts `busy` — and therefore utilization — which is visible
     /// on short traces (the Table 4/8 metric).
-    pub fn stats_at(&self, now: Nanos) -> DiskStats {
+    pub(crate) fn stats_at(&self, now: Nanos) -> DiskStats {
         let mut s = self.stats;
         s.busy += self.in_service_busy(now);
         s
@@ -322,7 +320,8 @@ impl Disk {
     }
 
     /// The scheduling discipline in use.
-    pub fn discipline(&self) -> Discipline {
+    #[cfg(test)]
+    pub(crate) fn discipline(&self) -> Discipline {
         self.discipline
     }
 
@@ -330,14 +329,15 @@ impl Disk {
     /// are not in service: a stalled-on request that is merely queued is
     /// waiting on head contention, not on its own platter time — the
     /// distinction the engine's stall provenance needs.
-    pub fn in_service_block(&self) -> Option<BlockId> {
+    #[cfg(test)]
+    pub(crate) fn in_service_block(&self) -> Option<BlockId> {
         self.in_service.as_ref().map(|s| s.request.block)
     }
 
     /// The block of the read the drive is servicing right now, `None`
     /// when idle or servicing a write-behind flush. A write delivers no
     /// data to a waiter, so provenance treats it as contention.
-    pub fn in_service_read(&self) -> Option<BlockId> {
+    pub(crate) fn in_service_read(&self) -> Option<BlockId> {
         self.in_service
             .as_ref()
             .filter(|s| s.request.kind == ReqKind::Read)
@@ -345,7 +345,8 @@ impl Disk {
     }
 
     /// Blocks currently queued or in service (the drive's outstanding set).
-    pub fn outstanding(&self) -> impl Iterator<Item = BlockId> + '_ {
+    #[cfg(test)]
+    pub(crate) fn outstanding(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.queue
             .iter()
             .map(|p| p.block)
@@ -355,7 +356,8 @@ impl Disk {
     /// Clears queue, in-service state, statistics, scheduler state, and
     /// the drive model. SCAN's sweep direction reverts to its initial
     /// value, so back-to-back runs on a reused drive are reproducible.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.queue.clear();
         self.in_service = None;
         self.next_seq = 0;

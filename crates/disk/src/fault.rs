@@ -34,7 +34,7 @@ pub enum DiskSel {
 
 impl DiskSel {
     /// True when the selector covers drive `disk`.
-    pub fn matches(&self, disk: usize) -> bool {
+    pub(crate) fn matches(&self, disk: usize) -> bool {
         match self {
             DiskSel::All => true,
             DiskSel::One(d) => *d == disk,
@@ -163,7 +163,8 @@ fn parse_ms(s: &str) -> Result<Nanos, FaultParseError> {
 
 impl FaultPlan {
     /// An empty plan with the given RNG seed.
-    pub fn new(seed: u64) -> FaultPlan {
+    #[cfg(test)]
+    pub(crate) fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
             specs: Vec::new(),

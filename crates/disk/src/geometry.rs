@@ -27,7 +27,7 @@ impl SectorSpan {
     }
 
     /// One past the last sector of the span.
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.start + self.len
     }
 }
@@ -57,12 +57,14 @@ impl DiskGeometry {
     }
 
     /// Total sectors on the drive.
-    pub fn capacity_sectors(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn capacity_sectors(&self) -> u64 {
         self.sectors_per_cylinder() * self.cylinders
     }
 
     /// Total 8 KB blocks the drive can hold.
-    pub fn capacity_blocks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn capacity_blocks(&self) -> u64 {
         self.capacity_sectors() / SECTORS_PER_BLOCK
     }
 
@@ -82,7 +84,7 @@ impl DiskGeometry {
     }
 
     /// Number of track boundaries crossed when reading `span` contiguously.
-    pub fn track_crossings(&self, span: &SectorSpan) -> u64 {
+    pub(crate) fn track_crossings(&self, span: &SectorSpan) -> u64 {
         if span.len == 0 {
             return 0;
         }
@@ -92,7 +94,7 @@ impl DiskGeometry {
     }
 
     /// Number of cylinder boundaries crossed when reading `span` contiguously.
-    pub fn cylinder_crossings(&self, span: &SectorSpan) -> u64 {
+    pub(crate) fn cylinder_crossings(&self, span: &SectorSpan) -> u64 {
         if span.len == 0 {
             return 0;
         }
@@ -102,7 +104,7 @@ impl DiskGeometry {
     }
 
     /// First sector of the cylinder *after* the one containing `sector`.
-    pub fn next_cylinder_start(&self, sector: u64) -> u64 {
+    pub(crate) fn next_cylinder_start(&self, sector: u64) -> u64 {
         (self.cylinder_of(sector) + 1) * self.sectors_per_cylinder()
     }
 }

@@ -138,7 +138,7 @@ pub struct Hp97560 {
 
 /// Internal service-mix counters, exposed for tests and reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ModelStats {
+pub(crate) struct ModelStats {
     /// Requests served entirely from the readahead buffer.
     pub buffer_hits: u64,
     /// Requests that waited for the in-progress readahead fill.
@@ -177,14 +177,16 @@ impl Hp97560 {
     }
 
     /// The drive geometry.
-    pub fn geometry(&self) -> &DiskGeometry {
+    #[cfg(test)]
+    pub(crate) fn geometry(&self) -> &DiskGeometry {
         &self.geometry
     }
 
     /// Service-mix counters accumulated since construction or [`reset`].
     ///
     /// [`reset`]: DiskModel::reset
-    pub fn stats(&self) -> ModelStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> ModelStats {
         self.stats
     }
 

@@ -43,7 +43,7 @@ impl Layout {
     }
 
     /// The physical sector span of logical block `block` on its drive.
-    pub fn span_of(&self, block: BlockId) -> SectorSpan {
+    pub(crate) fn span_of(&self, block: BlockId) -> SectorSpan {
         SectorSpan::for_block(self.disk_block_of(block))
     }
 }

@@ -11,7 +11,7 @@
 //!   playing the role of the paper's CMU/RaidSim cross-validation simulator.
 //! * [`uniform`] — the theoretical uniform fetch-time model of §2.1.
 //! * [`sched`] — FCFS and CSCAN head scheduling (plus SCAN and SSTF).
-//! * [`disk`] / [`mod@array`] — a single drive with a request queue, and an
+//! * [`disk`] / `array` — a single drive with a request queue, and an
 //!   array of independently accessible drives.
 //! * [`layout`] — one-block striping across the array and the paper's
 //!   100-cylinder file-clustering groups.
@@ -19,12 +19,12 @@
 //!   completion report them to a caller-supplied closure.
 //! * [`fault`] — deterministic fault injection: a seed-driven
 //!   [`FaultPlan`] (transient media errors, fail-slow windows, hard
-//!   outages) and the [`FaultyDisk`] model wrapper that applies it.
+//!   outages) and the `FaultyDisk` model wrapper that applies it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod array;
+mod array;
 pub mod coarse;
 pub mod disk;
 pub mod fault;
@@ -38,14 +38,8 @@ pub mod seek;
 pub mod uniform;
 
 pub use array::DiskArray;
-pub use disk::{Disk, DiskStats, EnqueueOutcome};
-pub use fault::{
-    DiskFaults, DiskSel, FaultKind, FaultParseError, FaultPlan, FaultSpec, FaultyDisk,
-};
-pub use geometry::{DiskGeometry, SectorSpan};
+pub use disk::Disk;
+pub use fault::FaultPlan;
 pub use hp97560::Hp97560;
 pub use layout::Layout;
-pub use model::{Attempt, DiskModel, ServiceOutcome};
-pub use probe::DiskEvent;
-pub use sched::Discipline;
 pub use uniform::UniformDisk;

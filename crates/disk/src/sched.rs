@@ -74,7 +74,7 @@ impl Discipline {
     }
 
     /// A short name for reports.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Discipline::Fcfs => "fcfs",
             Discipline::Cscan => "cscan",

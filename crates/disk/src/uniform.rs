@@ -22,7 +22,8 @@ impl UniformDisk {
     }
 
     /// The constant access time.
-    pub fn fetch_time(&self) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn fetch_time(&self) -> Nanos {
         self.fetch_time
     }
 }

@@ -73,7 +73,7 @@ fn cscope(
 
 /// cscope1: eight symbol searches over the package's index files
 /// (compute-bound; large sequential files, one read per query).
-pub fn cscope1(seed: u64) -> Trace {
+pub(crate) fn cscope1(seed: u64) -> Trace {
     let mut rng = Rng::seed_from_u64(seed);
     let mut placer = GroupPlacer::new(seed ^ 0x5EED);
     let sizes = file_sizes(&mut rng, 1_073, 30, 160);
@@ -97,7 +97,7 @@ pub fn cscope1(seed: u64) -> Trace {
 
 /// cscope2: four text searches over the package's source files — many
 /// small scattered files, each read twice per query.
-pub fn cscope2(seed: u64) -> Trace {
+pub(crate) fn cscope2(seed: u64) -> Trace {
     let mut rng = Rng::seed_from_u64(seed);
     let mut placer = GroupPlacer::new(seed ^ 0x5EED);
     let sizes = file_sizes(&mut rng, 2_462, 1, 9);
@@ -125,7 +125,7 @@ pub fn cscope2(seed: u64) -> Trace {
 /// The short/long mix is chosen so ~1 ms and ~7 ms runs average to the
 /// Table 3 mean (74.1 s / 30,200 = 2.45 ms): with levels 1 and 7,
 /// the short fraction must be (7 - 2.45)/(7 - 1) ≈ 0.758.
-pub fn cscope3(seed: u64) -> Trace {
+pub(crate) fn cscope3(seed: u64) -> Trace {
     let mut rng = Rng::seed_from_u64(seed);
     let mut placer = GroupPlacer::new(seed ^ 0x5EED);
     let sizes = file_sizes(&mut rng, 3_910, 1, 9);

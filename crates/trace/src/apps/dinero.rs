@@ -13,14 +13,14 @@ use crate::Trace;
 use parcache_types::Nanos;
 
 /// Table 3 targets.
-pub const READS: usize = 8_867;
+pub(crate) const READS: usize = 8_867;
 /// Distinct blocks (the input file's size).
-pub const DISTINCT: usize = 986;
+pub(crate) const DISTINCT: usize = 986;
 /// Total compute time: 103.5 s.
-pub const COMPUTE: Nanos = Nanos(103_500_000_000);
+pub(crate) const COMPUTE: Nanos = Nanos(103_500_000_000);
 
 /// Generates the dinero trace.
-pub fn dinero(seed: u64) -> Trace {
+pub(crate) fn dinero(seed: u64) -> Trace {
     let mut placer = GroupPlacer::new(seed);
     let file = placer.place(DISTINCT as u64);
 

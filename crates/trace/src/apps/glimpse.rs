@@ -22,11 +22,11 @@ use parcache_types::rng::Rng;
 use parcache_types::Nanos;
 
 /// Table 3 targets.
-pub const READS: usize = 27_981;
+pub(crate) const READS: usize = 27_981;
 /// Distinct blocks.
-pub const DISTINCT: usize = 5_247;
+pub(crate) const DISTINCT: usize = 5_247;
 /// Total compute: 38.7 s.
-pub const COMPUTE: Nanos = Nanos(38_700_000_000);
+pub(crate) const COMPUTE: Nanos = Nanos(38_700_000_000);
 
 /// Index blocks (6 files x 50 blocks); the remaining blocks are data.
 const INDEX_BLOCKS: u64 = 300;
@@ -36,7 +36,7 @@ const QUERIES: usize = 4;
 const INDEX_PASSES_PER_QUERY: usize = 19;
 
 /// Generates the glimpse trace.
-pub fn glimpse(seed: u64) -> Trace {
+pub(crate) fn glimpse(seed: u64) -> Trace {
     let mut rng = Rng::seed_from_u64(seed);
     let mut placer = GroupPlacer::new(seed ^ 0x5EED);
 

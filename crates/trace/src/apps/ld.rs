@@ -21,14 +21,14 @@ use parcache_types::rng::Rng;
 use parcache_types::Nanos;
 
 /// Table 3 targets.
-pub const READS: usize = 5_881;
+pub(crate) const READS: usize = 5_881;
 /// Distinct blocks (~25 MB of object files).
-pub const DISTINCT: usize = 2_882;
+pub(crate) const DISTINCT: usize = 2_882;
 /// Total compute: 8.2 s.
-pub const COMPUTE: Nanos = Nanos(8_200_000_000);
+pub(crate) const COMPUTE: Nanos = Nanos(8_200_000_000);
 
 /// Generates the ld trace.
-pub fn ld(seed: u64) -> Trace {
+pub(crate) fn ld(seed: u64) -> Trace {
     let mut rng = Rng::seed_from_u64(seed);
     let mut placer = GroupPlacer::new(seed ^ 0x5EED);
     // Several hundred small object files (a mid-90s kernel build tree),

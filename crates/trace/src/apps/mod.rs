@@ -4,12 +4,12 @@
 //! blocks, total compute time) and the qualitative access structure §3.1
 //! describes. See each submodule for the per-application model.
 
-pub mod cscope;
-pub mod dinero;
-pub mod glimpse;
-pub mod ld;
-pub mod postgres;
-pub mod xds;
+pub(crate) mod cscope;
+pub(crate) mod dinero;
+pub(crate) mod glimpse;
+pub(crate) mod ld;
+pub(crate) mod postgres;
+pub(crate) mod xds;
 
 use crate::compute::{calibrate_total, ComputeDist, ComputeSampler};
 use crate::{Request, Trace};

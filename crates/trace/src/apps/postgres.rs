@@ -28,18 +28,18 @@ use parcache_types::rng::Rng;
 use parcache_types::Nanos;
 
 /// postgres-join Table 3 targets.
-pub const JOIN_READS: usize = 8_896;
+pub(crate) const JOIN_READS: usize = 8_896;
 /// Distinct blocks of postgres-join.
-pub const JOIN_DISTINCT: usize = 3_793;
+pub(crate) const JOIN_DISTINCT: usize = 3_793;
 /// postgres-join total compute: 79.2 s (see the module-level erratum).
-pub const JOIN_COMPUTE: Nanos = Nanos(79_200_000_000);
+pub(crate) const JOIN_COMPUTE: Nanos = Nanos(79_200_000_000);
 
 /// postgres-select Table 3 targets.
-pub const SELECT_READS: usize = 5_044;
+pub(crate) const SELECT_READS: usize = 5_044;
 /// Distinct blocks of postgres-select.
-pub const SELECT_DISTINCT: usize = 3_085;
+pub(crate) const SELECT_DISTINCT: usize = 3_085;
 /// postgres-select total compute: 11.5 s (see the module-level erratum).
-pub const SELECT_COMPUTE: Nanos = Nanos(11_500_000_000);
+pub(crate) const SELECT_COMPUTE: Nanos = Nanos(11_500_000_000);
 
 /// Generates the postgres-join trace.
 ///
@@ -48,7 +48,7 @@ pub const SELECT_COMPUTE: Nanos = Nanos(11_500_000_000);
 /// The query scans the inner relation sequentially; after each inner
 /// block it performs a run of index probes, each probe reading one index
 /// block (root-heavy) and one outer data block.
-pub fn postgres_join(seed: u64) -> Trace {
+pub(crate) fn postgres_join(seed: u64) -> Trace {
     const INDEX: u64 = 100;
     const INNER: u64 = 410;
     let outer: u64 = JOIN_DISTINCT as u64 - INDEX - INNER; // 3283
@@ -134,7 +134,7 @@ pub fn postgres_join(seed: u64) -> Trace {
 /// physical placement, so the 3000 distinct data blocks touched arrive
 /// in scattered order — which is what gives the trace its ~15 ms average
 /// fetch times on one disk.
-pub fn postgres_select(seed: u64) -> Trace {
+pub(crate) fn postgres_select(seed: u64) -> Trace {
     const INDEX: u64 = 85;
     const RELATION: u64 = 4096; // 32 MB of 8 KB blocks
     let data: u64 = SELECT_DISTINCT as u64 - INDEX; // 3000 touched

@@ -23,11 +23,11 @@ use parcache_types::Nanos;
 use std::collections::HashSet;
 
 /// Table 3 targets.
-pub const READS: usize = 10_435;
+pub(crate) const READS: usize = 10_435;
 /// Distinct blocks.
-pub const DISTINCT: usize = 5_392;
+pub(crate) const DISTINCT: usize = 5_392;
 /// Total compute: 30.8 s.
-pub const COMPUTE: Nanos = Nanos(30_800_000_000);
+pub(crate) const COMPUTE: Nanos = Nanos(30_800_000_000);
 
 /// Block-grid dimensions of the visualized volume. Deliberately not
 /// powers of two: with a 32 x 16 x 16 grid every axis-aligned slice
@@ -42,7 +42,7 @@ const NZ: i64 = 15;
 const FILE_BLOCKS: u64 = 8192;
 
 /// Generates the xds trace.
-pub fn xds(seed: u64) -> Trace {
+pub(crate) fn xds(seed: u64) -> Trace {
     let mut rng = Rng::seed_from_u64(seed);
     // A large dataset written in one pass is laid out contiguously (no
     // rotdelay stride: a global stride would alias against even array

@@ -16,7 +16,9 @@
 use crate::{Request, Trace};
 use parcache_types::{BlockId, Nanos};
 use std::fmt;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read};
+#[cfg(test)]
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Errors from parsing a trace file.
@@ -67,7 +69,8 @@ fn parse_err(line: usize, message: impl Into<String>) -> TraceIoError {
 }
 
 /// Writes `trace` in the text format to `w`.
-pub fn write_trace(trace: &Trace, w: impl Write) -> Result<(), TraceIoError> {
+#[cfg(test)]
+pub(crate) fn write_trace(trace: &Trace, w: impl Write) -> Result<(), TraceIoError> {
     let mut w = BufWriter::new(w);
     writeln!(
         w,
@@ -83,7 +86,7 @@ pub fn write_trace(trace: &Trace, w: impl Write) -> Result<(), TraceIoError> {
 }
 
 /// Reads a trace in the text format from `r`.
-pub fn read_trace(r: impl Read) -> Result<Trace, TraceIoError> {
+pub(crate) fn read_trace(r: impl Read) -> Result<Trace, TraceIoError> {
     let mut lines = BufReader::new(r).lines().enumerate();
 
     // Header.
@@ -150,7 +153,8 @@ pub fn read_trace(r: impl Read) -> Result<Trace, TraceIoError> {
 }
 
 /// Saves `trace` to `path`.
-pub fn save(trace: &Trace, path: impl AsRef<Path>) -> Result<(), TraceIoError> {
+#[cfg(test)]
+pub(crate) fn save(trace: &Trace, path: impl AsRef<Path>) -> Result<(), TraceIoError> {
     write_trace(trace, std::fs::File::create(path)?)
 }
 

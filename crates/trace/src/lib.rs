@@ -16,16 +16,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod apps;
+mod apps;
 pub mod calibrate;
 pub mod compute;
-pub mod io;
+mod io;
 pub mod placement;
-pub mod registry;
+mod registry;
 pub mod synth;
 
-pub use io::{load, save};
-pub use registry::{standard_traces, trace_by_name, TRACE_NAMES};
+pub use io::load;
+pub use registry::{trace_by_name, TRACE_NAMES};
 
 use parcache_types::{BlockId, Nanos};
 use std::collections::HashSet;
@@ -118,7 +118,8 @@ impl Trace {
     }
 
     /// Returns the mean inter-reference compute time.
-    pub fn mean_compute(&self) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn mean_compute(&self) -> Nanos {
         if self.requests.is_empty() {
             return Nanos::ZERO;
         }

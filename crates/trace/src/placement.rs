@@ -82,11 +82,11 @@ impl GroupPlacer {
     ///
     /// Panics if the file cannot fit in any group (trace generators stay
     /// far below this limit).
-    pub fn place(&mut self, len: u64) -> FileExtent {
+    pub(crate) fn place(&mut self, len: u64) -> FileExtent {
         self.place_strided(len, 1)
     }
 
-    /// Like [`place`](GroupPlacer::place), with a block stride: a stride
+    /// Like `place`, with a block stride: a stride
     /// of 2 interleaves the file with a one-block gap, modeling FFS
     /// rotdelay allocation.
     ///
@@ -127,7 +127,7 @@ impl GroupPlacer {
     }
 
     /// Places a run of files of the given sizes.
-    pub fn place_all(&mut self, sizes: &[u64]) -> Vec<FileExtent> {
+    pub(crate) fn place_all(&mut self, sizes: &[u64]) -> Vec<FileExtent> {
         sizes.iter().map(|&s| self.place(s)).collect()
     }
 
@@ -135,7 +135,7 @@ impl GroupPlacer {
     /// *random* group instead of the round-robin next one — models a
     /// package of files accreted over time and scattered across the
     /// filesystem's cylinder groups (used by the small-file app traces).
-    pub fn place_scattered(&mut self, len: u64, stride: u64) -> FileExtent {
+    pub(crate) fn place_scattered(&mut self, len: u64, stride: u64) -> FileExtent {
         // Jump the round-robin cursor to a random group, then reuse the
         // ordinary placement path (which scans forward on overflow).
         self.cursor = self.rng.gen_range(0..self.free.len());

@@ -40,7 +40,8 @@ pub fn trace_by_name(name: &str, seed: u64) -> Option<Trace> {
 }
 
 /// Generates all ten traces with the given seed, in Table 3 order.
-pub fn standard_traces(seed: u64) -> Vec<Trace> {
+#[cfg(test)]
+pub(crate) fn standard_traces(seed: u64) -> Vec<Trace> {
     TRACE_NAMES
         .iter()
         .map(|n| trace_by_name(n, seed).expect("registry names are valid"))

@@ -38,7 +38,7 @@ pub fn synth_trace(passes: usize, loop_blocks: usize, seed: u64) -> Trace {
 }
 
 /// The paper's synth trace: 50 passes over 2000 blocks.
-pub fn paper_synth(seed: u64) -> Trace {
+pub(crate) fn paper_synth(seed: u64) -> Trace {
     synth_trace(50, 2000, seed)
 }
 

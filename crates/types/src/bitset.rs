@@ -23,7 +23,8 @@ impl BitSet {
     }
 
     /// Number of indices the set can hold (a multiple of 64).
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.words.len() * 64
     }
 
@@ -67,7 +68,8 @@ impl BitSet {
     }
 
     /// Removes every index.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    fn clear(&mut self) {
         self.words.fill(0);
         self.len = 0;
     }

@@ -12,9 +12,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// `BuildHasher` for [`FastHasher`]; plug into `HashMap::with_hasher` or
 /// the `HashMap<K, V, FastBuildHasher>` type position.
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
-/// A `HashMap` using [`FastHasher`].
+/// A `HashMap` using `FastHasher`.
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
 /// Multiply-rotate hasher (the FxHash construction rustc itself uses).

@@ -8,22 +8,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitset;
-pub mod hash;
+mod bitset;
+mod hash;
 pub mod posset;
 pub mod rng;
 mod time;
 
 pub use bitset::BitSet;
-pub use hash::{FastBuildHasher, FastMap};
+pub use hash::FastMap;
 pub use posset::PosSet;
 pub use time::Nanos;
 
 /// Size of one data block in bytes (the paper uses 8 KB file blocks).
-pub const BLOCK_SIZE: u64 = 8 * 1024;
+const BLOCK_SIZE: u64 = 8 * 1024;
 
 /// Size of one disk sector in bytes (HP 97560: 512 bytes).
-pub const SECTOR_SIZE: u64 = 512;
+const SECTOR_SIZE: u64 = 512;
 
 /// Number of sectors occupied by one data block.
 pub const SECTORS_PER_BLOCK: u64 = BLOCK_SIZE / SECTOR_SIZE;

@@ -45,7 +45,8 @@ impl PosSet {
     }
 
     /// The exclusive upper bound on member positions.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.cap
     }
 
@@ -60,8 +61,8 @@ impl PosSet {
     }
 
     /// True when `pos` is in the set.
-    #[inline]
-    pub fn contains(&self, pos: usize) -> bool {
+    #[cfg(test)]
+    fn contains(&self, pos: usize) -> bool {
         debug_assert!(pos < self.cap, "position {pos} out of range {}", self.cap);
         self.words[pos >> 6] & (1u64 << (pos & 63)) != 0
     }

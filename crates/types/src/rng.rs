@@ -20,9 +20,11 @@ pub struct Rng {
     s: [u64; 4],
 }
 
-/// The SplitMix64 step, used to expand a 64-bit seed into generator state.
+/// The SplitMix64 step: advances `state` and returns its next output.
+/// It expands a 64-bit seed into generator state here, and draws the
+/// partial-hint masks in `parcache-core`.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

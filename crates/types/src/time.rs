@@ -70,12 +70,6 @@ impl Nanos {
         self.0
     }
 
-    /// Saturating subtraction: returns zero instead of wrapping.
-    #[inline]
-    pub fn saturating_sub(self, rhs: Nanos) -> Nanos {
-        Nanos(self.0.saturating_sub(rhs.0))
-    }
-
     /// Checked addition, `None` on overflow.
     #[inline]
     pub fn checked_add(self, rhs: Nanos) -> Option<Nanos> {
@@ -95,18 +89,6 @@ impl Nanos {
     #[inline]
     pub fn checked_mul(self, rhs: u64) -> Option<Nanos> {
         self.0.checked_mul(rhs).map(Nanos)
-    }
-
-    /// Returns the larger of two times.
-    #[inline]
-    pub fn max(self, rhs: Nanos) -> Nanos {
-        Nanos(self.0.max(rhs.0))
-    }
-
-    /// Returns the smaller of two times.
-    #[inline]
-    pub fn min(self, rhs: Nanos) -> Nanos {
-        Nanos(self.0.min(rhs.0))
     }
 
     /// Division rounded to the nearest nanosecond (ties away from zero),
