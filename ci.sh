@@ -97,13 +97,24 @@ checked_run() {
         || { grep panicked "$tmp2" || cat "$tmp2"; exit 1; }
     if grep panicked "$tmp2"; then exit 1; fi
 }
-echo "== checked build: oracle and predicted-hint sweep (1,328 cells, digest pinned) and differential fuzz, zero panics =="
+echo "== checked build: oracle and predicted-hint sweep (1,328 cells) and faulted predicted sweep (664 cells), digests pinned; differential fuzz; zero panics =="
 cargo build --profile checked -q -p parcache-bench --bin parcache-run
 checked_run --sweep all all --hints oracle,seq,markov,mithril --threads 2
 hints_digest=$(sha256sum < "$tmp1" | cut -d' ' -f1)
 pinned=$(cat crates/bench/tests/fixtures/all_hints_sweep.sha256)
 if [ "$hints_digest" != "$pinned" ]; then
     echo "all-hints sweep digest $hints_digest != committed $pinned"
+    exit 1
+fi
+# The predicted-hint grid under the faulted plan drives the next-use
+# index and the missing-block tracker through abandoned fetches and
+# re-insertions, which no healthy grid reaches; its output is pinned too
+# (about 23 s at 2 threads on a 2-vCPU host).
+checked_run --sweep all all --hints seq,markov --faults "$FAULTS" --threads 2
+faulted_digest=$(sha256sum < "$tmp1" | cut -d' ' -f1)
+pinned=$(cat crates/bench/tests/fixtures/faulted_predicted_sweep.sha256)
+if [ "$faulted_digest" != "$pinned" ]; then
+    echo "faulted predicted sweep digest $faulted_digest != committed $pinned"
     exit 1
 fi
 checked_run --fuzz 100 --differential --seed 1996 --threads 2

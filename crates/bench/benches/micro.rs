@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the simulator's building blocks: drive-model
-//! service computation, oracle queries, cache operations, and end-to-end
-//! engine throughput.
+//! service computation, oracle queries, cache operations, position-set
+//! queries, and end-to-end engine throughput.
 //!
 //! Uses a minimal self-contained timing harness (median of several timed
 //! repetitions) so the workspace carries no external bench dependencies
@@ -17,7 +17,7 @@ use parcache_disk::model::DiskModel;
 use parcache_disk::{Hp97560, Layout};
 use parcache_trace::synth::synth_trace;
 use parcache_types::rng::Rng;
-use parcache_types::{BlockId, Nanos};
+use parcache_types::{BlockId, Nanos, PosSet};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -172,6 +172,57 @@ fn bench_cache() {
     }
 }
 
+/// `PosSet` on a set larger than any workload builds: 2^20 positions,
+/// about 1,280 members in a 32,768-position window that slides up the
+/// range the way the next-use index's keys do. Each step consumes the
+/// cursor's position; a consumed member comes back at a random offset
+/// ahead, as a block's key moves to its next use. The first case times
+/// the updates alone; the others add a successor query from the cursor
+/// or a predecessor query from the top (the Belady victim) per step.
+fn bench_posset() {
+    const CAP: usize = 1 << 20;
+    const WINDOW: usize = 32_768;
+    let mut rng = Rng::seed_from_u64(4);
+    let mut start = PosSet::new(CAP);
+    for _ in 0..1280 {
+        start.insert(rng.gen_range(0..WINDOW));
+    }
+    let ahead: Vec<usize> = (0..CAP - WINDOW)
+        .map(|c| c + 1 + rng.gen_range(0..WINDOW))
+        .collect();
+    let what = format!("({} steps)", ahead.len());
+    bench(&format!("posset/updates {what}"), || {
+        black_box(slide(&start, &ahead, |_, _| None));
+    });
+    bench(&format!("posset/successor {what}"), || {
+        black_box(slide(&start, &ahead, |set, c| set.next_at_or_after(c)));
+    });
+    bench(&format!("posset/predecessor {what}"), || {
+        black_box(slide(&start, &ahead, |set, _| {
+            set.prev_at_or_before(usize::MAX)
+        }));
+    });
+}
+
+/// One pass of [`bench_posset`]'s window from `start`: step `c` moves a
+/// member at `c` to `ahead[c]`, then asks `query`. Returns the answers'
+/// sum, so no query can be optimized away.
+fn slide(
+    start: &PosSet,
+    ahead: &[usize],
+    query: impl Fn(&PosSet, usize) -> Option<usize>,
+) -> usize {
+    let mut set = start.clone();
+    let mut sum = 0;
+    for (c, &to) in ahead.iter().enumerate() {
+        if set.remove(c) {
+            set.insert(to);
+        }
+        sum += query(&set, c).unwrap_or(0);
+    }
+    sum
+}
+
 fn bench_engine() {
     let t = synth_trace(5, 1000, 4);
     let cfg = SimConfig::for_trace(2, &t);
@@ -222,5 +273,6 @@ fn main() {
     bench_forestall();
     bench_tuned_search();
     bench_cache();
+    bench_posset();
     bench_engine();
 }

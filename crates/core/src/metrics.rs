@@ -341,16 +341,6 @@ pub struct DiskMetrics {
     pub queue_depth: Histogram,
 }
 
-impl DiskMetrics {
-    /// Folds `other`'s distributions into `self`.
-    #[cfg(test)]
-    pub(crate) fn merge(&mut self, other: &DiskMetrics) {
-        self.service.merge(&other.service);
-        self.response.merge(&other.response);
-        self.queue_depth.merge(&other.queue_depth);
-    }
-}
-
 /// Per-disk activity aggregated into fixed-width time slices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
@@ -405,33 +395,6 @@ impl Timeline {
         let idx = (t.as_nanos() / self.slice.as_nanos().max(1)) as usize;
         let cell = &mut self.slot(idx)[disk];
         cell.1 = cell.1.max(depth);
-    }
-
-    /// Overlays `other` onto `self`: busy time adds per slice and disk,
-    /// max queue depths take the maximum. Both timelines must describe
-    /// the same array shape and slice width.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice widths or disk counts differ — merging
-    /// timelines of different geometry is meaningless.
-    #[cfg(test)]
-    pub(crate) fn merge(&mut self, other: &Timeline) {
-        assert_eq!(
-            self.slice, other.slice,
-            "cannot merge timelines with different slice widths"
-        );
-        assert_eq!(
-            self.disks, other.disks,
-            "cannot merge timelines with different disk counts"
-        );
-        for (s, cells) in other.slices.iter().enumerate() {
-            let mine = self.slot(s);
-            for (d, &(busy, depth)) in cells.iter().enumerate() {
-                mine[d].0 += busy;
-                mine[d].1 = mine[d].1.max(depth);
-            }
-        }
     }
 
     /// Per-slice rows: `(slice start, per-disk utilization in [0,1],
@@ -538,34 +501,13 @@ pub struct RunMetrics {
 
 impl RunMetrics {
     /// Empty metrics for an array of `disks` drives with the given
-    /// timeline slice width — the identity for [`RunMetrics::merge`].
+    /// timeline slice width.
     pub(crate) fn new(disks: usize, slice: Nanos) -> RunMetrics {
         RunMetrics {
             totals: RunTotals::default(),
             per_disk: vec![DiskMetrics::default(); disks],
             timeline: Timeline::new(disks, slice),
         }
-    }
-
-    /// Folds another run's metrics into `self`, so per-thread (or
-    /// per-cell) probe metrics can be combined into one aggregate report.
-    /// Both sides must describe arrays of the same size.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the per-disk arities or timeline geometries differ.
-    #[cfg(test)]
-    pub(crate) fn merge(&mut self, other: &RunMetrics) {
-        assert_eq!(
-            self.per_disk.len(),
-            other.per_disk.len(),
-            "cannot merge metrics for arrays of different sizes"
-        );
-        self.totals.merge(&other.totals);
-        for (mine, theirs) in self.per_disk.iter_mut().zip(&other.per_disk) {
-            mine.merge(theirs);
-        }
-        self.timeline.merge(&other.timeline);
     }
 
     /// These metrics as a JSON object.
@@ -791,36 +733,21 @@ mod tests {
     }
 
     #[test]
-    fn run_metrics_merge_folds_counters_and_timelines() {
-        let mut a = RunMetrics::new(2, Nanos::from_millis(10));
-        let mut b = RunMetrics::new(2, Nanos::from_millis(10));
-        a.totals.counters.fetches_issued = 3;
-        b.totals.counters.fetches_issued = 4;
-        a.totals.fetch_service.record(100);
-        b.totals.fetch_service.record(300);
-        a.per_disk[0].service.record(100);
-        b.per_disk[1].service.record(300);
-        a.timeline.add_busy(0, Nanos::ZERO, Nanos::from_millis(5));
-        b.timeline
-            .add_busy(0, Nanos::from_millis(5), Nanos::from_millis(10));
-        b.timeline.sample_depth(1, Nanos::ZERO, 7);
+    fn run_totals_merge_folds_counters_and_histograms() {
+        let mut a = RunTotals::default();
+        let mut b = RunTotals::default();
+        a.counters.fetches_issued = 3;
+        b.counters.fetches_issued = 4;
+        a.fetch_service.record(100);
+        b.fetch_service.record(300);
+        b.queue_depth.record(7);
         a.merge(&b);
-        assert_eq!(a.totals.counters.fetches_issued, 7);
-        assert_eq!(a.totals.fetch_service.count(), 2);
-        assert_eq!(a.totals.fetch_service.max(), 300);
-        assert_eq!(a.per_disk[0].service.count(), 1);
-        assert_eq!(a.per_disk[1].service.count(), 1);
-        let rows = a.timeline.rows();
-        assert!((rows[0].1[0] - 1.0).abs() < 1e-9, "{rows:?}");
-        assert_eq!(rows[0].2[1], 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "different sizes")]
-    fn run_metrics_merge_rejects_shape_mismatch() {
-        let mut a = RunMetrics::new(2, Nanos::from_millis(10));
-        let b = RunMetrics::new(3, Nanos::from_millis(10));
-        a.merge(&b);
+        assert_eq!(a.counters.fetches_issued, 7);
+        assert_eq!(a.fetch_service.count(), 2);
+        assert_eq!(a.fetch_service.max(), 300);
+        assert_eq!(a.queue_depth.count(), 1);
+        assert_eq!(a.queue_depth.max(), 7);
+        assert_eq!(a.stall_duration.count(), 0);
     }
 
     #[test]

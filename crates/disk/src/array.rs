@@ -225,15 +225,6 @@ impl DiskArray {
     pub(crate) fn outstanding(&self) -> Vec<BlockId> {
         self.disks.iter().flat_map(|d| d.outstanding()).collect()
     }
-
-    /// Resets all drives (queues, stats, and model state).
-    #[cfg(test)]
-    pub(crate) fn reset(&mut self) {
-        for d in 0..self.disks.len() {
-            self.disks[d].reset();
-            self.refresh(d);
-        }
-    }
 }
 
 impl std::fmt::Debug for DiskArray {
@@ -397,7 +388,7 @@ mod tests {
     #[test]
     fn dense_drive_state_matches_the_drives() {
         // Random read and write enqueues (some turned away by an outage),
-        // completions with media errors, and resets, over drives whose
+        // completions with media errors, and fresh arrays, over drives whose
         // service times tie across drives: after every call the dense
         // answers must equal the ones read from the drives themselves,
         // ties going to the lower drive.
@@ -409,13 +400,16 @@ mod tests {
             let ms: Vec<u64> = (0..n).map(|_| rng.gen_range(1u64..=3)).collect();
             let plan = FaultPlan::parse(&format!("flaky:*:0.1,outage:0:20:60,seed:{case}"))
                 .expect("valid fault plan");
-            let mut a = DiskArray::new(n, Discipline::Fcfs, |i| {
-                let base = Box::new(UniformDisk::new(Nanos::from_millis(ms[i])));
-                match plan.for_disk(i) {
-                    Some(f) => Box::new(FaultyDisk::new(base, f, plan.rng_for_disk(i))),
-                    None => base,
-                }
-            });
+            let build = || {
+                DiskArray::new(n, Discipline::Fcfs, |i| {
+                    let base = Box::new(UniformDisk::new(Nanos::from_millis(ms[i])));
+                    match plan.for_disk(i) {
+                        Some(f) => Box::new(FaultyDisk::new(base, f, plan.rng_for_disk(i))),
+                        None => base,
+                    }
+                })
+            };
+            let mut a = build();
             let mut now = Nanos::ZERO;
             for step in 0..300 {
                 let block = BlockId(rng.gen_range(0u64..64));
@@ -434,7 +428,7 @@ mod tests {
                         }
                     }
                     _ => {
-                        a.reset();
+                        a = build();
                         now = Nanos::ZERO;
                     }
                 }
@@ -468,19 +462,19 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_fault_state_on_every_wrapped_drive() {
+    fn arrays_built_from_one_fault_plan_replay_identically() {
         use crate::fault::{FaultPlan, FaultyDisk};
         // Disk 0 flaky, disk 1 healthy: only the matching drive is
         // wrapped, exactly as the engine builds faulted arrays.
         let plan = FaultPlan::parse("flaky:0:0.5,seed:3").unwrap();
-        let make = |i: usize| -> Box<dyn DiskModel> {
-            let base = Box::new(UniformDisk::new(Nanos::from_millis(2)));
-            match plan.for_disk(i) {
-                Some(f) => Box::new(FaultyDisk::new(base, f, plan.rng_for_disk(i))),
-                None => base,
-            }
-        };
-        let run = |a: &mut DiskArray| -> Vec<DiskStats> {
+        let run = || -> Vec<DiskStats> {
+            let mut a = DiskArray::new(2, Discipline::Fcfs, |i| {
+                let base = Box::new(UniformDisk::new(Nanos::from_millis(2)));
+                match plan.for_disk(i) {
+                    Some(f) => Box::new(FaultyDisk::new(base, f, plan.rng_for_disk(i))),
+                    None => base,
+                }
+            });
             for round in 0..16u64 {
                 // Blocks 0 and 1 stripe to disks 0 and 1.
                 a.enqueue(Nanos::from_millis(round * 10), BlockId(0))
@@ -493,17 +487,11 @@ mod tests {
             }
             a.stats()
         };
-        let mut a = DiskArray::new(2, Discipline::Fcfs, make);
-        let first = run(&mut a);
+        let first = run();
         assert!(first[0].failed > 0, "seed 3 must hit at least one error");
         assert_eq!(first[1].failed, 0, "healthy drive must never fail");
-        // Reset must clear failure counters AND rewind the per-drive fault
-        // RNG: the rerun replays identically, with no leaked state.
-        a.reset();
-        for s in a.stats() {
-            assert_eq!(s, DiskStats::default());
-        }
-        let second = run(&mut a);
-        assert_eq!(first, second);
+        // Every wrapped drive's fault stream comes from the plan alone: a
+        // second array built from it replays identically.
+        assert_eq!(run(), first);
     }
 }

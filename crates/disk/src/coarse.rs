@@ -95,11 +95,6 @@ impl DiskModel for CoarseDisk {
         self.head_cylinder
     }
 
-    fn reset(&mut self) {
-        self.head_cylinder = 0;
-        self.prev_end = None;
-    }
-
     fn name(&self) -> &'static str {
         "coarse"
     }
@@ -153,15 +148,5 @@ mod tests {
         }
         let avg = total.as_millis_f64() / n as f64;
         assert!((15.0..30.0).contains(&avg), "avg {avg:.2} ms");
-    }
-
-    #[test]
-    fn reset_clears_sequential_state() {
-        let mut d = CoarseDisk::new();
-        let t1 = d.service(Nanos::ZERO, &SectorSpan { start: 0, len: 16 });
-        d.reset();
-        let t2 = d.service(t1, &SectorSpan { start: 16, len: 16 });
-        // After reset the continuation is no longer sequential.
-        assert!(t2 - t1 > OVERHEAD + SECTOR_TIME * 16);
     }
 }

@@ -119,10 +119,6 @@ impl DiskStats {
 pub struct Disk {
     model: Box<dyn DiskModel>,
     discipline: Discipline,
-    /// The discipline as constructed, so [`Disk::reset`] can restore
-    /// scheduler state (SCAN's sweep direction) and not just clear queues.
-    #[cfg(test)]
-    initial_discipline: Discipline,
     queue: Vec<Pending>,
     in_service: Option<InService>,
     next_seq: u64,
@@ -135,8 +131,6 @@ impl Disk {
         Disk {
             model,
             discipline,
-            #[cfg(test)]
-            initial_discipline: discipline,
             queue: Vec::new(),
             in_service: None,
             next_seq: 0,
@@ -319,12 +313,6 @@ impl Disk {
         }
     }
 
-    /// The scheduling discipline in use.
-    #[cfg(test)]
-    pub(crate) fn discipline(&self) -> Discipline {
-        self.discipline
-    }
-
     /// The block the drive is servicing right now, if any. Queued blocks
     /// are not in service: a stalled-on request that is merely queued is
     /// waiting on head contention, not on its own platter time — the
@@ -351,19 +339,6 @@ impl Disk {
             .iter()
             .map(|p| p.block)
             .chain(self.in_service.iter().map(|s| s.request.block))
-    }
-
-    /// Clears queue, in-service state, statistics, scheduler state, and
-    /// the drive model. SCAN's sweep direction reverts to its initial
-    /// value, so back-to-back runs on a reused drive are reproducible.
-    #[cfg(test)]
-    pub(crate) fn reset(&mut self) {
-        self.queue.clear();
-        self.in_service = None;
-        self.next_seq = 0;
-        self.stats = DiskStats::default();
-        self.discipline = self.initial_discipline;
-        self.model.reset();
     }
 }
 
@@ -522,62 +497,6 @@ mod tests {
         assert_eq!(d.stats().busy, Nanos::from_millis(10));
     }
 
-    #[test]
-    fn reset_clears_everything() {
-        let mut d = uniform_disk(5);
-        d.read(Nanos::ZERO, BlockId(1), SectorSpan { start: 0, len: 16 })
-            .accepted();
-        d.reset();
-        assert!(d.is_free());
-        assert_eq!(d.stats(), DiskStats::default());
-    }
-
-    /// Span starting at the first sector of cylinder `c` (HP geometry:
-    /// 1368 sectors per cylinder, matching [`CoarseDisk`]'s mapping).
-    fn span_at_cylinder(c: u64) -> SectorSpan {
-        SectorSpan {
-            start: c * 1368,
-            len: 16,
-        }
-    }
-
-    #[test]
-    fn reset_restores_scan_sweep_direction() {
-        use crate::coarse::CoarseDisk;
-        let mut d = Disk::new(
-            Box::new(CoarseDisk::new()),
-            Discipline::Scan { ascending: true },
-        );
-        // Serve cylinder 500, then a request behind the head: SCAN finds
-        // nothing ahead and reverses, leaving the discipline descending.
-        d.read(Nanos::ZERO, BlockId(1), span_at_cylinder(500))
-            .accepted();
-        d.read(Nanos::ZERO, BlockId(2), span_at_cylinder(10))
-            .accepted();
-        let t = d.next_completion().unwrap();
-        d.done(t);
-        assert_eq!(d.discipline(), Discipline::Scan { ascending: false });
-
-        // A reset mid-sweep must restore the constructed direction, or
-        // back-to-back runs on a reused drive diverge.
-        d.reset();
-        assert_eq!(d.discipline(), Discipline::Scan { ascending: true });
-
-        // Behavioral check: head back at 500 with candidates on both
-        // sides, an ascending sweep picks 900 next; a stale descending
-        // sweep would have picked 10.
-        d.read(Nanos::ZERO, BlockId(1), span_at_cylinder(500))
-            .accepted();
-        d.read(Nanos::ZERO, BlockId(2), span_at_cylinder(10))
-            .accepted();
-        d.read(Nanos::ZERO, BlockId(3), span_at_cylinder(900))
-            .accepted();
-        let t = d.next_completion().unwrap();
-        assert_eq!(d.done(t).block, BlockId(1));
-        let t = d.next_completion().unwrap();
-        assert_eq!(d.done(t).block, BlockId(3));
-    }
-
     use crate::fault::{FaultPlan, FaultyDisk};
 
     /// A 5ms uniform drive wrapped with the given fault spec.
@@ -662,10 +581,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_fault_state_and_replays_identically() {
-        let mut d = faulty_disk("flaky:0:0.5,seed:11");
+    fn drives_built_from_one_fault_plan_replay_identically() {
         let span = SectorSpan { start: 0, len: 16 };
-        let run = |d: &mut Disk| -> (Vec<ServiceOutcome>, DiskStats) {
+        let run = || -> (Vec<ServiceOutcome>, DiskStats) {
+            let mut d = faulty_disk("flaky:0:0.5,seed:11");
             let mut outcomes = Vec::new();
             let mut t = Nanos::ZERO;
             for i in 0..32u64 {
@@ -675,15 +594,11 @@ mod tests {
             }
             (outcomes, d.stats())
         };
-        let (first, stats) = run(&mut d);
+        // The fault stream is a pure function of the plan: a second drive
+        // built from it replays the exact same error sequence.
+        let (first, stats) = run();
         assert!(stats.failed > 0);
-        // Reset must clear the failure counter and rewind the fault RNG:
-        // a reused drive replays the exact same error sequence (the same
-        // bug class as the SCAN sweep-direction leak).
-        d.reset();
-        assert_eq!(d.stats(), DiskStats::default());
-        assert_eq!(d.stats().failed, 0);
-        let (second, stats2) = run(&mut d);
+        let (second, stats2) = run();
         assert_eq!(first, second);
         assert_eq!(stats, stats2);
     }

@@ -341,7 +341,6 @@ pub struct FaultyDisk {
     inner: Box<dyn DiskModel>,
     faults: DiskFaults,
     rng: Rng,
-    initial_rng: Rng,
 }
 
 impl FaultyDisk {
@@ -363,12 +362,7 @@ impl FaultyDisk {
         for &(from, until) in &faults.outages {
             assert!(from < until, "bad outage window");
         }
-        FaultyDisk {
-            inner,
-            faults,
-            initial_rng: rng.clone(),
-            rng,
-        }
+        FaultyDisk { inner, faults, rng }
     }
 }
 
@@ -411,11 +405,6 @@ impl DiskModel for FaultyDisk {
 
     fn head_cylinder(&self) -> u64 {
         self.inner.head_cylinder()
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.rng = self.initial_rng.clone();
     }
 
     fn name(&self) -> &'static str {
@@ -557,9 +546,6 @@ mod tests {
         assert_eq!(sa, sb);
         assert!(sa.contains(&ServiceOutcome::MediaError));
         assert!(sa.contains(&ServiceOutcome::Ok));
-        // And reset replays the identical error sequence.
-        a.reset();
-        assert_eq!(draw(&mut a), sa);
     }
 
     #[test]

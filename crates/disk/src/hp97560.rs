@@ -182,9 +182,7 @@ impl Hp97560 {
         &self.geometry
     }
 
-    /// Service-mix counters accumulated since construction or [`reset`].
-    ///
-    /// [`reset`]: DiskModel::reset
+    /// Service-mix counters accumulated since construction.
     #[cfg(test)]
     pub(crate) fn stats(&self) -> ModelStats {
         self.stats
@@ -283,12 +281,6 @@ impl DiskModel for Hp97560 {
 
     fn head_cylinder(&self) -> u64 {
         self.head_cylinder
-    }
-
-    fn reset(&mut self) {
-        self.head_cylinder = 0;
-        self.readahead = None;
-        self.stats = ModelStats::default();
     }
 
     fn name(&self) -> &'static str {
@@ -392,16 +384,6 @@ mod tests {
         let mut d = Hp97560::new();
         let done = d.service(Nanos::from_millis(5), &block_span(1000));
         assert!(done > Nanos::from_millis(5));
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut d = Hp97560::new();
-        d.service(Nanos::ZERO, &block_span(50_000));
-        assert_ne!(d.head_cylinder(), 0);
-        d.reset();
-        assert_eq!(d.head_cylinder(), 0);
-        assert_eq!(d.stats(), ModelStats::default());
     }
 
     #[test]

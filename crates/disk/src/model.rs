@@ -66,9 +66,6 @@ pub trait DiskModel {
     /// The cylinder currently under the head.
     fn head_cylinder(&self) -> u64;
 
-    /// Restores the model to its initial state.
-    fn reset(&mut self);
-
     /// A short human-readable name (for reports).
     fn name(&self) -> &'static str;
 }

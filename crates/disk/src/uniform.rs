@@ -41,8 +41,6 @@ impl DiskModel for UniformDisk {
         0
     }
 
-    fn reset(&mut self) {}
-
     fn name(&self) -> &'static str {
         "uniform"
     }

@@ -67,13 +67,6 @@ impl BitSet {
         present
     }
 
-    /// Removes every index.
-    #[cfg(test)]
-    fn clear(&mut self) {
-        self.words.fill(0);
-        self.len = 0;
-    }
-
     /// Iterates over the set indices in ascending order.
     pub fn ones(&self) -> impl Iterator<Item = u32> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
@@ -119,17 +112,6 @@ mod tests {
         }
         let got: Vec<u32> = s.ones().collect();
         assert_eq!(got, vec![0, 7, 63, 64, 128, 255]);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut s = BitSet::with_capacity(10);
-        s.insert(3);
-        s.insert(9);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.ones().count(), 0);
-        assert_eq!(s.capacity(), 64);
     }
 
     #[test]

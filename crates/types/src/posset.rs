@@ -1,18 +1,18 @@
-//! A three-level bitset over a bounded range of positions, with fast
+//! A two-level bitset over a bounded range of positions, with fast
 //! successor and predecessor queries.
 //!
 //! [`PosSet`] stores a set of `usize` positions below a fixed capacity as
-//! a flat bit array plus two summary levels: one bit per non-empty
-//! 64-position data word, and one bit per non-empty word of that
-//! summary. Membership updates are O(1); [`PosSet::next_at_or_after`] —
-//! the "first missing block at or after the cursor" query every
-//! prefetching policy runs at every decision point — touches at most one
-//! data word, one word of each summary and a scan of the top level
-//! (one word per 262,144 positions), instead of the pointer-chasing of
-//! an ordered tree. [`PosSet::prev_at_or_before`] is the mirror-image
+//! a flat bit array plus a summary bitmap with one bit per non-empty
+//! 64-position data word. Membership updates are O(1);
+//! [`PosSet::next_at_or_after`] — the "first missing block at or after
+//! the cursor" query every prefetching policy runs at every decision
+//! point — touches at most two data words plus a scan of the summary
+//! (one word per 4,096 positions), instead of the pointer-chasing of an
+//! ordered tree. [`PosSet::prev_at_or_before`] is the mirror-image
 //! predecessor query (the Belady next-use index asks it from the top).
-//! Results are identical to a sorted set; only the constant factor
-//! changes.
+//! Every query crosses empty data words through one of two summary hops,
+//! one forward and one backward. Results are identical to a sorted set;
+//! only the constant factor changes.
 
 /// A set of positions in `[0, capacity)` with O(1) updates and fast
 /// ordered successor and predecessor queries.
@@ -22,8 +22,6 @@ pub struct PosSet {
     words: Vec<u64>,
     /// One bit per word of `words`: set when that word is non-zero.
     summary: Vec<u64>,
-    /// One bit per word of `summary`: set when that word is non-zero.
-    top: Vec<u64>,
     /// Number of positions the set may hold (exclusive upper bound).
     cap: usize,
     /// Number of positions currently present.
@@ -34,11 +32,9 @@ impl PosSet {
     /// Creates an empty set over positions `0..capacity`.
     pub fn new(capacity: usize) -> PosSet {
         let words = capacity.div_ceil(64);
-        let summary = words.div_ceil(64);
         PosSet {
             words: vec![0; words],
-            summary: vec![0; summary],
-            top: vec![0; summary.div_ceil(64)],
+            summary: vec![0; words.div_ceil(64)],
             cap: capacity,
             len: 0,
         }
@@ -77,7 +73,6 @@ impl PosSet {
         if newly {
             self.words[w] |= bit;
             self.summary[w >> 6] |= 1u64 << (w & 63);
-            self.top[w >> 12] |= 1u64 << ((w >> 6) & 63);
             self.len += 1;
         }
         newly
@@ -94,9 +89,6 @@ impl PosSet {
             self.words[w] &= !bit;
             if self.words[w] == 0 {
                 self.summary[w >> 6] &= !(1u64 << (w & 63));
-                if self.summary[w >> 6] == 0 {
-                    self.top[w >> 12] &= !(1u64 << ((w >> 6) & 63));
-                }
             }
             self.len -= 1;
         }
@@ -114,20 +106,8 @@ impl PosSet {
         if word != 0 {
             return Some((w << 6) + word.trailing_zeros() as usize);
         }
-        // Find the next non-empty word via the summary.
-        let next = w + 1;
-        if next >= self.words.len() {
-            return None;
-        }
-        let mut sw = next >> 6;
-        let mut s = self.summary[sw] & (!0u64 << (next & 63));
-        if s == 0 {
-            sw = self.summary_after(sw)?;
-            s = self.summary[sw];
-        }
-        let w2 = (sw << 6) + s.trailing_zeros() as usize;
-        let word = self.words[w2];
-        Some((w2 << 6) + word.trailing_zeros() as usize)
+        let w = self.word_after(w)?;
+        Some((w << 6) + self.words[w].trailing_zeros() as usize)
     }
 
     /// The largest member `<= from`, or `None`. A `from` at or beyond
@@ -143,48 +123,39 @@ impl PosSet {
         if word != 0 {
             return Some((w << 6) + 63 - word.leading_zeros() as usize);
         }
-        // Find the previous non-empty word via the summary.
+        let w = self.word_before(w)?;
+        Some((w << 6) + 63 - self.words[w].leading_zeros() as usize)
+    }
+
+    /// The first non-empty data word after word `w`, found from the
+    /// summary.
+    #[inline]
+    fn word_after(&self, w: usize) -> Option<usize> {
+        let next = w + 1;
+        if next >= self.words.len() {
+            return None;
+        }
+        let mut sw = next >> 6;
+        let mut s = self.summary[sw] & (!0u64 << (next & 63));
+        while s == 0 {
+            sw += 1;
+            s = *self.summary.get(sw)?;
+        }
+        Some((sw << 6) + s.trailing_zeros() as usize)
+    }
+
+    /// The last non-empty data word before word `w`, found from the
+    /// summary.
+    #[inline]
+    fn word_before(&self, w: usize) -> Option<usize> {
         let prev = w.checked_sub(1)?;
         let mut sw = prev >> 6;
         let mut s = self.summary[sw] & (!0u64 >> (63 - (prev & 63)));
-        if s == 0 {
-            sw = self.summary_before(sw)?;
+        while s == 0 {
+            sw = sw.checked_sub(1)?;
             s = self.summary[sw];
         }
-        let w2 = (sw << 6) + 63 - s.leading_zeros() as usize;
-        let word = self.words[w2];
-        Some((w2 << 6) + 63 - word.leading_zeros() as usize)
-    }
-
-    /// The first non-zero summary word after word `sw`, found from the
-    /// top level.
-    #[inline]
-    fn summary_after(&self, sw: usize) -> Option<usize> {
-        let next = sw + 1;
-        if next >= self.summary.len() {
-            return None;
-        }
-        let mut t = next >> 6;
-        let mut bits = self.top[t] & (!0u64 << (next & 63));
-        while bits == 0 {
-            t += 1;
-            bits = *self.top.get(t)?;
-        }
-        Some((t << 6) + bits.trailing_zeros() as usize)
-    }
-
-    /// The last non-zero summary word before word `sw`, found from the
-    /// top level.
-    #[inline]
-    fn summary_before(&self, sw: usize) -> Option<usize> {
-        let prev = sw.checked_sub(1)?;
-        let mut t = prev >> 6;
-        let mut bits = self.top[t] & (!0u64 >> (63 - (prev & 63)));
-        while bits == 0 {
-            t = t.checked_sub(1)?;
-            bits = self.top[t];
-        }
-        Some((t << 6) + 63 - bits.leading_zeros() as usize)
+        Some((sw << 6) + 63 - s.leading_zeros() as usize)
     }
 
     /// Members at or after `from`, ascending.
@@ -234,25 +205,9 @@ impl Iterator for Iter<'_> {
                 break;
             }
             n -= in_word;
-            // Hop to the next non-empty word via the summary bitmap.
-            let next = self.word_idx + 1;
-            if next >= self.set.words.len() {
-                self.bits = 0;
-                self.word_idx = self.set.words.len();
-                return None;
-            }
-            let mut sw = next >> 6;
-            let mut s = self.set.summary[sw] & (!0u64 << (next & 63));
-            if s == 0 {
-                let Some(after) = self.set.summary_after(sw) else {
-                    self.bits = 0;
-                    self.word_idx = self.set.words.len();
-                    return None;
-                };
-                sw = after;
-                s = self.set.summary[sw];
-            }
-            self.word_idx = (sw << 6) + s.trailing_zeros() as usize;
+            // The skipped bits are spent even when no word follows.
+            self.bits = 0;
+            self.word_idx = self.set.word_after(self.word_idx)?;
             self.bits = self.set.words[self.word_idx];
         }
         // The target is the n-th set bit of the current word.
@@ -267,18 +222,7 @@ impl Iterator for Iter<'_> {
     #[inline]
     fn next(&mut self) -> Option<usize> {
         while self.bits == 0 {
-            // Hop to the next non-empty word via the summary bitmap.
-            let next = self.word_idx + 1;
-            if next >= self.set.words.len() {
-                return None;
-            }
-            let mut sw = next >> 6;
-            let mut s = self.set.summary[sw] & (!0u64 << (next & 63));
-            if s == 0 {
-                sw = self.set.summary_after(sw)?;
-                s = self.set.summary[sw];
-            }
-            self.word_idx = (sw << 6) + s.trailing_zeros() as usize;
+            self.word_idx = self.set.word_after(self.word_idx)?;
             self.bits = self.set.words[self.word_idx];
         }
         let b = self.bits.trailing_zeros() as usize;
@@ -374,24 +318,24 @@ mod tests {
     }
 
     #[test]
-    fn matches_btreeset_across_top_level_words() {
-        // Three top-level words (64³ positions each) and part of a
-        // fourth. Members cluster near the word boundaries of every
-        // level, so most queries cross long empty stretches, many of
-        // them spanning whole top-level words.
+    fn matches_btreeset_across_long_empty_stretches() {
+        // Three spans of 64³ positions and part of a fourth. Members
+        // cluster near the 64ᵏ boundaries, so most queries cross long
+        // empty stretches, many of them spanning dozens of summary
+        // words (one per 4,096 positions).
         use crate::rng::Rng;
         use std::collections::BTreeSet;
-        const TOP_SPAN: usize = 64 * 64 * 64;
-        let cap = 3 * TOP_SPAN + 1000;
+        const SPAN: usize = 64 * 64 * 64;
+        let cap = 3 * SPAN + 1000;
         let anchors = [
             0,
             64,
             4096,
-            TOP_SPAN - 64,
-            TOP_SPAN,
-            TOP_SPAN + 4096,
-            2 * TOP_SPAN,
-            3 * TOP_SPAN,
+            SPAN - 64,
+            SPAN,
+            SPAN + 4096,
+            2 * SPAN,
+            3 * SPAN,
             cap - 1,
         ];
         let mut rng = Rng::seed_from_u64(0x70b_1e7e1);
@@ -438,8 +382,8 @@ mod tests {
             }
             assert_eq!(s.len(), reference.len());
         }
-        // Two members three top-level words apart: every query between
-        // them crosses empty top-level words in both directions.
+        // Two members three spans apart: every query between them crosses
+        // up to 191 empty summary words in both directions.
         for p in std::mem::take(&mut reference) {
             s.remove(p);
         }
@@ -447,7 +391,7 @@ mod tests {
             s.insert(p);
             reference.insert(p);
         }
-        for from in [0, 5, 6, TOP_SPAN, 2 * TOP_SPAN + 7, cap - 2, cap - 1, cap] {
+        for from in [0, 5, 6, SPAN, 2 * SPAN + 7, cap - 2, cap - 1, cap] {
             for n in 0..3 {
                 check(&s, &reference, from, n);
             }

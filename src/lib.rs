@@ -29,6 +29,24 @@
 //!     report.compute + report.driver + report.stall
 //! );
 //! ```
+//!
+//! # Probing a run
+//!
+//! Any [`Probe`](core::probe::Probe) passed to `simulate_probed` sees the
+//! run's events; the ready-made `MetricsProbe` folds them into counters,
+//! histograms and a per-disk timeline. The last four lines are README's
+//! probe example, kept here so it compiles against the current API.
+//!
+//! ```
+//! # use parcache::prelude::*;
+//! # let trace = parcache::trace::synth::synth_trace(5, 200, 42);
+//! # let config = SimConfig::new(4, 512).with_trace_defaults(&trace);
+//! let mut probe = MetricsProbe::for_disks(4);
+//! let report = simulate_probed(&trace, PolicyKind::Forestall, &config, &mut probe);
+//! let m = probe.finish();
+//! println!("p99 service: {}ns, stalls: {}", m.totals.fetch_service.quantile(0.99), m.totals.counters.stalls_begun);
+//! # assert!(m.totals.fetch_service.count() > 0 && report.elapsed > Nanos::ZERO);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
