@@ -109,6 +109,12 @@ struct NextUseIndex {
     len: usize,
     /// The first never-again slot, `n + K + 1`.
     never: usize,
+    /// An inclusive upper bound on every member's slot, in `sole` and
+    /// `shared` alike: [`NextUseIndex::insert`] raises it, and
+    /// [`NextUseIndex::furthest`] lowers it to the largest member it
+    /// finds, so a victim query starts just above the members instead
+    /// of scanning down from the top of the range.
+    top: usize,
 }
 
 impl NextUseIndex {
@@ -128,6 +134,7 @@ impl NextUseIndex {
             slot: vec![0; blocks],
             len,
             never,
+            top: 0,
         }
     }
 
@@ -142,10 +149,12 @@ impl NextUseIndex {
             let newly = self.sole.insert(s);
             debug_assert!(newly, "slot {s} held twice");
             self.slot[idx as usize] = s as u32;
+            self.top = self.top.max(s);
             return;
         }
         assert!(key < self.never, "LRU estimate {key} out of range");
         self.slot[idx as usize] = key as u32 | CHAINED;
+        self.top = self.top.max(key);
         let id = oracle.block_of(idx);
         match self.heads.entry(key as u32) {
             Entry::Vacant(e) => {
@@ -223,12 +232,38 @@ impl NextUseIndex {
     }
 
     /// The block with the largest member other than `skip`, with its
-    /// key: predecessor queries from the top, repeated once to step past
-    /// `skip`.
-    fn furthest(&self, skip: Option<u32>, oracle: &Oracle) -> Option<(u32, usize)> {
+    /// key: predecessor queries from the bound [`NextUseIndex::top`],
+    /// repeated once to step past `skip`. The bound drops to the largest
+    /// member's slot (0 when there is none).
+    fn furthest(&mut self, skip: Option<u32>, oracle: &Oracle) -> Option<(u32, usize)> {
+        let mut top = 0;
+        let found = self.furthest_below(self.top, skip, oracle, &mut top);
+        debug_assert!(
+            {
+                let mut naive = 0;
+                let want = self.furthest_below(usize::MAX, skip, oracle, &mut naive);
+                (found, top) == (want, naive)
+            },
+            "victim query from bound {} disagrees with one from the top",
+            self.top
+        );
+        self.top = top;
+        found
+    }
+
+    /// [`NextUseIndex::furthest`] among the members at or below slot
+    /// `from`, raising `top` to the largest member's slot.
+    fn furthest_below(
+        &self,
+        from: usize,
+        skip: Option<u32>,
+        oracle: &Oracle,
+        top: &mut usize,
+    ) -> Option<(u32, usize)> {
         if self.shared.is_empty() {
             // Every member is in `sole`, one block per slot.
-            let mut s = self.sole.prev_at_or_before(usize::MAX)?;
+            let mut s = self.sole.prev_at_or_before(from)?;
+            *top = s;
             let mut b = self.sole_at(s, oracle);
             if Some(b) == skip {
                 s = self.sole.prev_at_or_before(s.checked_sub(1)?)?;
@@ -236,11 +271,12 @@ impl NextUseIndex {
             }
             return Some((b, self.key_at(s)));
         }
-        let mut from = usize::MAX;
+        let mut from = from;
         loop {
             let sole = self.sole.prev_at_or_before(from);
             let chained = self.shared.prev_at_or_before(from);
             let s = sole.max(chained)?;
+            *top = (*top).max(s);
             let mut best = (sole == Some(s))
                 .then(|| self.sole_at(s, oracle))
                 .filter(|&b| Some(b) != skip);
@@ -444,7 +480,10 @@ impl Cache {
     /// Under [`Knowledge::Exact`] and [`Knowledge::LruEstimate`] every
     /// key is current (it changes only when pushed), so this is a
     /// predecessor query on the next-use index, and callers may ask early
-    /// or often without changing any later answer. Under
+    /// or often without changing any later answer: a query only lowers
+    /// the index's upper bound on its members' slots to the largest
+    /// member, which changes where later queries start and not what they
+    /// find. Under
     /// [`Knowledge::Predicted`] the top block's key is checked against
     /// its next use at or after `cursor`: a stale one is re-keyed and the
     /// query looks again, and a pinned one is set aside. Re-keying
@@ -875,6 +914,77 @@ mod tests {
         c.on_reference(b1, 2, &o);
         c.on_reference(b2, 3, &o);
         assert_eq!(c.furthest_resident(4, &o).unwrap(), (b2, NEVER));
+    }
+
+    /// Asks `ix` for its victim past `skip`, and checks the answer and
+    /// the bound against the same query from the top: the bound covers
+    /// every member before the query and is the largest member's slot
+    /// after it.
+    fn ask(ix: &mut NextUseIndex, skip: Option<u32>, o: &Oracle) -> Option<(u32, usize)> {
+        let highest = ix.sole.prev_at_or_before(usize::MAX);
+        let highest = highest.max(ix.shared.prev_at_or_before(usize::MAX));
+        assert!(
+            highest <= Some(ix.top),
+            "bound {} below {highest:?}",
+            ix.top
+        );
+        let mut top = 0;
+        let want = ix.furthest_below(usize::MAX, skip, o, &mut top);
+        assert_eq!(ix.furthest(skip, o), want, "bound {top} skipping {skip:?}");
+        assert_eq!(ix.top, top);
+        want
+    }
+
+    #[test]
+    fn victim_query_from_the_bound_matches_a_query_from_the_top() {
+        // n = 10 references, K = 4 frames: the first never-again slot
+        // is 15, and LRU estimates lie below it.
+        let o = oracle_with_extras(&[1, 2, 3, 4, 5, 1, 2, 3, 4, 5], 1, &[9, 42]);
+        let b = |id| idx(&o, id);
+        let mut ix = NextUseIndex::new(&o, 4, true);
+        for (id, pos) in [(1, 0), (2, 1), (3, 2), (4, 3)] {
+            ix.insert(b(id), pos, false, &o);
+        }
+        assert_eq!(ask(&mut ix, None, &o), Some((b(4), 3)));
+        // Evicting the top member leaves the bound above the rest.
+        ix.remove(b(4));
+        assert_eq!(ask(&mut ix, None, &o), Some((b(3), 2)));
+        assert_eq!(ix.top, 2);
+        // A never-again block lands above the bound.
+        ix.insert(b(9), NEVER, false, &o);
+        assert_eq!(ask(&mut ix, None, &o), Some((b(9), NEVER)));
+        ix.remove(b(9));
+        assert_eq!(ask(&mut ix, None, &o), Some((b(3), 2)));
+        // An LRU estimate lands above every `sole` slot.
+        ix.insert(b(5), 12, true, &o);
+        assert_eq!(ask(&mut ix, None, &o), Some((b(5), 12)));
+        ix.remove(b(5));
+        assert_eq!(ask(&mut ix, None, &o), Some((b(3), 2)));
+        // A predicted re-key raises block 3's key to its next use.
+        ix.remove(b(3));
+        ix.insert(b(3), 7, false, &o);
+        assert_eq!(ask(&mut ix, None, &o), Some((b(3), 7)));
+        // Emptied, the index has no victim and a bound of 0; refilled
+        // lower, it finds the new top.
+        for id in [1, 2, 3] {
+            ix.remove(b(id));
+        }
+        assert_eq!(ask(&mut ix, None, &o), None);
+        assert_eq!(ix.top, 0);
+        ix.insert(b(1), 0, false, &o);
+        ix.insert(b(2), 1, false, &o);
+        assert_eq!(ask(&mut ix, None, &o), Some((b(2), 1)));
+        // A pinned top is stepped past without lowering the bound below
+        // it, in `sole` and on a side chain.
+        ix.insert(b(4), 8, false, &o);
+        assert_eq!(ask(&mut ix, Some(b(4)), &o), Some((b(2), 1)));
+        assert_eq!(ix.top, 8);
+        assert_eq!(ask(&mut ix, None, &o), Some((b(4), 8)));
+        ix.insert(b(5), 12, true, &o);
+        ix.insert(b(42), 12, true, &o);
+        assert_eq!(ask(&mut ix, Some(b(42)), &o), Some((b(5), 12)));
+        assert_eq!(ask(&mut ix, Some(b(5)), &o), Some((b(42), 12)));
+        assert_eq!(ix.top, 12);
     }
 
     /// The naive spec of [`Cache::furthest_resident`] when every key

@@ -9,7 +9,8 @@
 //! point — touches at most two data words plus a scan of the summary
 //! (one word per 4,096 positions), instead of the pointer-chasing of an
 //! ordered tree. [`PosSet::prev_at_or_before`] is the mirror-image
-//! predecessor query (the Belady next-use index asks it from the top).
+//! predecessor query (the Belady next-use index asks it from an upper
+//! bound it keeps on its members, at or just above the highest one).
 //! Every query crosses empty data words through one of two summary hops,
 //! one forward and one backward. Results are identical to a sorted set;
 //! only the constant factor changes.
