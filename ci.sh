@@ -33,6 +33,17 @@ CARGO_TARGET_DIR=target/perfbench \
 echo "== cargo test -q =="
 cargo test -q
 
+# The micro bench's case filter times only the cases whose name contains
+# its argument; it must print exactly the one oracle-build case.
+echo "== micro bench case filter (oracle_build) =="
+micro=$(cargo bench -q -p parcache-bench --bench micro -- oracle_build 2> /dev/null)
+printf '%s\n' "$micro"
+if [ "$(printf '%s\n' "$micro" | wc -l)" -ne 1 ] \
+    || ! printf '%s\n' "$micro" | grep -q '^oracle_build/engine-stress shape '; then
+    echo "micro bench filter printed other than the one oracle_build case"
+    exit 1
+fi
+
 echo "== sweep smoke (multi-threaded, deterministic) =="
 cargo run --release -q -p parcache-bench --bin parcache-run -- \
     --sweep synth fixed-horizon,aggressive 1,2 --threads 2 > /dev/null

@@ -4,7 +4,11 @@
 //!
 //! Uses a minimal self-contained timing harness (median of several timed
 //! repetitions) so the workspace carries no external bench dependencies
-//! and builds offline. Run with `cargo bench --bench micro`.
+//! and builds offline. Run with `cargo bench --bench micro`; a first
+//! argument that is not a flag, as in `cargo bench --bench micro --
+//! oracle_build`, times only the cases whose name contains it. Each
+//! group builds its inputs on the first timed call, in the warm-up, so
+//! a group with no case to time builds nothing.
 
 use parcache_core::algs::reverse::ReverseAggressive;
 use parcache_core::cache::{Cache, Knowledge};
@@ -18,11 +22,25 @@ use parcache_disk::{Hp97560, Layout};
 use parcache_trace::synth::synth_trace;
 use parcache_types::rng::Rng;
 use parcache_types::{BlockId, Nanos, PosSet};
+use std::cell::LazyCell;
 use std::hint::black_box;
+use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
-/// Times `f` repeatedly and prints the median per-iteration cost.
+/// The case filter: the first argument that is not a flag (cargo passes
+/// `--bench` to a bench binary without a harness), or `None`.
+static FILTER: LazyLock<Option<String>> =
+    LazyLock::new(|| std::env::args().skip(1).find(|a| !a.starts_with('-')));
+
+/// Times `f` repeatedly and prints the median per-iteration cost, unless
+/// the filter leaves case `name` out.
 fn bench(name: &str, mut f: impl FnMut()) {
+    if FILTER
+        .as_ref()
+        .is_some_and(|filter| !name.contains(filter.as_str()))
+    {
+        return;
+    }
     // Warm up, then collect enough samples for a stable median.
     for _ in 0..3 {
         f();
@@ -42,12 +60,16 @@ fn bench(name: &str, mut f: impl FnMut()) {
 }
 
 fn bench_disk_model() {
-    let mut rng = Rng::seed_from_u64(1);
-    let blocks: Vec<u64> = (0..1024).map(|_| rng.gen_range(0..160_000u64)).collect();
+    let blocks = LazyCell::new(|| {
+        let mut rng = Rng::seed_from_u64(1);
+        (0..1024)
+            .map(|_| rng.gen_range(0..160_000u64))
+            .collect::<Vec<u64>>()
+    });
     bench("hp97560_random_service (1024 accesses)", || {
         let mut disk = Hp97560::new();
         let mut now = Nanos::ZERO;
-        for &blk in &blocks {
+        for &blk in blocks.iter() {
             now = disk.service(now, &SectorSpan::for_block(blk));
         }
         black_box(now);
@@ -55,61 +77,74 @@ fn bench_disk_model() {
 }
 
 fn bench_oracle() {
-    let t = synth_trace(10, 2000, 3);
-    let oracle = Oracle::new(&t, Layout::striped(4));
-    let mut rng = Rng::seed_from_u64(2);
-    let queries: Vec<(u32, usize)> = (0..4096)
-        .map(|_| {
-            (
-                oracle
-                    .index_of(BlockId(rng.gen_range(0..2000u64)))
-                    .expect("every loop block is referenced"),
-                rng.gen_range(0..20_000usize),
-            )
-        })
-        .collect();
+    let setup = LazyCell::new(|| {
+        let oracle = Oracle::new(&synth_trace(10, 2000, 3), Layout::striped(4));
+        let mut rng = Rng::seed_from_u64(2);
+        let queries: Vec<(u32, usize)> = (0..4096)
+            .map(|_| {
+                (
+                    oracle
+                        .index_of(BlockId(rng.gen_range(0..2000u64)))
+                        .expect("every loop block is referenced"),
+                    rng.gen_range(0..20_000usize),
+                )
+            })
+            .collect();
+        (oracle, queries)
+    });
     bench("oracle_next_occurrence_idx (4096 queries)", || {
-        for &(idx, at) in &queries {
+        let (oracle, queries) = &*setup;
+        for &(idx, at) in queries {
             black_box(oracle.next_occurrence_idx(idx, at));
         }
+    });
+    // Every run over the engine-stress trace (60 passes over a
+    // 4,000-block loop, 4 disks) builds this oracle once.
+    let t = LazyCell::new(|| synth_trace(60, 4000, 5));
+    bench("oracle_build/engine-stress shape", || {
+        black_box(Oracle::new(&t, Layout::striped(4)));
     });
 }
 
 /// Next-use lookups as one run asks them: the cursor never moves
 /// backwards, and each step asks about the block at it and one up to 64
 /// references ahead, the way fetch completions and issues do. The
-/// binary search is the spec; the run-local cursors are what the cache
-/// and the missing-block index use. `synth` has long occurrence rows,
-/// `cscope1` short ones.
+/// binary search is the spec; the run-local cursors are what a run uses:
+/// one set, owned by the cache, answers every next-use query of the run.
+/// `synth` has long occurrence rows, `cscope1` short ones. A case's name
+/// counts its queries, two per position, so each trace is generated
+/// before the filter is asked.
 fn bench_next_use() {
     for name in ["synth", "cscope1"] {
         let t = parcache_trace::trace_by_name(name, 1996).expect("paper trace");
-        bench_next_use_on(name, &Oracle::new(&t, Layout::striped(4)));
+        let setup = LazyCell::new(|| {
+            let oracle = Oracle::new(&t, Layout::striped(4));
+            let mut rng = Rng::seed_from_u64(3);
+            let n = oracle.len();
+            let queries: Vec<(u32, usize)> = (0..n)
+                .flat_map(|at| {
+                    let ahead = (at + rng.gen_range(0..64usize)).min(n - 1);
+                    let block = |p: usize| oracle.index_at(p).expect("disclosed");
+                    [(block(ahead), at), (block(at), at)]
+                })
+                .collect();
+            (oracle, queries)
+        });
+        let what = format!("({name}, {} monotone queries)", 2 * t.len());
+        bench(&format!("next_use/binary-search {what}"), || {
+            let (oracle, queries) = &*setup;
+            for &(idx, at) in queries {
+                black_box(oracle.next_occurrence_idx(idx, at));
+            }
+        });
+        bench(&format!("next_use/cursor {what}"), || {
+            let (oracle, queries) = &*setup;
+            let mut cursors = NextUseCursors::new(oracle);
+            for &(idx, at) in queries {
+                black_box(cursors.next(oracle, idx, at));
+            }
+        });
     }
-}
-
-fn bench_next_use_on(name: &str, oracle: &Oracle) {
-    let mut rng = Rng::seed_from_u64(3);
-    let n = oracle.len();
-    let queries: Vec<(u32, usize)> = (0..n)
-        .flat_map(|at| {
-            let ahead = (at + rng.gen_range(0..64usize)).min(n - 1);
-            let block = |p: usize| oracle.index_at(p).expect("disclosed");
-            [(block(ahead), at), (block(at), at)]
-        })
-        .collect();
-    let what = format!("({name}, {} monotone queries)", queries.len());
-    bench(&format!("next_use/binary-search {what}"), || {
-        for &(idx, at) in &queries {
-            black_box(oracle.next_occurrence_idx(idx, at));
-        }
-    });
-    bench(&format!("next_use/cursor {what}"), || {
-        let mut cursors = NextUseCursors::new(oracle);
-        for &(idx, at) in &queries {
-            black_box(cursors.next(oracle, idx, at));
-        }
-    });
 }
 
 /// The reverse passes of one tuned search: the schedules of the eight
@@ -119,19 +154,22 @@ fn bench_next_use_on(name: &str, oracle: &Oracle) {
 /// two checkouts compares them whole.
 fn bench_reverse_pass() {
     for name in ["cscope3", "glimpse", "ld"] {
-        let t = parcache_trace::trace_by_name(name, 1996).expect("paper trace");
+        let t = LazyCell::new(|| parcache_trace::trace_by_name(name, 1996).expect("paper trace"));
         for disks in [1, 4, 16] {
-            let base = SimConfig::for_trace(disks, &t);
-            let prepared = Prepared::new(&t, &base);
-            let reversed = prepared.reversed_oracle();
-            let grid: Vec<SimConfig> = [1u64, 4, 16, 64]
-                .into_iter()
-                .flat_map(|f| [4usize, 40].map(|b| base.clone().with_reverse_params(f, b)))
-                .collect();
+            let setup = LazyCell::new(|| {
+                let base = SimConfig::for_trace(disks, &t);
+                let grid: Vec<SimConfig> = [1u64, 4, 16, 64]
+                    .into_iter()
+                    .flat_map(|f| [4usize, 40].map(|b| base.clone().with_reverse_params(f, b)))
+                    .collect();
+                (Prepared::new(&t, &base), grid)
+            });
             bench(
                 &format!("reverse_pass ({name}, {disks} disks, 8 configs)"),
                 || {
-                    for cfg in &grid {
+                    let (prepared, grid) = &*setup;
+                    let reversed = prepared.reversed_oracle();
+                    for cfg in grid {
                         black_box(ReverseAggressive::with_reversed(reversed, cfg));
                     }
                 },
@@ -141,12 +179,14 @@ fn bench_reverse_pass() {
 }
 
 fn bench_cache() {
-    let t = synth_trace(10, 2000, 3);
-    let oracle = Oracle::new(&t, Layout::striped(1));
-    assert!(
-        oracle.num_blocks() >= 1024,
-        "need at least 1024 distinct blocks"
-    );
+    let oracle = LazyCell::new(|| {
+        let oracle = Oracle::new(&synth_trace(10, 2000, 3), Layout::striped(1));
+        assert!(
+            oracle.num_blocks() >= 1024,
+            "need at least 1024 distinct blocks"
+        );
+        oracle
+    });
     // One case per key regime on the next-use index: exact keys, and
     // LRU estimates as under incomplete hints.
     for (name, knowledge) in [
@@ -175,8 +215,7 @@ fn bench_cache() {
     // ahead of the cursor. Each step asks for the victim, evicts the
     // block the cursor consumes and lands the block 1,280 positions
     // ahead, keyed at that position.
-    let t = synth_trace(60, 4000, 5);
-    let oracle = Oracle::new(&t, Layout::striped(1));
+    let oracle = LazyCell::new(|| Oracle::new(&synth_trace(60, 4000, 5), Layout::striped(1)));
     let frames = 1280;
     let block_at = |pos: usize| oracle.index_at(pos).expect("every position is disclosed");
     bench("cache_evict_cycle/engine-stress shape", || {
@@ -186,7 +225,7 @@ fn bench_cache() {
             cache.complete_fetch(block_at(pos), 0, &oracle);
         }
         let mut sum = 0;
-        for c in 0..t.len() - frames {
+        for c in 0..oracle.len() - frames {
             let (victim, _) = cache.furthest_resident(c, &oracle).expect("resident");
             sum += victim as usize;
             cache.start_fetch(block_at(c + frames), Some(block_at(c)));
@@ -209,23 +248,29 @@ fn bench_cache() {
 fn bench_posset() {
     const CAP: usize = 1 << 20;
     const WINDOW: usize = 32_768;
-    let mut rng = Rng::seed_from_u64(4);
-    let mut start = PosSet::new(CAP);
-    for _ in 0..1280 {
-        start.insert(rng.gen_range(0..WINDOW));
-    }
-    let ahead: Vec<usize> = (0..CAP - WINDOW)
-        .map(|c| c + 1 + rng.gen_range(0..WINDOW))
-        .collect();
-    let what = format!("({} steps)", ahead.len());
+    let setup = LazyCell::new(|| {
+        let mut rng = Rng::seed_from_u64(4);
+        let mut start = PosSet::new(CAP);
+        for _ in 0..1280 {
+            start.insert(rng.gen_range(0..WINDOW));
+        }
+        let ahead: Vec<usize> = (0..CAP - WINDOW)
+            .map(|c| c + 1 + rng.gen_range(0..WINDOW))
+            .collect();
+        (start, ahead)
+    });
+    let what = format!("({} steps)", CAP - WINDOW);
     bench(&format!("posset/updates {what}"), || {
-        black_box(slide(&start, &ahead, |_, _| None));
+        let (start, ahead) = &*setup;
+        black_box(slide(start, ahead, |_, _| None));
     });
     bench(&format!("posset/successor {what}"), || {
-        black_box(slide(&start, &ahead, |set, c| set.next_at_or_after(c)));
+        let (start, ahead) = &*setup;
+        black_box(slide(start, ahead, |set, c| set.next_at_or_after(c)));
     });
     bench(&format!("posset/predecessor {what}"), || {
-        black_box(slide(&start, &ahead, |set, _| {
+        let (start, ahead) = &*setup;
+        black_box(slide(start, ahead, |set, _| {
             set.prev_at_or_before(usize::MAX)
         }));
     });
@@ -251,8 +296,8 @@ fn slide(
 }
 
 fn bench_engine() {
-    let t = synth_trace(5, 1000, 4);
-    let cfg = SimConfig::for_trace(2, &t);
+    let t = LazyCell::new(|| synth_trace(5, 1000, 4));
+    let cfg = LazyCell::new(|| SimConfig::for_trace(2, &t));
     bench("engine_aggressive_5k_refs", || {
         black_box(simulate(&t, PolicyKind::Aggressive, &cfg));
     });
@@ -267,9 +312,9 @@ fn bench_engine() {
 /// per-event index work together.
 fn bench_forestall() {
     for name in ["cscope1", "ld", "synth"] {
-        let t = parcache_trace::trace_by_name(name, 1996).expect("paper trace");
+        let t = LazyCell::new(|| parcache_trace::trace_by_name(name, 1996).expect("paper trace"));
         for disks in [1, 4, 16] {
-            let cfg = SimConfig::for_trace(disks, &t);
+            let cfg = LazyCell::new(|| SimConfig::for_trace(disks, &t));
             bench(&format!("forestall ({name}, {disks} disks)"), || {
                 black_box(simulate(&t, PolicyKind::Forestall, &cfg));
             });
@@ -282,9 +327,9 @@ fn bench_forestall() {
 /// and the duplicate-schedule rules leave to run.
 fn bench_tuned_search() {
     for name in ["cscope2", "glimpse", "synth"] {
-        let t = parcache_trace::trace_by_name(name, 1996).expect("paper trace");
+        let t = LazyCell::new(|| parcache_trace::trace_by_name(name, 1996).expect("paper trace"));
         for disks in [1, 8] {
-            let cfg = SimConfig::for_trace(disks, &t);
+            let cfg = LazyCell::new(|| SimConfig::for_trace(disks, &t));
             bench(&format!("tuned_search ({name}, {disks} disks)"), || {
                 black_box(parcache_bench::best_reverse_search(&t, &cfg, 1));
             });

@@ -774,12 +774,14 @@ impl<'o, Q: Completions> ReversePass<'o, Q> {
     fn issue(&mut self, idx: u32, evict: Option<u32>, cursor: usize, target: usize) {
         let oracle = self.oracle;
         let block = oracle.block_of(idx);
-        let evict_next = self.cache.start_fetch(idx, evict);
-        self.missing.on_fetch_issued_idx(idx, cursor, oracle);
+        self.cache.start_fetch(idx, evict);
+        let next = self.cache.next_use(idx, cursor, oracle);
+        self.missing.on_fetch_issued_idx(idx, next, oracle);
         let n = oracle.len();
         self.evictions.add(n - target);
         if let Some(e) = evict {
-            self.missing.on_evicted_idx(e, cursor, evict_next, oracle);
+            let next = self.cache.next_use(e, cursor, oracle);
+            self.missing.on_evicted_idx(e, next, oracle);
             let last = self.last_use[e as usize];
             debug_assert_eq!(
                 (last != NONE32).then_some(last as usize),

@@ -58,8 +58,8 @@ pub struct Cache {
     /// Most recent reference (or first fetch) position per compact
     /// index, for the LRU estimate; empty under [`Knowledge::Exact`].
     last_use: Vec<usize>,
-    /// Next-use lookups of completions and of predicted-key checks,
-    /// which all ask from the run's cursor.
+    /// The run's next-use cursors: every next-use query of the run,
+    /// the missing-block index's included, reads them.
     next_use: NextUseCursors,
     /// The block the application is about to reference, exempt from
     /// eviction. Without this, a block demand-fetched for an
@@ -340,6 +340,13 @@ impl Cache {
         self.index.insert(idx, key, lru, oracle);
     }
 
+    /// The first position `>= at` referencing block `idx`, or `NEVER`,
+    /// read from the run's next-use cursors: amortized O(1) while the
+    /// positions asked about one block never move backwards.
+    pub(crate) fn next_use(&mut self, idx: u32, at: usize, oracle: &Oracle) -> usize {
+        self.next_use.next(oracle, idx, at)
+    }
+
     /// The Belady key of block `idx` for an event at position `pos`.
     fn key_for(&self, idx: u32, pos: usize, oracle: &Oracle) -> usize {
         self.key(idx, oracle.next_occurrence_idx(idx, pos)).0
@@ -383,30 +390,22 @@ impl Cache {
         self.resident.len() + self.inflight.len() < self.capacity
     }
 
-    /// Begins a fetch of block `idx`, evicting `evict` if given. Under
-    /// [`Knowledge::Exact`] an eviction returns the victim's next
-    /// occurrence at or after the cursor (`NEVER` if none), which the
-    /// caller can hand to `MissingTracker::on_evicted_idx` instead of
-    /// searching for it; otherwise it returns `None`.
+    /// Begins a fetch of block `idx`, evicting `evict` if given.
     ///
     /// # Panics
     ///
     /// Panics on violated invariants: fetching a resident or in-flight
     /// block, evicting a non-resident block, or fetching without a frame.
-    pub fn start_fetch(&mut self, idx: u32, evict: Option<u32>) -> Option<usize> {
+    pub fn start_fetch(&mut self, idx: u32, evict: Option<u32>) {
         assert!(!self.resident(idx), "fetching resident block index {idx}");
         assert!(!self.inflight(idx), "duplicate fetch of block index {idx}");
-        let mut next = None;
         if let Some(e) = evict {
             assert!(Some(e) != self.pinned, "evicting pinned block index {e}");
             assert!(
                 self.resident.remove(e),
                 "evicting non-resident block index {e}"
             );
-            let key = self.index.remove(e);
-            if self.knowledge == Knowledge::Exact {
-                next = Some(key);
-            }
+            self.index.remove(e);
         } else {
             assert!(
                 self.resident.len() + self.inflight.len() < self.capacity,
@@ -414,7 +413,6 @@ impl Cache {
             );
         }
         self.inflight.insert(idx);
-        next
     }
 
     /// Completes the fetch of block `idx` at cursor position `cursor`:
@@ -453,9 +451,8 @@ impl Cache {
     }
 
     /// Records that the application consumed block `idx` at position
-    /// `pos`: refreshes its Belady key to the next occurrence after `pos`
-    /// (an O(1) next-pointer walk when `pos` references `idx`, which it
-    /// always does on this path).
+    /// `pos`: refreshes its Belady key to the next occurrence after
+    /// `pos`, read from the run's cursors at `pos + 1`.
     pub(crate) fn on_reference(&mut self, idx: u32, pos: usize, oracle: &Oracle) {
         debug_assert!(
             self.resident(idx),
@@ -469,7 +466,8 @@ impl Cache {
         if let Some(lu) = self.last_use.get_mut(idx as usize) {
             *lu = pos + 1;
         }
-        self.push(idx, oracle.next_after_idx(idx, pos), oracle);
+        let next = self.next_use.next(oracle, idx, pos + 1);
+        self.push(idx, next, oracle);
     }
 
     /// The evictable resident block whose key is largest, with that key
@@ -551,9 +549,6 @@ pub(crate) struct MissingTracker {
     /// verdict the few insertions since its last check, so the verdict
     /// can absorb them instead of being thrown away.
     recent_ins: Vec<[usize; RECENT_INS]>,
-    /// Next-use lookups of the compact-index updates, which ask from the
-    /// run's cursor.
-    next_use: NextUseCursors,
 }
 
 /// Ring capacity of [`MissingTracker::recent_ins`]: enough to span the
@@ -572,10 +567,9 @@ impl MissingTracker {
             ins_epochs: vec![0; disks],
             rem_epochs: vec![0; disks],
             recent_ins: vec![[0; RECENT_INS]; disks],
-            next_use: NextUseCursors::new(oracle),
         };
         for idx in 0..oracle.num_blocks() as u32 {
-            t.insert_idx(idx, oracle.next_occurrence_idx(idx, 0), oracle);
+            t.on_evicted_idx(idx, oracle.next_occurrence_idx(idx, 0), oracle);
         }
         t
     }
@@ -618,9 +612,25 @@ impl MissingTracker {
         self.recent_ins[disk][(e % RECENT_INS as u64) as usize] = pos;
     }
 
-    /// Registers block `idx` as missing at position `pos`; `NEVER` is a
-    /// no-op.
-    fn insert_idx(&mut self, idx: u32, pos: usize, oracle: &Oracle) {
+    /// A fetch of block `idx` was issued: it is no longer missing at
+    /// `pos`, its next use at or after the cursor, which the caller reads
+    /// from [`Cache::next_use`]. `NEVER` is a no-op.
+    pub(crate) fn on_fetch_issued_idx(&mut self, idx: u32, pos: usize, oracle: &Oracle) {
+        if pos == NEVER {
+            return;
+        }
+        debug_assert_eq!(oracle.block_at(pos), oracle.block_of(idx));
+        let d = oracle.disk_of(oracle.block_of(idx)).index();
+        self.global.remove(pos);
+        self.per_disk[d].remove(pos);
+        self.rem_epochs[d] += 1;
+    }
+
+    /// Block `idx` was evicted, or its fetch abandoned: it is missing
+    /// again at `pos`, its next use at or after the cursor, which the
+    /// caller reads from [`Cache::next_use`]. `NEVER` is a no-op. A cold
+    /// tracker starts every block this way at its first occurrence.
+    pub(crate) fn on_evicted_idx(&mut self, idx: u32, pos: usize, oracle: &Oracle) {
         if pos == NEVER {
             return;
         }
@@ -629,43 +639,6 @@ impl MissingTracker {
         self.global.insert(pos);
         self.per_disk[d].insert(pos);
         self.record_insert(d, pos);
-    }
-
-    /// A fetch of block `idx` was issued at cursor position `cursor`: it
-    /// is no longer missing. Its next occurrence is read from the
-    /// tracker's run-local cursors: amortized O(1) while `cursor` never
-    /// moves backwards.
-    pub(crate) fn on_fetch_issued_idx(&mut self, idx: u32, cursor: usize, oracle: &Oracle) {
-        let pos = self.next_use.next(oracle, idx, cursor);
-        if pos == NEVER {
-            return;
-        }
-        let d = oracle.disk_of(oracle.block_of(idx)).index();
-        self.global.remove(pos);
-        self.per_disk[d].remove(pos);
-        self.rem_epochs[d] += 1;
-    }
-
-    /// Block `idx` was evicted at cursor position `cursor`: it is missing
-    /// again from its next occurrence on. `next` is that occurrence when
-    /// the caller already knows it (the exact-knowledge cache returns it
-    /// from [`Cache::start_fetch`]); `None` reads it from the tracker's
-    /// run-local cursors.
-    pub(crate) fn on_evicted_idx(
-        &mut self,
-        idx: u32,
-        cursor: usize,
-        next: Option<usize>,
-        oracle: &Oracle,
-    ) {
-        let pos = match next {
-            Some(pos) => {
-                debug_assert_eq!(pos, oracle.next_occurrence_idx(idx, cursor));
-                pos
-            }
-            None => self.next_use.next(oracle, idx, cursor),
-        };
-        self.insert_idx(idx, pos, oracle);
     }
 
     /// The first position `>= from` whose block is missing, globally.
@@ -791,40 +764,14 @@ mod tests {
         assert!(!c.has_free_frame());
         c.complete_fetch(b1, 0, &o);
         c.complete_fetch(b2, 0, &o);
-        // Full cache: must evict to fetch. The exact regime hands back
-        // the victim's next use.
-        assert_eq!(c.start_fetch(b3, Some(b1)), Some(0));
+        // Full cache: must evict to fetch.
+        c.start_fetch(b3, Some(b1));
         assert!(!c.resident(b1));
         // The freed frame went to the fetch of block 3: one resident
         // block, one in flight, no frame to spare.
         assert!(c.resident(b2) && c.inflight(b3));
         assert_eq!(c.resident_count(), 1);
         assert!(!c.has_free_frame());
-    }
-
-    #[test]
-    fn only_the_exact_regime_reports_the_victims_next_use() {
-        let o = oracle_of(&[1, 2, 3, 1], 1);
-        let (b1, b2, b3) = (idx(&o, 1), idx(&o, 2), idx(&o, 3));
-        for knowledge in [
-            Knowledge::Exact,
-            Knowledge::LruEstimate,
-            Knowledge::Predicted,
-        ] {
-            let mut c = Cache::new(2, &o, knowledge);
-            for b in [b1, b2] {
-                c.start_fetch(b, None);
-                c.complete_fetch(b, 0, &o);
-            }
-            c.on_reference(b1, 0, &o);
-            let want = (knowledge == Knowledge::Exact).then_some(3);
-            assert_eq!(c.start_fetch(b3, Some(b1)), want, "{knowledge:?}");
-            // A block never used again reports NEVER.
-            c.complete_fetch(b3, 1, &o);
-            c.on_reference(b2, 1, &o);
-            let want = (knowledge == Knowledge::Exact).then_some(NEVER);
-            assert_eq!(c.start_fetch(b1, Some(b2)), want, "{knowledge:?}");
-        }
     }
 
     #[test]
@@ -1041,7 +988,7 @@ mod tests {
 
         fn on_reference(&mut self, idx: u32, pos: usize, o: &Oracle) {
             self.last_use[idx as usize] = pos + 1;
-            self.push(idx, o.next_after_idx(idx, pos), o);
+            self.push(idx, o.next_occurrence_idx(idx, pos + 1), o);
         }
 
         fn furthest(&mut self, c: &Cache, cursor: usize, o: &Oracle) -> Option<(u32, usize)> {
@@ -1204,11 +1151,7 @@ mod tests {
                     if victim.is_none() && !d.c.has_free_frame() {
                         continue;
                     }
-                    let want = victim.map(|v| o.next_occurrence_idx(v, pos));
-                    let got = d.c.start_fetch(f, victim);
-                    if exact {
-                        assert_eq!(got, want, "case {case}: victim's next use");
-                    }
+                    d.c.start_fetch(f, victim);
                     inflight.push(f);
                 }
                 if d.c.inflight(r) {
@@ -1290,10 +1233,11 @@ mod tests {
     fn tracker_fetch_and_evict_cycle() {
         let o = oracle_of(&[5, 6, 5, 7], 1);
         let mut t = MissingTracker::new(&o);
+        // Fetch 5 at cursor 0: its entry at position 0 goes.
         t.on_fetch_issued_idx(idx(&o, 5), 0, &o);
         assert_eq!(t.first_missing(0), Some(1)); // block 6
                                                  // Evict 5 at cursor 1: re-registered at its next ref, position 2.
-        t.on_evicted_idx(idx(&o, 5), 1, None, &o);
+        t.on_evicted_idx(idx(&o, 5), 2, &o);
         assert_eq!(t.first_missing(0), Some(1));
         assert_eq!(t.first_missing(2), Some(2));
     }
@@ -1315,10 +1259,10 @@ mod tests {
         let o = oracle_of(&[1, 2], 1);
         let mut t = MissingTracker::new(&o);
         t.on_fetch_issued_idx(idx(&o, 1), 0, &o);
-        t.on_fetch_issued_idx(idx(&o, 2), 0, &o);
+        t.on_fetch_issued_idx(idx(&o, 2), 1, &o);
         assert!(t.is_empty());
         // Evicting block 1 at cursor 2 (past its last reference): no entry.
-        t.on_evicted_idx(idx(&o, 1), 2, None, &o);
+        t.on_evicted_idx(idx(&o, 1), NEVER, &o);
         assert!(t.is_empty());
     }
 
@@ -1350,14 +1294,14 @@ mod tests {
         assert_eq!((t.ins_epoch(1), t.rem_epoch(1)), (i1, r1));
         // An eviction re-registering block 0 at its next use (position 4)
         // bumps only disk 0's insertion epoch.
-        t.on_evicted_idx(idx(&o, 0), 1, None, &o);
+        t.on_evicted_idx(idx(&o, 0), 4, &o);
         assert_eq!((t.ins_epoch(0), t.rem_epoch(0)), (i0 + 1, r0 + 1));
         assert_eq!((t.ins_epoch(1), t.rem_epoch(1)), (i1, r1));
         // A `NEVER`-position no-op (block 1 evicted past its last use)
         // leaves the set untouched and must not bump.
-        t.on_fetch_issued_idx(idx(&o, 1), 0, &o);
+        t.on_fetch_issued_idx(idx(&o, 1), 1, &o);
         let (i1b, r1b) = (t.ins_epoch(1), t.rem_epoch(1));
-        t.on_evicted_idx(idx(&o, 1), 2, None, &o);
+        t.on_evicted_idx(idx(&o, 1), NEVER, &o);
         assert_eq!((t.ins_epoch(1), t.rem_epoch(1)), (i1b, r1b));
     }
 
@@ -1377,11 +1321,11 @@ mod tests {
         let base2 = t2.ins_epoch(0);
         // Evicting block 3 at cursor 10 re-inserts position 43; block 7
         // re-inserts position 47.
-        t2.on_fetch_issued_idx(idx(&o, 3), 0, &o);
-        t2.on_fetch_issued_idx(idx(&o, 7), 0, &o);
+        t2.on_fetch_issued_idx(idx(&o, 3), 3, &o);
+        t2.on_fetch_issued_idx(idx(&o, 7), 7, &o);
         let since = t2.ins_epoch(0);
-        t2.on_evicted_idx(idx(&o, 3), 10, None, &o);
-        t2.on_evicted_idx(idx(&o, 7), 10, None, &o);
+        t2.on_evicted_idx(idx(&o, 3), 43, &o);
+        t2.on_evicted_idx(idx(&o, 7), 47, &o);
         assert_eq!(t2.ins_epoch(0), since + 2);
         // The ring hands back both positions, oldest first.
         let since_list =
@@ -1393,8 +1337,8 @@ mod tests {
         // Exhausting the ring reports None rather than guessing.
         for _ in 0..2 {
             for b in 0..40u64 {
-                t2.on_fetch_issued_idx(idx(&o, b), 0, &o);
-                t2.on_evicted_idx(idx(&o, b), 0, None, &o);
+                t2.on_fetch_issued_idx(idx(&o, b), b as usize, &o);
+                t2.on_evicted_idx(idx(&o, b), b as usize, &o);
             }
         }
         assert_eq!(since_list(&t2, since), None);
@@ -1425,8 +1369,9 @@ mod tests {
                 let b = BlockId(rng.gen_range(0..universe));
                 if let Some(i) = o.index_of(b) {
                     let at = rng.gen_range(0usize..=len);
-                    t.on_fetch_issued_idx(i, at, &o);
-                    t.on_evicted_idx(i, at, None, &o);
+                    let next = o.next_occurrence_idx(i, at);
+                    t.on_fetch_issued_idx(i, next, &o);
+                    t.on_evicted_idx(i, next, &o);
                 }
             }
             // The full per-disk ground truth via an unbounded window.

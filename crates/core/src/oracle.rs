@@ -9,9 +9,9 @@
 //!
 //! Internally every block is assigned a dense **compact index** (`u32`),
 //! so the hot paths work over plain arrays instead of hash maps: occurrence
-//! lists are indexed by compact index, cursor advances follow a
-//! precomputed next-pointer array in O(1), and the cache keys its bitsets
-//! and slot arrays by the same index. The only hash lookup left is the
+//! lists are indexed by compact index, a run's next-use queries walk
+//! forward cursors into them, and the cache keys its bitsets and slot
+//! arrays by the same index. The only hash lookup left is the
 //! cold [`Oracle::index_of`] boundary used to enter the dense world.
 
 use parcache_disk::layout::Layout;
@@ -27,8 +27,8 @@ pub(crate) const NEVER: usize = usize::MAX;
 /// positions (see [`Oracle::from_positions`]). Never equals a real block.
 pub(crate) const UNKNOWN_BLOCK: BlockId = BlockId(u64::MAX);
 
-/// Internal sentinel for "no compact index" / "no next occurrence" in the
-/// `u32`-packed arrays.
+/// Internal sentinel for "no compact index" in the `u32`-packed position
+/// array.
 const NONE32: u32 = u32::MAX;
 
 /// Compact row storage: all rows concatenated into one flat allocation,
@@ -78,9 +78,6 @@ pub struct Oracle {
     /// undisclosed positions). Together with `blocks` this is also the
     /// reference sequence: [`Oracle::block_at`] reads through it.
     seq_idx: Vec<u32>,
-    /// Next position strictly after `p` referencing the same block as
-    /// `p`, or `NONE32` — the O(1) cursor-advance next pointer.
-    next_same: Vec<u32>,
     /// Compact index assignment. Disclosed blocks come first, in
     /// first-appearance order; universe-only blocks (known to exist but
     /// never disclosed) follow.
@@ -158,7 +155,6 @@ impl Oracle {
             entries.sort_by_key(|&(pos, _)| pos);
         }
         let mut seq_idx = vec![NONE32; len];
-        let mut next_same = vec![NONE32; len];
         // Sized by growth, not by `entries.len()`: a trace has far fewer
         // distinct blocks than references, and a table sized per
         // reference stays resident for the oracle's whole life.
@@ -187,24 +183,16 @@ impl Oracle {
             });
         }
         // Pass 2: fill the occurrence rows in place. Entries are
-        // ascending by position, so each row fills in ascending order,
-        // and the next pointer of a block's previous occurrence is the
-        // slot just written before the cursor.
+        // ascending by position, so each row fills in ascending order.
         let mut occurrences = Rows::<u32>::from_counts(&counts);
         let mut occ_cursor: Vec<u32> = occurrences.offsets[..counts.len()].to_vec();
         for &(pos, _) in &entries {
-            let idx = seq_idx[pos];
-            let at = occ_cursor[idx as usize] as usize;
-            if at > occurrences.offsets[idx as usize] as usize {
-                let prev = occurrences.data[at - 1];
-                next_same[prev as usize] = pos as u32;
-            }
-            occurrences.data[at] = pos as u32;
-            occ_cursor[idx as usize] += 1;
+            let idx = seq_idx[pos] as usize;
+            occurrences.data[occ_cursor[idx] as usize] = pos as u32;
+            occ_cursor[idx] += 1;
         }
         Oracle {
             seq_idx,
-            next_same,
             index,
             blocks,
             occurrences,
@@ -315,25 +303,6 @@ impl Oracle {
             .is_some_and(|&p| p as usize >= at)
     }
 
-    /// The first position strictly after `pos` referencing block `idx`.
-    ///
-    /// When `pos` itself references block `idx` — the cursor-advance
-    /// pattern: the application just consumed the block at `pos` — the
-    /// answer comes from the precomputed next-pointer array in O(1).
-    #[inline]
-    pub(crate) fn next_after_idx(&self, idx: u32, pos: usize) -> usize {
-        if pos < self.seq_idx.len() && self.seq_idx[pos] == idx {
-            let n = self.next_same[pos];
-            if n == NONE32 {
-                NEVER
-            } else {
-                n as usize
-            }
-        } else {
-            self.next_occurrence_idx(idx, pos + 1)
-        }
-    }
-
     /// The last position `< before` referencing `block`, or `None` —
     /// binary search over the block's sorted occurrence list.
     pub(crate) fn last_occurrence_before(&self, block: BlockId, before: usize) -> Option<usize> {
@@ -356,6 +325,12 @@ impl Oracle {
 /// Run-local forward cursors into an [`Oracle`]'s occurrence rows: one
 /// per block, pointing at the first occurrence not behind the block's
 /// last query.
+///
+/// A run builds one set, owned by its [`Cache`](crate::cache::Cache),
+/// and every next-use query of the run goes through it: a referenced
+/// block's new key, a completed fetch's key, a predicted key's check,
+/// and the positions the missing-block index moves on a fetch, an
+/// eviction or an abandoned fetch.
 ///
 /// Within one run the cursor position a caller asks from never moves
 /// backwards, so a block's cursor only advances, and the work of every
@@ -501,24 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn next_after_idx_matches_binary_search() {
-        let t = trace_of(&[1, 2, 1, 3, 1, 2]);
-        let o = Oracle::new(&t, Layout::striped(1));
-        for pos in 0..o.len() {
-            let idx = o.index_at(pos).unwrap();
-            assert_eq!(
-                o.next_after_idx(idx, pos),
-                o.next_occurrence_idx(idx, pos + 1),
-                "pos {pos}"
-            );
-        }
-        // Off-position queries fall back to the search.
-        let idx1 = o.index_of(BlockId(1)).unwrap();
-        assert_eq!(o.next_after_idx(idx1, 1), 2);
-        assert_eq!(o.next_after_idx(idx1, 4), NEVER);
-    }
-
-    #[test]
     fn next_use_cursors_match_binary_search() {
         // Mostly forward queries, as one run asks them, with occasional
         // jumps back (re-seeks) and far ahead (gallops), over universes
@@ -601,7 +558,6 @@ mod tests {
         assert_eq!(o.next_occurrence_idx(idx, 0), 0);
         assert_eq!(o.next_occurrence_idx(idx, 1), 3);
         assert_eq!(o.distinct_blocks(), vec![BlockId(1), BlockId(5)]);
-        assert_eq!(o.next_after_idx(idx, 0), 3);
     }
 
     #[test]
