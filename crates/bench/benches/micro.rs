@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the simulator's building blocks: drive-model
-//! service computation, oracle queries, cache operations, position-set
-//! queries, and end-to-end engine throughput.
+//! service computation, the disk array's request path, oracle queries,
+//! cache operations, position-set queries, and end-to-end engine
+//! throughput.
 //!
 //! Uses a minimal self-contained timing harness (median of several timed
 //! repetitions) so the workspace carries no external bench dependencies
@@ -12,16 +13,16 @@
 
 use parcache_core::algs::reverse::ReverseAggressive;
 use parcache_core::cache::{Cache, Knowledge};
-use parcache_core::engine::Prepared;
+use parcache_core::engine::{simulate_probed, Prepared};
 use parcache_core::oracle::{NextUseCursors, Oracle};
 use parcache_core::policy::PolicyKind;
-use parcache_core::{simulate, SimConfig};
+use parcache_core::{simulate, Event, SimConfig};
 use parcache_disk::geometry::SectorSpan;
 use parcache_disk::model::DiskModel;
-use parcache_disk::{Hp97560, Layout};
+use parcache_disk::{DiskArray, Hp97560, Layout};
 use parcache_trace::synth::synth_trace;
 use parcache_types::rng::Rng;
-use parcache_types::{BlockId, Nanos, PosSet};
+use parcache_types::{BlockId, DiskId, Nanos, PosSet};
 use std::cell::LazyCell;
 use std::hint::black_box;
 use std::sync::LazyLock;
@@ -73,6 +74,63 @@ fn bench_disk_model() {
             now = disk.service(now, &SectorSpan::for_block(blk));
         }
         black_box(now);
+    });
+    // Back-to-back reads of consecutive blocks within the drive's
+    // cylinders: after each cylinder's first, mechanical access, the
+    // readahead buffer serves them.
+    bench("hp97560_sequential_service (1024 accesses)", || {
+        let mut disk = Hp97560::new();
+        let mut now = Nanos::ZERO;
+        for blk in 0..1024 {
+            now = disk.service(now, &SectorSpan::for_block(blk));
+        }
+        black_box(now);
+    });
+}
+
+/// One disk-array call, as the engine made it: a read of a block
+/// enqueued, or a drive's in-service request completed.
+#[derive(Clone, Copy)]
+enum DiskOp {
+    Issue(Nanos, BlockId),
+    Complete(Nanos, DiskId),
+}
+
+/// The disk request path alone: the enqueue and complete calls one
+/// aggressive run over the engine-stress trace (60 passes over a
+/// 4,000-block loop, 4 disks) made, replayed through a fresh HP 97560
+/// CSCAN array.
+fn bench_disk_requests() {
+    let setup = LazyCell::new(|| {
+        let t = synth_trace(60, 4000, 5);
+        let cfg = SimConfig::for_trace(4, &t);
+        let mut ops = Vec::new();
+        simulate_probed(
+            &t,
+            PolicyKind::Aggressive,
+            &cfg,
+            &mut |e: &Event| match *e {
+                Event::FetchIssued { now, block, .. } => ops.push(DiskOp::Issue(now, block)),
+                Event::FetchCompleted { now, disk, .. } => ops.push(DiskOp::Complete(now, disk)),
+                _ => {}
+            },
+        );
+        (cfg, ops)
+    });
+    bench("disk_request_path/engine-stress shape", || {
+        let (cfg, ops) = &*setup;
+        let mut array = DiskArray::new(cfg.disks, cfg.discipline, |_| Box::new(Hp97560::new()));
+        for &op in ops {
+            match op {
+                DiskOp::Issue(now, block) => {
+                    assert!(!array.enqueue(now, block).is_rejected(), "healthy drive");
+                }
+                DiskOp::Complete(now, disk) => {
+                    black_box(array.complete(now, disk));
+                }
+            }
+        }
+        black_box(array.stats());
     });
 }
 
@@ -339,6 +397,7 @@ fn bench_tuned_search() {
 
 fn main() {
     bench_disk_model();
+    bench_disk_requests();
     bench_oracle();
     bench_next_use();
     bench_reverse_pass();

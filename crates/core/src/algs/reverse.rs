@@ -340,10 +340,7 @@ impl Policy for ReverseAggressive {
 
     fn on_miss(&mut self, ctx: &mut Ctx<'_>, block: BlockId) {
         // Consume the block's next scheduled pair, if any, then fetch.
-        let idx = ctx
-            .oracle
-            .index_of(block)
-            .expect("demand-missed block outside the indexed universe");
+        let idx = ctx.index_of_missed(block);
         self.replay(ctx.oracle).consume_block(idx);
         demand_fetch_idx(ctx, idx);
     }

@@ -28,7 +28,7 @@ use crate::policy::{Indexes, Policy, PolicyKind};
 use crate::predict::HintStats;
 use crate::probe::{Event, FaultCause, NoopProbe, Probe, StallCause};
 use parcache_disk::coarse::CoarseDisk;
-use parcache_disk::disk::{DiskStats, EnqueueOutcome, ReqKind};
+use parcache_disk::disk::{Completed, DiskStats, EnqueueOutcome, ReqKind};
 use parcache_disk::fault::FaultyDisk;
 use parcache_disk::hp97560::Hp97560;
 use parcache_disk::model::DiskModel;
@@ -152,6 +152,17 @@ impl FetchHistory {
     }
 }
 
+/// The compact index of the block a finished read fetched: the tag every
+/// read is enqueued with. Debug builds check it against the oracle.
+fn read_idx(oracle: &Oracle, done: &Completed) -> u32 {
+    debug_assert_eq!(
+        oracle.index_of(done.block),
+        Some(done.tag),
+        "a read's tag is its block's compact index"
+    );
+    done.tag
+}
+
 /// Charges one I/O's driver overhead at `now`: the driver's own time,
 /// and the CPU, which runs it after whatever it is already busy with.
 fn charge_driver(driver_time: &mut Nanos, cpu_done: &mut Nanos, now: Nanos, overhead: Nanos) {
@@ -186,13 +197,15 @@ pub struct Ctx<'a> {
     /// when it is [`NoopProbe`], and then no event is built (Ctx must
     /// stay non-generic: [`Policy`] is a trait object).
     emit: Option<&'a mut dyn FnMut(&Event)>,
-    /// True inside [`Policy::on_miss`], so issued fetches are tagged
-    /// demand rather than prefetch.
-    demand: bool,
-    /// Fetches whose enqueue an out-of-service drive rejected during this
-    /// policy call; the engine converts them into driver faults after the
-    /// call returns (see `Engine::settle_rejections`).
-    rejected: &'a mut Vec<BlockId>,
+    /// Inside [`Policy::on_miss`], the compact index of the missed
+    /// block, so issued fetches are tagged demand rather than prefetch
+    /// and the miss's block needs no lookup (see [`Ctx::index_of_missed`]).
+    missed: Option<u32>,
+    /// Compact indexes of the fetches whose enqueue an out-of-service
+    /// drive rejected during this policy call; the engine converts them
+    /// into driver faults after the call returns (see
+    /// `Engine::settle_rejections`).
+    rejected: &'a mut Vec<u32>,
     /// One bit per compact block index, set on eviction: stall provenance
     /// uses it to tell a re-miss on a once-resident block
     /// ([`StallCause::EvictionRefetch`]) from a plain
@@ -203,9 +216,11 @@ pub struct Ctx<'a> {
 impl Ctx<'_> {
     /// Issues a fetch of block `idx`, evicting `evict` (required when the
     /// cache has no free frame). Charges driver overhead to the CPU
-    /// timeline and enqueues the request on the block's disk. This is the
-    /// hot-path entry: everything stays in compact-index space except the
-    /// O(1) index-to-block translations the disks and probes need.
+    /// timeline and enqueues the request on the block's disk, tagged with
+    /// `idx` so its completion names the block's index without a lookup.
+    /// This is the hot-path entry: everything stays in compact-index space
+    /// except the O(1) index-to-block translations the disks and probes
+    /// need.
     ///
     /// # Panics
     ///
@@ -245,14 +260,14 @@ impl Ctx<'_> {
                 now,
                 block,
                 disk: self.array.disk_of(block),
-                demand: self.demand,
+                demand: self.missed.is_some(),
                 evicted: evict,
             });
         }
         let emit = &mut self.emit;
         let outcome = self
             .array
-            .enqueue_observed(now, block, ReqKind::Read, |d, e| {
+            .enqueue_observed(now, block, idx, ReqKind::Read, |d, e| {
                 if let Some(emit) = emit {
                     emit(&Event::from_disk(now, d, e));
                 }
@@ -261,7 +276,24 @@ impl Ctx<'_> {
             // The drive is mid-outage: the request never reached its
             // queue. The frame stays reserved; the driver retries (or
             // abandons) once the policy call returns.
-            self.rejected.push(block);
+            self.rejected.push(idx);
+        }
+    }
+
+    /// The compact index of `block`: inside [`Policy::on_miss`] for the
+    /// missed block, the index the engine already holds; otherwise the
+    /// oracle's lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace never references `block`.
+    pub(crate) fn index_of_missed(&self, block: BlockId) -> u32 {
+        match self.missed {
+            Some(idx) if self.oracle.block_of(idx) == block => idx,
+            _ => self
+                .oracle
+                .index_of(block)
+                .expect("demand-missed block outside the indexed universe"),
         }
     }
 
@@ -903,6 +935,8 @@ impl Pending {
 /// Per-request driver retry progress.
 #[derive(Debug, Clone, Copy)]
 struct RetryState {
+    /// Compact index of the block, the tag every retry is enqueued with.
+    idx: u32,
     /// Faults this request has absorbed so far (1-based attempt number).
     attempts: u32,
     /// When the request's first fault occurred (the timeout anchor).
@@ -961,8 +995,9 @@ struct Engine<'t> {
     /// Retry progress per faulted in-flight fetch. Keyed by block, which
     /// is unique: the cache holds at most one in-flight fetch per block.
     retrying: FastMap<BlockId, RetryState>,
-    /// Scratch buffer for enqueues rejected inside a policy call.
-    rejected_buf: Vec<BlockId>,
+    /// Scratch buffer for enqueues rejected inside a policy call, as
+    /// compact indexes.
+    rejected_buf: Vec<u32>,
     /// Upcoming degraded-window boundaries `(time, disk, entering)` from
     /// the fault plan, ascending; drained into [`Event::DiskDegraded`] /
     /// [`Event::DiskRecovered`] as the clock passes them (probed runs
@@ -1148,17 +1183,24 @@ impl<'t> Engine<'t> {
                 cursor: self.cursor,
             });
         }
-        self.call_policy(probe, false, |ctx| policy.decide(ctx));
+        self.call_policy(probe, None, |ctx| policy.decide(ctx));
     }
 
-    /// Asks the policy to handle a demand miss.
-    fn miss<P: Probe>(&mut self, policy: &mut dyn Policy, probe: &mut P, block: BlockId) {
-        self.call_policy(probe, true, |ctx| policy.on_miss(ctx, block));
+    /// Asks the policy to handle a demand miss on `block`, compact index
+    /// `idx`.
+    fn miss<P: Probe>(&mut self, policy: &mut dyn Policy, probe: &mut P, idx: u32, block: BlockId) {
+        self.call_policy(probe, Some(idx), |ctx| policy.on_miss(ctx, block));
     }
 
     /// Runs one policy call on the engine's [`Ctx`], its fetches tagged
-    /// demand when `demand`, then settles the enqueues it had rejected.
-    fn call_policy<P: Probe>(&mut self, probe: &mut P, demand: bool, call: impl FnOnce(&mut Ctx)) {
+    /// demand when it answers the miss of `missed`, then settles the
+    /// enqueues it had rejected.
+    fn call_policy<P: Probe>(
+        &mut self,
+        probe: &mut P,
+        missed: Option<u32>,
+        call: impl FnOnce(&mut Ctx),
+    ) {
         let mut emit = |e: &Event| probe.on_event(e);
         let mut ctx = Ctx {
             now: self.now,
@@ -1173,7 +1215,7 @@ impl<'t> Engine<'t> {
             driver_time: &mut self.driver_time,
             fetches: &mut self.fetches,
             emit: P::ENABLED.then_some(&mut emit as &mut dyn FnMut(&Event)),
-            demand,
+            missed,
             rejected: &mut self.rejected_buf,
             evicted_ever: &mut self.evicted_ever,
         };
@@ -1188,21 +1230,24 @@ impl<'t> Engine<'t> {
             return;
         }
         let mut rejected = std::mem::take(&mut self.rejected_buf);
-        for block in rejected.drain(..) {
+        for idx in rejected.drain(..) {
+            let block = self.oracle.block_of(idx);
             let disk = self.array.disk_of(block);
-            self.read_fault(block, disk, FaultCause::Rejected, probe);
+            self.read_fault(idx, block, disk, FaultCause::Rejected, probe);
         }
         // Hand the (now empty) allocation back for the next burst.
         self.rejected_buf = rejected;
     }
 
-    /// Charges one fault against the in-flight fetch of `block` and
-    /// answers it: schedule a backed-off retry while the budget lasts,
-    /// abandon the request otherwise. Abandonment releases the cache
-    /// frame and restores the block to the missing index, so policies can
-    /// re-plan it (and a blocked demand miss re-issues immediately).
+    /// Charges one fault against the in-flight fetch of `block`, compact
+    /// index `idx`, and answers it: schedule a backed-off retry while the
+    /// budget lasts, abandon the request otherwise. Abandonment releases
+    /// the cache frame and restores the block to the missing index, so
+    /// policies can re-plan it (and a blocked demand miss re-issues
+    /// immediately).
     fn read_fault<P: Probe>(
         &mut self,
+        idx: u32,
         block: BlockId,
         disk: DiskId,
         cause: FaultCause,
@@ -1218,6 +1263,7 @@ impl<'t> Engine<'t> {
             }
         }
         let state = self.retrying.entry(block).or_insert(RetryState {
+            idx,
             attempts: 0,
             first_fault: now,
         });
@@ -1254,10 +1300,6 @@ impl<'t> Engine<'t> {
                 });
             }
             self.retrying.remove(&block);
-            let idx = self
-                .oracle
-                .index_of(block)
-                .expect("abandoned block outside the indexed universe");
             self.cache.cancel_fetch(idx);
             if let Some(missing) = &mut self.missing {
                 let next = self.cache.next_use(idx, self.cursor, self.oracle);
@@ -1353,17 +1395,18 @@ impl<'t> Engine<'t> {
                     if let Some(history) = &mut self.history {
                         history.push_fetch(d.index(), done.service);
                     }
-                    let idx = self
-                        .oracle
-                        .index_of(done.block)
-                        .expect("completed block outside the indexed universe");
-                    self.cache.complete_fetch(idx, self.cursor, self.oracle);
+                    self.cache.complete_fetch(
+                        read_idx(self.oracle, &done),
+                        self.cursor,
+                        self.oracle,
+                    );
                 } else {
                     // A media error: the platter time was spent but no
                     // data arrived. The frame stays reserved pending the
                     // retry decision, and the estimator only learns from
                     // successful fetches.
-                    self.read_fault(done.block, d, FaultCause::MediaError, probe);
+                    let idx = read_idx(self.oracle, &done);
+                    self.read_fault(idx, done.block, d, FaultCause::MediaError, probe);
                 }
             }
             // A finished write frees disk bandwidth but changes nothing
@@ -1384,11 +1427,10 @@ impl<'t> Engine<'t> {
         debug_assert!(t >= self.now);
         self.flush_boundaries(t, probe);
         self.now = t;
-        let attempt = self
+        let RetryState { idx, attempts, .. } = *self
             .retrying
             .get(&block)
-            .expect("retry timer for an untracked request")
-            .attempts;
+            .expect("retry timer for an untracked request");
         let disk = self.array.disk_of(block);
         charge_driver(
             &mut self.driver_time,
@@ -1402,11 +1444,11 @@ impl<'t> Engine<'t> {
                 now: t,
                 block,
                 disk,
-                attempt,
+                attempt: attempts,
             });
         }
-        if self.enqueue(block, ReqKind::Read, probe).is_rejected() {
-            self.read_fault(block, disk, FaultCause::Rejected, probe);
+        if self.enqueue(block, idx, ReqKind::Read, probe).is_rejected() {
+            self.read_fault(idx, block, disk, FaultCause::Rejected, probe);
         }
     }
 
@@ -1429,23 +1471,26 @@ impl<'t> Engine<'t> {
                 disk,
             });
         }
-        if self.enqueue(block, ReqKind::Write, probe).is_rejected() {
+        // A write's completion changes nothing in the cache, so its tag
+        // is never read.
+        if self.enqueue(block, 0, ReqKind::Write, probe).is_rejected() {
             // Best-effort write to an out-of-service drive: dropped,
             // never retried.
             self.write_fault(block, disk, FaultCause::Rejected, probe);
         }
     }
 
-    /// Enqueues a `kind` request for `block` at the current instant,
-    /// passing the drive's events to `probe`.
+    /// Enqueues a `kind` request for `block`, tagged `tag`, at the
+    /// current instant, passing the drive's events to `probe`.
     fn enqueue<P: Probe>(
         &mut self,
         block: BlockId,
+        tag: u32,
         kind: ReqKind,
         probe: &mut P,
     ) -> EnqueueOutcome {
         let now = self.now;
-        self.array.enqueue_observed(now, block, kind, |d, e| {
+        self.array.enqueue_observed(now, block, tag, kind, |d, e| {
             if P::ENABLED {
                 probe.on_event(&Event::from_disk(now, d, e));
             }
@@ -1537,7 +1582,7 @@ impl<'t> Engine<'t> {
                     break;
                 }
                 if !self.cache.inflight(req_idx) {
-                    self.miss(policy, probe, req.block);
+                    self.miss(policy, probe, req_idx, req.block);
                 }
                 self.pop_event(policy, probe);
             }
@@ -1691,6 +1736,45 @@ mod tests {
         c.disk_model = DiskModelKind::Uniform(Nanos::from_millis(fetch_ms));
         c.driver_overhead = Nanos::ZERO;
         c
+    }
+
+    /// The request path the engine takes (reads tagged with their
+    /// compact index) and the untagged `DiskArray::enqueue` / `complete`
+    /// that perfbench's disk replay rebuilds a run from give the same
+    /// drives: a healthy engine-stress-shaped run (12 passes over a
+    /// 4,000-block synthetic loop on 4 disks) of each policy, replayed
+    /// from its `FetchIssued` / `FetchCompleted` events into a fresh
+    /// array, ends with the per-drive `(served, total_service)` the run
+    /// reported.
+    #[test]
+    fn untagged_replay_of_a_run_matches_its_drives() {
+        let t = parcache_trace::synth::synth_trace(12, 4000, 5);
+        let cfg = SimConfig::for_trace(4, &t);
+        for kind in PolicyKind::ALL {
+            let mut ops = Vec::new();
+            let r = simulate_probed(&t, kind, &cfg, &mut |e: &Event| match *e {
+                Event::FetchIssued { now, block, .. } => ops.push((now, Ok(block))),
+                Event::FetchCompleted { now, disk, .. } => ops.push((now, Err(disk))),
+                _ => {}
+            });
+            let mut array = DiskArray::new(cfg.disks, cfg.discipline, |_| Box::new(Hp97560::new()));
+            for &(now, op) in &ops {
+                match op {
+                    Ok(block) => assert!(!array.enqueue(now, block).is_rejected()),
+                    Err(disk) => {
+                        array.complete(now, disk);
+                    }
+                }
+            }
+            let drives = |stats: &[DiskStats]| {
+                stats
+                    .iter()
+                    .map(|s| (s.served, s.total_service))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(r.fetches as usize * 2, ops.len(), "{kind}");
+            assert_eq!(drives(&array.stats()), drives(&r.per_disk), "{kind}");
+        }
     }
 
     #[test]

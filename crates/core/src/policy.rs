@@ -70,10 +70,7 @@ impl Indexes {
 /// The default demand-miss reaction: fetch the block now, evicting the
 /// resident block whose next reference is furthest in the future.
 pub fn demand_fetch(ctx: &mut Ctx<'_>, block: BlockId) {
-    let idx = ctx
-        .oracle
-        .index_of(block)
-        .expect("demand-missed block outside the indexed universe");
+    let idx = ctx.index_of_missed(block);
     demand_fetch_idx(ctx, idx);
 }
 

@@ -107,26 +107,27 @@ impl DiskArray {
     }
 
     /// Enqueues a fetch of `block` on its drive at time `now`, observing
-    /// nothing: [`DiskArray::enqueue_observed`] for a read.
+    /// nothing: [`DiskArray::enqueue_observed`] for a read tagged 0.
     pub fn enqueue(&mut self, now: Nanos, block: BlockId) -> EnqueueOutcome {
-        self.enqueue_observed(now, block, ReqKind::Read, |_, _| {})
+        self.enqueue_observed(now, block, 0, ReqKind::Read, |_, _| {})
     }
 
-    /// Enqueues a `kind` request for `block` on its drive at time `now`,
-    /// reporting each [`DiskEvent`] (tagged with the drive it happened on)
-    /// to `observe`. Rejected (with no state change) when that drive is
-    /// inside an outage window.
+    /// Enqueues a `kind` request for `block`, tagged `tag` (handed back
+    /// in [`Completed::tag`]), on its drive at time `now`, reporting each
+    /// [`DiskEvent`] (tagged with the drive it happened on) to `observe`.
+    /// Rejected (with no state change) when that drive is inside an
+    /// outage window.
     pub fn enqueue_observed(
         &mut self,
         now: Nanos,
         block: BlockId,
+        tag: u32,
         kind: ReqKind,
         mut observe: impl FnMut(DiskId, DiskEvent),
     ) -> EnqueueOutcome {
-        let disk = self.disk_of(block);
-        let span = self.layout.span_of(block);
+        let (disk, span) = self.layout.locate(block);
         let outcome =
-            self.disks[disk.index()].enqueue(now, block, span, kind, |e| observe(disk, e));
+            self.disks[disk.index()].enqueue(now, block, tag, span, kind, |e| observe(disk, e));
         self.refresh(disk.index());
         outcome
     }
@@ -417,7 +418,7 @@ mod tests {
                     0..=8 => rejected += usize::from(a.enqueue(now, block).is_rejected()),
                     9 | 10 => {
                         rejected += usize::from(
-                            a.enqueue_observed(now, block, ReqKind::Write, |_, _| {})
+                            a.enqueue_observed(now, block, 0, ReqKind::Write, |_, _| {})
                                 .is_rejected(),
                         )
                     }

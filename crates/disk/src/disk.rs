@@ -27,6 +27,11 @@ pub struct Pending {
     /// The logical block involved (opaque to the drive; carried so the
     /// caller can tell which request completed).
     pub block: BlockId,
+    /// The caller's tag for the request (opaque to the drive), handed
+    /// back in [`Completed::tag`].
+    pub tag: u32,
+    /// Read or write.
+    pub kind: ReqKind,
     /// The physical sectors accessed.
     pub span: SectorSpan,
     /// The cylinder of the span's first sector, computed once at enqueue
@@ -36,8 +41,6 @@ pub struct Pending {
     pub enqueued: Nanos,
     /// Global arrival sequence number (FCFS key, tie-breaker elsewhere).
     pub seq: u64,
-    /// Read or write.
-    pub kind: ReqKind,
 }
 
 /// Whether [`Disk::enqueue`] accepted the request. A drive inside a hard
@@ -59,12 +62,16 @@ impl EnqueueOutcome {
     }
 }
 
-/// A request currently being serviced.
+/// A request currently being serviced: what its completion reports,
+/// and nothing the scheduler needed to pick it.
 #[derive(Debug, Clone, Copy)]
 struct InService {
-    request: Pending,
-    completes: Nanos,
+    block: BlockId,
+    tag: u32,
+    kind: ReqKind,
+    enqueued: Nanos,
     started: Nanos,
+    completes: Nanos,
     outcome: ServiceOutcome,
 }
 
@@ -73,6 +80,8 @@ struct InService {
 pub struct Completed {
     /// The block involved.
     pub block: BlockId,
+    /// The tag the request was enqueued with.
+    pub tag: u32,
     /// Pure service time (completion minus service start).
     pub service: Nanos,
     /// Response time (completion minus enqueue).
@@ -121,6 +130,9 @@ pub struct Disk {
     discipline: Discipline,
     queue: Vec<Pending>,
     in_service: Option<InService>,
+    /// The model's head cylinder, read once per service start: the head
+    /// moves only when the drive starts a request.
+    head: u64,
     next_seq: u64,
     stats: DiskStats,
 }
@@ -129,6 +141,7 @@ impl Disk {
     /// Creates a drive from a model and a scheduling discipline.
     pub fn new(model: Box<dyn DiskModel>, discipline: Discipline) -> Disk {
         Disk {
+            head: model.head_cylinder(),
             model,
             discipline,
             queue: Vec::new(),
@@ -155,14 +168,16 @@ impl Disk {
         self.queue.len() + usize::from(self.in_service.is_some())
     }
 
-    /// Enqueues a `kind` request of `span` for logical `block` at time
-    /// `now`, then starts it immediately if the drive is idle, reporting
-    /// each [`DiskEvent`] to `observe`. Rejected (with no state change and
-    /// no event) when the drive is inside a hard outage window.
+    /// Enqueues a `kind` request of `span` for logical `block`, tagged
+    /// `tag`, at time `now`, then starts it immediately if the drive is
+    /// idle, reporting each [`DiskEvent`] to `observe`. Rejected (with no
+    /// state change and no event) when the drive is inside a hard outage
+    /// window.
     pub fn enqueue(
         &mut self,
         now: Nanos,
         block: BlockId,
+        tag: u32,
         span: SectorSpan,
         kind: ReqKind,
         mut observe: impl FnMut(DiskEvent),
@@ -174,55 +189,56 @@ impl Disk {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Pending {
+        let request = Pending {
             block,
+            tag,
+            kind,
             span,
             cylinder: self.model.cylinder_of(span.start),
             enqueued: now,
             seq,
-            kind,
-        });
-        observe(DiskEvent::Enqueued {
-            block,
-            kind,
-            depth: self.load(),
-        });
-        self.maybe_start(now, &mut observe);
+        };
+        if self.in_service.is_some() {
+            self.queue.push(request);
+            observe(DiskEvent::Enqueued {
+                block,
+                kind,
+                depth: self.load(),
+            });
+        } else {
+            // The drive is idle, so its queue is empty and `now` is
+            // outside any outage: the request starts at once, with no
+            // round trip through the queue. The discipline still sees it,
+            // alone, since SCAN may turn around for it.
+            observe(DiskEvent::Enqueued {
+                block,
+                kind,
+                depth: 1,
+            });
+            self.discipline
+                .select(std::slice::from_ref(&request), self.head);
+            self.start(now, &request, &mut observe);
+        }
         EnqueueOutcome::Accepted
     }
 
-    /// If idle and work is queued, picks the next request per the
-    /// discipline and begins servicing it.
-    fn maybe_start(&mut self, now: Nanos, observe: &mut impl FnMut(DiskEvent)) {
-        if self.in_service.is_some() || self.queue.is_empty() {
-            return;
-        }
-        let head = self.model.head_cylinder();
-        let idx = self
-            .discipline
-            .select(&self.queue, head)
-            .expect("non-empty queue must select a request");
-        let request = self.queue.swap_remove(idx);
-        // A request already in the queue when an outage begins is not
-        // lost: its service start is deferred to the window's end, so the
-        // completion event wakes the simulation exactly at recovery. The
-        // loop handles back-to-back windows; outage windows are merged by
-        // the fault plan, so it takes at most a few steps.
-        let mut start = now;
-        while let Some(until) = self.model.outage_until(start) {
-            start = until;
-        }
+    /// Begins servicing `request` at `start`.
+    fn start(&mut self, start: Nanos, request: &Pending, observe: &mut impl FnMut(DiskEvent)) {
         let attempt = self.model.service_attempt(start, &request.span);
+        self.head = self.model.head_cylinder();
         self.in_service = Some(InService {
-            request,
-            completes: attempt.completes,
+            block: request.block,
+            tag: request.tag,
+            kind: request.kind,
+            enqueued: request.enqueued,
             started: start,
+            completes: attempt.completes,
             outcome: attempt.outcome,
         });
         observe(DiskEvent::ServiceStarted {
             block: request.block,
             kind: request.kind,
-            head_cylinder: self.model.head_cylinder(),
+            head_cylinder: self.head,
             completes: attempt.completes,
         });
     }
@@ -249,10 +265,11 @@ impl Disk {
             .expect("complete() with no request in service");
         assert_eq!(s.completes, now, "completion processed at the wrong time");
         let done = Completed {
-            block: s.request.block,
+            block: s.block,
+            tag: s.tag,
             service: s.completes - s.started,
-            response: s.completes - s.request.enqueued,
-            kind: s.request.kind,
+            response: s.completes - s.enqueued,
+            kind: s.kind,
             outcome: s.outcome,
         };
         if s.outcome.is_ok() {
@@ -271,13 +288,30 @@ impl Disk {
             kind: done.kind,
             service: done.service,
             response: done.response,
-            head_cylinder: self.model.head_cylinder(),
+            head_cylinder: self.head,
             // One queued request (if any) is about to enter service, so the
             // post-completion load equals the queue length.
             depth: self.queue.len(),
             outcome: s.outcome,
         });
-        self.maybe_start(now, &mut observe);
+        if !self.queue.is_empty() {
+            // A request already in the queue when an outage begins is not
+            // lost: its service start is deferred to the window's end, so
+            // the completion event wakes the simulation exactly at
+            // recovery. The loop handles back-to-back windows; outage
+            // windows are merged by the fault plan, so it takes at most a
+            // few steps.
+            let mut start = now;
+            while let Some(until) = self.model.outage_until(start) {
+                start = until;
+            }
+            let idx = self
+                .discipline
+                .select(&self.queue, self.head)
+                .expect("non-empty queue must select a request");
+            let request = self.queue.swap_remove(idx);
+            self.start(start, &request, &mut observe);
+        }
         done
     }
 
@@ -319,7 +353,7 @@ impl Disk {
     /// distinction the engine's stall provenance needs.
     #[cfg(test)]
     pub(crate) fn in_service_block(&self) -> Option<BlockId> {
-        self.in_service.as_ref().map(|s| s.request.block)
+        self.in_service.as_ref().map(|s| s.block)
     }
 
     /// The block of the read the drive is servicing right now, `None`
@@ -328,8 +362,8 @@ impl Disk {
     pub(crate) fn in_service_read(&self) -> Option<BlockId> {
         self.in_service
             .as_ref()
-            .filter(|s| s.request.kind == ReqKind::Read)
-            .map(|s| s.request.block)
+            .filter(|s| s.kind == ReqKind::Read)
+            .map(|s| s.block)
     }
 
     /// Blocks currently queued or in service (the drive's outstanding set).
@@ -338,7 +372,7 @@ impl Disk {
         self.queue
             .iter()
             .map(|p| p.block)
-            .chain(self.in_service.iter().map(|s| s.request.block))
+            .chain(self.in_service.iter().map(|s| s.block))
     }
 }
 
@@ -378,11 +412,11 @@ mod tests {
 
     impl Unobserved for Disk {
         fn read(&mut self, now: Nanos, block: BlockId, span: SectorSpan) -> EnqueueOutcome {
-            self.enqueue(now, block, span, ReqKind::Read, |_| {})
+            self.enqueue(now, block, 0, span, ReqKind::Read, |_| {})
         }
 
         fn write(&mut self, now: Nanos, block: BlockId, span: SectorSpan) -> EnqueueOutcome {
-            self.enqueue(now, block, span, ReqKind::Write, |_| {})
+            self.enqueue(now, block, 0, span, ReqKind::Write, |_| {})
         }
 
         fn done(&mut self, now: Nanos) -> Completed {

@@ -52,6 +52,7 @@ impl DiskGeometry {
     };
 
     /// Sectors per cylinder.
+    #[inline]
     pub fn sectors_per_cylinder(&self) -> u64 {
         self.sectors_per_track * self.tracks_per_cylinder
     }
@@ -69,6 +70,7 @@ impl DiskGeometry {
     }
 
     /// The cylinder containing `sector`.
+    #[inline]
     pub fn cylinder_of(&self, sector: u64) -> u64 {
         sector / self.sectors_per_cylinder()
     }
@@ -79,11 +81,13 @@ impl DiskGeometry {
     }
 
     /// The rotational sector index (position around the platter) of `sector`.
+    #[inline]
     pub fn rotational_index(&self, sector: u64) -> u64 {
         sector % self.sectors_per_track
     }
 
     /// Number of track boundaries crossed when reading `span` contiguously.
+    #[inline]
     pub(crate) fn track_crossings(&self, span: &SectorSpan) -> u64 {
         if span.len == 0 {
             return 0;
@@ -94,6 +98,7 @@ impl DiskGeometry {
     }
 
     /// Number of cylinder boundaries crossed when reading `span` contiguously.
+    #[inline]
     pub(crate) fn cylinder_crossings(&self, span: &SectorSpan) -> u64 {
         if span.len == 0 {
             return 0;
@@ -104,6 +109,7 @@ impl DiskGeometry {
     }
 
     /// First sector of the cylinder *after* the one containing `sector`.
+    #[inline]
     pub(crate) fn next_cylinder_start(&self, sector: u64) -> u64 {
         (self.cylinder_of(sector) + 1) * self.sectors_per_cylinder()
     }

@@ -54,6 +54,11 @@ const BUS_SECTOR_TIME: Nanos = Nanos(51_200);
 /// Readahead cache capacity in sectors (128 KB of 512-byte sectors).
 const READAHEAD_SECTORS: u64 = 256;
 
+/// The drive's Table 1 geometry. A constant rather than a field, so every
+/// division by the sectors per cylinder (1368) or per track (72)
+/// compiles to a multiply.
+const GEOMETRY: DiskGeometry = DiskGeometry::HP97560;
+
 /// Sequential readahead state: after a mechanical read the drive keeps
 /// reading forward into its buffer until the end of the cylinder.
 ///
@@ -82,11 +87,11 @@ impl Readahead {
     /// capacity and the cylinder end. A fill that hits a stop pauses:
     /// its clock moves to `now` so no retroactive progress is credited
     /// once the stop lifts.
-    fn advance(&mut self, now: Nanos, geometry: &DiskGeometry) {
+    fn advance(&mut self, now: Nanos) {
         if now <= self.frontier_time {
             return;
         }
-        let stop = self.stop(geometry);
+        let stop = self.stop();
         if self.frontier >= stop {
             // Already paused: the fill marks time until capacity frees.
             self.frontier_time = now;
@@ -106,16 +111,12 @@ impl Readahead {
     }
 
     /// The sector (exclusive) at which the fill currently stops: buffer
-    /// capacity ahead of the consumption point, or the cylinder end.
-    fn stop(&self, geometry: &DiskGeometry) -> u64 {
+    /// capacity ahead of the consumption point, or the cylinder end. No
+    /// sector at or past it can be served by this fill run now.
+    fn stop(&self) -> u64 {
         let by_capacity = self.consumed_to + READAHEAD_SECTORS;
-        let by_cylinder = geometry.next_cylinder_start(self.origin);
+        let by_cylinder = GEOMETRY.next_cylinder_start(self.origin);
         by_capacity.min(by_cylinder)
-    }
-
-    /// The latest sector (exclusive) this fill run can ever deliver.
-    fn limit(&self, geometry: &DiskGeometry) -> u64 {
-        self.stop(geometry)
     }
 
     /// When sector `upto` (exclusive) will have been buffered, given the
@@ -128,7 +129,6 @@ impl Readahead {
 /// The HP 97560 drive model.
 #[derive(Debug, Clone)]
 pub struct Hp97560 {
-    geometry: DiskGeometry,
     seek: SeekCurve,
     head_cylinder: u64,
     readahead: Option<Readahead>,
@@ -157,7 +157,6 @@ impl Hp97560 {
     /// Creates a drive with the paper's Table 1 geometry, head at cylinder 0.
     pub fn new() -> Hp97560 {
         Hp97560 {
-            geometry: DiskGeometry::HP97560,
             seek: SeekCurve::HP97560,
             head_cylinder: 0,
             readahead: None,
@@ -179,7 +178,7 @@ impl Hp97560 {
     /// The drive geometry.
     #[cfg(test)]
     pub(crate) fn geometry(&self) -> &DiskGeometry {
-        &self.geometry
+        &GEOMETRY
     }
 
     /// Service-mix counters accumulated since construction.
@@ -192,27 +191,86 @@ impl Hp97560 {
     /// controller overhead, seek, rotational latency, then media transfer
     /// with track/cylinder switch penalties. Pure — state is committed by
     /// the caller once the mechanical path is chosen.
+    ///
+    /// Never earlier than [`mechanical_floor`]: the seek, the rotational
+    /// wait and the switch penalties are all non-negative.
     fn mechanical_completion(&self, now: Nanos, span: &SectorSpan) -> Nanos {
-        let target_cyl = self.geometry.cylinder_of(span.start);
+        let target_cyl = GEOMETRY.cylinder_of(span.start);
         let distance = target_cyl.abs_diff(self.head_cylinder);
         let after_seek = now + CONTROLLER_OVERHEAD + self.seek.seek_time(distance);
 
         // Rotational latency: wait for the target sector's angular position.
-        let target_angle = SECTOR_TIME * self.geometry.rotational_index(span.start);
+        let target_angle = SECTOR_TIME * GEOMETRY.rotational_index(span.start);
         let current_angle = Nanos(after_seek.as_nanos() % ROTATION.as_nanos());
         let rot_wait =
             Nanos((target_angle + ROTATION - current_angle).as_nanos() % ROTATION.as_nanos());
 
         let media = SECTOR_TIME * span.len
-            + HEAD_SWITCH * self.geometry.track_crossings(span)
-            + CYLINDER_SWITCH * self.geometry.cylinder_crossings(span);
+            + HEAD_SWITCH * GEOMETRY.track_crossings(span)
+            + CYLINDER_SWITCH * GEOMETRY.cylinder_crossings(span);
         after_seek + rot_wait + media
+    }
+
+    /// Serves `span` from the readahead buffer at `now` when the buffer
+    /// delivers it no later than a mechanical access would, committing
+    /// the buffer path and returning its completion. Otherwise returns
+    /// `Err` with the mechanical completion when it was worked out on the
+    /// way, and leaves the drive untouched: the mechanical commit replaces
+    /// the readahead state anyway.
+    fn buffered(&mut self, now: Nanos, span: &SectorSpan) -> Result<Nanos, Option<Nanos>> {
+        let Some(mut ra) = self.readahead else {
+            return Err(None);
+        };
+        ra.advance(now);
+        if span.start < ra.consumed_to || span.end() > ra.stop() {
+            return Err(None);
+        }
+        let paused_for_capacity = ra.frontier == ra.consumed_to + READAHEAD_SECTORS
+            && ra.frontier < GEOMETRY.next_cylinder_start(ra.origin);
+        let hit = span.end() <= ra.frontier;
+        let data_ready = if hit {
+            now
+        } else {
+            ra.available_at(span.end())
+        };
+        let done = data_ready.max(now + CONTROLLER_OVERHEAD) + BUS_SECTOR_TIME * span.len;
+        // Firmware aborts the readahead when seeking is faster than
+        // waiting for the fill to reach the data. A buffered read done by
+        // the mechanical floor wins without the mechanical arithmetic.
+        if done > mechanical_floor(now, span) {
+            let mechanical = self.mechanical_completion(now, span);
+            if done > mechanical {
+                return Err(Some(mechanical));
+            }
+        }
+        if hit {
+            self.stats.buffer_hits += 1;
+        } else {
+            self.stats.buffer_waits += 1;
+        }
+        self.head_cylinder = GEOMETRY.cylinder_of(span.end() - 1);
+        ra.consumed_to = span.end();
+        if hit {
+            // Consuming the hit frees buffer frames; a fill paused on
+            // capacity resumes once this transfer has delivered the data —
+            // not retroactively.
+            if paused_for_capacity {
+                ra.frontier_time = done;
+            }
+        } else {
+            // The fill has read exactly up to the requested sectors at the
+            // moment they became available.
+            ra.frontier = span.end();
+            ra.frontier_time = data_ready;
+        }
+        self.readahead = Some(ra);
+        Ok(done)
     }
 
     /// Commits a mechanical access ending at `done`.
     fn commit_mechanical(&mut self, span: &SectorSpan, done: Nanos) {
         self.stats.mechanical += 1;
-        self.head_cylinder = self.geometry.cylinder_of(span.end() - 1);
+        self.head_cylinder = GEOMETRY.cylinder_of(span.end() - 1);
         self.readahead = self.readahead_enabled.then_some(Readahead {
             origin: span.end(),
             frontier: span.end(),
@@ -222,61 +280,28 @@ impl Hp97560 {
     }
 }
 
+/// The earliest a mechanical access of `span` started at `now` can
+/// complete: controller overhead plus the media transfer, with no seek,
+/// no rotational wait and no switch penalty.
+fn mechanical_floor(now: Nanos, span: &SectorSpan) -> Nanos {
+    now + CONTROLLER_OVERHEAD + SECTOR_TIME * span.len
+}
+
 impl DiskModel for Hp97560 {
     fn service(&mut self, now: Nanos, span: &SectorSpan) -> Nanos {
         if span.len == 0 {
             return now;
         }
-        let mech_done = self.mechanical_completion(now, span);
-        if let Some(ra) = self.readahead.as_mut() {
-            ra.advance(now, &self.geometry);
-        }
-        if let Some(ra) = self.readahead {
-            let within = span.start >= ra.consumed_to && span.end() <= ra.limit(&self.geometry);
-            if within {
-                let paused_for_capacity = ra.frontier == ra.consumed_to + READAHEAD_SECTORS
-                    && ra.frontier < self.geometry.next_cylinder_start(ra.origin);
-                let (hit, data_ready) = if span.end() <= ra.frontier {
-                    (true, now)
-                } else {
-                    (false, ra.available_at(span.end()))
-                };
-                let done = data_ready.max(now + CONTROLLER_OVERHEAD) + BUS_SECTOR_TIME * span.len;
-                // Firmware aborts the readahead when seeking is faster
-                // than waiting for the fill to reach the data.
-                if done <= mech_done {
-                    if hit {
-                        self.stats.buffer_hits += 1;
-                    } else {
-                        self.stats.buffer_waits += 1;
-                    }
-                    self.head_cylinder = self.geometry.cylinder_of(span.end() - 1);
-                    let mut ra = ra;
-                    ra.consumed_to = span.end();
-                    if hit {
-                        // Consuming the hit frees buffer frames; a fill
-                        // paused on capacity resumes once this transfer
-                        // has delivered the data — not retroactively.
-                        if paused_for_capacity {
-                            ra.frontier_time = done;
-                        }
-                    } else {
-                        // The fill has read exactly up to the requested
-                        // sectors at the moment they became available.
-                        ra.frontier = span.end();
-                        ra.frontier_time = data_ready;
-                    }
-                    self.readahead = Some(ra);
-                    return done;
-                }
-            }
-        }
-        self.commit_mechanical(span, mech_done);
-        mech_done
+        let mechanical = match self.buffered(now, span) {
+            Ok(done) => return done,
+            Err(worked_out) => worked_out.unwrap_or_else(|| self.mechanical_completion(now, span)),
+        };
+        self.commit_mechanical(span, mechanical);
+        mechanical
     }
 
     fn cylinder_of(&self, sector: u64) -> u64 {
-        self.geometry.cylinder_of(sector)
+        GEOMETRY.cylinder_of(sector)
     }
 
     fn head_cylinder(&self) -> u64 {

@@ -42,9 +42,13 @@ impl Layout {
         block.raw() / self.disks as u64
     }
 
-    /// The physical sector span of logical block `block` on its drive.
-    pub(crate) fn span_of(&self, block: BlockId) -> SectorSpan {
-        SectorSpan::for_block(self.disk_block_of(block))
+    /// The drive holding logical block `block` and the physical sector
+    /// span of the block on it, from one division.
+    #[inline]
+    pub(crate) fn locate(&self, block: BlockId) -> (DiskId, SectorSpan) {
+        let disks = self.disks as u64;
+        let (disk_block, disk) = (block.raw() / disks, block.raw() % disks);
+        (DiskId(disk as usize), SectorSpan::for_block(disk_block))
     }
 }
 
@@ -68,7 +72,7 @@ mod tests {
         let l = Layout::striped(1);
         assert_eq!(l.disk_of(BlockId(41)), DiskId(0));
         assert_eq!(l.disk_block_of(BlockId(41)), 41);
-        assert_eq!(l.span_of(BlockId(2)).start, 32);
+        assert_eq!(l.locate(BlockId(2)).1.start, 32);
     }
 
     #[test]
@@ -77,10 +81,25 @@ mod tests {
         // this is what keeps per-disk access sequential for sequential
         // workloads, a property the paper's results depend on.
         let l = Layout::striped(4);
-        let a = l.span_of(BlockId(5));
-        let b = l.span_of(BlockId(9));
+        let a = l.locate(BlockId(5)).1;
+        let b = l.locate(BlockId(9)).1;
         assert_eq!(l.disk_of(BlockId(5)), l.disk_of(BlockId(9)));
         assert_eq!(b.start, a.end());
+    }
+
+    #[test]
+    fn locate_agrees_with_the_separate_lookups() {
+        for disks in [1, 3, 4, 16] {
+            let l = Layout::striped(disks);
+            for b in 0..200u64 {
+                let block = BlockId(b);
+                let want = (
+                    l.disk_of(block),
+                    SectorSpan::for_block(l.disk_block_of(block)),
+                );
+                assert_eq!(l.locate(block), want, "block {b}, {disks} disks");
+            }
+        }
     }
 
     #[test]

@@ -116,6 +116,8 @@ mod tests {
     fn pending(seq: u64, cylinder: u64) -> Pending {
         Pending {
             block: BlockId(seq),
+            tag: 0,
+            kind: crate::disk::ReqKind::Read,
             span: SectorSpan {
                 start: cylinder * SPC,
                 len: 16,
@@ -123,7 +125,6 @@ mod tests {
             cylinder,
             enqueued: Nanos::ZERO,
             seq,
-            kind: crate::disk::ReqKind::Read,
         }
     }
 

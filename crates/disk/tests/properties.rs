@@ -102,6 +102,7 @@ fn disk_serves_every_request_once() {
             let outcome = disk.enqueue(
                 Nanos::from_micros(i as u64),
                 BlockId(b),
+                0,
                 SectorSpan::for_block(b),
                 ReqKind::Read,
                 |_| {},
@@ -191,6 +192,7 @@ fn uniform_queueing_is_exact() {
             let outcome = d.enqueue(
                 Nanos::ZERO,
                 BlockId(i as u64),
+                0,
                 SectorSpan::for_block(i as u64),
                 ReqKind::Read,
                 |_| {},
@@ -236,6 +238,7 @@ fn faulty_drive_conserves_requests() {
             let outcome = disk.enqueue(
                 Nanos::from_micros(i as u64),
                 BlockId(b),
+                0,
                 SectorSpan::for_block(b),
                 ReqKind::Read,
                 |_| {},
@@ -273,6 +276,8 @@ fn cscan_picks_ahead_or_wraps() {
             .enumerate()
             .map(|(i, &c)| Pending {
                 block: BlockId(i as u64),
+                tag: 0,
+                kind: ReqKind::Read,
                 span: SectorSpan {
                     start: c * 1368,
                     len: 16,
@@ -280,7 +285,6 @@ fn cscan_picks_ahead_or_wraps() {
                 cylinder: c,
                 enqueued: Nanos::ZERO,
                 seq: i as u64,
-                kind: ReqKind::Read,
             })
             .collect();
         let mut d = Discipline::Cscan;
@@ -292,5 +296,248 @@ fn cscan_picks_ahead_or_wraps() {
         } else {
             assert_eq!(picked_cyl, *ahead.iter().min().unwrap(), "case {case}");
         }
+    }
+}
+
+/// The HP 97560 model as it was written before the buffered-read
+/// shortcut: the mechanical completion is worked out first, then the
+/// readahead buffer is asked whether it can do better. The executable
+/// spec `hp97560_buffered_shortcut_matches_the_eager_model` holds the
+/// drive to. It also counts which path each read took, so the test can
+/// check that its streams reach every one.
+mod eager {
+    use parcache_disk::geometry::{DiskGeometry, SectorSpan};
+    use parcache_disk::seek::SeekCurve;
+    use parcache_types::Nanos;
+
+    const G: DiskGeometry = DiskGeometry::HP97560;
+    const SECTOR_TIME: u64 = 208_229;
+    const ROTATION: u64 = SECTOR_TIME * 72;
+    const CONTROLLER_OVERHEAD: u64 = 500_000;
+    const HEAD_SWITCH: u64 = 1_000_000;
+    const CYLINDER_SWITCH: u64 = 2_000_000;
+    const BUS_SECTOR_TIME: u64 = 51_200;
+    const READAHEAD_SECTORS: u64 = 256;
+
+    #[derive(Clone, Copy)]
+    struct Readahead {
+        origin: u64,
+        frontier: u64,
+        frontier_time: u64,
+        consumed_to: u64,
+    }
+
+    impl Readahead {
+        fn stop(&self) -> u64 {
+            let by_cylinder = (G.cylinder_of(self.origin) + 1) * G.sectors_per_cylinder();
+            (self.consumed_to + READAHEAD_SECTORS).min(by_cylinder)
+        }
+
+        fn advance(&mut self, now: u64) {
+            if now <= self.frontier_time {
+                return;
+            }
+            let stop = self.stop();
+            if self.frontier >= stop {
+                self.frontier_time = now;
+                return;
+            }
+            let filled = (now - self.frontier_time) / SECTOR_TIME;
+            if self.frontier + filled >= stop {
+                self.frontier = stop;
+                self.frontier_time = now;
+            } else {
+                self.frontier += filled;
+                self.frontier_time += SECTOR_TIME * filled;
+            }
+        }
+    }
+
+    /// How often each path was taken.
+    #[derive(Debug, Default)]
+    pub struct Paths {
+        /// Served from sectors already buffered.
+        pub hits: u64,
+        /// Hits that resumed a fill paused at the buffer's capacity.
+        pub paused_hits: u64,
+        /// Served by waiting for the in-progress fill.
+        pub waits: u64,
+        /// Inside the buffer window, but a mechanical access was sooner.
+        pub buffer_lost: u64,
+        /// Mechanical accesses.
+        pub mechanical: u64,
+        /// Mechanical accesses whose span crosses a cylinder end.
+        pub cylinder_crossing: u64,
+    }
+
+    pub struct EagerHp97560 {
+        head: u64,
+        readahead: Option<Readahead>,
+        pub paths: Paths,
+    }
+
+    impl EagerHp97560 {
+        pub fn new() -> EagerHp97560 {
+            EagerHp97560 {
+                head: 0,
+                readahead: None,
+                paths: Paths::default(),
+            }
+        }
+
+        pub fn head_cylinder(&self) -> u64 {
+            self.head
+        }
+
+        fn mechanical(&self, now: u64, span: &SectorSpan) -> u64 {
+            let end = span.start + span.len;
+            let distance = G.cylinder_of(span.start).abs_diff(self.head);
+            let after_seek =
+                now + CONTROLLER_OVERHEAD + SeekCurve::HP97560.seek_time(distance).as_nanos();
+            let target_angle = SECTOR_TIME * G.rotational_index(span.start);
+            let rot_wait = (target_angle + ROTATION - after_seek % ROTATION) % ROTATION;
+            let tracks = (end - 1) / G.sectors_per_track - span.start / G.sectors_per_track;
+            let cylinders = G.cylinder_of(end - 1) - G.cylinder_of(span.start);
+            after_seek
+                + rot_wait
+                + SECTOR_TIME * span.len
+                + HEAD_SWITCH * tracks
+                + CYLINDER_SWITCH * cylinders
+        }
+
+        pub fn service(&mut self, now: Nanos, span: &SectorSpan) -> Nanos {
+            let now = now.as_nanos();
+            if span.len == 0 {
+                return Nanos(now);
+            }
+            let end = span.start + span.len;
+            let mech_done = self.mechanical(now, span);
+            if let Some(ra) = self.readahead.as_mut() {
+                ra.advance(now);
+            }
+            if let Some(mut ra) = self.readahead {
+                if span.start >= ra.consumed_to && end <= ra.stop() {
+                    let paused_for_capacity = ra.frontier == ra.consumed_to + READAHEAD_SECTORS
+                        && ra.frontier < (G.cylinder_of(ra.origin) + 1) * G.sectors_per_cylinder();
+                    let hit = end <= ra.frontier;
+                    let data_ready = if hit {
+                        now
+                    } else {
+                        ra.frontier_time + SECTOR_TIME * end.saturating_sub(ra.frontier)
+                    };
+                    let done =
+                        data_ready.max(now + CONTROLLER_OVERHEAD) + BUS_SECTOR_TIME * span.len;
+                    if done <= mech_done {
+                        self.head = G.cylinder_of(end - 1);
+                        ra.consumed_to = end;
+                        if hit {
+                            self.paths.hits += 1;
+                            if paused_for_capacity {
+                                self.paths.paused_hits += 1;
+                                ra.frontier_time = done;
+                            }
+                        } else {
+                            self.paths.waits += 1;
+                            ra.frontier = end;
+                            ra.frontier_time = data_ready;
+                        }
+                        self.readahead = Some(ra);
+                        return Nanos(done);
+                    }
+                    self.paths.buffer_lost += 1;
+                }
+            }
+            self.paths.mechanical += 1;
+            if G.cylinder_of(end - 1) != G.cylinder_of(span.start) {
+                self.paths.cylinder_crossing += 1;
+            }
+            self.head = G.cylinder_of(end - 1);
+            self.readahead = Some(Readahead {
+                origin: end,
+                frontier: end,
+                frontier_time: mech_done,
+                consumed_to: end,
+            });
+            Nanos(mech_done)
+        }
+    }
+}
+
+/// The HP 97560's buffered-read shortcut is exact: `Hp97560::service`
+/// decides the readahead path before any mechanical arithmetic, and
+/// must give the eager model's completion time and head cylinder at
+/// every step. The seeded streams mix sequential reads (buffer hits,
+/// waits on the in-progress fill, fills paused at the 256-sector
+/// capacity), reads straddling a cylinder end, short forward strides
+/// inside and past the buffer window, random and backward mechanical
+/// reads, and idle gaps from none to long enough to fill the buffer.
+#[test]
+fn hp97560_buffered_shortcut_matches_the_eager_model() {
+    const SPC: u64 = 1368;
+    let mut paths = eager::Paths::default();
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0x5eed_0000 + case);
+        let mut drive = Hp97560::new();
+        let mut spec = eager::EagerHp97560::new();
+        let mut now = Nanos::ZERO;
+        let mut next = 0u64;
+        for step in 0..400 {
+            let len = *rng.choose(&[16u64, 16, 16, 8, 1, 40]).unwrap();
+            let start = match rng.gen_range(0usize..20) {
+                // Sequential: the sector after the last read.
+                0..=9 => next,
+                // A short forward stride, inside or past the window.
+                10..=12 => next + rng.gen_range(1u64..320),
+                // A read ending just past a cylinder end.
+                13 | 14 => {
+                    let cyl_end = (next / SPC + 1) * SPC;
+                    cyl_end - rng.gen_range(1u64..len + 1).min(cyl_end)
+                }
+                // Backward, within the last few hundred sectors.
+                15 => next.saturating_sub(rng.gen_range(1u64..400)),
+                // Random.
+                _ => rng.gen_range(0u64..2_680_000),
+            };
+            let gap = match rng.gen_range(0usize..8) {
+                0..=3 => Nanos::ZERO,
+                4 => Nanos(rng.gen_range(0u64..1_000_000)),
+                5 => Nanos(rng.gen_range(0u64..20_000_000)),
+                6 => Nanos(rng.gen_range(0u64..80_000_000)),
+                _ => Nanos(rng.gen_range(0u64..400_000_000)),
+            };
+            let span = SectorSpan { start, len };
+            now += gap;
+            let want = spec.service(now, &span);
+            let got = drive.service(now, &span);
+            assert_eq!(got, want, "case {case} step {step}: {span:?} at {now}");
+            assert_eq!(
+                drive.head_cylinder(),
+                spec.head_cylinder(),
+                "case {case} step {step}: head after {span:?}"
+            );
+            now = got;
+            next = start + len;
+        }
+        let p = &spec.paths;
+        paths.hits += p.hits;
+        paths.paused_hits += p.paused_hits;
+        paths.waits += p.waits;
+        paths.buffer_lost += p.buffer_lost;
+        paths.mechanical += p.mechanical;
+        paths.cylinder_crossing += p.cylinder_crossing;
+    }
+    // Every path the shortcut must agree on was reached, many times.
+    for (name, n) in [
+        ("hits", paths.hits),
+        ("hits resuming a capacity-paused fill", paths.paused_hits),
+        ("waits on the fill", paths.waits),
+        (
+            "buffer window lost to the mechanical path",
+            paths.buffer_lost,
+        ),
+        ("mechanical reads", paths.mechanical),
+        ("reads across a cylinder end", paths.cylinder_crossing),
+    ] {
+        assert!(n >= 100, "{name}: only {n} ({paths:?})");
     }
 }
